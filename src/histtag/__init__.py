@@ -44,7 +44,6 @@ from .embed import (
     WordTableEmbedder,
     contextual_embed,
     load_vectors,
-    stack_embed,
 )
 from .errors import (
     ConfigError,
@@ -122,7 +121,6 @@ __all__ = [
     "WordTableEmbedder",
     "contextual_embed",
     "load_vectors",
-    "stack_embed",
     # CRF and tagger
     "CrfLayer",
     "crf_log_partition",

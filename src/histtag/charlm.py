@@ -110,12 +110,6 @@ class CharLm:
         for layer in self.layers:
             layer.zero_grads()
 
-    def encode(self, text: str) -> np.ndarray:
-        unk = self.unk_index
-        index = self.vocab.index
-        return np.fromiter((index.get(c, unk) for c in text),
-                           dtype=np.int64, count=len(text))
-
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
         return [
             ("embedding.weight", self.embedding.params["weight"]),
@@ -140,11 +134,11 @@ def lm_forward(model: CharLm, chars: np.ndarray,
     if chars.min() < 0 or chars.max() >= model.output_size:
         raise ValueError(
             f"character index out of range [0, {model.output_size})")
-    emb, _ = model.embedding.forward(chars)
-    lstm_state = None if state is None else (state.hidden, state.cell)
+    emb, _ = model.embedding.forward(chars[None])
+    lstm_state = None if state is None else (state.hidden[None], state.cell[None])
     hs, (h, c), _ = model.lstm.forward(emb, lstm_state)
-    logits, _ = model.projection.forward(hs)
-    return logits, LmState(h, c), hs
+    logits, _ = model.projection.forward(hs[0])
+    return logits, LmState(h[0], c[0]), hs[0]
 
 
 @dataclass
@@ -181,14 +175,22 @@ def _stream_nll(model: CharLm, indices: np.ndarray) -> float:
 
 def _train_window(model: CharLm, x: np.ndarray, y: np.ndarray, state,
                   dropout: Dropout, rng: np.random.Generator, scale: float):
-    """One TBPTT window: forward, loss, backward. Returns (nll sum, state)."""
+    """One TBPTT window over all strands at once: forward, loss, backward.
+
+    x, y: (B, T) inputs and next-character targets.  Returns (nll sum,
+    state).
+    """
+    B, T = x.shape
+    H = model.lstm.hidden_size
     emb, emb_cache = model.embedding.forward(x)
     hs, new_state, lstm_cache = model.lstm.forward(emb, state)
+    # one (B, T, H) draw consumes the generator exactly like B successive
+    # (T, H) draws, one per strand
     dropped, drop_cache = dropout.forward(hs, rng, train=True)
-    logits, lin_cache = model.projection.forward(dropped)
-    nll, dlogits = cross_entropy(logits, y)
+    logits, lin_cache = model.projection.forward(dropped.reshape(B * T, H))
+    nll, dlogits = cross_entropy(logits, y.reshape(B * T))
     dlogits *= scale
-    dh = model.projection.backward(lin_cache, dlogits)
+    dh = model.projection.backward(lin_cache, dlogits).reshape(B, T, H)
     dh = dropout.backward(drop_cache, dh)
     dx, _ = model.lstm.backward(lstm_cache, dh)
     model.embedding.backward(emb_cache, dx)
@@ -226,11 +228,10 @@ def train_lm(corpus: PlainCorpus, config: CharLmConfig, seed: int,
 
     rng = np.random.default_rng(seed)
     model = CharLm.initialize(vocab, config, rng)
-    encoded = model.encode(train_text)
-    strands = [encoded[b * strand_len:(b + 1) * strand_len]
-               for b in range(config.mini_batch)]
-    dev_idx = model.encode(dev_text)
-    test_idx = model.encode(test_text)
+    B = config.mini_batch
+    strands = vocab.encode(train_text[:B * strand_len]).reshape(B, strand_len)
+    dev_idx = vocab.encode(dev_text)
+    test_idx = vocab.encode(test_text)
 
     log = LmTrainLog(initial_test_perplexity=float(np.exp(_stream_nll(model, test_idx))))
     dropout = Dropout(config.dropout)
@@ -238,20 +239,18 @@ def train_lm(corpus: PlainCorpus, config: CharLmConfig, seed: int,
     best_dev = np.inf
     L = config.sequence_length
     for epoch in range(1, config.epochs + 1):
-        states = [None] * config.mini_batch
+        state = None
         pos = 0
         loss_sum, position_count = 0.0, 0
         while pos + 1 < strand_len:
             end = min(pos + L, strand_len - 1)
             window = end - pos
             model.zero_grads()
-            scale = 1.0 / (window * config.mini_batch)
-            for b, strand in enumerate(strands):
-                nll_sum, states[b] = _train_window(
-                    model, strand[pos:end], strand[pos + 1:end + 1],
-                    states[b], dropout, rng, scale)
-                loss_sum += nll_sum
-                position_count += window
+            nll_sum, state = _train_window(
+                model, strands[:, pos:end], strands[:, pos + 1:end + 1],
+                state, dropout, rng, 1.0 / (window * B))
+            loss_sum += nll_sum
+            position_count += window * B
             clip_grad_norm(model.layers, GRAD_CLIP)
             sgd_step(model.layers, lr)
             pos = end
@@ -280,7 +279,7 @@ def sentence_perplexity(model: CharLm, text: str) -> float:
             f"need at least 2 characters to score, got {len(text)}")
     if model.direction == "backward":
         text = text[::-1]
-    return float(np.exp(_stream_nll(model, model.encode(text))))
+    return float(np.exp(_stream_nll(model, model.vocab.encode(text))))
 
 
 def corpus_perplexity(model: CharLm,

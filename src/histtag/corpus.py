@@ -16,6 +16,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional, Union
 
+import numpy as np
+
 from .errors import DecodeError, EmptyCorpusError, ParseError, SchemeError
 
 SPLITS = ("train", "dev", "test")
@@ -142,6 +144,13 @@ class CharVocabulary:
 
     def get(self, ch: str, default: Optional[int] = None) -> Optional[int]:
         return self._index.get(ch, default)
+
+    def encode(self, text: str) -> np.ndarray:
+        """Index array for ``text``; characters outside the vocabulary map
+        to the reserved UNK index ``len(self)``."""
+        index, unk = self._index, len(self._chars)
+        return np.fromiter((index.get(c, unk) for c in text),
+                           dtype=np.int64, count=len(text))
 
     def codepoints(self) -> list[int]:
         return [ord(c) for c in self._chars]

@@ -166,12 +166,11 @@ def crf_nll_with_grads(emissions: np.ndarray, crf: CrfLayer, gold,
     d_trans[crf.start, gold[0]] -= 1.0
     d_trans[:K, crf.stop] += gamma[-1]
     d_trans[gold[-1], crf.stop] -= 1.0
-    # pairwise marginals P(y_t = i, y_{t+1} = j)
-    for t in range(T - 1):
-        xi = np.exp(alphas[t][:, None] + inner
-                    + (emissions[t + 1] + betas[t + 1])[None, :] - log_z)
-        d_trans[:K, :K] += xi
-        d_trans[gold[t], gold[t + 1]] -= 1.0
+    # pairwise marginals P(y_t = i, y_{t+1} = j), all t in one broadcast
+    xi = np.exp(alphas[:-1, :, None] + inner
+                + (emissions[1:] + betas[1:])[:, None, :] - log_z)
+    d_trans[:K, :K] += xi.sum(axis=0)
+    np.add.at(d_trans, (gold[:-1], gold[1:]), -1.0)
     crf.grads["transitions"] += scale * d_trans
     crf.mask_grads()
 

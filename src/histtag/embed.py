@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .charlm import CharLm, lm_forward
-from .corpus import CharVocabulary, Sentence, Token, sentence_text, token_char_ranges
+from .corpus import CharVocabulary, Sentence, sentence_text, token_char_ranges
 from .errors import ConfigError, ParseError
 from .nn import Embedding, Lstm
 from .serialization import load_tensors, save_tensors
@@ -125,6 +125,10 @@ class WordTableEmbedder:
 class CharFeatureEncoder:
     """Trainable character features: a small bidirectional recurrence over
     each token's characters; output is the two final states concatenated.
+
+    All tokens of a sentence run through one length-masked recurrence per
+    direction: the forward one reads each token's characters, the backward
+    one each token's characters reversed, both padded at the end.
     """
 
     def __init__(self, vocab: CharVocabulary, rng: np.random.Generator,
@@ -138,49 +142,29 @@ class CharFeatureEncoder:
         self.bwd = Lstm(embed_dim, hidden, rng)
         self.layers = (self.embedding, self.fwd, self.bwd)
 
-    @property
-    def unk_index(self) -> int:
-        return len(self.vocab)
-
-    def encode(self, text: str) -> np.ndarray:
-        unk = self.unk_index
-        index = self.vocab.index
-        return np.fromiter((index.get(c, unk) for c in text),
-                           dtype=np.int64, count=len(text))
-
-    def embed_token(self, token: Token):
-        idx = self.encode(token.text)
-        emb, emb_cache = self.embedding.forward(idx)
-        hs_f, (hf, _), f_cache = self.fwd.forward(emb)
-        hs_b, (hb, _), b_cache = self.bwd.forward(emb[::-1])
-        vec = np.concatenate([hf, hb])
-        return vec, (emb_cache, f_cache, b_cache, len(idx))
-
-    def backward_token(self, cache, grad: np.ndarray) -> None:
-        emb_cache, f_cache, b_cache, length = cache
-        H = self.hidden
-        zeros = np.zeros((length, H))
-        zero_h = np.zeros(H)
-        demb_f, _ = self.fwd.backward(f_cache, zeros, (grad[:H], zero_h))
-        demb_b, _ = self.bwd.backward(b_cache, zeros, (grad[H:], zero_h))
-        self.embedding.backward(emb_cache, demb_f + demb_b[::-1])
-
     def forward(self, sentence: Sentence):
-        vecs, caches = [], []
-        for token in sentence:
-            vec, cache = self.embed_token(token)
-            vecs.append(vec)
-            caches.append(cache)
-        return np.stack(vecs), caches
+        codes = [self.vocab.encode(token.text) for token in sentence]
+        lengths = np.array([len(c) for c in codes])
+        # plane 0 holds each token's characters, plane 1 the same reversed;
+        # padded steps look up index 0 and pass it exactly zero gradient
+        indices = np.zeros((2, len(codes), lengths.max()), dtype=np.int64)
+        for j, c in enumerate(codes):
+            indices[0, j, :len(c)] = c
+            indices[1, j, :len(c)] = c[::-1]
+        emb, emb_cache = self.embedding.forward(indices)
+        _, (hf, _), f_cache = self.fwd.forward(emb[0], lengths=lengths)
+        _, (hb, _), b_cache = self.bwd.forward(emb[1], lengths=lengths)
+        return np.concatenate([hf, hb], axis=1), (emb_cache, f_cache, b_cache)
 
-    def backward(self, caches, grad: np.ndarray) -> None:
-        for cache, row in zip(caches, grad):
-            self.backward_token(cache, row)
-
-
-def char_feature_embed(encoder: CharFeatureEncoder, token: Token) -> np.ndarray:
-    vec, _ = encoder.embed_token(token)
-    return vec
+    def backward(self, cache, grad: np.ndarray) -> None:
+        emb_cache, f_cache, b_cache = cache
+        N, T = emb_cache.shape[1:]
+        H = self.hidden
+        zeros = np.zeros((N, T, H))
+        zero_h = np.zeros((N, H))
+        demb_f, _ = self.fwd.backward(f_cache, zeros, (grad[:, :H], zero_h))
+        demb_b, _ = self.bwd.backward(b_cache, zeros, (grad[:, H:], zero_h))
+        self.embedding.backward(emb_cache, np.stack([demb_f, demb_b]))
 
 
 class ContextualEmbedder:
@@ -217,8 +201,8 @@ def contextual_embed(fwd: CharLm, bwd: CharLm, sentence: Sentence) -> np.ndarray
     text = sentence_text(sentence)
     ranges = token_char_ranges(sentence)
     L = len(text)
-    _, _, hs_f = lm_forward(fwd, fwd.encode(text))
-    _, _, hs_b = lm_forward(bwd, bwd.encode(text[::-1]))
+    _, _, hs_f = lm_forward(fwd, fwd.vocab.encode(text))
+    _, _, hs_b = lm_forward(bwd, bwd.vocab.encode(text[::-1]))
     rows = [np.concatenate([hs_f[end], hs_b[L - 1 - start]])
             for start, end in ranges]
     return np.stack(rows)
@@ -253,8 +237,3 @@ class StackedEmbedder:
         for c, cache in zip(self.components, caches):
             c.backward(cache, grad[:, offset:offset + c.dim])
             offset += c.dim
-
-
-def stack_embed(embedder: StackedEmbedder, sentence: Sentence) -> np.ndarray:
-    vectors, _ = embedder.forward(sentence)
-    return vectors

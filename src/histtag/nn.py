@@ -3,21 +3,33 @@
 Every layer keeps its parameters in ``params`` and accumulates gradients
 into the matching ``grads`` entries.  ``forward`` returns the output plus an
 opaque cache; ``backward`` consumes the cache and the upstream gradient and
-returns the gradient with respect to the layer input.  All math runs in
-float64 so analytic gradients can be checked against central finite
-differences to tight tolerances.
+returns the gradient with respect to the layer input.  ``Lstm`` is the one
+recurrence: it runs a (B, T, D) batch of left-aligned sequences with an
+optional ``lengths`` mask, and callers with a single sequence pass B = 1.
+All math runs in float64 so analytic gradients can be checked against
+central finite differences to tight tolerances.
 """
 
 import numpy as np
-from scipy.special import expit as sigmoid
-from scipy.special import log_softmax, logsumexp, softmax
+from scipy.special import log_softmax, softmax
 
 __all__ = [
-    "sigmoid", "softmax", "log_softmax", "logsumexp",
+    "softmax", "log_softmax", "logsumexp",
     "Layer", "Embedding", "Linear", "Lstm", "Dropout",
     "init_uniform", "cross_entropy", "global_grad_norm",
     "clip_grad_norm", "sgd_step",
 ]
+
+
+def logsumexp(a: np.ndarray, axis=None):
+    """log(sum(exp(a))) along ``axis`` (all axes when None), shifted by the
+    maximum so large entries do not overflow.  A plain numpy helper: the
+    CRF calls it once per position on tiny blocks, where scipy's generic
+    version spends most of its time dispatching."""
+    shift = np.max(a, axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    out = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)) + shift
+    return out.reshape(()) if axis is None else np.squeeze(out, axis=axis)
 
 
 def init_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -86,11 +98,16 @@ class Linear(Layer):
 
 
 class Lstm(Layer):
-    """Single-layer LSTM over one sequence at a time.
+    """Single-layer LSTM over a batch of padded sequences.
 
-    Gate pre-activations are stored in one (T, 4H) block ordered input,
-    forget, cell, output.  Input projections for the whole sequence are
-    batched up front; the recurrence itself is the only per-step loop.
+    Inputs are (B, T, D) with each row's sequence left-aligned; the
+    optional ``lengths`` (B,) marks how many leading steps of each row are
+    real.  A padded step holds ``h`` and ``c`` unchanged, so a row's final
+    state is its state after its last real step, and in backward it passes
+    ``dh`` and ``dc`` through unchanged and gives zero input gradient.
+    Gate pre-activations sit in one 4H block ordered input, forget, cell,
+    output.  The input projection for all steps is one matrix product; the
+    recurrence is the only per-step loop, over time-major (T, B, ·) arrays.
     """
 
     def __init__(self, input_dim: int, hidden_size: int, rng: np.random.Generator):
@@ -100,95 +117,134 @@ class Lstm(Layer):
         self._register("Wx", init_uniform(rng, (input_dim, 4 * hidden_size), input_dim))
         self._register("Wh", init_uniform(rng, (hidden_size, 4 * hidden_size), hidden_size))
         self._register("bias", np.zeros(4 * hidden_size))
+        # sigmoid(a) = (1 + tanh(a / 2)) / 2, so one tanh over the whole 4H
+        # block activates all gates: halve the sigmoid gates' pre-activations
+        # (exact, a power of two), then map their tanh back by slope, offset
+        H = hidden_size
+        self._slope = np.concatenate([np.full(2 * H, 0.5), np.ones(H), np.full(H, 0.5)])
+        self._offset = np.concatenate([np.full(2 * H, 0.5), np.zeros(H), np.full(H, 0.5)])
 
-    def initial_state(self) -> tuple[np.ndarray, np.ndarray]:
-        h = np.zeros(self.hidden_size)
-        return h, h.copy()
-
-    def forward(self, x: np.ndarray, state=None):
+    def forward(self, x: np.ndarray, state=None, lengths=None):
         """Run the recurrence.
 
-        x: (T, input_dim); state: optional (h0, c0) each (H,).
-        Returns hs (T, H), final state (hT, cT), and the backward cache.
+        x: (B, T, input_dim); state: optional (h0, c0) each (B, H);
+        lengths: optional (B,) ints in [0, T], all T when omitted.
+        Returns hs (B, T, H), final state (hT, cT) each (B, H), and the
+        backward cache.
         """
-        T = x.shape[0]
+        B, T, D = x.shape
         H = self.hidden_size
         if state is None:
-            state = self.initial_state()
-        h, c = state
-        x_proj = x @ self.params["Wx"] + self.params["bias"]
-        Wh = self.params["Wh"]
-
-        hs = np.empty((T, H))
-        gates = np.empty((T, 4 * H))
-        cells = np.empty((T, H))
-        tanh_c = np.empty((T, H))
-        h_prev = np.empty((T, H))
-        c_prev = np.empty((T, H))
+            h0 = c0 = np.zeros((B, H))
+        else:
+            h0, c0 = state
+        pad = _padding_mask(lengths, B, T)
+        slope, offset = self._slope, self._offset
+        Wh = self.params["Wh"] * slope
+        # time-major, so each step reads and writes contiguous (B, 4H)
+        # blocks; gates first hold the scaled input projection, then the
+        # activated gates
+        x_tm = x.transpose(1, 0, 2).reshape(T * B, D)
+        gates = (x_tm @ self.params["Wx"]).reshape(T, B, 4 * H)
+        gates += self.params["bias"]
+        gates *= slope
+        cells = np.empty((T, B, H))
+        hs = np.empty((T, B, H))
+        h, c = h0, c0
         for t in range(T):
-            h_prev[t] = h
-            c_prev[t] = c
-            a = x_proj[t] + h @ Wh
-            i = sigmoid(a[:H])
-            f = sigmoid(a[H:2 * H])
-            g = np.tanh(a[2 * H:3 * H])
-            o = sigmoid(a[3 * H:])
-            c = f * c + i * g
-            tc = np.tanh(c)
-            h = o * tc
-            gates[t, :H] = i
-            gates[t, H:2 * H] = f
-            gates[t, 2 * H:3 * H] = g
-            gates[t, 3 * H:] = o
-            cells[t] = c
-            tanh_c[t] = tc
-            hs[t] = h
-        cache = (x, gates, cells, tanh_c, h_prev, c_prev)
-        return hs, (h, c), cache
+            gt = gates[t]
+            gt += h @ Wh
+            np.tanh(gt, out=gt)
+            gt *= slope
+            gt += offset
+            ct, ht = cells[t], hs[t]
+            np.multiply(gt[:, H:2 * H], c, out=ct)
+            ct += gt[:, :H] * gt[:, 2 * H:3 * H]
+            np.tanh(ct, out=ht)
+            ht *= gt[:, 3 * H:]
+            if pad is not None and pad[t].any():
+                np.copyto(ct, c, where=pad[t][:, None])
+                np.copyto(ht, h, where=pad[t][:, None])
+            h, c = ht, ct
+        cache = (x_tm, pad, h0, c0, gates, cells, hs)
+        # copies, so a carried state does not keep the whole cache alive
+        return hs.transpose(1, 0, 2), (h.copy(), c.copy()), cache
 
     def backward(self, cache, grad_hs: np.ndarray, grad_state=None):
         """Backprop through the recurrence.
 
-        grad_hs: (T, H) gradient on every step's hidden output; grad_state:
-        optional (dhT, dcT) extra gradient on the final state.  Returns
-        (dx, (dh0, dc0)).
+        grad_hs: (B, T, H) gradient on every step's hidden output;
+        grad_state: optional (dhT, dcT) each (B, H), extra gradient on the
+        final state.  Returns (dx (B, T, D), (dh0, dc0) each (B, H)).
         """
-        x, gates, cells, tanh_c, h_prev, c_prev = cache
-        T = x.shape[0]
-        H = self.hidden_size
-        Wx = self.params["Wx"]
-        Wh = self.params["Wh"]
+        x_tm, pad, h0, c0, gates, cells, hs = cache
+        T, B, H = cells.shape
+        grad_hs = grad_hs.transpose(1, 0, 2)
+        i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
+        # every factor of the gate gradients that does not depend on the
+        # recurrence, for all steps at once and in place; the loop then only
+        # scales the blocks by dc (input, forget, cell) or dh (output)
+        da = np.empty((T, B, 4 * H))
+        di, df, dg, do = (da[..., k * H:(k + 1) * H] for k in range(4))
+        np.subtract(1.0, i, out=di)
+        di *= i
+        di *= g
+        np.subtract(1.0, f, out=df)
+        df *= f
+        df[0] *= c0
+        df[1:] *= cells[:-1]
+        np.multiply(g, g, out=dg)
+        np.subtract(1.0, dg, out=dg)
+        dg *= i
+        tanh_c = np.tanh(cells)
+        np.subtract(1.0, o, out=do)
+        do *= o
+        do *= tanh_c
+        # dc picks up dh * o * (1 - tanh(c)^2); reuse the tanh buffer
+        dc_from_dh = tanh_c
+        np.square(tanh_c, out=dc_from_dh)
+        np.subtract(1.0, dc_from_dh, out=dc_from_dh)
+        dc_from_dh *= o
+        carry_c = f
+        if pad is not None:
+            da[pad] = 0.0
+            dc_from_dh[pad] = 0.0
+            carry_c = np.where(pad[..., None], 1.0, f)
+        Wh_T = self.params["Wh"].T
 
-        dx = np.empty_like(x)
-        da = np.empty((T, 4 * H))
-        dh_next = np.zeros(H)
-        dc_next = np.zeros(H)
-        if grad_state is not None:
-            dh_next = dh_next + grad_state[0]
-            dc_next = dc_next + grad_state[1]
+        if grad_state is None:
+            dh_next = np.zeros((B, H))
+            dc_next = np.zeros((B, H))
+        else:
+            dh_next, dc_next = grad_state
         for t in range(T - 1, -1, -1):
-            i = gates[t, :H]
-            f = gates[t, H:2 * H]
-            g = gates[t, 2 * H:3 * H]
-            o = gates[t, 3 * H:]
             dh = grad_hs[t] + dh_next
-            do = dh * tanh_c[t]
-            dc = dh * o * (1.0 - tanh_c[t] ** 2) + dc_next
-            di = dc * g
-            df = dc * c_prev[t]
-            dg = dc * i
-            dc_next = dc * f
-            da_t = da[t]
-            da_t[:H] = di * i * (1.0 - i)
-            da_t[H:2 * H] = df * f * (1.0 - f)
-            da_t[2 * H:3 * H] = dg * (1.0 - g ** 2)
-            da_t[3 * H:] = do * o * (1.0 - o)
-            dh_next = da_t @ Wh.T
-        self.grads["Wx"] += x.T @ da
-        self.grads["Wh"] += h_prev.T @ da
+            dc = dh * dc_from_dh[t]
+            dc += dc_next
+            dat = da[t]
+            dat *= np.concatenate((dc, dc, dc, dh), axis=1)
+            dc_next = dc * carry_c[t]
+            dh_next = dat @ Wh_T
+            if pad is not None and pad[t].any():
+                dh_next += dh * pad[t][:, None]
+        da = da.reshape(T * B, 4 * H)
+        self.grads["Wx"] += x_tm.T @ da
+        self.grads["Wh"] += hs[:-1].reshape(-1, H).T @ da[B:]
+        self.grads["Wh"] += h0.T @ da[:B]
         self.grads["bias"] += da.sum(axis=0)
-        dx[:] = da @ Wx.T
-        return dx, (dh_next, dc_next)
+        dx = (da @ self.params["Wx"].T).reshape(T, B, -1)
+        return dx.transpose(1, 0, 2), (dh_next, dc_next)
+
+
+def _padding_mask(lengths, B: int, T: int):
+    """(T, B) bool mask of padded steps, or None when nothing is padded."""
+    if lengths is None:
+        return None
+    lengths = np.asarray(lengths)
+    if lengths.shape != (B,) or np.any(lengths < 0) or np.any(lengths > T):
+        raise ValueError(f"lengths must be {B} integers in [0, {T}]")
+    pad = np.arange(T)[:, None] >= lengths[None, :]
+    return pad if pad.any() else None
 
 
 class Dropout:

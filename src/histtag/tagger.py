@@ -91,9 +91,9 @@ class NerModel:
 
     def _emissions(self, sentence: Sentence):
         vecs, emb_cache = self.embedder.forward(sentence)
-        hs_f, _, f_cache = self.fwd.forward(vecs)
-        hs_b, _, b_cache = self.bwd.forward(vecs[::-1])
-        concat = np.concatenate([hs_f, hs_b[::-1]], axis=1)
+        hs_f, _, f_cache = self.fwd.forward(vecs[None])
+        hs_b, _, b_cache = self.bwd.forward(vecs[None, ::-1])
+        concat = np.concatenate([hs_f[0], hs_b[0, ::-1]], axis=1)
         emissions, lin_cache = self.projection.forward(concat)
         return emissions, (emb_cache, f_cache, b_cache, lin_cache)
 
@@ -101,15 +101,9 @@ class NerModel:
         emb_cache, f_cache, b_cache, lin_cache = cache
         H = self.config.lstm_hidden
         d_concat = self.projection.backward(lin_cache, d_emissions)
-        dx_f, _ = self.fwd.backward(f_cache, d_concat[:, :H])
-        dx_b, _ = self.bwd.backward(b_cache, d_concat[:, H:][::-1])
-        self.embedder.backward(emb_cache, dx_f + dx_b[::-1])
-
-
-def emission_scores(model: NerModel, sentence: Sentence) -> np.ndarray:
-    """Per-token scores against all tags, deterministic."""
-    emissions, _ = model._emissions(sentence)
-    return emissions
+        dx_f, _ = self.fwd.backward(f_cache, d_concat[None, :, :H])
+        dx_b, _ = self.bwd.backward(b_cache, d_concat[None, ::-1, H:])
+        self.embedder.backward(emb_cache, dx_f[0] + dx_b[0, ::-1])
 
 
 def predict(model: NerModel, corpus: TaggedCorpus) -> TaggedCorpus:

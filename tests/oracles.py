@@ -2,8 +2,9 @@
 
 Everything here is deliberately written with a different algorithm than the
 code under test: span extraction scans with explicit two-pointer lookahead,
-CRF quantities are brute-force sums over every tag path, and gradients come
-from central finite differences.
+CRF quantities are brute-force sums over every tag path, gradients come
+from central finite differences, and the LSTM runs one sequence one step at
+a time where the library runs a padded batch.
 """
 
 import itertools
@@ -81,6 +82,28 @@ def brute_nll(emissions, transitions, start, stop, gold):
     return logz - brute_path_score(emissions, transitions, start, stop, gold)
 
 
+def brute_nll_gradients(emissions, transitions, start, stop, gold):
+    """Gradients of the NLL as expected counts minus gold counts, with the
+    expectation taken over every enumerated path.  Returns (d_emissions,
+    d_transitions)."""
+    logz = brute_log_partition(emissions, transitions, start, stop)
+    d_emissions = np.zeros_like(emissions)
+    d_transitions = np.zeros_like(transitions)
+
+    def count(path, weight):
+        d_transitions[start, path[0]] += weight
+        for t, tag in enumerate(path):
+            d_emissions[t, tag] += weight
+            if t:
+                d_transitions[path[t - 1], tag] += weight
+        d_transitions[path[-1], stop] += weight
+
+    for path, score in enumerate_paths(emissions, transitions, start, stop):
+        count(path, np.exp(score - logz))
+    count(list(gold), -1.0)
+    return d_emissions, d_transitions
+
+
 def brute_viterbi(emissions, transitions, start, stop):
     best_path, best_score = None, -np.inf
     for path, score in enumerate_paths(emissions, transitions, start, stop):
@@ -115,3 +138,103 @@ def gradient_relative_error(analytic, numeric, floor=1e-3):
     b = np.asarray(numeric, dtype=float)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+
+
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def lstm_reference_forward(params, x, state=None):
+    """One sequence, one step at a time: the loop the batched ``nn.Lstm``
+    replaced.  x: (T, D); state: optional (h0, c0) each (H,).  Returns
+    (hs (T, H), (hT, cT), cache)."""
+    Wx, Wh, bias = params["Wx"], params["Wh"], params["bias"]
+    H = Wh.shape[0]
+    T = x.shape[0]
+    h, c = (np.zeros(H), np.zeros(H)) if state is None else state
+    steps = []
+    hs = np.empty((T, H))
+    for t in range(T):
+        a = x[t] @ Wx + bias + h @ Wh
+        i, f = _sigmoid(a[:H]), _sigmoid(a[H:2 * H])
+        g, o = np.tanh(a[2 * H:3 * H]), _sigmoid(a[3 * H:])
+        c_new = f * c + i * g
+        steps.append((h, c, i, f, g, o, c_new))
+        c = c_new
+        h = o * np.tanh(c)
+        hs[t] = h
+    return hs, (h, c), (x, steps)
+
+
+def lstm_reference_backward(params, cache, grad_hs, grad_state=None):
+    """Backward of ``lstm_reference_forward``.  Returns (dx, (dh0, dc0),
+    grads) with grads a name → array dict for Wx, Wh and bias."""
+    x, steps = cache
+    Wx, Wh = params["Wx"], params["Wh"]
+    H = Wh.shape[0]
+    grads = {name: np.zeros_like(value) for name, value in params.items()}
+    dx = np.zeros_like(x)
+    dh_next, dc_next = (np.zeros(H), np.zeros(H)) if grad_state is None else grad_state
+    for t in range(len(steps) - 1, -1, -1):
+        h_prev, c_prev, i, f, g, o, c = steps[t]
+        dh = grad_hs[t] + dh_next
+        tc = np.tanh(c)
+        dc = dh * o * (1.0 - tc ** 2) + dc_next
+        da = np.concatenate([dc * g * i * (1.0 - i),
+                             dc * c_prev * f * (1.0 - f),
+                             dc * i * (1.0 - g ** 2),
+                             dh * tc * o * (1.0 - o)])
+        grads["Wx"] += np.outer(x[t], da)
+        grads["Wh"] += np.outer(h_prev, da)
+        grads["bias"] += da
+        dx[t] = Wx @ da
+        dh_next = Wh @ da
+        dc_next = dc * f
+    return dx, (dh_next, dc_next), grads
+
+
+def train_lm_by_strand(corpus, config, seed):
+    """Reference for one epoch of ``charlm.train_lm``: each strand of a
+    TBPTT window runs on its own through ``lstm_reference_forward`` and the
+    strands' gradients add up before the step.  Returns the trained model."""
+    from histtag.charlm import GRAD_CLIP, HOLDOUT_FRACTION, CharLm
+    from histtag.corpus import PlainCorpus, extract_char_vocab
+    from histtag.nn import Dropout, clip_grad_norm, cross_entropy, sgd_step
+
+    stream = " ".join(corpus)
+    if config.direction == "backward":
+        stream = stream[::-1]
+    n = len(stream)
+    holdout = max(2, n // HOLDOUT_FRACTION)
+    B = config.mini_batch
+    strand_len = (n - 2 * holdout) // B
+    train_text = stream[:n - 2 * holdout]
+    vocab = extract_char_vocab(PlainCorpus.from_lines([train_text]))
+    rng = np.random.default_rng(seed)
+    model = CharLm.initialize(vocab, config, rng)
+    encoded = vocab.encode(train_text)
+    strands = [encoded[b * strand_len:(b + 1) * strand_len] for b in range(B)]
+    dropout = Dropout(config.dropout)
+    lstm = model.lstm
+    states = [None] * B
+    pos = 0
+    while pos + 1 < strand_len:
+        end = min(pos + config.sequence_length, strand_len - 1)
+        scale = 1.0 / ((end - pos) * B)
+        model.zero_grads()
+        for b, strand in enumerate(strands):
+            emb, emb_cache = model.embedding.forward(strand[pos:end])
+            hs, states[b], cache = lstm_reference_forward(lstm.params, emb, states[b])
+            dropped, drop_cache = dropout.forward(hs, rng, train=True)
+            logits, lin_cache = model.projection.forward(dropped)
+            _, dlogits = cross_entropy(logits, strand[pos + 1:end + 1])
+            dh = model.projection.backward(lin_cache, dlogits * scale)
+            dh = dropout.backward(drop_cache, dh)
+            dx, _, grads = lstm_reference_backward(lstm.params, cache, dh)
+            for name, grad in grads.items():
+                lstm.grads[name] += grad
+            model.embedding.backward(emb_cache, dx)
+        clip_grad_norm(model.layers, GRAD_CLIP)
+        sgd_step(model.layers, config.learning_rate)
+        pos = end
+    return model

@@ -125,8 +125,8 @@ def _charlm_gradient_error(errors):
     config = CharLmConfig(direction="forward", char_embed_dim=4,
                           hidden_size=8, dropout=0.0)
     model = CharLm.initialize(vocab, config, np.random.default_rng(0))
-    x = model.encode("abdec")
-    y = model.encode("bdeca")
+    x = model.vocab.encode("abdec")
+    y = model.vocab.encode("bdeca")
 
     def loss():
         logits, _, _ = lm_forward(model, x)
@@ -134,12 +134,12 @@ def _charlm_gradient_error(errors):
         return float(nll.sum())
 
     model.zero_grads()
-    emb, emb_cache = model.embedding.forward(x)
+    emb, emb_cache = model.embedding.forward(x[None])
     hs, _, lstm_cache = model.lstm.forward(emb)
-    logits, lin_cache = model.projection.forward(hs)
+    logits, lin_cache = model.projection.forward(hs[0])
     _, dlogits = cross_entropy(logits, y)
     dh = model.projection.backward(lin_cache, dlogits)
-    dx, _ = model.lstm.backward(lstm_cache, dh)
+    dx, _ = model.lstm.backward(lstm_cache, dh[None])
     model.embedding.backward(emb_cache, dx)
     _check_layers(model.layers, loss, errors)
 
@@ -148,17 +148,19 @@ def _char_encoder_gradient_error(errors):
     encoder = CharFeatureEncoder(CharVocabulary("abcdwien "),
                                  np.random.default_rng(1),
                                  embed_dim=5, hidden=6)
-    token = Token("wiendab", gold_tag="O")
-    R = np.random.default_rng(2).standard_normal(encoder.dim)
+    # unequal token lengths, down to one character, exercise the padding
+    sentence = Sentence(tuple(Token(text, gold_tag="O")
+                              for text in ("wiendab", "a", "den")))
+    R = np.random.default_rng(2).standard_normal((3, encoder.dim))
 
     def loss():
-        vec, _ = encoder.embed_token(token)
-        return float(vec @ R)
+        vecs, _ = encoder.forward(sentence)
+        return float(np.sum(vecs * R))
 
     for layer in encoder.layers:
         layer.zero_grads()
-    vec, cache = encoder.embed_token(token)
-    encoder.backward_token(cache, R)
+    _, cache = encoder.forward(sentence)
+    encoder.backward(cache, R)
     _check_layers(encoder.layers, loss, errors)
 
 

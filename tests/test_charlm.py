@@ -21,7 +21,7 @@ from histtag.nn import cross_entropy, softmax
 from histtag.serialization import save_tensors
 
 from conftest import make_corpus
-from oracles import gradient_relative_error, numeric_gradient
+from oracles import gradient_relative_error, numeric_gradient, train_lm_by_strand
 
 
 def small_model(vocab_chars="abcde", hidden=8, embed=4, seed=0, dropout=0.0):
@@ -70,7 +70,7 @@ class TestConfig:
 class TestForward:
     def test_single_char_shapes(self):
         model = small_model()
-        logits, state, hidden = lm_forward(model, model.encode("a"))
+        logits, state, hidden = lm_forward(model, model.vocab.encode("a"))
         assert logits.shape == (1, 6)
         assert hidden.shape == (1, 8)
         assert state.hidden.shape == (8,) and state.cell.shape == (8,)
@@ -80,20 +80,20 @@ class TestForward:
         for layer in model.layers:
             for p in layer.params.values():
                 p[...] = 0.0
-        logits, _, _ = lm_forward(model, model.encode("abcab"))
+        logits, _, _ = lm_forward(model, model.vocab.encode("abcab"))
         assert np.all(logits == logits[0])
         probs = softmax(logits, axis=-1)
         np.testing.assert_allclose(probs, 1.0 / 6, atol=1e-12)
 
     def test_softmax_rows_sum_to_one(self):
         model = small_model(seed=3)
-        logits, _, _ = lm_forward(model, model.encode("edcba"))
+        logits, _, _ = lm_forward(model, model.vocab.encode("edcba"))
         np.testing.assert_allclose(softmax(logits, axis=-1).sum(axis=1), 1.0,
                                    atol=1e-6)
 
     def test_unknown_maps_to_unk(self):
         model = small_model()
-        idx = model.encode("aZ!")
+        idx = model.vocab.encode("aZ!")
         assert idx.tolist() == [0, model.unk_index, model.unk_index]
 
     def test_out_of_range_index(self):
@@ -105,7 +105,7 @@ class TestForward:
 
     def test_state_carry_changes_output(self):
         model = small_model(seed=5)
-        chars = model.encode("abc")
+        chars = model.vocab.encode("abc")
         logits1, state, _ = lm_forward(model, chars)
         logits2, _, _ = lm_forward(model, chars, state)
         assert not np.allclose(logits1, logits2)
@@ -113,8 +113,8 @@ class TestForward:
     def test_nll_gradient_all_parameters(self):
         # hidden 8, |V|=5: the full model chain against finite differences
         model = small_model()
-        x = model.encode("abdec")
-        y = model.encode("bdeca")
+        x = model.vocab.encode("abdec")
+        y = model.vocab.encode("bdeca")
 
         def loss():
             logits, _, _ = lm_forward(model, x)
@@ -125,11 +125,11 @@ class TestForward:
         _, dlogits = cross_entropy(logits, y)
         model.zero_grads()
         # manual backward through projection → lstm → embedding
-        emb, emb_cache = model.embedding.forward(x)
+        emb, emb_cache = model.embedding.forward(x[None])
         hs, _, lstm_cache = model.lstm.forward(emb)
-        _, lin_cache = model.projection.forward(hs)
+        _, lin_cache = model.projection.forward(hs[0])
         dh = model.projection.backward(lin_cache, dlogits)
-        dx, _ = model.lstm.backward(lstm_cache, dh)
+        dx, _ = model.lstm.backward(lstm_cache, dh[None])
         model.embedding.backward(emb_cache, dx)
 
         for layer in model.layers:
@@ -273,6 +273,18 @@ class TestTraining:
         corpus = PlainCorpus.from_lines(["abcd" * 600])
         model, log = train_lm(corpus, tiny_config(mini_batch=4, epochs=1), seed=0)
         assert log.epochs[0].test_perplexity < log.initial_test_perplexity
+
+    def test_mini_batch_matches_strand_by_strand_reference(self):
+        """All strands of a window in one batched recurrence train the same
+        model as walking them one by one through the per-sequence reference
+        loop, dropout draws included.  The two sum gradients in different
+        orders, so parameters must agree to 1e-10 in float64, not exactly."""
+        corpus = PlainCorpus.from_lines(["the cat sat on the mat " * 30])
+        cfg = tiny_config(mini_batch=4, dropout=0.1, sequence_length=20)
+        model, _ = train_lm(corpus, cfg, seed=3)
+        reference = train_lm_by_strand(corpus, cfg, seed=3)
+        for (name, a), (_, b) in zip(model.named_tensors(), reference.named_tensors()):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10, err_msg=name)
 
     def test_explicit_vocab_respected(self):
         corpus = PlainCorpus.from_lines(["ababab" * 200])

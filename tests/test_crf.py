@@ -18,6 +18,7 @@ from histtag.crf import (
 from oracles import (
     brute_log_partition,
     brute_nll,
+    brute_nll_gradients,
     brute_viterbi,
     gradient_relative_error,
     numeric_gradient,
@@ -168,6 +169,24 @@ class TestGradients:
                 crf.grads["transitions"],
                 numeric_gradient(loss, crf.params["transitions"]))
             assert err_t < 1e-4, f"transitions: {err_t:.2e}"
+
+    def test_gradients_match_brute_force_marginals(self):
+        """Forward-backward marginals, pairwise ones in one broadcast over
+        all positions, against expectations over every enumerated path;
+        float64 sums in a different order, so agreement to 1e-10."""
+        rng = np.random.default_rng(14)
+        for T in (1, 2, 3, 5):
+            K = int(rng.integers(2, 5))
+            emissions, crf = random_instance(rng, T, K)
+            gold = rng.integers(0, K, size=T)
+            crf.zero_grads()
+            _, d_emissions = crf_nll_with_grads(emissions, crf, gold)
+            ref_emissions, ref_transitions = brute_nll_gradients(
+                emissions, crf.params["transitions"], crf.start, crf.stop, gold)
+            ref_transitions[~crf.allowed] = 0.0
+            np.testing.assert_allclose(d_emissions, ref_emissions, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(crf.grads["transitions"], ref_transitions,
+                                       rtol=0, atol=1e-10)
 
     def test_pinned_entries_receive_zero_gradient(self):
         rng = np.random.default_rng(12)

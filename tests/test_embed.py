@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from histtag.charlm import CharLm, CharLmConfig
-from histtag.corpus import CharVocabulary, Sentence, Token
+from histtag.corpus import CharVocabulary
 from histtag.embed import (
     CharFeatureEncoder,
     ContextualEmbedder,
     StackedEmbedder,
     WordEmbeddingTable,
     WordTableEmbedder,
-    char_feature_embed,
     contextual_embed,
     load_vectors,
-    stack_embed,
 )
 from histtag.errors import ConfigError, ParseError
 
@@ -83,35 +81,52 @@ class TestLoadVectors:
 
 
 class TestCharFeatures:
+    """Sentences mix token lengths, down to one character, so every test
+    runs the padded, length-masked recurrence."""
+
     def test_shape_is_50_by_default(self):
         enc = CharFeatureEncoder(CharVocabulary("abc"), np.random.default_rng(0))
-        vec = char_feature_embed(enc, Token("abc"))
-        assert vec.shape == (50,)
+        out, _ = enc.forward(make_sentence([("abc", "O"), ("a", "O"), ("cabba", "O")]))
+        assert out.shape == (3, 50)
         assert enc.dim == 50
 
     def test_identical_tokens_identical_vectors(self):
         enc = CharFeatureEncoder(CharVocabulary("abc"), np.random.default_rng(1))
-        v1 = char_feature_embed(enc, Token("cab"))
-        v2 = char_feature_embed(enc, Token("cab"))
-        np.testing.assert_array_equal(v1, v2)
+        sentence = make_sentence([("cab", "O"), ("a", "O"), ("cab", "O"), ("bbacc", "O")])
+        out, _ = enc.forward(sentence)
+        np.testing.assert_array_equal(out[0], out[2])
+        np.testing.assert_array_equal(out, enc.forward(sentence)[0])
+
+    def test_rows_match_one_token_sentences(self):
+        """A token's row from a padded sentence batch equals the token run
+        alone; the batched input product may round the last bit
+        differently, so float64 agreement to 1e-14."""
+        enc = CharFeatureEncoder(CharVocabulary("abc"), np.random.default_rng(6),
+                                 embed_dim=5, hidden=4)
+        words = ["bca", "a", "cabbac", "ab"]
+        out, _ = enc.forward(make_sentence([(w, "O") for w in words]))
+        for row, word in zip(out, words):
+            alone, _ = enc.forward(make_sentence([(word, "O")]))
+            np.testing.assert_allclose(row, alone[0], rtol=0, atol=1e-14)
 
     def test_unknown_chars_use_unk_row(self):
         enc = CharFeatureEncoder(CharVocabulary("ab"), np.random.default_rng(2))
-        assert enc.encode("aXb").tolist() == [0, 2, 1]
+        assert enc.vocab.encode("aXb").tolist() == [0, 2, 1]
+        assert enc.embedding.num_embeddings == 3
 
     def test_gradient_through_token(self):
         enc = CharFeatureEncoder(CharVocabulary("abc"), np.random.default_rng(3),
                                  embed_dim=5, hidden=4)
-        token = Token("bca")
-        R = np.random.default_rng(4).standard_normal(8)
+        sentence = make_sentence([("bca", "O"), ("a", "O"), ("cabbac", "O")])
+        R = np.random.default_rng(4).standard_normal((3, 8))
 
         def loss():
-            return float(char_feature_embed(enc, token) @ R)
+            return float(np.sum(enc.forward(sentence)[0] * R))
 
-        vec, cache = enc.embed_token(token)
+        _, cache = enc.forward(sentence)
         for layer in enc.layers:
             layer.zero_grads()
-        enc.backward_token(cache, R)
+        enc.backward(cache, R)
         for layer in enc.layers:
             for name, param in layer.params.items():
                 err = gradient_relative_error(
@@ -151,8 +166,8 @@ class TestContextual:
         fwd, bwd = make_lm("forward"), make_lm("backward", seed=3)
         sentence = make_sentence([("ab", "O"), ("c", "O")])
         text = "ab c"
-        _, _, hs_f = lm_forward(fwd, fwd.encode(text))
-        _, _, hs_b = lm_forward(bwd, bwd.encode(text[::-1]))
+        _, _, hs_f = lm_forward(fwd, fwd.vocab.encode(text))
+        _, _, hs_b = lm_forward(bwd, bwd.vocab.encode(text[::-1]))
         out = contextual_embed(fwd, bwd, sentence)
         # token "ab": chars 0..1; token "c": char 3
         np.testing.assert_array_equal(out[0][:6], hs_f[1])
@@ -177,7 +192,7 @@ class TestStacked:
         stacked = StackedEmbedder([e1, e2])
         assert stacked.dim == 7
         sentence = make_sentence([("a", "O"), ("b", "O")])
-        out = stack_embed(stacked, sentence)
+        out, _ = stacked.forward(sentence)
         assert out.shape == (2, 7)
         np.testing.assert_allclose(out[0], [1, 1, 1, 2, 2, 2, 2])
         np.testing.assert_allclose(out[1], np.zeros(7))
@@ -187,14 +202,14 @@ class TestStacked:
         stacked = StackedEmbedder([e1])
         sentence = make_sentence([("x", "O")])
         np.testing.assert_array_equal(
-            stack_embed(stacked, sentence), e1.forward(sentence)[0])
+            stacked.forward(sentence)[0], e1.forward(sentence)[0])
 
     def test_permuting_components_permutes_blocks(self):
         e1 = table_embedder(["w"], 2, [1.0])
         e2 = table_embedder(["w"], 3, [2.0])
         sentence = make_sentence([("w", "O")])
-        a = stack_embed(StackedEmbedder([e1, e2]), sentence)
-        b = stack_embed(StackedEmbedder([e2, e1]), sentence)
+        a, _ = StackedEmbedder([e1, e2]).forward(sentence)
+        b, _ = StackedEmbedder([e2, e1]).forward(sentence)
         np.testing.assert_array_equal(a[:, :2], b[:, 3:])
         np.testing.assert_array_equal(a[:, 2:], b[:, :3])
 

@@ -10,10 +10,16 @@ from histtag.nn import (
     cross_entropy,
     global_grad_norm,
     init_uniform,
+    logsumexp,
     sgd_step,
 )
 
-from oracles import gradient_relative_error, numeric_gradient
+from oracles import (
+    gradient_relative_error,
+    lstm_reference_backward,
+    lstm_reference_forward,
+    numeric_gradient,
+)
 
 TOL = 1e-4
 
@@ -78,31 +84,39 @@ class TestLinear:
 
 
 class TestLstm:
+    """A padded batch of three rows with lengths 7, 4 and 1, a carried
+    state and a gradient on the final state."""
+
+    LENGTHS = np.array([7, 4, 1])
+
     def setup_method(self):
         self.rng = np.random.default_rng(4)
         self.lstm = Lstm(3, 5, self.rng)
-        self.x = self.rng.standard_normal((7, 3))
-        self.h0 = self.rng.standard_normal(5) * 0.1
-        self.c0 = self.rng.standard_normal(5) * 0.1
-        self.R = self.rng.standard_normal((7, 5))
-        self.Rh = self.rng.standard_normal(5)
-        self.Rc = self.rng.standard_normal(5)
+        self.x = self.rng.standard_normal((3, 7, 3))
+        self.h0 = self.rng.standard_normal((3, 5)) * 0.1
+        self.c0 = self.rng.standard_normal((3, 5)) * 0.1
+        self.R = self.rng.standard_normal((3, 7, 5))
+        self.Rh = self.rng.standard_normal((3, 5))
+        self.Rc = self.rng.standard_normal((3, 5))
 
     def loss(self):
-        hs, (hT, cT), _ = self.lstm.forward(self.x, (self.h0, self.c0))
-        return float(np.sum(hs * self.R) + hT @ self.Rh + cT @ self.Rc)
+        hs, (hT, cT), _ = self.lstm.forward(self.x, (self.h0, self.c0), self.LENGTHS)
+        return float(np.sum(hs * self.R) + np.sum(hT * self.Rh) + np.sum(cT * self.Rc))
 
     def run_backward(self):
-        hs, (hT, cT), cache = self.lstm.forward(self.x, (self.h0, self.c0))
+        hs, (hT, cT), cache = self.lstm.forward(self.x, (self.h0, self.c0), self.LENGTHS)
         self.lstm.zero_grads()
         return self.lstm.backward(cache, self.R, (self.Rh, self.Rc))
 
     def test_shapes_and_state_carry(self):
-        hs, (hT, cT), _ = self.lstm.forward(self.x)
-        assert hs.shape == (7, 5)
-        np.testing.assert_array_equal(hs[-1], hT)
+        hs, (hT, cT), _ = self.lstm.forward(self.x, lengths=self.LENGTHS)
+        assert hs.shape == (3, 7, 5) and hT.shape == cT.shape == (3, 5)
+        np.testing.assert_array_equal(hs[:, -1], hT)
+        for b, n in enumerate(self.LENGTHS):
+            # padded steps hold the state of the row's last real step
+            np.testing.assert_array_equal(hs[b, n - 1:], np.broadcast_to(hT[b], (7 - n + 1, 5)))
         # carrying state must differ from a cold start
-        hs2, _, _ = self.lstm.forward(self.x, (hT, cT))
+        hs2, _, _ = self.lstm.forward(self.x, (hT, cT), self.LENGTHS)
         assert not np.allclose(hs, hs2)
 
     def test_param_gradients(self):
@@ -116,13 +130,57 @@ class TestLstm:
         assert gradient_relative_error(dh0, numeric_gradient(self.loss, self.h0)) < TOL
         assert gradient_relative_error(dc0, numeric_gradient(self.loss, self.c0)) < TOL
 
+    def test_padded_steps_zero_input_gradient(self):
+        dx, _ = self.run_backward()
+        for b, n in enumerate(self.LENGTHS):
+            assert np.all(dx[b, n:] == 0.0)
+            assert np.all(dx[b, :n] != 0.0)
+
     def test_zero_weights_zero_hidden(self):
         lstm = Lstm(2, 3, np.random.default_rng(0))
         for p in lstm.params.values():
             p[...] = 0.0
-        hs, (hT, cT), _ = lstm.forward(np.ones((4, 2)))
+        hs, (hT, cT), _ = lstm.forward(np.ones((2, 4, 2)), lengths=[4, 2])
         np.testing.assert_array_equal(hs, 0.0)
         np.testing.assert_array_equal(cT, 0.0)
+
+    @pytest.mark.parametrize("carried", [False, True])
+    def test_rows_match_reference(self, carried):
+        """Row b of the padded batch equals the per-sequence loop on
+        sequence b, forward and backward; the two sum in different orders,
+        so float64 agreement to 1e-12 is required, not equality."""
+        state = (self.h0, self.c0) if carried else None
+        grad_state = (self.Rh, self.Rc) if carried else None
+        hs, (hT, cT), cache = self.lstm.forward(self.x, state, self.LENGTHS)
+        self.lstm.zero_grads()
+        dx, (dh0, dc0) = self.lstm.backward(cache, self.R, grad_state)
+        grads = {name: np.zeros_like(p) for name, p in self.lstm.params.items()}
+        for b, n in enumerate(self.LENGTHS):
+            row_state = None if state is None else (self.h0[b], self.c0[b])
+            ref_hs, (ref_h, ref_c), ref_cache = lstm_reference_forward(
+                self.lstm.params, self.x[b, :n], row_state)
+            np.testing.assert_allclose(hs[b, :n], ref_hs, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(hT[b], ref_h, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cT[b], ref_c, rtol=0, atol=1e-12)
+            # a padded step passes the gradient on its held output back
+            # to the row's last real step
+            grad_hs = self.R[b, :n].copy()
+            grad_hs[-1] += self.R[b, n:].sum(axis=0)
+            row_grad_state = None if grad_state is None else (self.Rh[b], self.Rc[b])
+            ref_dx, (ref_dh0, ref_dc0), ref_grads = lstm_reference_backward(
+                self.lstm.params, ref_cache, grad_hs, row_grad_state)
+            np.testing.assert_allclose(dx[b, :n], ref_dx, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dh0[b], ref_dh0, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dc0[b], ref_dc0, rtol=0, atol=1e-12)
+            for name in grads:
+                grads[name] += ref_grads[name]
+        for name, grad in grads.items():
+            np.testing.assert_allclose(self.lstm.grads[name], grad, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("lengths", [[8, 3], [4], [4, -1], [4, 0, 1]])
+    def test_rejects_bad_lengths(self, lengths):
+        with pytest.raises(ValueError):
+            self.lstm.forward(np.zeros((2, 7, 3)), lengths=lengths)
 
 
 class TestDropout:
@@ -147,9 +205,34 @@ class TestDropout:
         grad = drop.backward(mask, np.ones_like(x))
         np.testing.assert_array_equal(grad, mask)
 
+    def test_batched_draw_equals_successive_draws(self):
+        """One (B, T, H) mask consumes the generator exactly like B
+        successive (T, H) masks: batching LM strands keeps the dropout
+        stream of the strand-by-strand loop."""
+        drop = Dropout(0.4)
+        x = np.ones((4, 6, 5))
+        _, batched = drop.forward(x, np.random.default_rng(9), train=True)
+        rng = np.random.default_rng(9)
+        rows = [drop.forward(x[b], rng, train=True)[1] for b in range(4)]
+        np.testing.assert_array_equal(batched, np.stack(rows))
+
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             Dropout(1.0)
+
+
+class TestLogsumexp:
+    @pytest.mark.parametrize("axis", [None, 0, 1])
+    def test_matches_scipy(self, axis):
+        from scipy.special import logsumexp as scipy_logsumexp
+
+        a = np.random.default_rng(7).standard_normal((13, 13)) * 300.0
+        np.testing.assert_allclose(logsumexp(a, axis=axis),
+                                   scipy_logsumexp(a, axis=axis), rtol=1e-13)
+
+    def test_scalar_result_and_large_entries(self):
+        out = logsumexp(np.array([1000.0, 1000.0]))
+        assert out.shape == () and float(out) == pytest.approx(1000.0 + np.log(2.0))
 
 
 class TestCrossEntropy:

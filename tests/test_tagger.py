@@ -16,7 +16,6 @@ from histtag.evaluation import evaluate
 from histtag.tagger import (
     NerModel,
     TaggerConfig,
-    emission_scores,
     load_ner,
     predict,
     save_ner,
@@ -93,7 +92,7 @@ class TestEmissions:
     def test_shape(self):
         corpus = toy_corpus()
         model = fresh_model(corpus)
-        out = emission_scores(model, corpus.sentences[0])
+        out, _ = model._emissions(corpus.sentences[0])
         assert out.shape == (3, len(model.tags))
 
     def test_zero_weights_zero_emissions(self):
@@ -102,7 +101,7 @@ class TestEmissions:
         for layer in model.layers:
             for p in layer.params.values():
                 p[...] = 0.0
-        out = emission_scores(model, corpus.sentences[1])
+        out, _ = model._emissions(corpus.sentences[1])
         np.testing.assert_array_equal(out, 0.0)
 
     def test_gradient_through_encoder_and_projection(self):
@@ -113,7 +112,7 @@ class TestEmissions:
         R = rng.standard_normal((len(sentence), len(model.tags)))
 
         def loss():
-            return float(np.sum(emission_scores(model, sentence) * R))
+            return float(np.sum(model._emissions(sentence)[0] * R))
 
         model.zero_grads()
         emissions, cache = model._emissions(sentence)
