@@ -12,15 +12,15 @@ outside the model vocabulary map to a reserved UNK index.
 """
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
 from .corpus import CharVocabulary, PlainCorpus, TaggedCorpus, extract_char_vocab, sentence_text
 from .errors import ConfigError, EmptyCorpusError, ModelFormatError
-from .nn import Dropout, Embedding, Linear, Lstm, clip_grad_norm, cross_entropy, sgd_step
-from .serialization import load_tensors, save_tensors
+from .nn import Dropout, Embedding, Linear, Lstm, Module, clip_grad_norm, cross_entropy, sgd_step
+from .serialization import assign_tensors, layer_tensors, load_tensors, save_tensors
 
 logger = logging.getLogger(__name__)
 
@@ -35,7 +35,6 @@ class CharLmConfig:
     direction: str
     char_embed_dim: int = 64
     hidden_size: int = 128
-    num_layers: int = 1
     dropout: float = 0.1
     sequence_length: int = 250
     mini_batch: int = 1
@@ -49,8 +48,6 @@ class CharLmConfig:
                      "mini_batch", "epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.num_layers != 1:
-            raise ConfigError("only single-layer recurrence is supported")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         # zero is allowed: it freezes parameters, useful for measuring baselines
@@ -66,7 +63,7 @@ class LmState:
     cell: np.ndarray
 
 
-class CharLm:
+class CharLm(Module):
     """Character LM: embedding → LSTM → vocabulary projection.
 
     The output layer covers every vocabulary character plus one reserved
@@ -80,6 +77,8 @@ class CharLm:
         self.embedding = embedding
         self.lstm = lstm
         self.projection = projection
+        self.named_layers = (("embedding", embedding), ("lstm", lstm),
+                             ("projection", projection))
 
     @classmethod
     def initialize(cls, vocab: CharVocabulary, config: CharLmConfig,
@@ -101,24 +100,6 @@ class CharLm:
     @property
     def output_size(self) -> int:
         return len(self.vocab) + 1
-
-    @property
-    def layers(self):
-        return (self.embedding, self.lstm, self.projection)
-
-    def zero_grads(self) -> None:
-        for layer in self.layers:
-            layer.zero_grads()
-
-    def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        return [
-            ("embedding.weight", self.embedding.params["weight"]),
-            ("lstm.Wx", self.lstm.params["Wx"]),
-            ("lstm.Wh", self.lstm.params["Wh"]),
-            ("lstm.bias", self.lstm.params["bias"]),
-            ("projection.weight", self.projection.params["weight"]),
-            ("projection.bias", self.projection.params["bias"]),
-        ]
 
 
 def lm_forward(model: CharLm, chars: np.ndarray,
@@ -317,7 +298,7 @@ def save_lm(model: CharLm, path) -> None:
         "dropout": model.config.dropout,
         "vocab": model.vocab.codepoints(),
     }
-    save_tensors(path, meta, model.named_tensors())
+    save_tensors(path, meta, layer_tensors(model.named_layers))
 
 
 def load_lm(path) -> CharLm:
@@ -332,28 +313,8 @@ def load_lm(path) -> CharLm:
             hidden_size=int(meta["hidden_size"]),
             dropout=float(meta["dropout"]),
         )
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise ModelFormatError(f"{path}: invalid model metadata: {exc}") from exc
-
-    n_out = len(vocab) + 1
-    expected = {
-        "embedding.weight": (n_out, config.char_embed_dim),
-        "lstm.Wx": (config.char_embed_dim, 4 * config.hidden_size),
-        "lstm.Wh": (config.hidden_size, 4 * config.hidden_size),
-        "lstm.bias": (4 * config.hidden_size,),
-        "projection.weight": (config.hidden_size, n_out),
-        "projection.bias": (n_out,),
-    }
-    for name, shape in expected.items():
-        if name not in tensors:
-            raise ModelFormatError(f"{path}: missing tensor {name!r}")
-        if tensors[name].shape != shape:
-            raise ModelFormatError(
-                f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
-                f"expected {shape}")
-
-    rng = np.random.default_rng(0)
-    model = CharLm.initialize(vocab, config, rng)
-    for name, value in model.named_tensors():
-        value[...] = tensors[name]
+    model = CharLm.initialize(vocab, config, np.random.default_rng(0))
+    assign_tensors(path, model.named_layers, tensors)
     return model

@@ -30,7 +30,6 @@ from . import __version__
 from .charlm import CharLmConfig, corpus_perplexity, load_lm, save_lm, train_lm
 from .corpus import (
     CharVocabulary,
-    TaggedCorpus,
     TagScheme,
     convert_scheme,
     extract_char_vocab,
@@ -64,7 +63,7 @@ logger = logging.getLogger(__name__)
 
 
 _LM_FIELDS = frozenset({
-    "char_embed_dim", "hidden_size", "num_layers", "dropout",
+    "char_embed_dim", "hidden_size", "dropout",
     "sequence_length", "mini_batch", "epochs", "learning_rate",
 })
 _TAGGER_FIELDS = frozenset({
@@ -233,11 +232,6 @@ def _load_vocab_source(path) -> CharVocabulary:
     return extract_char_vocab(read_plain(path))
 
 
-def _read_tagged(path, token_column: int, tag_column: int,
-                 scheme: TagScheme, split: str) -> TaggedCorpus:
-    return read_conll(path, token_column, tag_column, scheme, split=split)
-
-
 # ---------------------------------------------------------------------------
 # vocab
 
@@ -266,8 +260,8 @@ def cmd_vocab(args) -> int:
     for p in plain_paths:
         sources.append(read_plain(_require_file(p, "input")))
     for p in conll_paths:
-        sources.append(_read_tagged(_require_file(p, "input"), token_column,
-                                    tag_column, scheme, "train"))
+        sources.append(read_conll(_require_file(p, "input"), token_column,
+                                  tag_column, scheme, split="train"))
     vocab = extract_char_vocab(*sources)
     output.parent.mkdir(parents=True, exist_ok=True)
     vocab.to_path(output)
@@ -417,11 +411,11 @@ def cmd_lm_ppl(args) -> int:
     model = load_lm(_require_file(args.model, "--model"))
     input_path = _require_file(args.input, "--input")
     if args.format == "conll":
-        corpus = _read_tagged(
+        corpus = read_conll(
             input_path,
             args.token_column if args.token_column is not None else 0,
             args.tag_column if args.tag_column is not None else 1,
-            _scheme_of(args.scheme or "iob2"), "test")
+            _scheme_of(args.scheme or "iob2"), split="test")
     else:
         corpus = read_plain(input_path)
     value = corpus_perplexity(model, corpus)
@@ -539,15 +533,15 @@ def cmd_ner_train(args) -> int:
         raise ConfigError(f"tagger: {exc}") from None
 
     train = convert_scheme(
-        _read_tagged(train_path, token_column, tag_column, scheme, "train"),
+        read_conll(train_path, token_column, tag_column, scheme, split="train"),
         TagScheme.IOBES)
     dev = convert_scheme(
-        _read_tagged(dev_path, token_column, tag_column, scheme, "dev"),
+        read_conll(dev_path, token_column, tag_column, scheme, split="dev"),
         TagScheme.IOBES)
     test = None
     if test_path is not None:
         test = convert_scheme(
-            _read_tagged(test_path, token_column, tag_column, scheme, "test"),
+            read_conll(test_path, token_column, tag_column, scheme, split="test"),
             TagScheme.IOBES)
 
     if vocab_path is not None:
@@ -647,7 +641,7 @@ def cmd_ner_predict(args) -> int:
     scheme = _scheme_of(args.scheme or "iob2")
 
     corpus = convert_scheme(
-        _read_tagged(input_path, token_column, tag_column, scheme, "test"),
+        read_conll(input_path, token_column, tag_column, scheme, split="test"),
         TagScheme.IOBES)
     predicted = predict(model, corpus)
     output.parent.mkdir(parents=True, exist_ok=True)
@@ -682,10 +676,10 @@ def cmd_eval(args) -> int:
         pred_path = _require_file(args.pred, "--pred")
         token_column = args.token_column if args.token_column is not None else 0
         tag_column = args.tag_column if args.tag_column is not None else 1
-        gold = _read_tagged(gold_path, token_column, tag_column, scheme, "test")
+        gold = read_conll(gold_path, token_column, tag_column, scheme, split="test")
         # tags of the prediction file land in gold_tag; evaluate() treats
         # them as the predictions when no predicted_tag is set
-        pred = _read_tagged(pred_path, token_column, tag_column, scheme, "test")
+        pred = read_conll(pred_path, token_column, tag_column, scheme, split="test")
         inputs = {"gold": gold_path, "pred": pred_path}
         data_cfg = {"gold": str(gold_path), "pred": str(pred_path),
                     "token_column": token_column, "tag_column": tag_column}

@@ -3,10 +3,10 @@ features, and contextual extractions from pre-trained character LMs.
 
 Components share one small interface: ``dim``, ``forward(sentence)``
 returning a (tokens × dim) block plus a backward cache, ``backward(cache,
-grad)``, and ``layers`` listing trainable tensors (empty for frozen
-components).  A StackedEmbedder concatenates component blocks in a fixed
-order, so gradients route column-wise back to whichever component owns
-them.
+grad)``, and ``named_layers`` naming its trainable layers (empty for
+frozen components).  A StackedEmbedder concatenates component blocks in a
+fixed order, so gradients route column-wise back to whichever component
+owns them, and prefixes component i's layer names with ``component{i}.``.
 """
 
 import logging
@@ -17,8 +17,7 @@ import numpy as np
 from .charlm import CharLm, lm_forward
 from .corpus import CharVocabulary, Sentence, sentence_text, token_char_ranges
 from .errors import ConfigError, ParseError
-from .nn import Embedding, Lstm
-from .serialization import load_tensors, save_tensors
+from .nn import Embedding, Lstm, Module
 
 logger = logging.getLogger(__name__)
 
@@ -101,7 +100,7 @@ def load_vectors(path) -> WordEmbeddingTable:
     return WordEmbeddingTable(dim, entries)
 
 
-class WordTableEmbedder:
+class WordTableEmbedder(Module):
     """Frozen component: one table row (or zero vector) per token.
 
     ``source_path`` records where the table came from so tagger model files
@@ -111,7 +110,6 @@ class WordTableEmbedder:
     def __init__(self, table: WordEmbeddingTable, source_path=None):
         self.table = table
         self.dim = table.dim
-        self.layers = ()
         self.source_path = source_path
 
     def forward(self, sentence: Sentence):
@@ -122,7 +120,7 @@ class WordTableEmbedder:
         pass
 
 
-class CharFeatureEncoder:
+class CharFeatureEncoder(Module):
     """Trainable character features: a small bidirectional recurrence over
     each token's characters; output is the two final states concatenated.
 
@@ -140,7 +138,8 @@ class CharFeatureEncoder:
         self.embedding = Embedding(len(vocab) + 1, embed_dim, rng)
         self.fwd = Lstm(embed_dim, hidden, rng)
         self.bwd = Lstm(embed_dim, hidden, rng)
-        self.layers = (self.embedding, self.fwd, self.bwd)
+        self.named_layers = (("embedding", self.embedding), ("fwd", self.fwd),
+                             ("bwd", self.bwd))
 
     def forward(self, sentence: Sentence):
         codes = [self.vocab.encode(token.text) for token in sentence]
@@ -167,7 +166,7 @@ class CharFeatureEncoder:
         self.embedding.backward(emb_cache, np.stack([demb_f, demb_b]))
 
 
-class ContextualEmbedder:
+class ContextualEmbedder(Module):
     """Frozen component extracting hidden states from two directional LMs.
 
     The sentence is rendered as its space-joined text.  A token's forward
@@ -185,7 +184,6 @@ class ContextualEmbedder:
         self.fwd = fwd
         self.bwd = bwd
         self.dim = fwd.config.hidden_size + bwd.config.hidden_size
-        self.layers = ()
         self.forward_path = forward_path
         self.backward_path = backward_path
 
@@ -208,7 +206,7 @@ def contextual_embed(fwd: CharLm, bwd: CharLm, sentence: Sentence) -> np.ndarray
     return np.stack(rows)
 
 
-class StackedEmbedder:
+class StackedEmbedder(Module):
     """Fixed-order concatenation of embedding components."""
 
     def __init__(self, components: Sequence):
@@ -216,13 +214,9 @@ class StackedEmbedder:
             raise ConfigError("need at least one embedding component")
         self.components = tuple(components)
         self.dim = sum(c.dim for c in self.components)
-
-    @property
-    def layers(self):
-        out = []
-        for c in self.components:
-            out.extend(c.layers)
-        return tuple(out)
+        self.named_layers = tuple(
+            (f"component{i}.{name}", layer)
+            for i, c in enumerate(self.components) for name, layer in c.named_layers)
 
     def forward(self, sentence: Sentence):
         blocks, caches = [], []

@@ -11,11 +11,11 @@ central finite differences to tight tolerances.
 """
 
 import numpy as np
-from scipy.special import log_softmax, softmax
+from scipy.special import log_softmax
 
 __all__ = [
-    "softmax", "log_softmax", "logsumexp",
-    "Layer", "Embedding", "Linear", "Lstm", "Dropout",
+    "logsumexp",
+    "Layer", "Module", "Embedding", "Linear", "Lstm", "Dropout",
     "init_uniform", "cross_entropy", "global_grad_norm",
     "clip_grad_norm", "sgd_step",
 ]
@@ -54,6 +54,22 @@ class Layer:
             g[...] = 0.0
 
 
+class Module:
+    """A block built from layers.  ``named_layers`` holds its ordered
+    ``(name, layer)`` pairs; that one declaration gives ``layers`` to the
+    training loops and the tensor names of model files."""
+
+    named_layers: tuple = ()
+
+    @property
+    def layers(self) -> tuple:
+        return tuple(layer for _, layer in self.named_layers)
+
+    def zero_grads(self) -> None:
+        for layer in self.layers:
+            layer.zero_grads()
+
+
 class Embedding(Layer):
     """Index lookup table; rows receive sparse gradient updates."""
 
@@ -73,27 +89,20 @@ class Embedding(Layer):
 
 
 class Linear(Layer):
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 bias: bool = True):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         super().__init__()
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.has_bias = bias
         self._register("weight", init_uniform(rng, (in_dim, out_dim), in_dim))
-        if bias:
-            self._register("bias", np.zeros(out_dim))
+        self._register("bias", np.zeros(out_dim))
 
     def forward(self, x: np.ndarray):
-        out = x @ self.params["weight"]
-        if self.has_bias:
-            out = out + self.params["bias"]
-        return out, x
+        return x @ self.params["weight"] + self.params["bias"], x
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
         x = cache
         self.grads["weight"] += x.T @ grad_out
-        if self.has_bias:
-            self.grads["bias"] += grad_out.sum(axis=0)
+        self.grads["bias"] += grad_out.sum(axis=0)
         return grad_out @ self.params["weight"].T
 
 

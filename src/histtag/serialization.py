@@ -11,6 +11,10 @@ Byte layout, in order:
 * tensor payloads: little-endian 32-bit floats, row-major, concatenated in
   the declared order with no padding
 
+Models name their tensors ``<layer name>.<param name>`` after their ordered
+``named_layers``: ``layer_tensors`` walks them for saving, and
+``assign_tensors`` copies a loaded file back in.
+
 Tensors live in float64 in memory but are stored as float32.  Because every
 float32 converts to float64 and back without loss, save → load → save is
 byte-identical.
@@ -18,8 +22,9 @@ byte-identical.
 
 import hashlib
 import json
+import math
 import struct
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -73,8 +78,10 @@ def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(data[body_start:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"{path}: unreadable header: {exc}") from exc
-    if not isinstance(header, dict) or "meta" not in header or "tensors" not in header:
-        raise ModelFormatError(f"{path}: header missing meta/tensors keys")
+    if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
+            and isinstance(header.get("tensors"), list)):
+        raise ModelFormatError(
+            f"{path}: header must hold a 'meta' mapping and a 'tensors' list")
 
     tensors: dict[str, np.ndarray] = {}
     offset = header_end
@@ -84,7 +91,9 @@ def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
             shape = tuple(int(d) for d in shape)
         except (TypeError, ValueError) as exc:
             raise ModelFormatError(f"{path}: malformed tensor entry {entry!r}") from exc
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        if not isinstance(name, str) or name in tensors or min(shape, default=0) < 0:
+            raise ModelFormatError(f"{path}: bad or repeated tensor entry {entry!r}")
+        count = math.prod(shape)
         nbytes = count * 4
         if offset + nbytes > len(data):
             raise ModelFormatError(
@@ -96,3 +105,30 @@ def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
         raise ModelFormatError(
             f"{path}: {len(data) - offset} trailing bytes after declared tensors")
     return header["meta"], tensors
+
+
+def layer_tensors(named_layers: Iterable) -> list[tuple[str, np.ndarray]]:
+    """Ordered ``(<layer name>.<param name>, array)`` pairs of named layers,
+    the list ``save_tensors`` writes."""
+    return [(f"{name}.{param}", value) for name, layer in named_layers
+            for param, value in layer.params.items()]
+
+
+def assign_tensors(path, named_layers: Iterable, tensors: Mapping[str, np.ndarray]) -> None:
+    """Copy loaded tensors into the params of named layers.
+
+    The file must hold exactly the layers' tensors: a missing, unexpected
+    or wrongly shaped one raises ``ModelFormatError``.
+    """
+    targets = dict(layer_tensors(named_layers))
+    unexpected = sorted(tensors.keys() - targets.keys())
+    if unexpected:
+        raise ModelFormatError(f"{path}: unexpected tensor {unexpected[0]!r}")
+    for name, target in targets.items():
+        if name not in tensors:
+            raise ModelFormatError(f"{path}: missing tensor {name!r}")
+        if tensors[name].shape != target.shape:
+            raise ModelFormatError(
+                f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
+                f"expected {target.shape}")
+        target[...] = tensors[name]

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .charlm import load_lm, save_lm
+from .charlm import load_lm
 from .corpus import CharVocabulary, Sentence, TaggedCorpus, TagScheme, Token
 from .crf import CrfLayer, crf_nll_with_grads, viterbi_decode
 from .embed import (
@@ -25,10 +25,10 @@ from .embed import (
     WordTableEmbedder,
     load_vectors,
 )
-from .errors import ConfigError, EmptyCorpusError, ModelFormatError
+from .errors import ConfigError, EmptyCorpusError, ModelFormatError, SchemeError
 from .evaluation import evaluate
-from .nn import Linear, Lstm, clip_grad_norm, sgd_step
-from .serialization import file_sha256, load_tensors, save_tensors
+from .nn import Linear, Lstm, Module, clip_grad_norm, sgd_step
+from .serialization import assign_tensors, file_sha256, layer_tensors, load_tensors, save_tensors
 
 logger = logging.getLogger(__name__)
 
@@ -57,7 +57,7 @@ class TaggerConfig:
             raise ConfigError("learning rates must be positive")
 
 
-class NerModel:
+class NerModel(Module):
     """Embedder → Bi-LSTM → emission projection → CRF."""
 
     def __init__(self, embedder: StackedEmbedder, tags, config: TaggerConfig,
@@ -70,6 +70,9 @@ class NerModel:
         self.bwd = bwd
         self.projection = projection
         self.crf = crf
+        self.named_layers = embedder.named_layers + (
+            ("encoder.fwd", fwd), ("encoder.bwd", bwd),
+            ("projection", projection), ("crf", crf))
 
     @classmethod
     def initialize(cls, embedder: StackedEmbedder, tags, config: TaggerConfig,
@@ -80,14 +83,6 @@ class NerModel:
         projection = Linear(2 * H, len(tags), rng)
         crf = CrfLayer(tags, rng, constrained=constrained)
         return cls(embedder, tags, config, fwd, bwd, projection, crf)
-
-    @property
-    def layers(self):
-        return self.embedder.layers + (self.fwd, self.bwd, self.projection, self.crf)
-
-    def zero_grads(self) -> None:
-        for layer in self.layers:
-            layer.zero_grads()
 
     def _emissions(self, sentence: Sentence):
         vecs, emb_cache = self.embedder.forward(sentence)
@@ -243,61 +238,44 @@ def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
 
 # --- model files -----------------------------------------------------------
 
-def _component_spec(i: int, component) -> tuple[dict, list]:
-    """Meta entry plus payload tensors for one embedder component."""
-    prefix = f"component{i}"
+def _component_spec(component) -> dict:
+    """Meta entry for one embedder component: kind, dims and vocabulary, or
+    the paths and hashes of the files it references."""
     if isinstance(component, WordTableEmbedder):
         if component.source_path is None:
             raise ConfigError(
                 "word-table component has no source path; load it via "
                 "load_vectors(path) before saving the model")
-        return ({"kind": "word_table", "path": str(component.source_path),
-                 "sha256": file_sha256(component.source_path)}, [])
+        return {"kind": "word_table", "path": str(component.source_path),
+                "sha256": file_sha256(component.source_path)}
     if isinstance(component, CharFeatureEncoder):
-        meta = {"kind": "char_features",
+        return {"kind": "char_features",
                 "vocab": component.vocab.codepoints(),
                 "embed_dim": component.embed_dim,
                 "hidden": component.hidden}
-        tensors = [(f"{prefix}.embedding.weight", component.embedding.params["weight"])]
-        for tag, lstm in (("fwd", component.fwd), ("bwd", component.bwd)):
-            for name in ("Wx", "Wh", "bias"):
-                tensors.append((f"{prefix}.{tag}.{name}", lstm.params[name]))
-        return meta, tensors
     if isinstance(component, ContextualEmbedder):
         if component.forward_path is None or component.backward_path is None:
             raise ConfigError(
                 "contextual component has no LM file paths; attach them at "
                 "construction before saving the model")
-        return ({"kind": "contextual",
-                 "forward_path": str(component.forward_path),
-                 "forward_sha256": file_sha256(component.forward_path),
-                 "backward_path": str(component.backward_path),
-                 "backward_sha256": file_sha256(component.backward_path)}, [])
+        return {"kind": "contextual",
+                "forward_path": str(component.forward_path),
+                "forward_sha256": file_sha256(component.forward_path),
+                "backward_path": str(component.backward_path),
+                "backward_sha256": file_sha256(component.backward_path)}
     raise ConfigError(f"cannot serialize component of type {type(component).__name__}")
 
 
 def save_ner(model: NerModel, path) -> None:
     """Write the model: own tensors inline, LM/vector files by path+hash."""
-    components = []
-    tensors = []
-    for i, component in enumerate(model.embedder.components):
-        meta, extra = _component_spec(i, component)
-        components.append(meta)
-        tensors.extend(extra)
-    for tag, lstm in (("fwd", model.fwd), ("bwd", model.bwd)):
-        for name in ("Wx", "Wh", "bias"):
-            tensors.append((f"encoder.{tag}.{name}", lstm.params[name]))
-    tensors.append(("projection.weight", model.projection.params["weight"]))
-    tensors.append(("projection.bias", model.projection.params["bias"]))
-    tensors.append(("crf.transitions", model.crf.params["transitions"]))
     meta = {
         "kind": "ner",
         "tags": list(model.tags),
         "lstm_hidden": model.config.lstm_hidden,
         "constrained": model.crf.constrained,
-        "components": components,
+        "components": [_component_spec(c) for c in model.embedder.components],
     }
-    save_tensors(path, meta, tensors)
+    save_tensors(path, meta, layer_tensors(model.named_layers))
 
 
 def _verify_hash(path, recorded: str, what: str) -> None:
@@ -307,17 +285,25 @@ def _verify_hash(path, recorded: str, what: str) -> None:
             f"{what} at {path} has sha256 {actual}, model records {recorded}")
 
 
-def _fill(layer, tensors: dict, names: dict[str, str], context: str) -> None:
-    for param_name, tensor_name in names.items():
-        if tensor_name not in tensors:
-            raise ModelFormatError(f"missing tensor {tensor_name!r}")
-        value = tensors[tensor_name]
-        target = layer.params[param_name]
-        if value.shape != target.shape:
-            raise ModelFormatError(
-                f"{context}: tensor {tensor_name!r} has shape {value.shape}, "
-                f"expected {target.shape}")
-        target[...] = value
+def _load_component(spec: dict, rng: np.random.Generator):
+    """Rebuild one embedder component from its meta entry; a char-feature
+    encoder gets its tensors afterwards, with the rest of the model."""
+    kind = spec["kind"]
+    if kind == "word_table":
+        path = str(spec["path"])
+        _verify_hash(path, spec["sha256"], "word-vector file")
+        return WordTableEmbedder(load_vectors(path), source_path=path)
+    if kind == "char_features":
+        return CharFeatureEncoder(
+            CharVocabulary.from_codepoints(spec["vocab"]), rng,
+            embed_dim=int(spec["embed_dim"]), hidden=int(spec["hidden"]))
+    if kind == "contextual":
+        fwd_path, bwd_path = str(spec["forward_path"]), str(spec["backward_path"])
+        _verify_hash(fwd_path, spec["forward_sha256"], "forward LM file")
+        _verify_hash(bwd_path, spec["backward_sha256"], "backward LM file")
+        return ContextualEmbedder(load_lm(fwd_path), load_lm(bwd_path),
+                                  forward_path=fwd_path, backward_path=bwd_path)
+    raise ValueError(f"unknown component kind {kind!r}")
 
 
 def load_ner(path) -> NerModel:
@@ -328,52 +314,13 @@ def load_ner(path) -> NerModel:
         raise ModelFormatError(f"{path}: not a tagger model file")
     rng = np.random.default_rng(0)
     try:
-        tags = list(meta["tags"])
-        lstm_hidden = int(meta["lstm_hidden"])
-        constrained = bool(meta["constrained"])
-        component_meta = meta["components"]
-    except (KeyError, TypeError, ValueError) as exc:
+        tags = [str(t) for t in meta["tags"]]
+        config = TaggerConfig(lstm_hidden=int(meta["lstm_hidden"]))
+        components = [_load_component(spec, rng) for spec in meta["components"]]
+        model = NerModel.initialize(StackedEmbedder(components), tags, config, rng,
+                                    constrained=bool(meta["constrained"]))
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError,
+            SchemeError) as exc:
         raise ModelFormatError(f"{path}: invalid model metadata: {exc}") from exc
-
-    components = []
-    for i, spec in enumerate(component_meta):
-        kind = spec.get("kind")
-        if kind == "word_table":
-            _verify_hash(spec["path"], spec["sha256"], "word-vector file")
-            components.append(WordTableEmbedder(load_vectors(spec["path"]),
-                                                source_path=spec["path"]))
-        elif kind == "char_features":
-            encoder = CharFeatureEncoder(
-                CharVocabulary.from_codepoints(spec["vocab"]), rng,
-                embed_dim=int(spec["embed_dim"]), hidden=int(spec["hidden"]))
-            prefix = f"component{i}"
-            _fill(encoder.embedding, tensors,
-                  {"weight": f"{prefix}.embedding.weight"}, "char features")
-            for tag, lstm in (("fwd", encoder.fwd), ("bwd", encoder.bwd)):
-                _fill(lstm, tensors,
-                      {n: f"{prefix}.{tag}.{n}" for n in ("Wx", "Wh", "bias")},
-                      "char features")
-            components.append(encoder)
-        elif kind == "contextual":
-            _verify_hash(spec["forward_path"], spec["forward_sha256"],
-                         "forward LM file")
-            _verify_hash(spec["backward_path"], spec["backward_sha256"],
-                         "backward LM file")
-            components.append(ContextualEmbedder(
-                load_lm(spec["forward_path"]), load_lm(spec["backward_path"]),
-                forward_path=spec["forward_path"],
-                backward_path=spec["backward_path"]))
-        else:
-            raise ModelFormatError(f"{path}: unknown component kind {kind!r}")
-
-    embedder = StackedEmbedder(components)
-    config = TaggerConfig(lstm_hidden=lstm_hidden)
-    model = NerModel.initialize(embedder, tags, config, rng,
-                                constrained=constrained)
-    for tag, lstm in (("fwd", model.fwd), ("bwd", model.bwd)):
-        _fill(lstm, tensors,
-              {n: f"encoder.{tag}.{n}" for n in ("Wx", "Wh", "bias")}, "encoder")
-    _fill(model.projection, tensors,
-          {"weight": "projection.weight", "bias": "projection.bias"}, "projection")
-    _fill(model.crf, tensors, {"transitions": "crf.transitions"}, "crf")
+    assign_tensors(path, model.named_layers, tensors)
     return model

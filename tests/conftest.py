@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from histtag.corpus import Sentence, TaggedCorpus, TagScheme, Token
+from histtag.serialization import _HEAD, FORMAT_VERSION, MAGIC
 
 
 def make_sentence(pairs):
@@ -11,6 +14,12 @@ def make_sentence(pairs):
 def make_corpus(sentence_pairs, scheme=TagScheme.IOBES, split="train"):
     return TaggedCorpus(
         tuple(make_sentence(p) for p in sentence_pairs), scheme=scheme, split=split)
+
+
+def raw_container(header, payload=b""):
+    """Container bytes with an arbitrary JSON header, malformed ones too."""
+    head = json.dumps(header).encode("utf-8")
+    return MAGIC + _HEAD.pack(FORMAT_VERSION, len(head)) + head + payload
 
 
 @pytest.fixture

@@ -1,8 +1,14 @@
 import logging
 import math
+import tempfile
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import softmax
 
 from histtag.charlm import (
     CharLm,
@@ -17,11 +23,15 @@ from histtag.charlm import (
 )
 from histtag.corpus import CharVocabulary, PlainCorpus
 from histtag.errors import ConfigError, EmptyCorpusError, ModelFormatError
-from histtag.nn import cross_entropy, softmax
-from histtag.serialization import save_tensors
+from histtag.nn import cross_entropy
+from histtag.serialization import layer_tensors, load_tensors, save_tensors
 
-from conftest import make_corpus
+from conftest import make_corpus, raw_container
 from oracles import gradient_relative_error, numeric_gradient, train_lm_by_strand
+
+
+def tensors(model):
+    return layer_tensors(model.named_layers)
 
 
 def small_model(vocab_chars="abcde", hidden=8, embed=4, seed=0, dropout=0.0):
@@ -49,7 +59,6 @@ class TestConfig:
         {"sequence_length": 0},
         {"mini_batch": 0},
         {"epochs": 0},
-        {"num_layers": 2},
         {"dropout": 1.0},
         {"dropout": -0.1},
         {"learning_rate": -1.0},
@@ -233,7 +242,7 @@ class TestTraining:
         cfg = tiny_config(learning_rate=0.0)
         model, _ = train_lm(corpus, cfg, seed=0)
         reference = CharLm.initialize(model.vocab, cfg, np.random.default_rng(0))
-        for (_, a), (_, b) in zip(model.named_tensors(), reference.named_tensors()):
+        for (_, a), (_, b) in zip(tensors(model), tensors(reference)):
             np.testing.assert_array_equal(a, b)
 
     def test_deterministic(self):
@@ -241,7 +250,7 @@ class TestTraining:
         cfg = tiny_config(dropout=0.1)
         m1, _ = train_lm(corpus, cfg, seed=42)
         m2, _ = train_lm(corpus, cfg, seed=42)
-        for (n1, a), (n2, b) in zip(m1.named_tensors(), m2.named_tensors()):
+        for (n1, a), (n2, b) in zip(tensors(m1), tensors(m2)):
             assert n1 == n2
             np.testing.assert_array_equal(a, b)
 
@@ -254,7 +263,7 @@ class TestTraining:
         mb, _ = train_lm(corpus, cfg_b, seed=9)
         mf, _ = train_lm(reversed_corpus, cfg_f, seed=9)
         assert mb.vocab == mf.vocab
-        for (n1, a), (n2, b) in zip(mb.named_tensors(), mf.named_tensors()):
+        for (n1, a), (n2, b) in zip(tensors(mb), tensors(mf)):
             np.testing.assert_array_equal(a, b)
 
     def test_corpus_shorter_than_window(self):
@@ -283,7 +292,7 @@ class TestTraining:
         cfg = tiny_config(mini_batch=4, dropout=0.1, sequence_length=20)
         model, _ = train_lm(corpus, cfg, seed=3)
         reference = train_lm_by_strand(corpus, cfg, seed=3)
-        for (name, a), (_, b) in zip(model.named_tensors(), reference.named_tensors()):
+        for (name, a), (_, b) in zip(tensors(model), tensors(reference)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-10, err_msg=name)
 
     def test_explicit_vocab_respected(self):
@@ -306,7 +315,7 @@ class TestSaveLoad:
         loaded = load_lm(path)
         assert loaded.vocab == model.vocab
         assert loaded.direction == model.direction
-        for (n1, a), (n2, b) in zip(model.named_tensors(), loaded.named_tensors()):
+        for (n1, a), (n2, b) in zip(tensors(model), tensors(loaded)):
             np.testing.assert_array_equal(
                 a.astype(np.float32).astype(np.float64), b)
 
@@ -345,3 +354,72 @@ class TestSaveLoad:
         save_tensors(path, {"kind": "something"}, [])
         with pytest.raises(ModelFormatError):
             load_lm(path)
+
+    def test_file_layout(self, tmp_path):
+        _, path = self._trained(tmp_path)
+        _, loaded = load_tensors(path)
+        assert list(loaded) == [
+            "embedding.weight", "lstm.Wx", "lstm.Wh", "lstm.bias",
+            "projection.weight", "projection.bias"]
+
+    def test_missing_tensor(self, tmp_path):
+        _, path = self._trained(tmp_path)
+        meta, loaded = load_tensors(path)
+        del loaded["lstm.Wh"]
+        save_tensors(path, meta, list(loaded.items()))
+        with pytest.raises(ModelFormatError, match="missing tensor 'lstm.Wh'"):
+            load_lm(path)
+
+    def test_unexpected_tensor(self, tmp_path):
+        _, path = self._trained(tmp_path)
+        meta, loaded = load_tensors(path)
+        save_tensors(path, meta, [*loaded.items(), ("lstm.extra", np.zeros(2))])
+        with pytest.raises(ModelFormatError, match="unexpected tensor 'lstm.extra'"):
+            load_lm(path)
+
+    def test_meta_not_a_mapping(self, tmp_path):
+        path = tmp_path / "list_meta.bin"
+        path.write_bytes(raw_container({"meta": ["charlm"], "tensors": []}))
+        with pytest.raises(ModelFormatError):
+            load_lm(path)
+
+
+@lru_cache(maxsize=1)
+def tiny_lm_bytes() -> bytes:
+    model = small_model("ab", hidden=2, embed=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lm.bin"
+        save_lm(model, path)
+        return path.read_bytes()
+
+
+def load_lm_bytes(data: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lm.bin"
+        path.write_bytes(data)
+        return load_lm(path)
+
+
+class TestCorruptedFiles:
+    """A truncated LM file raises ModelFormatError; one with a flipped bit
+    either loads or raises ModelFormatError, and any other exception fails.
+    A flip inside a tensor payload loads, since the payload carries no
+    checksum."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_truncation(self, data):
+        good = tiny_lm_bytes()
+        with pytest.raises(ModelFormatError):
+            load_lm_bytes(good[:data.draw(st.integers(0, len(good) - 1))])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_single_bit_flip(self, data):
+        flipped = bytearray(tiny_lm_bytes())
+        bit = data.draw(st.integers(0, 8 * len(flipped) - 1))
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        try:
+            load_lm_bytes(bytes(flipped))
+        except ModelFormatError:
+            pass

@@ -75,13 +75,6 @@ class TestLinear:
         dx_num = numeric_gradient(loss, x)
         assert gradient_relative_error(dx, dx_num) < TOL
 
-    def test_no_bias(self):
-        rng = np.random.default_rng(3)
-        lin = Linear(2, 2, rng, bias=False)
-        assert "bias" not in lin.params
-        out, _ = lin.forward(np.zeros((1, 2)))
-        np.testing.assert_array_equal(out, 0.0)
-
 
 class TestLstm:
     """A padded batch of three rows with lengths 7, 4 and 1, a carried
@@ -257,7 +250,7 @@ class TestCrossEntropy:
 class TestOptimizerUtils:
     def _layer_with_grad(self, g):
         rng = np.random.default_rng(0)
-        lin = Linear(2, 2, rng, bias=False)
+        lin = Linear(2, 2, rng)  # the bias gradient stays 0
         lin.grads["weight"][...] = g
         return lin
 

@@ -4,6 +4,8 @@ import pytest
 from histtag.errors import ModelFormatError
 from histtag.serialization import FORMAT_VERSION, MAGIC, load_tensors, save_tensors
 
+from conftest import raw_container
+
 
 def sample_tensors(rng):
     return [
@@ -89,4 +91,19 @@ class TestCorruption:
         path = tmp_path / "x.bin"
         path.write_bytes(b"hi")
         with pytest.raises(ModelFormatError, match="short"):
+            load_tensors(path)
+
+    @pytest.mark.parametrize("header, floats, message", [
+        ({"meta": {}, "tensors": 5}, 0, "must hold a 'meta' mapping"),
+        ({"meta": [], "tensors": []}, 0, "must hold a 'meta' mapping"),
+        ({"tensors": []}, 0, "must hold a 'meta' mapping"),
+        ({"meta": {}, "tensors": [["w", [1]], ["w", [1]]]}, 2, "bad or repeated"),
+        ({"meta": {}, "tensors": [["w", [-1, 2]]]}, 2, "bad or repeated"),
+        ({"meta": {}, "tensors": [[["w"], [1]]]}, 1, "bad or repeated"),
+    ], ids=["tensors_not_a_list", "meta_not_a_mapping", "no_meta",
+            "repeated_name", "negative_dim", "name_not_a_string"])
+    def test_malformed_header(self, tmp_path, header, floats, message):
+        path = tmp_path / "m.bin"
+        path.write_bytes(raw_container(header, payload=bytes(4 * floats)))
+        with pytest.raises(ModelFormatError, match=message):
             load_tensors(path)

@@ -13,6 +13,7 @@ from histtag.embed import (
 )
 from histtag.errors import ConfigError, EmptyCorpusError, ModelFormatError
 from histtag.evaluation import evaluate
+from histtag.serialization import load_tensors, save_tensors
 from histtag.tagger import (
     NerModel,
     TaggerConfig,
@@ -302,8 +303,68 @@ class TestSaveLoad:
             save_ner(model, tmp_path / "x.bin")
 
     def test_wrong_kind_rejected(self, tmp_path):
-        from histtag.serialization import save_tensors
         path = tmp_path / "other.bin"
         save_tensors(path, {"kind": "charlm"}, [])
         with pytest.raises(ModelFormatError):
+            load_ner(path)
+
+
+def saved_full_model(tmp_path):
+    """An untrained tagger over all three component kinds, saved."""
+    corpus = toy_corpus()
+    model = NerModel.initialize(full_embedder(tmp_path, corpus), ("O", "S-LOC", "S-PER"),
+                                small_config(), np.random.default_rng(3))
+    path = tmp_path / "ner.bin"
+    save_ner(model, path)
+    return model, path
+
+
+class TestFileLayout:
+    def test_tensor_names_in_order(self, tmp_path):
+        _, path = saved_full_model(tmp_path)
+        _, tensors = load_tensors(path)
+        assert list(tensors) == [
+            "component1.embedding.weight",
+            "component1.fwd.Wx", "component1.fwd.Wh", "component1.fwd.bias",
+            "component1.bwd.Wx", "component1.bwd.Wh", "component1.bwd.bias",
+            "encoder.fwd.Wx", "encoder.fwd.Wh", "encoder.fwd.bias",
+            "encoder.bwd.Wx", "encoder.bwd.Wh", "encoder.bwd.bias",
+            "projection.weight", "projection.bias", "crf.transitions"]
+
+    def test_round_trip_parameters(self, tmp_path):
+        model, path = saved_full_model(tmp_path)
+        loaded = load_ner(path)
+        for l1, l2 in zip(model.layers, loaded.layers, strict=True):
+            for name in l1.params:
+                np.testing.assert_array_equal(
+                    l1.params[name].astype(np.float32), l2.params[name])
+
+    def test_unexpected_tensor(self, tmp_path):
+        _, path = saved_full_model(tmp_path)
+        meta, tensors = load_tensors(path)
+        save_tensors(path, meta, [*tensors.items(), ("encoder.extra", np.zeros(3))])
+        with pytest.raises(ModelFormatError, match="unexpected tensor 'encoder.extra'"):
+            load_ner(path)
+
+    def test_missing_tensor(self, tmp_path):
+        _, path = saved_full_model(tmp_path)
+        meta, tensors = load_tensors(path)
+        del tensors["component1.bwd.Wh"]
+        save_tensors(path, meta, list(tensors.items()))
+        with pytest.raises(ModelFormatError, match="missing tensor 'component1.bwd.Wh'"):
+            load_ner(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda components: components[0].pop("path"),
+        lambda components: components.__setitem__(1, "char_features"),
+        lambda components: components[1].__setitem__("embed_dim", "x"),
+        lambda components: components[2].__setitem__("kind", "unknown"),
+    ], ids=["word_table_without_path", "component_not_a_mapping",
+            "embed_dim_not_a_number", "unknown_kind"])
+    def test_malformed_component_meta(self, tmp_path, edit):
+        _, path = saved_full_model(tmp_path)
+        meta, tensors = load_tensors(path)
+        edit(meta["components"])
+        save_tensors(path, meta, list(tensors.items()))
+        with pytest.raises(ModelFormatError, match="invalid model metadata"):
             load_ner(path)
