@@ -51,6 +51,7 @@ from .errors import (
     EmptyCorpusError,
     HisttagError,
     ModelFormatError,
+    NonFiniteGradientError,
     ParseError,
     SchemeError,
     StructureMismatchError,
@@ -148,6 +149,7 @@ __all__ = [
     "EmptyCorpusError",
     "ConfigError",
     "ModelFormatError",
+    "NonFiniteGradientError",
     "StructureMismatchError",
     "__version__",
 ]

@@ -12,13 +12,14 @@ outside the model vocabulary map to a reserved UNK index.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
 from .corpus import CharVocabulary, PlainCorpus, TaggedCorpus, extract_char_vocab, sentence_text
-from .errors import ConfigError, EmptyCorpusError, ModelFormatError
+from .errors import ConfigError, EmptyCorpusError, ModelFormatError, NonFiniteGradientError
 from .nn import Dropout, Embedding, Linear, Lstm, Module, clip_grad_norm, cross_entropy, sgd_step
 from .serialization import assign_tensors, layer_tensors, load_tensors, save_tensors
 
@@ -53,14 +54,6 @@ class CharLmConfig:
         # zero is allowed: it freezes parameters, useful for measuring baselines
         if self.learning_rate < 0:
             raise ConfigError(f"learning_rate must not be negative, got {self.learning_rate}")
-
-
-@dataclass
-class LmState:
-    """Recurrent carry: hidden and cell vectors."""
-
-    hidden: np.ndarray
-    cell: np.ndarray
 
 
 class CharLm(Module):
@@ -102,12 +95,13 @@ class CharLm(Module):
         return len(self.vocab) + 1
 
 
-def lm_forward(model: CharLm, chars: np.ndarray,
-               state: Optional[LmState] = None):
+def lm_forward(model: CharLm, chars: np.ndarray, state=None):
     """Score a chunk of already-encoded characters in eval mode.
 
-    Returns (logits T × output_size, final LmState, hidden states T × H).
-    ``logits[t]`` is the prediction for the character after position t.
+    ``state`` is the ``(h, c)`` pair, each 1 × H, that the LSTM starts from
+    (zeros when None).  Returns (logits T × output_size, final (h, c) state,
+    hidden states T × H).  ``logits[t]`` is the prediction for the
+    character after position t.
     """
     chars = np.asarray(chars, dtype=np.int64)
     if chars.ndim != 1 or chars.shape[0] < 1:
@@ -116,10 +110,9 @@ def lm_forward(model: CharLm, chars: np.ndarray,
         raise ValueError(
             f"character index out of range [0, {model.output_size})")
     emb, _ = model.embedding.forward(chars[None])
-    lstm_state = None if state is None else (state.hidden[None], state.cell[None])
-    hs, (h, c), _ = model.lstm.forward(emb, lstm_state)
+    hs, state, _ = model.lstm.forward(emb, state)
     logits, _ = model.projection.forward(hs[0])
-    return logits, LmState(h[0], c[0]), hs[0]
+    return logits, state, hs[0]
 
 
 @dataclass
@@ -221,9 +214,8 @@ def train_lm(corpus: PlainCorpus, config: CharLmConfig, seed: int,
     L = config.sequence_length
     for epoch in range(1, config.epochs + 1):
         state = None
-        pos = 0
         loss_sum, position_count = 0.0, 0
-        while pos + 1 < strand_len:
+        for step, pos in enumerate(range(0, strand_len - 1, L), start=1):
             end = min(pos + L, strand_len - 1)
             window = end - pos
             model.zero_grads()
@@ -232,9 +224,9 @@ def train_lm(corpus: PlainCorpus, config: CharLmConfig, seed: int,
                 state, dropout, rng, 1.0 / (window * B))
             loss_sum += nll_sum
             position_count += window * B
-            clip_grad_norm(model.layers, GRAD_CLIP)
+            if not math.isfinite(clip_grad_norm(model.layers, GRAD_CLIP)):
+                raise NonFiniteGradientError("lm training", epoch, step)
             sgd_step(model.layers, lr)
-            pos = end
         dev_loss = _stream_nll(model, dev_idx)
         test_ppl = float(np.exp(_stream_nll(model, test_idx)))
         log.epochs.append(LmEpochRecord(

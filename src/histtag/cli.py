@@ -1,12 +1,20 @@
 """Command-line interface exposing the pipeline as subcommands.
 
 One binary, subcommand style.  Orchestrated commands read a YAML run
-config; individual flags override config values.  Every command that
-produces file artifacts also writes a run manifest beside them: the fully
-resolved config, its hash, the seeds used, library versions, and a sha256
-per input and output file.  Manifests carry no timestamps, so a repeated
-run over identical inputs reproduces them byte for byte, and the embedded
-config is sufficient to re-execute the run.
+config; individual flags override config values.  The keys and defaults of
+the ``lm.<direction>``, ``tagger`` and ``smlm`` sections are the fields of
+CharLmConfig, TaggerConfig and SmlmConfig, and the embedding component
+kinds are those of ``histtag.embed``; this module only orchestrates.
+
+Every command that produces file artifacts also writes a run manifest
+beside them: the fully resolved config, its hash, the seeds used, library
+versions, and a sha256 per input and output file.  Manifests carry no
+timestamps, so a repeated run over identical inputs reproduces them byte
+for byte.  The configs embedded by ``smlm``, ``lm train`` and ``ner train``
+re-execute the run when passed back as ``--config``; ``lm ppl``, ``ner
+predict`` and ``eval`` take no config, and theirs records the flags they
+were given.  Every file is written whole or not at all (see
+``serialization.atomic_open``).
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 The only environment variable is HISTTAG_LOG, which sets the logging
@@ -19,7 +27,7 @@ import logging
 import os
 import platform
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,13 +44,7 @@ from .corpus import (
     read_conll,
     read_plain,
 )
-from .embed import (
-    CharFeatureEncoder,
-    ContextualEmbedder,
-    StackedEmbedder,
-    WordTableEmbedder,
-    load_vectors,
-)
+from .embed import component_class, embedder_factory
 from .errors import ConfigError, HisttagError
 from .evaluation import (
     average_runs,
@@ -51,7 +53,7 @@ from .evaluation import (
     read_conll_predictions,
     write_conll_predictions,
 )
-from .serialization import file_sha256
+from .serialization import atomic_open, file_sha256
 from .smlm import SmlmConfig, corruption_stats, select_mask_char, smlm_transform
 from .tagger import TaggerConfig, load_ner, predict, save_ner, train_ner
 
@@ -62,30 +64,19 @@ logger = logging.getLogger(__name__)
 # run config
 
 
-_LM_FIELDS = frozenset({
-    "char_embed_dim", "hidden_size", "dropout",
-    "sequence_length", "mini_batch", "epochs", "learning_rate",
-})
-_TAGGER_FIELDS = frozenset({
-    "lstm_hidden", "learning_rate", "mini_batch", "max_epochs",
-    "anneal_factor", "patience", "min_learning_rate", "seed",
-})
-_EMBEDDING_KINDS = {
-    "word_table": frozenset({"kind", "path"}),
-    "char_features": frozenset({"kind", "embed_dim", "hidden"}),
-    "contextual": frozenset({"kind", "forward", "backward"}),
-}
+def _fields(cls) -> frozenset:
+    return frozenset(f.name for f in fields(cls))
+
+
 _SCHEMA = {
     "data": frozenset({"train", "dev", "test", "lm_corpus",
                        "token_column", "tag_column", "scheme"}),
     "vocab": frozenset({"path"}),
-    "smlm": frozenset({"p_keep", "p_mask_given_change",
-                       "p_replace_given_change", "seed", "mask_char",
-                       "output", "stats"}),
+    "smlm": _fields(SmlmConfig) | {"output", "stats"},
     "lm": frozenset({"forward", "backward", "corpus", "vocab", "seed",
                      "output_dir"}),
     "embeddings": None,
-    "tagger": _TAGGER_FIELDS,
+    "tagger": _fields(TaggerConfig),
     "eval": frozenset({"runs", "output_dir"}),
 }
 
@@ -109,7 +100,8 @@ def validate_config(config: dict) -> dict:
         _check_keys(config["lm"], _SCHEMA["lm"], "lm")
         for direction in ("forward", "backward"):
             if direction in config["lm"]:
-                _check_keys(config["lm"][direction], _LM_FIELDS,
+                _check_keys(config["lm"][direction],
+                            _fields(CharLmConfig) - {"direction"},
                             f"lm.{direction}")
     if "embeddings" in config:
         components = config["embeddings"]
@@ -119,12 +111,11 @@ def validate_config(config: dict) -> dict:
             where = f"embeddings[{i}]"
             if not isinstance(comp, dict) or "kind" not in comp:
                 raise ConfigError(f"{where} needs a 'kind' key")
-            kind = comp["kind"]
-            if kind not in _EMBEDDING_KINDS:
-                raise ConfigError(
-                    f"{where}: unknown kind {kind!r}; expected one of "
-                    f"{', '.join(sorted(_EMBEDDING_KINDS))}")
-            _check_keys(comp, _EMBEDDING_KINDS[kind], where)
+            try:
+                cls = component_class(comp["kind"])
+            except ConfigError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+            _check_keys(comp, {"kind", *cls.files, *cls.options}, where)
     return config
 
 
@@ -175,6 +166,26 @@ def _pick(flag_value, section: dict, key: str, default=None):
     return section.get(key, default)
 
 
+def _columns(args, data: dict) -> tuple[int, int, TagScheme]:
+    """Token column, tag column and tag scheme of CoNLL inputs; ``ner
+    train`` has no column flags and reads them from the config alone."""
+    return (int(_pick(getattr(args, "token_column", None), data, "token_column", 0)),
+            int(_pick(getattr(args, "tag_column", None), data, "tag_column", 1)),
+            _scheme_of(_pick(getattr(args, "scheme", None), data, "scheme", "iob2")))
+
+
+def _config_from(cls, section: dict, where: str, **flags):
+    """``cls`` from the section's keys that are its fields, overridden by
+    the flags that were given; its defaults fill the rest."""
+    names = _fields(cls)
+    values = {k: v for k, v in section.items() if k in names}
+    values.update((k, v) for k, v in flags.items() if v is not None)
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # manifests
 
@@ -201,6 +212,18 @@ def _hash_entry(path) -> dict:
     return {"path": str(path), "sha256": file_sha256(path)}
 
 
+def _write_text(path, text: str) -> None:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def _write_json(path, body) -> None:
+    _write_text(path, json.dumps(body, sort_keys=True, indent=2,
+                                 ensure_ascii=False) + "\n")
+
+
 def write_manifest(path, command: str, config: dict, seeds: dict,
                    inputs: dict, artifacts: dict) -> None:
     """Deterministic run record: no timestamps, sorted keys."""
@@ -213,9 +236,7 @@ def write_manifest(path, command: str, config: dict, seeds: dict,
         "inputs": {name: _hash_entry(p) for name, p in inputs.items()},
         "artifacts": {name: _hash_entry(p) for name, p in artifacts.items()},
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(body, fh, sort_keys=True, indent=2, ensure_ascii=False)
-        fh.write("\n")
+    _write_json(path, body)
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +260,7 @@ def _load_vocab_source(path) -> CharVocabulary:
 def cmd_vocab(args) -> int:
     config = _maybe_config(args)
     data = config.get("data", {})
-    token_column = _pick(args.token_column, data, "token_column", 0)
-    tag_column = _pick(args.tag_column, data, "tag_column", 1)
-    scheme = _scheme_of(_pick(args.scheme, data, "scheme", "iob2"))
+    token_column, tag_column, scheme = _columns(args, data)
 
     plain_paths = list(args.plain or [])
     conll_paths = list(args.conll or [])
@@ -286,49 +305,32 @@ def cmd_smlm(args) -> int:
         config.get("vocab", {}).get("path"), "--vocab")
     output = Path(_require(_pick(args.output, section, "output"), "--output"))
     stats_path = _pick(args.stats, section, "stats")
-    p_keep = float(_pick(args.p_keep, section, "p_keep", 0.90))
-    p_mask = float(section.get("p_mask_given_change", 0.20))
-    p_replace = float(section.get("p_replace_given_change", 0.80))
-    seed = int(_pick(args.seed, section, "seed", 0))
 
     vocab = _load_vocab_source(vocab_source)
     mask_char = _pick(args.mask_char, section, "mask_char")
     if mask_char is None:
         mask_char = select_mask_char(vocab)
-    smlm_config = SmlmConfig(mask_char=mask_char, seed=seed, p_keep=p_keep,
-                             p_mask_given_change=p_mask,
-                             p_replace_given_change=p_replace)
+    smlm_config = _config_from(SmlmConfig, section, "smlm", p_keep=args.p_keep,
+                               seed=args.seed, mask_char=mask_char)
 
     corrupted, stats = smlm_transform(read_plain(input_path), vocab,
                                       smlm_config)
-    output.parent.mkdir(parents=True, exist_ok=True)
-    with open(output, "w", encoding="utf-8", newline="\n") as fh:
-        for line in corrupted:
-            fh.write(line + "\n")
+    _write_text(output, "".join(line + "\n" for line in corrupted))
     report = corruption_stats(stats)
     artifacts = {"output": output}
     if stats_path is not None:
         stats_path = Path(stats_path)
-        stats_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(stats_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report.to_text())
+        _write_text(stats_path, report.to_text())
         artifacts["stats"] = stats_path
 
     resolved = {
         "data": {"lm_corpus": str(input_path)},
         "vocab": {"path": str(vocab_source)},
-        "smlm": {
-            "p_keep": p_keep,
-            "p_mask_given_change": p_mask,
-            "p_replace_given_change": p_replace,
-            "seed": seed,
-            "mask_char": mask_char,
-            "output": str(output),
-            **({"stats": str(stats_path)} if stats_path is not None else {}),
-        },
+        "smlm": {**asdict(smlm_config), "output": str(output),
+                 **({"stats": str(stats_path)} if stats_path is not None else {})},
     }
     write_manifest(Path(f"{output}.manifest.json"), "smlm", resolved,
-                   {"smlm": seed},
+                   {"smlm": smlm_config.seed},
                    {"input": input_path, "vocab": vocab_source}, artifacts)
     print(f"corrupted {report.total_chars} characters "
           f"(kept {report.kept_rate:.4f}, masked {report.masked_rate:.4f}, "
@@ -338,12 +340,6 @@ def cmd_smlm(args) -> int:
 
 # ---------------------------------------------------------------------------
 # lm train / lm ppl
-
-
-def _lm_config_fields(config: CharLmConfig) -> dict:
-    fields = asdict(config)
-    fields.pop("direction")
-    return fields
 
 
 def cmd_lm_train(args) -> int:
@@ -378,25 +374,19 @@ def cmd_lm_train(args) -> int:
     artifacts = {}
 
     for direction in directions:
-        overrides = dict(section.get(direction) or {})
-        if args.epochs is not None:
-            overrides["epochs"] = args.epochs
-        if args.learning_rate is not None:
-            overrides["learning_rate"] = args.learning_rate
-        try:
-            lm_config = CharLmConfig(direction=direction, **overrides)
-        except TypeError as exc:
-            raise ConfigError(f"lm.{direction}: {exc}") from None
+        lm_config = _config_from(
+            CharLmConfig, section.get(direction) or {}, f"lm.{direction}",
+            direction=direction, epochs=args.epochs,
+            learning_rate=args.learning_rate)
         model, log = train_lm(corpus, lm_config, seed, vocab=vocab)
         model_path = out_dir / f"{direction}.bin"
         save_lm(model, model_path)
         log_path = out_dir / f"{direction}_log.json"
-        with open(log_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(asdict(log), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(log_path, asdict(log))
         artifacts[f"{direction}.bin"] = model_path
         artifacts[f"{direction}_log.json"] = log_path
-        resolved_lm[direction] = _lm_config_fields(lm_config)
+        resolved_lm[direction] = {k: v for k, v in asdict(lm_config).items()
+                                  if k != "direction"}
         final = log.epochs[-1].test_perplexity if log.epochs else float("nan")
         print(f"{direction}: test perplexity "
               f"{log.initial_test_perplexity:.3f} -> {final:.3f} "
@@ -411,11 +401,7 @@ def cmd_lm_ppl(args) -> int:
     model = load_lm(_require_file(args.model, "--model"))
     input_path = _require_file(args.input, "--input")
     if args.format == "conll":
-        corpus = read_conll(
-            input_path,
-            args.token_column if args.token_column is not None else 0,
-            args.tag_column if args.tag_column is not None else 1,
-            _scheme_of(args.scheme or "iob2"), split="test")
+        corpus = read_conll(input_path, *_columns(args, {}), split="test")
     else:
         corpus = read_plain(input_path)
     value = corpus_perplexity(model, corpus)
@@ -423,9 +409,7 @@ def cmd_lm_ppl(args) -> int:
     print(line)
     if args.output is not None:
         output = Path(args.output)
-        output.parent.mkdir(parents=True, exist_ok=True)
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(line + "\n")
+        _write_text(output, line + "\n")
         write_manifest(
             Path(f"{output}.manifest.json"), "lm ppl",
             {"lm": {"model": str(args.model)},
@@ -437,52 +421,6 @@ def cmd_lm_ppl(args) -> int:
 
 # ---------------------------------------------------------------------------
 # ner train / ner predict
-
-
-def _validate_components(components: list) -> None:
-    for i, comp in enumerate(components):
-        kind = comp["kind"]
-        if kind == "word_table":
-            _require_file(comp.get("path"), f"embeddings[{i}].path")
-        elif kind == "contextual":
-            _require_file(comp.get("forward"), f"embeddings[{i}].forward")
-            _require_file(comp.get("backward"), f"embeddings[{i}].backward")
-
-
-def _load_frozen_components(components: list) -> list:
-    """Load static payloads (vector tables, LM weights) exactly once."""
-    loaded = []
-    for comp in components:
-        kind = comp["kind"]
-        if kind == "word_table":
-            loaded.append((comp, load_vectors(comp["path"])))
-        elif kind == "contextual":
-            loaded.append((comp, (load_lm(comp["forward"]),
-                                  load_lm(comp["backward"]))))
-        else:
-            loaded.append((comp, None))
-    return loaded
-
-
-def _instantiate_embedder(loaded: list, vocab: CharVocabulary,
-                          rng: np.random.Generator) -> StackedEmbedder:
-    blocks = []
-    for comp, payload in loaded:
-        kind = comp["kind"]
-        if kind == "word_table":
-            blocks.append(WordTableEmbedder(payload,
-                                            source_path=comp["path"]))
-        elif kind == "contextual":
-            blocks.append(ContextualEmbedder(
-                payload[0], payload[1],
-                forward_path=comp["forward"],
-                backward_path=comp["backward"]))
-        else:
-            blocks.append(CharFeatureEncoder(
-                vocab, rng,
-                embed_dim=int(comp.get("embed_dim", 25)),
-                hidden=int(comp.get("hidden", 25))))
-    return StackedEmbedder(blocks)
 
 
 def _log_to_dict(log) -> dict:
@@ -497,40 +435,35 @@ def _log_to_dict(log) -> dict:
 def cmd_ner_train(args) -> int:
     config = load_run_config(args.config)
     data = config.get("data", {})
-    tagger_section = dict(config.get("tagger", {}))
     eval_section = config.get("eval", {})
 
-    token_column = int(data.get("token_column", 0))
-    tag_column = int(data.get("tag_column", 1))
-    scheme = _scheme_of(data.get("scheme", "iob2"))
+    token_column, tag_column, scheme = _columns(args, data)
     train_path = _require_file(data.get("train"), "data.train")
     dev_path = _require_file(data.get("dev"), "data.dev")
     test_path = (_require_file(data.get("test"), "data.test")
                  if data.get("test") else None)
+    inputs = {"train": train_path, "dev": dev_path}
+    if test_path is not None:
+        inputs["test"] = test_path
 
     components = config.get("embeddings") or [{"kind": "char_features"}]
-    _validate_components(components)
+    for i, comp in enumerate(components):
+        for key in component_class(comp["kind"]).files:
+            name = f"embeddings[{i}].{key}"
+            inputs[name] = _require_file(comp.get(key), name)
     vocab_path = config.get("vocab", {}).get("path")
     if vocab_path is not None:
-        vocab_path = _require_file(vocab_path, "vocab.path")
+        vocab_path = inputs["vocab"] = _require_file(vocab_path, "vocab.path")
 
     runs = int(_pick(args.runs, eval_section, "runs", 3))
     if runs < 1:
         raise ConfigError(f"eval.runs must be at least 1, got {runs}")
     out_dir = Path(_require(_pick(args.output_dir, eval_section,
                                   "output_dir"), "eval.output_dir"))
-    if args.seed is not None:
-        tagger_section["seed"] = args.seed
-    if args.max_epochs is not None:
-        tagger_section["max_epochs"] = args.max_epochs
-    if args.learning_rate is not None:
-        tagger_section["learning_rate"] = args.learning_rate
-    base_seed = int(tagger_section.get("seed", 0))
-    tagger_section["seed"] = base_seed
-    try:
-        base_config = TaggerConfig(**tagger_section)
-    except TypeError as exc:
-        raise ConfigError(f"tagger: {exc}") from None
+    base_config = _config_from(
+        TaggerConfig, config.get("tagger", {}), "tagger", seed=args.seed,
+        max_epochs=args.max_epochs, learning_rate=args.learning_rate)
+    base_seed = base_config.seed
 
     train = convert_scheme(
         read_conll(train_path, token_column, tag_column, scheme, split="train"),
@@ -548,32 +481,19 @@ def cmd_ner_train(args) -> int:
         vocab = CharVocabulary.from_path(vocab_path)
     else:
         vocab = extract_char_vocab(train, dev)
-    loaded = _load_frozen_components(components)
+    build_stack = embedder_factory(components, vocab)
     eval_corpus, eval_name = (test, "test") if test is not None else (dev, "dev")
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    inputs = {"train": train_path, "dev": dev_path}
-    if test_path is not None:
-        inputs["test"] = test_path
-    if vocab_path is not None:
-        inputs["vocab"] = vocab_path
-    for i, comp in enumerate(components):
-        if comp["kind"] == "word_table":
-            inputs[f"embeddings[{i}].path"] = Path(comp["path"])
-        elif comp["kind"] == "contextual":
-            inputs[f"embeddings[{i}].forward"] = Path(comp["forward"])
-            inputs[f"embeddings[{i}].backward"] = Path(comp["backward"])
-
     artifacts = {}
     reports = []
     for run in range(runs):
         run_seed = base_seed + run
-        run_config = TaggerConfig(**{**tagger_section, "seed": run_seed})
         # distinct seed material keeps encoder init clear of the training
         # stream, which also starts at run_seed
-        embedder = _instantiate_embedder(
-            loaded, vocab, np.random.default_rng([run_seed, 1]))
-        model, log = train_ner(train, dev, run_config, embedder)
+        embedder = build_stack(np.random.default_rng([run_seed, 1]))
+        model, log = train_ner(train, dev, replace(base_config, seed=run_seed),
+                               embedder)
 
         run_dir = out_dir / f"run{run}"
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -584,17 +504,11 @@ def cmd_ner_train(args) -> int:
         write_conll_predictions(eval_corpus, predicted, predictions_path)
         report = evaluate(eval_corpus, predicted)
         report_txt = run_dir / "report.txt"
-        with open(report_txt, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(format_report(report) + "\n")
+        _write_text(report_txt, format_report(report) + "\n")
         report_json = run_dir / "report.json"
-        with open(report_json, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump({"evaluated_on": eval_name, **report.to_dict()},
-                      fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(report_json, {"evaluated_on": eval_name, **report.to_dict()})
         log_path = run_dir / "training_log.json"
-        with open(log_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(_log_to_dict(log), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(log_path, _log_to_dict(log))
         for name, p in (("model.bin", model_path),
                         ("predictions.conll", predictions_path),
                         ("report.txt", report_txt),
@@ -607,10 +521,7 @@ def cmd_ner_train(args) -> int:
 
     summary = average_runs(reports)
     summary_path = out_dir / "summary.json"
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"evaluated_on": eval_name, **summary.to_dict()},
-                  fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(summary_path, {"evaluated_on": eval_name, **summary.to_dict()})
     artifacts["summary.json"] = summary_path
 
     resolved = {
@@ -620,8 +531,7 @@ def cmd_ner_train(args) -> int:
                  "scheme": scheme.value},
         **({"vocab": {"path": str(vocab_path)}} if vocab_path else {}),
         "embeddings": components,
-        "tagger": {name: getattr(base_config, name)
-                   for name in sorted(_TAGGER_FIELDS)},
+        "tagger": asdict(base_config),
         "eval": {"runs": runs, "output_dir": str(out_dir)},
     }
     write_manifest(out_dir / "manifest.json", "ner train", resolved,
@@ -636,9 +546,7 @@ def cmd_ner_predict(args) -> int:
     model = load_ner(_require_file(args.model, "--model"))
     input_path = _require_file(args.input, "--input")
     output = Path(_require(args.output, "--output"))
-    token_column = args.token_column if args.token_column is not None else 0
-    tag_column = args.tag_column if args.tag_column is not None else 1
-    scheme = _scheme_of(args.scheme or "iob2")
+    token_column, tag_column, scheme = _columns(args, {})
 
     corpus = convert_scheme(
         read_conll(input_path, token_column, tag_column, scheme, split="test"),
@@ -662,7 +570,7 @@ def cmd_ner_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    scheme = _scheme_of(args.scheme or "iob2")
+    token_column, tag_column, scheme = _columns(args, {})
     if args.predictions is not None:
         if args.gold is not None or args.pred is not None:
             raise ConfigError(
@@ -674,8 +582,6 @@ def cmd_eval(args) -> int:
     else:
         gold_path = _require_file(args.gold, "--gold")
         pred_path = _require_file(args.pred, "--pred")
-        token_column = args.token_column if args.token_column is not None else 0
-        tag_column = args.tag_column if args.tag_column is not None else 1
         gold = read_conll(gold_path, token_column, tag_column, scheme, split="test")
         # tags of the prediction file land in gold_tag; evaluate() treats
         # them as the predictions when no predicted_tag is set
@@ -688,10 +594,7 @@ def cmd_eval(args) -> int:
     print(format_report(report))
     if args.output is not None:
         output = Path(args.output)
-        output.parent.mkdir(parents=True, exist_ok=True)
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(output, report.to_dict())
         write_manifest(
             Path(f"{output}.manifest.json"), "eval",
             {"data": {**data_cfg, "scheme": scheme.value}},

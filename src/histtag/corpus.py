@@ -19,6 +19,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DecodeError, EmptyCorpusError, ParseError, SchemeError
+from .serialization import atomic_open
 
 SPLITS = ("train", "dev", "test")
 
@@ -135,15 +136,8 @@ class CharVocabulary:
     def chars(self) -> tuple[str, ...]:
         return self._chars
 
-    @property
-    def index(self) -> dict[str, int]:
-        return dict(self._index)
-
     def lookup(self, ch: str) -> int:
         return self._index[ch]
-
-    def get(self, ch: str, default: Optional[int] = None) -> Optional[int]:
-        return self._index.get(ch, default)
 
     def encode(self, text: str) -> np.ndarray:
         """Index array for ``text``; characters outside the vocabulary map
@@ -176,7 +170,7 @@ class CharVocabulary:
 
     def to_path(self, path) -> None:
         """Write one ``U+XXXX`` code point per line after a count header."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"# histtag vocab v1: {len(self)} characters\n")
             for cp in self.codepoints():
                 fh.write(f"U+{cp:04X}\n")
@@ -219,10 +213,6 @@ class PlainCorpus:
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "PlainCorpus":
         return cls(lines=list(lines))
-
-    @classmethod
-    def from_text(cls, text: str) -> "PlainCorpus":
-        return cls(lines=text.splitlines())
 
     @classmethod
     def from_path(cls, path, buffer_size: int = DEFAULT_BUFFER_SIZE) -> "PlainCorpus":
@@ -511,7 +501,7 @@ def read_conll(path, token_column: int, tag_column: int,
 
 def write_conll(corpus: TaggedCorpus, path) -> None:
     """Write ``token gold_tag`` lines, single-space separated, LF endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for sentence in corpus:
             for tok in sentence:
                 if tok.gold_tag is None:

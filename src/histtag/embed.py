@@ -7,6 +7,12 @@ grad)``, and ``named_layers`` naming its trainable layers (empty for
 frozen components).  A StackedEmbedder concatenates component blocks in a
 fixed order, so gradients route column-wise back to whichever component
 owns them, and prefixes component i's layer names with ``component{i}.``.
+
+This module is the one place that knows each component kind: its
+``kind`` name, the run-config keys naming the files it reads (``files``)
+and its other run-config keys (``options``), how ``build`` constructs it
+from a run-config entry, and the model-file meta entry that ``spec``
+writes and ``from_spec`` reads back.
 """
 
 import logging
@@ -14,10 +20,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .charlm import CharLm, lm_forward
+from .charlm import CharLm, lm_forward, load_lm
 from .corpus import CharVocabulary, Sentence, sentence_text, token_char_ranges
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ModelFormatError, ParseError
 from .nn import Embedding, Lstm, Module
+from .serialization import file_sha256
 
 logger = logging.getLogger(__name__)
 
@@ -107,10 +114,32 @@ class WordTableEmbedder(Module):
     can reference it instead of embedding megabytes of static vectors.
     """
 
+    kind = "word_table"
+    files = ("path",)
+    options = ()
+
     def __init__(self, table: WordEmbeddingTable, source_path=None):
         self.table = table
         self.dim = table.dim
         self.source_path = source_path
+
+    @classmethod
+    def build(cls, entry: dict, vocab, rng) -> "WordTableEmbedder":
+        return cls(load_vectors(entry["path"]), source_path=entry["path"])
+
+    @classmethod
+    def from_spec(cls, spec: dict, rng) -> "WordTableEmbedder":
+        path = str(spec["path"])
+        _verify_hash(path, spec["sha256"], "word-vector file")
+        return cls.build({"path": path}, None, rng)
+
+    def spec(self) -> dict:
+        if self.source_path is None:
+            raise ConfigError(
+                "word-table component has no source path; load it via "
+                "load_vectors(path) before saving the model")
+        return {"kind": self.kind, "path": str(self.source_path),
+                "sha256": file_sha256(self.source_path)}
 
     def forward(self, sentence: Sentence):
         out = np.stack([self.table.lookup(tok.text) for tok in sentence])
@@ -129,6 +158,10 @@ class CharFeatureEncoder(Module):
     one each token's characters reversed, both padded at the end.
     """
 
+    kind = "char_features"
+    files = ()
+    options = ("embed_dim", "hidden")
+
     def __init__(self, vocab: CharVocabulary, rng: np.random.Generator,
                  embed_dim: int = CHAR_EMBED_DIM, hidden: int = CHAR_HIDDEN):
         self.vocab = vocab
@@ -140,6 +173,20 @@ class CharFeatureEncoder(Module):
         self.bwd = Lstm(embed_dim, hidden, rng)
         self.named_layers = (("embedding", self.embedding), ("fwd", self.fwd),
                              ("bwd", self.bwd))
+
+    @classmethod
+    def build(cls, entry: dict, vocab: CharVocabulary,
+              rng: np.random.Generator) -> "CharFeatureEncoder":
+        """Dims the entry leaves out take the constructor's defaults."""
+        return cls(vocab, rng, **{k: int(entry[k]) for k in cls.options if k in entry})
+
+    @classmethod
+    def from_spec(cls, spec: dict, rng: np.random.Generator) -> "CharFeatureEncoder":
+        return cls.build(spec, CharVocabulary.from_codepoints(spec["vocab"]), rng)
+
+    def spec(self) -> dict:
+        return {"kind": self.kind, "vocab": self.vocab.codepoints(),
+                "embed_dim": self.embed_dim, "hidden": self.hidden}
 
     def forward(self, sentence: Sentence):
         codes = [self.vocab.encode(token.text) for token in sentence]
@@ -175,6 +222,10 @@ class ContextualEmbedder(Module):
     reversed text) at the token's first character.
     """
 
+    kind = "contextual"
+    files = ("forward", "backward")
+    options = ()
+
     def __init__(self, fwd: CharLm, bwd: CharLm,
                  forward_path=None, backward_path=None):
         if fwd.direction != "forward" or bwd.direction != "backward":
@@ -186,6 +237,29 @@ class ContextualEmbedder(Module):
         self.dim = fwd.config.hidden_size + bwd.config.hidden_size
         self.forward_path = forward_path
         self.backward_path = backward_path
+
+    @classmethod
+    def build(cls, entry: dict, vocab, rng) -> "ContextualEmbedder":
+        return cls(load_lm(entry["forward"]), load_lm(entry["backward"]),
+                   forward_path=entry["forward"], backward_path=entry["backward"])
+
+    @classmethod
+    def from_spec(cls, spec: dict, rng) -> "ContextualEmbedder":
+        paths = {d: str(spec[f"{d}_path"]) for d in cls.files}
+        for d, path in paths.items():
+            _verify_hash(path, spec[f"{d}_sha256"], f"{d} LM file")
+        return cls.build(paths, None, rng)
+
+    def spec(self) -> dict:
+        if self.forward_path is None or self.backward_path is None:
+            raise ConfigError(
+                "contextual component has no LM file paths; attach them at "
+                "construction before saving the model")
+        return {"kind": self.kind,
+                "forward_path": str(self.forward_path),
+                "forward_sha256": file_sha256(self.forward_path),
+                "backward_path": str(self.backward_path),
+                "backward_sha256": file_sha256(self.backward_path)}
 
     def forward(self, sentence: Sentence):
         return contextual_embed(self.fwd, self.bwd, sentence), None
@@ -231,3 +305,41 @@ class StackedEmbedder(Module):
         for c, cache in zip(self.components, caches):
             c.backward(cache, grad[:, offset:offset + c.dim])
             offset += c.dim
+
+
+COMPONENT_KINDS = {cls.kind: cls for cls in
+                   (WordTableEmbedder, CharFeatureEncoder, ContextualEmbedder)}
+
+
+def component_class(kind):
+    """The component class that run configs and model files call ``kind``."""
+    if isinstance(kind, str) and kind in COMPONENT_KINDS:
+        return COMPONENT_KINDS[kind]
+    raise ConfigError(f"unknown component kind {kind!r}; expected one of "
+                      f"{', '.join(sorted(COMPONENT_KINDS))}")
+
+
+def _verify_hash(path, recorded: str, what: str) -> None:
+    actual = file_sha256(path)
+    if actual != recorded:
+        raise ModelFormatError(
+            f"{what} at {path} has sha256 {actual}, model records {recorded}")
+
+
+def embedder_factory(entries: Sequence[dict], vocab: CharVocabulary):
+    """A function ``rng → StackedEmbedder`` over run-config ``entries``.
+
+    The components that read files (word vectors, LMs) are frozen: they
+    hold no parameters, so they are built here, once, and every stack
+    shares them.  Each call initializes the trainable components afresh
+    from ``rng``, in stack order.
+    """
+    classes = [component_class(entry["kind"]) for entry in entries]
+    frozen = {i: cls.build(entry, vocab, None)
+              for i, (cls, entry) in enumerate(zip(classes, entries)) if cls.files}
+
+    def build(rng: np.random.Generator) -> StackedEmbedder:
+        return StackedEmbedder([
+            frozen[i] if i in frozen else cls.build(entry, vocab, rng)
+            for i, (cls, entry) in enumerate(zip(classes, entries))])
+    return build

@@ -58,6 +58,19 @@ class ModelFormatError(HisttagError):
     """A model file is truncated, version-incompatible, or inconsistent."""
 
 
+class NonFiniteGradientError(HisttagError):
+    """Training met a gradient whose norm is NaN or infinite.
+
+    ``epoch`` and ``step`` (both 1-based, the step counted within its epoch)
+    locate the update that was refused.
+    """
+
+    def __init__(self, what, epoch, step):
+        self.epoch = epoch
+        self.step = step
+        super().__init__(f"{what}: non-finite gradient norm at epoch {epoch}, step {step}")
+
+
 class StructureMismatchError(HisttagError):
     """Two corpora that must align sentence-by-sentence do not.
 

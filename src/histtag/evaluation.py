@@ -19,6 +19,7 @@ from .corpus import (
     extract_spans,
 )
 from .errors import StructureMismatchError
+from .serialization import atomic_open
 
 logger = logging.getLogger(__name__)
 
@@ -138,7 +139,7 @@ def write_conll_predictions(gold: TaggedCorpus, pred: TaggedCorpus, path) -> Non
     This is the column layout the official CoNLL-2003 scorer consumes.
     """
     _check_alignment(gold, pred)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for gs, ps in zip(gold, pred):
             gold_tags = convert_tags(gs.gold_tags(), gold.scheme, TagScheme.IOB2)
             pred_tags = convert_tags(_prediction_tags(ps), pred.scheme, TagScheme.IOB2)

@@ -23,7 +23,10 @@ byte-identical.
 import hashlib
 import json
 import math
+import os
+import secrets
 import struct
+from contextlib import contextmanager
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -43,6 +46,28 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a new file beside ``path`` for writing; when the block completes
+    it replaces ``path`` in one ``os.replace``, so readers see the old file
+    or the whole new one.  On any error the new file is removed and
+    ``path`` stays as it was.  The file is created like ``open`` creates
+    one (mode 0o666 less the umask).  There is no fsync: after a crash of
+    the machine the new content may still be lost.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(6)}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
+    try:
+        with os.fdopen(fd, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_tensors(path, meta: Mapping, tensors: Sequence[tuple[str, np.ndarray]]) -> None:
     """Write a container file with the given metadata and named tensors."""
     manifest = []
@@ -50,7 +75,7 @@ def save_tensors(path, meta: Mapping, tensors: Sequence[tuple[str, np.ndarray]])
         manifest.append([name, list(array.shape)])
     header = json.dumps({"meta": dict(meta), "tensors": manifest},
                         ensure_ascii=False, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(_HEAD.pack(FORMAT_VERSION, len(header)))
         fh.write(header)

@@ -50,16 +50,20 @@ class SmlmConfig:
 
     ``p_keep`` is the probability of leaving a character unchanged.  The
     remaining probability mass splits into masking (``p_mask_given_change``)
-    and uniform replacement (``p_replace_given_change``).
+    and uniform replacement (``p_replace_given_change``).  Numeric fields
+    are stored as float and int, so a run config's ``p_keep: 1`` reads 1.0.
     """
 
     mask_char: str
-    seed: int
+    seed: int = 0
     p_keep: float = 0.90
     p_mask_given_change: float = 0.20
     p_replace_given_change: float = 0.80
 
     def __post_init__(self):
+        for name in ("p_keep", "p_mask_given_change", "p_replace_given_change"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "seed", int(self.seed))
         if not 0.0 <= self.p_keep <= 1.0:
             raise ConfigError(f"p_keep must lie in [0, 1], got {self.p_keep}")
         if self.p_mask_given_change < 0 or self.p_replace_given_change < 0:

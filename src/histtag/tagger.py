@@ -10,25 +10,25 @@ improvement.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .charlm import load_lm
-from .corpus import CharVocabulary, Sentence, TaggedCorpus, TagScheme, Token
+from .corpus import Sentence, TaggedCorpus, TagScheme, Token
 from .crf import CrfLayer, crf_nll_with_grads, viterbi_decode
-from .embed import (
-    CharFeatureEncoder,
-    ContextualEmbedder,
-    StackedEmbedder,
-    WordTableEmbedder,
-    load_vectors,
+from .embed import StackedEmbedder, component_class
+from .errors import (
+    ConfigError,
+    EmptyCorpusError,
+    ModelFormatError,
+    NonFiniteGradientError,
+    SchemeError,
 )
-from .errors import ConfigError, EmptyCorpusError, ModelFormatError, SchemeError
 from .evaluation import evaluate
 from .nn import Linear, Lstm, Module, clip_grad_norm, sgd_step
-from .serialization import assign_tensors, file_sha256, layer_tensors, load_tensors, save_tensors
+from .serialization import assign_tensors, layer_tensors, load_tensors, save_tensors
 
 logger = logging.getLogger(__name__)
 
@@ -47,6 +47,7 @@ class TaggerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", int(self.seed))
         if self.lstm_hidden < 1 or self.mini_batch < 1 or self.max_epochs < 1:
             raise ConfigError("lstm_hidden, mini_batch and max_epochs must be positive")
         if not 0.0 < self.anneal_factor < 1.0:
@@ -196,7 +197,7 @@ def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
             break
         order = rng.permutation(n)
         loss_sum = 0.0
-        for start in range(0, n, config.mini_batch):
+        for step, start in enumerate(range(0, n, config.mini_batch), start=1):
             batch = order[start:start + config.mini_batch]
             model.zero_grads()
             scale = 1.0 / len(batch)
@@ -206,7 +207,8 @@ def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
                     emissions, model.crf, gold_paths[i], scale=scale)
                 model._backward(cache, d_emissions)
                 loss_sum += nll
-            clip_grad_norm(model.layers, GRAD_CLIP)
+            if not math.isfinite(clip_grad_norm(model.layers, GRAD_CLIP)):
+                raise NonFiniteGradientError("tagger training", epoch, step)
             sgd_step(model.layers, lr)
 
         dev_f1 = float(dev_scorer(model))
@@ -238,34 +240,6 @@ def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
 
 # --- model files -----------------------------------------------------------
 
-def _component_spec(component) -> dict:
-    """Meta entry for one embedder component: kind, dims and vocabulary, or
-    the paths and hashes of the files it references."""
-    if isinstance(component, WordTableEmbedder):
-        if component.source_path is None:
-            raise ConfigError(
-                "word-table component has no source path; load it via "
-                "load_vectors(path) before saving the model")
-        return {"kind": "word_table", "path": str(component.source_path),
-                "sha256": file_sha256(component.source_path)}
-    if isinstance(component, CharFeatureEncoder):
-        return {"kind": "char_features",
-                "vocab": component.vocab.codepoints(),
-                "embed_dim": component.embed_dim,
-                "hidden": component.hidden}
-    if isinstance(component, ContextualEmbedder):
-        if component.forward_path is None or component.backward_path is None:
-            raise ConfigError(
-                "contextual component has no LM file paths; attach them at "
-                "construction before saving the model")
-        return {"kind": "contextual",
-                "forward_path": str(component.forward_path),
-                "forward_sha256": file_sha256(component.forward_path),
-                "backward_path": str(component.backward_path),
-                "backward_sha256": file_sha256(component.backward_path)}
-    raise ConfigError(f"cannot serialize component of type {type(component).__name__}")
-
-
 def save_ner(model: NerModel, path) -> None:
     """Write the model: own tensors inline, LM/vector files by path+hash."""
     meta = {
@@ -273,37 +247,9 @@ def save_ner(model: NerModel, path) -> None:
         "tags": list(model.tags),
         "lstm_hidden": model.config.lstm_hidden,
         "constrained": model.crf.constrained,
-        "components": [_component_spec(c) for c in model.embedder.components],
+        "components": [c.spec() for c in model.embedder.components],
     }
     save_tensors(path, meta, layer_tensors(model.named_layers))
-
-
-def _verify_hash(path, recorded: str, what: str) -> None:
-    actual = file_sha256(path)
-    if actual != recorded:
-        raise ModelFormatError(
-            f"{what} at {path} has sha256 {actual}, model records {recorded}")
-
-
-def _load_component(spec: dict, rng: np.random.Generator):
-    """Rebuild one embedder component from its meta entry; a char-feature
-    encoder gets its tensors afterwards, with the rest of the model."""
-    kind = spec["kind"]
-    if kind == "word_table":
-        path = str(spec["path"])
-        _verify_hash(path, spec["sha256"], "word-vector file")
-        return WordTableEmbedder(load_vectors(path), source_path=path)
-    if kind == "char_features":
-        return CharFeatureEncoder(
-            CharVocabulary.from_codepoints(spec["vocab"]), rng,
-            embed_dim=int(spec["embed_dim"]), hidden=int(spec["hidden"]))
-    if kind == "contextual":
-        fwd_path, bwd_path = str(spec["forward_path"]), str(spec["backward_path"])
-        _verify_hash(fwd_path, spec["forward_sha256"], "forward LM file")
-        _verify_hash(bwd_path, spec["backward_sha256"], "backward LM file")
-        return ContextualEmbedder(load_lm(fwd_path), load_lm(bwd_path),
-                                  forward_path=fwd_path, backward_path=bwd_path)
-    raise ValueError(f"unknown component kind {kind!r}")
 
 
 def load_ner(path) -> NerModel:
@@ -316,7 +262,9 @@ def load_ner(path) -> NerModel:
     try:
         tags = [str(t) for t in meta["tags"]]
         config = TaggerConfig(lstm_hidden=int(meta["lstm_hidden"]))
-        components = [_load_component(spec, rng) for spec in meta["components"]]
+        # a char-feature encoder gets its tensors below, with the rest
+        components = [component_class(spec["kind"]).from_spec(spec, rng)
+                      for spec in meta["components"]]
         model = NerModel.initialize(StackedEmbedder(components), tags, config, rng,
                                     constrained=bool(meta["constrained"]))
     except (KeyError, TypeError, ValueError, OverflowError, ConfigError,

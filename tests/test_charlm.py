@@ -13,7 +13,6 @@ from scipy.special import softmax
 from histtag.charlm import (
     CharLm,
     CharLmConfig,
-    LmState,
     corpus_perplexity,
     lm_forward,
     load_lm,
@@ -22,7 +21,7 @@ from histtag.charlm import (
     train_lm,
 )
 from histtag.corpus import CharVocabulary, PlainCorpus
-from histtag.errors import ConfigError, EmptyCorpusError, ModelFormatError
+from histtag.errors import ConfigError, EmptyCorpusError, ModelFormatError, NonFiniteGradientError
 from histtag.nn import cross_entropy
 from histtag.serialization import layer_tensors, load_tensors, save_tensors
 
@@ -82,7 +81,9 @@ class TestForward:
         logits, state, hidden = lm_forward(model, model.vocab.encode("a"))
         assert logits.shape == (1, 6)
         assert hidden.shape == (1, 8)
-        assert state.hidden.shape == (8,) and state.cell.shape == (8,)
+        h, c = state
+        assert h.shape == (1, 8) and c.shape == (1, 8)
+        np.testing.assert_array_equal(h[0], hidden[-1])
 
     def test_zero_model_uniform(self):
         model = small_model()
@@ -236,6 +237,13 @@ class TestTraining:
         corpus = PlainCorpus.from_lines(["ab" * 2500])
         model, log = train_lm(corpus, tiny_config(), seed=0)
         assert log.epochs[0].test_perplexity < log.initial_test_perplexity
+
+    def test_non_finite_gradient_stops_training(self):
+        # an infinite rate makes the first update non-finite, so the second
+        # window's gradient is NaN
+        corpus = PlainCorpus.from_lines(["abcd" * 500])
+        with pytest.raises(NonFiniteGradientError, match="epoch 1, step 2"):
+            train_lm(corpus, tiny_config(learning_rate=np.inf), seed=0)
 
     def test_zero_learning_rate_freezes_parameters(self):
         corpus = PlainCorpus.from_lines(["abcd" * 500])

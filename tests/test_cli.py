@@ -1,11 +1,15 @@
 import json
+from dataclasses import fields
 
 import pytest
 import yaml
 
+from histtag.charlm import CharLmConfig
 from histtag.cli import load_run_config, main, validate_config
 from histtag.errors import ConfigError
 from histtag.serialization import file_sha256
+from histtag.smlm import SmlmConfig
+from histtag.tagger import TaggerConfig
 from histtag.toydata import write_toy_dataset
 
 
@@ -20,7 +24,28 @@ def write_config(path, body) -> str:
     return str(path)
 
 
+def section_doc(section, body):
+    """A run config holding ``body`` at ``section`` ("lm.backward" nests)."""
+    return {"lm": {"backward": body}} if section == "lm.backward" else {section: body}
+
+
+DATACLASS_FIELDS = (
+    [("lm.backward", f.name) for f in fields(CharLmConfig) if f.name != "direction"]
+    + [("tagger", f.name) for f in fields(TaggerConfig)]
+    + [("smlm", f.name) for f in fields(SmlmConfig)])
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("section,key", DATACLASS_FIELDS)
+    def test_every_dataclass_field_accepted(self, section, key):
+        validate_config(section_doc(section, {key: 1}))
+
+    @pytest.mark.parametrize("section", ["lm.backward", "tagger", "smlm"])
+    def test_non_field_rejected(self, section):
+        # direction is a CharLmConfig field the command sets itself
+        with pytest.raises(ConfigError, match=section):
+            validate_config(section_doc(section, {"direction": "forward"}))
+
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match="unknown key"):
             validate_config({"dataa": {}})
@@ -154,6 +179,23 @@ class TestSmlmCommand:
                          "--output", str(out)]) == 0
         assert via_file.read_bytes() == via_data.read_bytes()
 
+    def test_manifest_records_dataclass_values(self, toy, tmp_path):
+        out = tmp_path / "kept.txt"
+        cfg = write_config(tmp_path / "c.yaml", {
+            "data": {"lm_corpus": str(toy["lm_corpus"])},
+            "vocab": {"path": str(toy["lm_corpus"])},
+            "smlm": {"p_keep": 1, "output": str(out)},
+        })
+        assert main(["smlm", "--config", cfg]) == 0
+        assert out.read_bytes() == toy["lm_corpus"].read_bytes()
+        manifest = json.loads(
+            (tmp_path / "kept.txt.manifest.json").read_text(encoding="utf-8"))
+        smlm = manifest["config"]["smlm"]
+        assert smlm["p_keep"] == 1.0 and isinstance(smlm["p_keep"], float)
+        assert smlm["p_mask_given_change"] == 0.2
+        assert smlm["p_replace_given_change"] == 0.8
+        assert smlm["seed"] == 0 and manifest["seeds"] == {"smlm": 0}
+
     def test_missing_output_is_usage_error(self, toy):
         rc = main(["smlm", "--input", str(toy["lm_corpus"]),
                    "--vocab", str(toy["lm_corpus"])])
@@ -214,6 +256,15 @@ class TestLmCommands:
                      "--input", str(toy["test"]), "--format", "conll",
                      "--output", str(report)]) == 0
         assert report.read_text(encoding="utf-8").startswith("perplexity ")
+
+    def test_diverging_training_is_runtime_error(self, toy, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml", {
+            "lm": {**LM_SECTION, "corpus": str(toy["lm_corpus"]),
+                   "output_dir": str(tmp_path / "lm")},
+        })
+        assert main(["lm", "train", "--config", cfg, "--direction", "forward",
+                     "--learning-rate", "inf"]) == 1
+        assert "non-finite gradient norm at epoch 1" in capsys.readouterr().err
 
     def test_bad_model_file_is_runtime_error(self, toy, tmp_path):
         junk = tmp_path / "junk.bin"
@@ -300,6 +351,35 @@ class TestNerTrain:
             "eval": {"output_dir": str(tmp_path / "o")},
         })
         assert main(["ner", "train", "--config", cfg]) == 2
+
+    def test_all_component_kinds_and_their_files_in_manifest(self, toy, tmp_path):
+        lm_dir = tmp_path / "lm"
+        lm_cfg = write_config(tmp_path / "lm.yaml", {
+            "lm": {**LM_SECTION, "corpus": str(toy["lm_corpus"]),
+                   "output_dir": str(lm_dir)},
+        })
+        assert main(["lm", "train", "--config", lm_cfg]) == 0
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("Wien 0.5 -0.5\nGraz 0.25 1.0\n", encoding="utf-8")
+        out_dir = tmp_path / "ner"
+        cfg = write_config(tmp_path / "ner.yaml", {
+            "data": {"train": str(toy["train"]), "dev": str(toy["dev"])},
+            "embeddings": [
+                {"kind": "word_table", "path": str(vectors)},
+                {"kind": "char_features", "embed_dim": 4, "hidden": 4},
+                {"kind": "contextual", "forward": str(lm_dir / "forward.bin"),
+                 "backward": str(lm_dir / "backward.bin")}],
+            "tagger": {"lstm_hidden": 4, "max_epochs": 1, "seed": 3},
+            "eval": {"runs": 2, "output_dir": str(out_dir)},
+        })
+        assert main(["ner", "train", "--config", cfg]) == 0
+        inputs = json.loads((out_dir / "manifest.json").read_text())["inputs"]
+        for name, path in (("embeddings[0].path", vectors),
+                           ("embeddings[2].forward", lm_dir / "forward.bin"),
+                           ("embeddings[2].backward", lm_dir / "backward.bin")):
+            assert inputs[name] == {"path": str(path), "sha256": file_sha256(path)}
+        for run in ("run0", "run1"):
+            assert (out_dir / run / "model.bin").exists()
 
     def test_embedding_paths_checked_before_training(self, toy, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", {

@@ -11,8 +11,10 @@ from histtag.embed import (
     WordTableEmbedder,
     contextual_embed,
     load_vectors,
+    embedder_factory,
 )
 from histtag.errors import ConfigError, ParseError
+from histtag.serialization import layer_tensors
 
 from conftest import make_sentence
 from oracles import gradient_relative_error, numeric_gradient
@@ -246,6 +248,33 @@ class TestStacked:
         # frozen LM parameters must not move the loss gradient check: their
         # grads stay untouched (no grad slots are even registered here)
         assert ctx.layers == () and word.layers == ()
+
+
+class TestEmbedderFactory:
+    def test_frozen_shared_trainable_fresh_in_stack_order(self, tmp_path):
+        vectors = tmp_path / "vec.txt"
+        vectors.write_text("a 1 2\n", encoding="utf-8")
+        vocab = CharVocabulary("abc")
+        build = embedder_factory([{"kind": "char_features", "hidden": 3},
+                               {"kind": "word_table", "path": str(vectors)},
+                               {"kind": "char_features"}], vocab)
+        first = build(np.random.default_rng([5, 1]))
+        second = build(np.random.default_rng([6, 1]))
+        assert first.components[1] is second.components[1]
+        assert first.components[1].source_path == str(vectors)
+        rng = np.random.default_rng([5, 1])
+        expected = [CharFeatureEncoder(vocab, rng, hidden=3),
+                    CharFeatureEncoder(vocab, rng)]
+        for built, reference in zip(first.components[::2], expected):
+            assert (built.embed_dim, built.hidden) == (reference.embed_dim, reference.hidden)
+            for (n1, a), (n2, b) in zip(layer_tensors(built.named_layers),
+                                        layer_tensors(reference.named_layers), strict=True):
+                assert n1 == n2
+                np.testing.assert_array_equal(a, b)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ConfigError, match="unknown component kind 'glove'"):
+            embedder_factory([{"kind": "glove"}], CharVocabulary("a"))
 
 
 class TestWordTable:

@@ -1,10 +1,19 @@
+import os
+
 import numpy as np
 import pytest
 
+from histtag.corpus import write_conll
 from histtag.errors import ModelFormatError
-from histtag.serialization import FORMAT_VERSION, MAGIC, load_tensors, save_tensors
+from histtag.serialization import (
+    FORMAT_VERSION,
+    MAGIC,
+    atomic_open,
+    load_tensors,
+    save_tensors,
+)
 
-from conftest import raw_container
+from conftest import make_corpus, raw_container
 
 
 def sample_tensors(rng):
@@ -107,3 +116,37 @@ class TestCorruption:
         path.write_bytes(raw_container(header, payload=bytes(4 * floats)))
         with pytest.raises(ModelFormatError, match=message):
             load_tensors(path)
+
+
+def _fail_in_atomic_open(path):
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write("half of the new content")
+        raise RuntimeError("writer failed")
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("write", [
+        _fail_in_atomic_open,
+        # the second tensor cannot be converted after the header is written
+        lambda path: save_tensors(path, {}, [("a", np.ones(2)), ("b", np.array(["x"]))]),
+        # the second sentence has a token without a gold tag
+        lambda path: write_conll(
+            make_corpus([[("Anna", "S-PER")], [("Wien", None)]]), path),
+    ], ids=["atomic_open", "save_tensors", "write_conll"])
+    def test_failed_write_keeps_old_file(self, tmp_path, write):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"old content")
+        with pytest.raises((RuntimeError, ValueError)):
+            write(path)
+        assert path.read_bytes() == b"old content"
+        assert os.listdir(tmp_path) == ["artifact"]
+
+    def test_replaces_and_creates_with_open_mode(self, tmp_path):
+        path, plain = tmp_path / "new.bin", tmp_path / "plain.bin"
+        with open(plain, "wb"):
+            pass
+        save_tensors(path, {"k": 1}, [])
+        save_tensors(path, {"k": 2}, [])
+        assert load_tensors(path)[0] == {"k": 2}
+        assert os.stat(path).st_mode == os.stat(plain).st_mode
+        assert sorted(os.listdir(tmp_path)) == ["new.bin", "plain.bin"]

@@ -11,7 +11,7 @@ from histtag.embed import (
     WordTableEmbedder,
     load_vectors,
 )
-from histtag.errors import ConfigError, EmptyCorpusError, ModelFormatError
+from histtag.errors import ConfigError, EmptyCorpusError, ModelFormatError, NonFiniteGradientError
 from histtag.evaluation import evaluate
 from histtag.serialization import load_tensors, save_tensors
 from histtag.tagger import (
@@ -164,6 +164,14 @@ class TestTraining:
         report = evaluate(corpus, predict(model, corpus))
         assert report.f1 == 1.0
         assert log.best_dev_f1 == 1.0
+
+    def test_non_finite_gradient_stops_training(self):
+        corpus = toy_corpus()
+        table = WordEmbeddingTable(2, {"Graz": np.array([np.nan, 0.0])})
+        embedder = StackedEmbedder([WordTableEmbedder(table)])
+        # one mini-batch holds every sentence, "Graz" among them
+        with pytest.raises(NonFiniteGradientError, match="epoch 1, step 1"):
+            train_ner(corpus, corpus, small_config(mini_batch=8), embedder)
 
     def test_annealing_schedule_with_flat_scores(self):
         corpus = toy_corpus()
