@@ -39,7 +39,6 @@ from .charlm import CharLmConfig, corpus_perplexity, load_lm, save_lm, train_lm
 from .corpus import (
     CharVocabulary,
     TagScheme,
-    convert_scheme,
     extract_char_vocab,
     read_conll,
     read_plain,
@@ -244,11 +243,13 @@ def write_manifest(path, command: str, config: dict, seeds: dict,
 
 
 def _load_vocab_source(path) -> CharVocabulary:
-    """Accept either a vocab file or a plain-text dataset to extract from."""
+    """Accept either a vocab file, known by the header line that
+    ``CharVocabulary.to_path`` writes, or a plain-text dataset to extract
+    from."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
-    if first.startswith("# histtag vocab") or first.startswith("U+"):
+    if first.startswith("# histtag vocab"):
         return CharVocabulary.from_path(path)
     return extract_char_vocab(read_plain(path))
 
@@ -423,15 +424,6 @@ def cmd_lm_ppl(args) -> int:
 # ner train / ner predict
 
 
-def _log_to_dict(log) -> dict:
-    return {
-        "status": log.status,
-        "best_epoch": log.best_epoch,
-        "best_dev_f1": log.best_dev_f1,
-        "records": [asdict(r) for r in log.records],
-    }
-
-
 def cmd_ner_train(args) -> int:
     config = load_run_config(args.config)
     data = config.get("data", {})
@@ -465,17 +457,11 @@ def cmd_ner_train(args) -> int:
         max_epochs=args.max_epochs, learning_rate=args.learning_rate)
     base_seed = base_config.seed
 
-    train = convert_scheme(
-        read_conll(train_path, token_column, tag_column, scheme, split="train"),
-        TagScheme.IOBES)
-    dev = convert_scheme(
-        read_conll(dev_path, token_column, tag_column, scheme, split="dev"),
-        TagScheme.IOBES)
+    train = read_conll(train_path, token_column, tag_column, scheme, split="train")
+    dev = read_conll(dev_path, token_column, tag_column, scheme, split="dev")
     test = None
     if test_path is not None:
-        test = convert_scheme(
-            read_conll(test_path, token_column, tag_column, scheme, split="test"),
-            TagScheme.IOBES)
+        test = read_conll(test_path, token_column, tag_column, scheme, split="test")
 
     if vocab_path is not None:
         vocab = CharVocabulary.from_path(vocab_path)
@@ -508,7 +494,7 @@ def cmd_ner_train(args) -> int:
         report_json = run_dir / "report.json"
         _write_json(report_json, {"evaluated_on": eval_name, **report.to_dict()})
         log_path = run_dir / "training_log.json"
-        _write_json(log_path, _log_to_dict(log))
+        _write_json(log_path, asdict(log))
         for name, p in (("model.bin", model_path),
                         ("predictions.conll", predictions_path),
                         ("report.txt", report_txt),
@@ -548,9 +534,7 @@ def cmd_ner_predict(args) -> int:
     output = Path(_require(args.output, "--output"))
     token_column, tag_column, scheme = _columns(args, {})
 
-    corpus = convert_scheme(
-        read_conll(input_path, token_column, tag_column, scheme, split="test"),
-        TagScheme.IOBES)
+    corpus = read_conll(input_path, token_column, tag_column, scheme, split="test")
     predicted = predict(model, corpus)
     output.parent.mkdir(parents=True, exist_ok=True)
     write_conll_predictions(corpus, predicted, output)

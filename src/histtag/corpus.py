@@ -25,7 +25,7 @@ SPLITS = ("train", "dev", "test")
 
 DOCSTART = "-DOCSTART-"
 
-DEFAULT_BUFFER_SIZE = 64 * 1024
+BUFFER_SIZE = 64 * 1024  # bytes read from a plain-text file at a time
 
 
 class TagScheme(Enum):
@@ -202,29 +202,27 @@ class PlainCorpus:
     can be consumed without loading them whole.
     """
 
-    def __init__(self, lines: Optional[list[str]] = None, path=None,
-                 buffer_size: int = DEFAULT_BUFFER_SIZE):
+    def __init__(self, lines: Optional[list[str]] = None, path=None):
         if (lines is None) == (path is None):
             raise ValueError("exactly one of lines/path must be given")
         self._lines = lines
         self._path = path
-        self._buffer_size = buffer_size
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "PlainCorpus":
         return cls(lines=list(lines))
 
     @classmethod
-    def from_path(cls, path, buffer_size: int = DEFAULT_BUFFER_SIZE) -> "PlainCorpus":
-        return cls(path=path, buffer_size=buffer_size)
+    def from_path(cls, path) -> "PlainCorpus":
+        return cls(path=path)
 
     def __iter__(self) -> Iterator[str]:
         if self._lines is not None:
             return iter(self._lines)
-        return _stream_lines(self._path, self._buffer_size)
+        return _stream_lines(self._path)
 
 
-def _stream_lines(path, buffer_size: int) -> Iterator[str]:
+def _stream_lines(path) -> Iterator[str]:
     """Yield lines from a UTF-8 file, decoding incrementally.
 
     Lines are separated by LF; a CR preceding the LF (or at end of file) is
@@ -235,7 +233,7 @@ def _stream_lines(path, buffer_size: int) -> Iterator[str]:
     fed = 0  # bytes handed to the decoder in previous chunks
     with open(path, "rb") as fh:
         while True:
-            chunk = fh.read(buffer_size)
+            chunk = fh.read(BUFFER_SIZE)
             buffered = len(decoder.getstate()[0])
             try:
                 text = decoder.decode(chunk, final=not chunk)
@@ -255,12 +253,12 @@ def _stream_lines(path, buffer_size: int) -> Iterator[str]:
         yield carry[:-1] if carry.endswith("\r") else carry
 
 
-def read_plain(path, buffer_size: int = DEFAULT_BUFFER_SIZE) -> PlainCorpus:
+def read_plain(path) -> PlainCorpus:
     """Open a plain-text corpus for streaming, one line at a time."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
-    return PlainCorpus.from_path(path, buffer_size=buffer_size)
+    return PlainCorpus.from_path(path)
 
 
 # ---------------------------------------------------------------------------
@@ -370,34 +368,9 @@ def render_tags(spans: Sequence[EntitySpan], length: int,
 
 def convert_tags(tags: Sequence[str], source: TagScheme,
                  target: TagScheme) -> list[str]:
-    """Rewrite one tag sequence between schemes. The span set is unchanged."""
-    extract_spans(tags, source)  # validate
-    if source is target:
-        return list(tags)
-    if source is TagScheme.IOBES:  # -> IOB2: E becomes I, S becomes B
-        out = []
-        for tag in tags:
-            if tag.startswith("E-"):
-                out.append("I-" + tag[2:])
-            elif tag.startswith("S-"):
-                out.append("B-" + tag[2:])
-            else:
-                out.append(tag)
-        return out
-    # IOB2 -> IOBES: a span's last tag becomes E, single-token spans become S
-    out = []
-    n = len(tags)
-    for i, tag in enumerate(tags):
-        nxt = tags[i + 1] if i + 1 < n else "O"
-        if tag.startswith("B-"):
-            label = tag[2:]
-            out.append(tag if nxt == "I-" + label else "S-" + label)
-        elif tag.startswith("I-"):
-            label = tag[2:]
-            out.append(tag if nxt == "I-" + label else "E-" + label)
-        else:
-            out.append(tag)
-    return out
+    """Rewrite one tag sequence between schemes: its spans under ``source``,
+    rendered in ``target``. Ill-formed input raises SchemeError."""
+    return render_tags(extract_spans(tags, source), len(tags), target)
 
 
 def convert_scheme(corpus: TaggedCorpus, target: TagScheme) -> TaggedCorpus:
@@ -446,10 +419,10 @@ def read_conll(path, token_column: int, tag_column: int,
     """Read a CoNLL column file into a validated TaggedCorpus.
 
     Columns are separated by runs of spaces or tabs; a blank line ends a
-    sentence; ``-DOCSTART-`` lines are skipped. Every tag must be well-formed
-    under ``scheme``, both in shape and in sequence, otherwise a ParseError
-    names the offending line. An input without any sentence raises
-    EmptyCorpusError.
+    sentence; ``-DOCSTART-`` lines are skipped. Each sentence's tags must be
+    well-formed under ``scheme``, both in shape and in sequence, otherwise a
+    ParseError names the sentence's first offending line. An input without
+    any sentence raises EmptyCorpusError.
     """
     path = Path(path)
     sentences: list[Sentence] = []
@@ -487,10 +460,6 @@ def read_conll(path, token_column: int, tag_column: int,
                     f"line has {len(fields)} columns, need token column "
                     f"{token_column} and tag column {tag_column}",
                     path=str(path), line=lineno) from None
-            try:
-                split_tag(tag, scheme)
-            except SchemeError as exc:
-                raise ParseError(str(exc), path=str(path), line=lineno) from None
             tokens.append(Token(text, gold_tag=tag))
             token_lines.append(lineno)
     flush()

@@ -3,6 +3,8 @@
 Token embeddings from a StackedEmbedder feed a bidirectional LSTM; a
 linear layer projects the concatenated directional states to per-tag
 emission scores, and a linear-chain CRF scores complete tag sequences.
+The model works in IOBES; this module alone converts corpora to it and
+predictions back to the scheme of the corpus they were made for.
 Training is SGD over shuffled mini-batches minimizing the mean sentence
 NLL, with the gradient norm clipped at 5.0, dev-F1 model selection, and
 learning-rate halving after `patience` consecutive epochs without a dev
@@ -16,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .corpus import Sentence, TaggedCorpus, TagScheme, Token
+from .corpus import Sentence, TaggedCorpus, TagScheme, Token, convert_scheme, convert_tags
 from .crf import CrfLayer, crf_nll_with_grads, viterbi_decode
 from .embed import StackedEmbedder, component_class
 from .errors import (
@@ -103,16 +105,19 @@ class NerModel(Module):
 
 
 def predict(model: NerModel, corpus: TaggedCorpus) -> TaggedCorpus:
-    """Viterbi-decode every sentence; fills predicted_tag, keeps gold."""
+    """Viterbi-decode every sentence in IOBES; returns a corpus of the
+    input's scheme with gold tags kept and predicted tags filled in."""
     sentences = []
     for sentence in corpus:
         emissions, _ = model._emissions(sentence)
         path, _ = viterbi_decode(emissions, model.crf)
+        predicted = convert_tags([model.tags[i] for i in path],
+                                 TagScheme.IOBES, corpus.scheme)
         tokens = tuple(
-            Token(tok.text, gold_tag=tok.gold_tag, predicted_tag=model.tags[i])
-            for tok, i in zip(sentence, path))
+            Token(tok.text, gold_tag=tok.gold_tag, predicted_tag=tag)
+            for tok, tag in zip(sentence, predicted))
         sentences.append(Sentence(tokens))
-    return TaggedCorpus(tuple(sentences), scheme=TagScheme.IOBES,
+    return TaggedCorpus(tuple(sentences), scheme=corpus.scheme,
                         split=corpus.split)
 
 
@@ -155,19 +160,20 @@ def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
               constrained: bool = True) -> tuple[NerModel, NerTrainLog]:
     """Train a tagger; returns the parameters from the best-dev epoch.
 
-    ``dev_scorer`` defaults to micro span F1 of the model's predictions on
-    the dev corpus.  A non-improving streak of `patience` epochs multiplies
-    the learning rate by `anneal_factor` (streak counter resets after each
-    cut); training stops at max_epochs, or earlier with status "converged"
-    once the rate falls below min_learning_rate.
+    Both corpora may use either tag scheme; they are converted to IOBES,
+    the scheme of the model's tag set.  ``dev_scorer`` defaults to micro
+    span F1 of the model's predictions on the dev corpus.  A non-improving
+    streak of `patience` epochs multiplies the learning rate by
+    `anneal_factor` (streak counter resets after each cut); training stops
+    at max_epochs, or earlier with status "converged" once the rate falls
+    below min_learning_rate.
     """
     if len(train) == 0:
         raise EmptyCorpusError("training corpus is empty")
     if len(dev) == 0:
         raise EmptyCorpusError("dev corpus is empty")
-    for name, corpus in (("train", train), ("dev", dev)):
-        if corpus.scheme is not TagScheme.IOBES:
-            raise ConfigError(f"{name} corpus must use the IOBES scheme")
+    train = convert_scheme(train, TagScheme.IOBES)
+    dev = convert_scheme(dev, TagScheme.IOBES)
 
     tags = _tagset_from(train)
     rng = np.random.default_rng(config.seed)

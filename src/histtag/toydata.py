@@ -25,6 +25,7 @@ from .corpus import (
     render_tags,
     write_conll,
 )
+from .serialization import atomic_open
 
 # entity fillers; multi-token entries exercise B-/I- (and E- after
 # conversion) tags
@@ -121,7 +122,7 @@ def write_toy_dataset(out_dir, seed: int = 0) -> dict[str, Path]:
         paths[name] = out / f"{name}.conll"
         write_conll(corpus, paths[name])
     paths["lm_corpus"] = out / "lm_corpus.txt"
-    with open(paths["lm_corpus"], "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(paths["lm_corpus"], "w", encoding="utf-8", newline="\n") as fh:
         for line in build_plain_corpus(seed):
             fh.write(line + "\n")
     return paths

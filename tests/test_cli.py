@@ -179,6 +179,20 @@ class TestSmlmCommand:
                          "--output", str(out)]) == 0
         assert via_file.read_bytes() == via_data.read_bytes()
 
+    def test_corpus_starting_with_code_point_text_is_a_corpus(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("U+00E4 heisst ae\nWien liegt an der Donau\n",
+                          encoding="utf-8")
+        vocab_file = tmp_path / "vocab.txt"
+        assert main(["vocab", "--plain", str(corpus),
+                     "--output", str(vocab_file)]) == 0
+        via_file, via_data = tmp_path / "via_file.txt", tmp_path / "via_data.txt"
+        for vocab_arg, out in ((vocab_file, via_file), (corpus, via_data)):
+            assert main(["smlm", "--input", str(corpus),
+                         "--vocab", str(vocab_arg), "--seed", "1",
+                         "--output", str(out)]) == 0
+        assert via_file.read_bytes() == via_data.read_bytes()
+
     def test_manifest_records_dataclass_values(self, toy, tmp_path):
         out = tmp_path / "kept.txt"
         cfg = write_config(tmp_path / "c.yaml", {

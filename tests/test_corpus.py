@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from histtag import corpus as corpus_module
 from histtag.corpus import (
     CharVocabulary,
     PlainCorpus,
@@ -208,6 +209,13 @@ class TestReadConll:
             read_conll(path, 0, 1, TagScheme.IOB2)
         assert exc.value.line == 2
 
+    def test_first_bad_line_of_a_sentence_reported(self, write_text):
+        # line 2 continues no span; line 4 has a tag of no scheme
+        path = write_text("c2.conll", "Ein O\nHaus I-LOC\nin O\nWien X-LOC\n")
+        with pytest.raises(ParseError) as exc:
+            read_conll(path, 0, 1, TagScheme.IOB2)
+        assert exc.value.line == 2
+
     def test_empty_file(self, write_text):
         path = write_text("d.conll", "")
         with pytest.raises(EmptyCorpusError):
@@ -335,12 +343,13 @@ class TestPlainCorpus:
             list(read_plain(path))
         assert exc.value.byte_offset == 3
 
-    def test_decode_error_across_chunks(self, write_text):
+    def test_decode_error_across_chunks(self, write_text, monkeypatch):
         # bad byte placed right after a small buffer boundary
+        monkeypatch.setattr(corpus_module, "BUFFER_SIZE", 8)
         payload = b"a" * 10 + "ö".encode("utf-8") + b"\xc3\x28" + b"rest"
         path = write_text("v.txt", payload, binary=True)
         with pytest.raises(DecodeError) as exc:
-            list(read_plain(path, buffer_size=8))
+            list(read_plain(path))
         assert exc.value.byte_offset == 12
 
     def test_missing_file(self, tmp_path):
@@ -355,7 +364,7 @@ class TestPlainCorpus:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             for _ in range(100):
                 fh.write(block)
-        corpus = read_plain(path, buffer_size=64 * 1024)
+        corpus = read_plain(path)
         tracemalloc.start()
         n = 0
         for line in corpus:

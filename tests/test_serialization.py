@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from histtag import toydata
 from histtag.corpus import write_conll
 from histtag.errors import ModelFormatError
 from histtag.serialization import (
@@ -140,6 +141,20 @@ class TestAtomicWrites:
             write(path)
         assert path.read_bytes() == b"old content"
         assert os.listdir(tmp_path) == ["artifact"]
+
+    def test_failed_toy_lm_corpus_keeps_old_file(self, tmp_path, monkeypatch):
+        def interrupted(seed):
+            yield "Anna besucht Wien"
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(toydata, "build_plain_corpus", interrupted)
+        path = tmp_path / "lm_corpus.txt"
+        path.write_bytes(b"old content")
+        with pytest.raises(RuntimeError):
+            toydata.write_toy_dataset(tmp_path)
+        assert path.read_bytes() == b"old content"
+        assert sorted(os.listdir(tmp_path)) == [
+            "dev.conll", "lm_corpus.txt", "test.conll", "train.conll"]
 
     def test_replaces_and_creates_with_open_mode(self, tmp_path):
         path, plain = tmp_path / "new.bin", tmp_path / "plain.bin"

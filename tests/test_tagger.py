@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from histtag.charlm import CharLm, CharLmConfig, save_lm
-from histtag.corpus import CharVocabulary, TaggedCorpus, TagScheme, extract_char_vocab, extract_spans
+from histtag.corpus import (
+    CharVocabulary,
+    TaggedCorpus,
+    TagScheme,
+    convert_scheme,
+    extract_char_vocab,
+    extract_spans,
+)
 from histtag.embed import (
     CharFeatureEncoder,
     ContextualEmbedder,
@@ -13,7 +20,7 @@ from histtag.embed import (
 )
 from histtag.errors import ConfigError, EmptyCorpusError, ModelFormatError, NonFiniteGradientError
 from histtag.evaluation import evaluate
-from histtag.serialization import load_tensors, save_tensors
+from histtag.serialization import layer_tensors, load_tensors, save_tensors
 from histtag.tagger import (
     NerModel,
     TaggerConfig,
@@ -151,6 +158,19 @@ class TestPredict:
             for sentence in predict(model, corpus):
                 extract_spans(sentence.predicted_tags(), TagScheme.IOBES)
 
+    def test_iob2_corpus_predicted_in_iob2(self):
+        corpus = toy_corpus()
+        iob2 = convert_scheme(corpus, TagScheme.IOB2)
+        for seed in range(5):
+            model = fresh_model(corpus, seed=seed)
+            out = predict(model, iob2)
+            assert out.scheme is TagScheme.IOB2
+            for orig, tagged, iobes in zip(iob2, out, predict(model, corpus)):
+                assert tagged.gold_tags() == orig.gold_tags()
+                extract_spans(tagged.gold_tags(), TagScheme.IOB2)
+                assert (extract_spans(tagged.predicted_tags(), TagScheme.IOB2)
+                        == extract_spans(iobes.predicted_tags(), TagScheme.IOBES))
+
 
 class TestTraining:
     def test_overfits_toy_corpus(self):
@@ -245,10 +265,19 @@ class TestTraining:
         with pytest.raises(EmptyCorpusError):
             train_ner(corpus, empty, small_config(), char_only_embedder(corpus))
 
-    def test_iob2_corpus_rejected(self):
-        iob2 = make_corpus([[("a", "B-PER")]], scheme=TagScheme.IOB2)
-        with pytest.raises(ConfigError):
-            train_ner(iob2, iob2, small_config(), char_only_embedder(iob2))
+    def test_iob2_corpora_train_as_their_iobes_conversion(self):
+        iobes = toy_corpus()
+        iob2 = convert_scheme(iobes, TagScheme.IOB2)
+        cfg = small_config(max_epochs=3, seed=7)
+        m1, log1 = train_ner(iob2, iob2, cfg, char_only_embedder(iob2, seed=7))
+        m2, log2 = train_ner(iobes, iobes, cfg, char_only_embedder(iobes, seed=7))
+        assert m1.tags == m2.tags
+        assert any(t.startswith(("E-", "S-")) for t in m1.tags)
+        assert log1 == log2
+        t1, t2 = layer_tensors(m1.named_layers), layer_tensors(m2.named_layers)
+        assert [n for n, _ in t1] == [n for n, _ in t2]
+        for (name, a), (_, b) in zip(t1, t2):
+            np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 def full_embedder(tmp_path, corpus):
