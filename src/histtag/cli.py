@@ -22,6 +22,7 @@ level (default WARNING).
 """
 
 import argparse
+import itertools
 import json
 import logging
 import os
@@ -467,8 +468,10 @@ def cmd_ner_train(args) -> int:
         vocab = CharVocabulary.from_path(vocab_path)
     else:
         vocab = extract_char_vocab(train, dev)
-    build_stack = embedder_factory(components, vocab)
     eval_corpus, eval_name = (test, "test") if test is not None else (dev, "dev")
+    # every run's stack shares the frozen blocks of all three corpora
+    build_stack = embedder_factory(components, vocab,
+                                   itertools.chain(train, dev, eval_corpus))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = {}

@@ -1,22 +1,37 @@
 """Per-token embeddings: static word vectors, trainable character
 features, and contextual extractions from pre-trained character LMs.
 
-Components share one small interface: ``dim``, ``forward(sentence)``
-returning a (tokens × dim) block plus a backward cache, ``backward(cache,
-grad)``, and ``named_layers`` naming its trainable layers (empty for
-frozen components).  A StackedEmbedder concatenates component blocks in a
-fixed order, so gradients route column-wise back to whichever component
-owns them, and prefixes component i's layer names with ``component{i}.``.
+Every component has ``dim``, ``forward(sentence)`` and ``named_layers``
+naming its trainable layers.  A frozen component (word table, contextual)
+has none: its ``forward`` returns the (tokens × dim) block alone, a
+function of the sentence's token texts.  A trainable component (char
+features) returns the block plus a cache for its ``backward(cache,
+grad)``.  A StackedEmbedder concatenates component blocks in a fixed
+order, routes each trainable component its gradient columns, and prefixes
+component i's layer names with ``component{i}.``.
+
+Frozen blocks are memoized for training.  ``embedder_factory`` gives each
+frozen component one BlockMemo, shared by every stack it builds, so one
+``ner train`` command computes a sentence's block once for all its epochs,
+dev evaluations and runs.  A memo is keyed by ``tuple(sentence.texts())``
+and holds read-only float64 blocks: 8 · (sum of frozen dims) bytes per
+distinct token, which is 32 KB per token at paper scale (H = 2048 per LM
+direction).  Each memo stores blocks up to MEMO_BYTES (1 GiB); past that
+a miss is computed and not stored.  A stack built without memos, as ``load_ner``
+builds it for ``ner predict``, keeps no block beyond the sentence in hand.
 
 This module is the one place that knows each component kind: its
 ``kind`` name, the run-config keys naming the files it reads (``files``)
 and its other run-config keys (``options``), how ``build`` constructs it
 from a run-config entry, and the model-file meta entry that ``spec``
-writes and ``from_spec`` reads back.
+writes and ``from_spec`` reads back, with the paths of referenced files
+relative to the model file's directory.
 """
 
 import logging
-from typing import Optional, Sequence
+import os
+from itertools import accumulate
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +45,7 @@ logger = logging.getLogger(__name__)
 
 CHAR_EMBED_DIM = 25
 CHAR_HIDDEN = 25
+MEMO_BYTES = 1 << 30
 
 
 class WordEmbeddingTable:
@@ -128,25 +144,21 @@ class WordTableEmbedder(Module):
         return cls(load_vectors(entry["path"]), source_path=entry["path"])
 
     @classmethod
-    def from_spec(cls, spec: dict, rng) -> "WordTableEmbedder":
-        path = str(spec["path"])
+    def from_spec(cls, spec: dict, rng, model_dir) -> "WordTableEmbedder":
+        path = _resolve(spec["path"], model_dir)
         _verify_hash(path, spec["sha256"], "word-vector file")
         return cls.build({"path": path}, None, rng)
 
-    def spec(self) -> dict:
+    def spec(self, model_dir) -> dict:
         if self.source_path is None:
             raise ConfigError(
                 "word-table component has no source path; load it via "
                 "load_vectors(path) before saving the model")
-        return {"kind": self.kind, "path": str(self.source_path),
+        return {"kind": self.kind, "path": os.path.relpath(self.source_path, model_dir),
                 "sha256": file_sha256(self.source_path)}
 
-    def forward(self, sentence: Sentence):
-        out = np.stack([self.table.lookup(tok.text) for tok in sentence])
-        return out, None
-
-    def backward(self, cache, grad: np.ndarray) -> None:
-        pass
+    def forward(self, sentence: Sentence) -> np.ndarray:
+        return np.stack([self.table.lookup(tok.text) for tok in sentence])
 
 
 class CharFeatureEncoder(Module):
@@ -181,10 +193,11 @@ class CharFeatureEncoder(Module):
         return cls(vocab, rng, **{k: int(entry[k]) for k in cls.options if k in entry})
 
     @classmethod
-    def from_spec(cls, spec: dict, rng: np.random.Generator) -> "CharFeatureEncoder":
+    def from_spec(cls, spec: dict, rng: np.random.Generator,
+                  model_dir) -> "CharFeatureEncoder":
         return cls.build(spec, CharVocabulary.from_codepoints(spec["vocab"]), rng)
 
-    def spec(self) -> dict:
+    def spec(self, model_dir) -> dict:
         return {"kind": self.kind, "vocab": self.vocab.codepoints(),
                 "embed_dim": self.embed_dim, "hidden": self.hidden}
 
@@ -244,28 +257,25 @@ class ContextualEmbedder(Module):
                    forward_path=entry["forward"], backward_path=entry["backward"])
 
     @classmethod
-    def from_spec(cls, spec: dict, rng) -> "ContextualEmbedder":
-        paths = {d: str(spec[f"{d}_path"]) for d in cls.files}
+    def from_spec(cls, spec: dict, rng, model_dir) -> "ContextualEmbedder":
+        paths = {d: _resolve(spec[f"{d}_path"], model_dir) for d in cls.files}
         for d, path in paths.items():
             _verify_hash(path, spec[f"{d}_sha256"], f"{d} LM file")
         return cls.build(paths, None, rng)
 
-    def spec(self) -> dict:
+    def spec(self, model_dir) -> dict:
         if self.forward_path is None or self.backward_path is None:
             raise ConfigError(
                 "contextual component has no LM file paths; attach them at "
                 "construction before saving the model")
         return {"kind": self.kind,
-                "forward_path": str(self.forward_path),
+                "forward_path": os.path.relpath(self.forward_path, model_dir),
                 "forward_sha256": file_sha256(self.forward_path),
-                "backward_path": str(self.backward_path),
+                "backward_path": os.path.relpath(self.backward_path, model_dir),
                 "backward_sha256": file_sha256(self.backward_path)}
 
-    def forward(self, sentence: Sentence):
-        return contextual_embed(self.fwd, self.bwd, sentence), None
-
-    def backward(self, cache, grad: np.ndarray) -> None:
-        pass
+    def forward(self, sentence: Sentence) -> np.ndarray:
+        return contextual_embed(self.fwd, self.bwd, sentence)
 
 
 def contextual_embed(fwd: CharLm, bwd: CharLm, sentence: Sentence) -> np.ndarray:
@@ -280,31 +290,67 @@ def contextual_embed(fwd: CharLm, bwd: CharLm, sentence: Sentence) -> np.ndarray
     return np.stack(rows)
 
 
-class StackedEmbedder(Module):
-    """Fixed-order concatenation of embedding components."""
+class BlockMemo:
+    """Read-only blocks of one frozen component, keyed by the token texts
+    of their sentence.  Stores blocks while their bytes stay within
+    MEMO_BYTES; past that, ``block`` computes and returns without storing.
+    """
 
-    def __init__(self, components: Sequence):
+    def __init__(self):
+        self.blocks: dict[tuple[str, ...], np.ndarray] = {}
+        self.nbytes = 0
+
+    def block(self, component, sentence: Sentence) -> np.ndarray:
+        key = tuple(sentence.texts())
+        block = self.blocks.get(key)
+        if block is None:
+            block = component.forward(sentence)
+            block.flags.writeable = False
+            if self.nbytes + block.nbytes <= MEMO_BYTES:
+                self.blocks[key] = block
+                self.nbytes += block.nbytes
+        return block
+
+
+class StackedEmbedder(Module):
+    """Fixed-order concatenation of embedding components.
+
+    ``memos`` maps the index of a frozen component to the BlockMemo its
+    blocks come from; a frozen component without one runs on every call.
+    """
+
+    def __init__(self, components: Sequence,
+                 memos: Optional[Mapping[int, BlockMemo]] = None):
         if not components:
             raise ConfigError("need at least one embedding component")
         self.components = tuple(components)
+        self.memos = dict(memos or {})
         self.dim = sum(c.dim for c in self.components)
         self.named_layers = tuple(
             (f"component{i}.{name}", layer)
             for i, c in enumerate(self.components) for name, layer in c.named_layers)
+        offsets = accumulate((c.dim for c in self.components), initial=0)
+        self._trainable = tuple((c, offset) for c, offset in zip(self.components, offsets)
+                                if c.named_layers)
 
     def forward(self, sentence: Sentence):
+        """The sentence's (tokens × dim) block and the caches of its
+        trainable components, in stack order."""
         blocks, caches = [], []
-        for c in self.components:
-            block, cache = c.forward(sentence)
+        for i, c in enumerate(self.components):
+            if c.named_layers:
+                block, cache = c.forward(sentence)
+                caches.append(cache)
+            elif i in self.memos:
+                block = self.memos[i].block(c, sentence)
+            else:
+                block = c.forward(sentence)
             blocks.append(block)
-            caches.append(cache)
         return np.concatenate(blocks, axis=1), caches
 
     def backward(self, caches, grad: np.ndarray) -> None:
-        offset = 0
-        for c, cache in zip(self.components, caches):
+        for (c, offset), cache in zip(self._trainable, caches, strict=True):
             c.backward(cache, grad[:, offset:offset + c.dim])
-            offset += c.dim
 
 
 COMPONENT_KINDS = {cls.kind: cls for cls in
@@ -319,6 +365,12 @@ def component_class(kind):
                       f"{', '.join(sorted(COMPONENT_KINDS))}")
 
 
+def _resolve(recorded, model_dir) -> str:
+    """A path a model file records, relative to its directory, as a path
+    from the current directory."""
+    return os.path.normpath(os.path.join(model_dir, recorded))
+
+
 def _verify_hash(path, recorded: str, what: str) -> None:
     actual = file_sha256(path)
     if actual != recorded:
@@ -326,20 +378,26 @@ def _verify_hash(path, recorded: str, what: str) -> None:
             f"{what} at {path} has sha256 {actual}, model records {recorded}")
 
 
-def embedder_factory(entries: Sequence[dict], vocab: CharVocabulary):
+def embedder_factory(entries: Sequence[dict], vocab: CharVocabulary,
+                     sentences: Iterable[Sentence] = ()):
     """A function ``rng → StackedEmbedder`` over run-config ``entries``.
 
     The components that read files (word vectors, LMs) are frozen: they
-    hold no parameters, so they are built here, once, and every stack
-    shares them.  Each call initializes the trainable components afresh
-    from ``rng``, in stack order.
+    hold no parameters, so they are built here, once, each with one
+    BlockMemo, and every stack shares both.  The memos are filled here with
+    the blocks of ``sentences``, in their order.  Each call initializes the
+    trainable components afresh from ``rng``, in stack order.
     """
     classes = [component_class(entry["kind"]) for entry in entries]
     frozen = {i: cls.build(entry, vocab, None)
               for i, (cls, entry) in enumerate(zip(classes, entries)) if cls.files}
+    memos = {i: BlockMemo() for i in frozen}
+    for sentence in sentences:
+        for i, memo in memos.items():
+            memo.block(frozen[i], sentence)
 
     def build(rng: np.random.Generator) -> StackedEmbedder:
         return StackedEmbedder([
             frozen[i] if i in frozen else cls.build(entry, vocab, rng)
-            for i, (cls, entry) in enumerate(zip(classes, entries))])
+            for i, (cls, entry) in enumerate(zip(classes, entries))], memos)
     return build

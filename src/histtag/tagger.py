@@ -13,6 +13,7 @@ improvement.
 
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -247,29 +248,38 @@ def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
 # --- model files -----------------------------------------------------------
 
 def save_ner(model: NerModel, path) -> None:
-    """Write the model: own tensors inline, LM/vector files by path+hash."""
+    """Write the model: own tensors inline, LM/vector files by hash and by
+    path relative to the model file's directory."""
+    model_dir = os.path.dirname(os.path.abspath(path))
     meta = {
         "kind": "ner",
         "tags": list(model.tags),
         "lstm_hidden": model.config.lstm_hidden,
         "constrained": model.crf.constrained,
-        "components": [c.spec() for c in model.embedder.components],
+        "components": [c.spec(model_dir) for c in model.embedder.components],
+        "paths_relative_to_model": True,
     }
     save_tensors(path, meta, layer_tensors(model.named_layers))
 
 
 def load_ner(path) -> NerModel:
     """Rebuild a saved model, reloading referenced files and checking their
-    recorded hashes."""
+    recorded hashes.  The model's embedder keeps no memo of frozen blocks.
+
+    Referenced paths resolve against the model file's directory; files
+    written before they were recorded that way (no
+    ``paths_relative_to_model`` in the meta) resolve them against the
+    current directory, as they were written."""
     meta, tensors = load_tensors(path)
     if meta.get("kind") != "ner":
         raise ModelFormatError(f"{path}: not a tagger model file")
+    model_dir = os.path.dirname(path) if meta.get("paths_relative_to_model") else ""
     rng = np.random.default_rng(0)
     try:
         tags = [str(t) for t in meta["tags"]]
         config = TaggerConfig(lstm_hidden=int(meta["lstm_hidden"]))
         # a char-feature encoder gets its tensors below, with the rest
-        components = [component_class(spec["kind"]).from_spec(spec, rng)
+        components = [component_class(spec["kind"]).from_spec(spec, rng, model_dir)
                       for spec in meta["components"]]
         model = NerModel.initialize(StackedEmbedder(components), tags, config, rng,
                                     constrained=bool(meta["constrained"]))

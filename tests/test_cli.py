@@ -1,11 +1,15 @@
 import json
+import shutil
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 import yaml
 
+from histtag import embed
 from histtag.charlm import CharLmConfig
 from histtag.cli import load_run_config, main, validate_config
+from histtag.corpus import TagScheme, read_conll
 from histtag.errors import ConfigError
 from histtag.serialization import file_sha256
 from histtag.smlm import SmlmConfig
@@ -407,6 +411,62 @@ class TestNerTrain:
 
 
 @pytest.fixture(scope="module")
+def lm_dir(toy, tmp_path_factory):
+    """A forward and a backward LM trained on the toy LM corpus."""
+    out = tmp_path_factory.mktemp("lms")
+    cfg = write_config(out / "lm.yaml", {
+        "lm": {**LM_SECTION, "corpus": str(toy["lm_corpus"]), "output_dir": str(out)}})
+    assert main(["lm", "train", "--config", cfg]) == 0
+    return out
+
+
+def stacked_config(path, data_dir, lm, out_dir, runs):
+    """A run config over all three component kinds; ``data_dir`` holds the
+    toy splits and a word-vector file."""
+    (data_dir / "vectors.txt").write_text("Wien 0.5 -0.5\nGraz 0.25 1.0\n",
+                                          encoding="utf-8")
+    return write_config(path, {
+        "data": {**{k: str(data_dir / f"{k}.conll") for k in ("train", "dev", "test")},
+                 "scheme": "iob2"},
+        "embeddings": [
+            {"kind": "word_table", "path": str(data_dir / "vectors.txt")},
+            {"kind": "char_features", "embed_dim": 4, "hidden": 4},
+            {"kind": "contextual", "forward": str(lm / "forward.bin"),
+             "backward": str(lm / "backward.bin")}],
+        "tagger": {"lstm_hidden": 6, "learning_rate": 0.5, "max_epochs": 2, "seed": 3},
+        "eval": {"runs": runs, "output_dir": str(out_dir)},
+    })
+
+
+class TestFrozenBlocksShared:
+    def test_second_run_equals_a_separate_run_with_its_seed(self, toy, lm_dir, tmp_path):
+        cfg = stacked_config(tmp_path / "ner.yaml", toy["train"].parent, lm_dir,
+                             tmp_path / "two", runs=2)
+        assert main(["ner", "train", "--config", cfg]) == 0
+        assert main(["ner", "train", "--config", cfg, "--runs", "1", "--seed", "4",
+                     "--output-dir", str(tmp_path / "one")]) == 0
+        for name in ("model.bin", "predictions.conll", "training_log.json"):
+            assert ((tmp_path / "two" / "run1" / name).read_bytes()
+                    == (tmp_path / "one" / "run0" / name).read_bytes()), name
+
+    def test_contextual_extraction_once_per_distinct_sentence(self, toy, lm_dir, tmp_path,
+                                                              monkeypatch):
+        calls = []
+        extract = embed.contextual_embed
+
+        def counting(fwd, bwd, sentence):
+            calls.append(tuple(sentence.texts()))
+            return extract(fwd, bwd, sentence)
+        monkeypatch.setattr(embed, "contextual_embed", counting)
+        cfg = stacked_config(tmp_path / "ner.yaml", toy["train"].parent, lm_dir,
+                             tmp_path / "ner", runs=2)
+        assert main(["ner", "train", "--config", cfg]) == 0
+        distinct = {tuple(s.texts()) for split in ("train", "dev", "test")
+                    for s in read_conll(toy[split], 0, 1, TagScheme.IOB2)}
+        assert len(calls) == len(set(calls)) == len(distinct)
+
+
+@pytest.fixture(scope="module")
 def trained(toy, tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("trained")
     cfg = ner_config(out_dir, toy, out_dir / "ner",
@@ -454,3 +514,19 @@ class TestPredictAndEval:
                    "--input", str(toy["test"]),
                    "--output", str(tmp_path / "p.conll")])
         assert rc == 1
+
+    def test_predict_from_another_directory(self, toy, lm_dir, tmp_path, monkeypatch):
+        """A model file's LM and vector references resolve against its own
+        directory, wherever the command runs."""
+        work = tmp_path / "w"
+        (work / "out").mkdir(parents=True)
+        shutil.copytree(toy["train"].parent, work / "data")
+        shutil.copytree(lm_dir, work / "out" / "lm")
+        monkeypatch.chdir(work)
+        stacked_config(Path("ner.yaml"), Path("data"), Path("out/lm"), Path("out/ner"),
+                       runs=1)
+        assert main(["ner", "train", "--config", "ner.yaml"]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert main(["ner", "predict", "--model", "w/out/ner/run0/model.bin",
+                     "--input", "w/data/test.conll", "--output", "pred.conll"]) == 0
+        assert (tmp_path / "pred.conll").is_file()

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from histtag.charlm import CharLm, CharLmConfig
+from histtag import embed
+from histtag.charlm import CharLm, CharLmConfig, save_lm
 from histtag.corpus import CharVocabulary
 from histtag.embed import (
     CharFeatureEncoder,
@@ -204,7 +205,7 @@ class TestStacked:
         stacked = StackedEmbedder([e1])
         sentence = make_sentence([("x", "O")])
         np.testing.assert_array_equal(
-            stacked.forward(sentence)[0], e1.forward(sentence)[0])
+            stacked.forward(sentence)[0], e1.forward(sentence))
 
     def test_permuting_components_permutes_blocks(self):
         e1 = table_embedder(["w"], 2, [1.0])
@@ -262,6 +263,9 @@ class TestEmbedderFactory:
         second = build(np.random.default_rng([6, 1]))
         assert first.components[1] is second.components[1]
         assert first.components[1].source_path == str(vectors)
+        assert list(first.memos) == [1] and first.memos[1] is second.memos[1]
+        first.forward(make_sentence([("a", "O"), ("cab", "O")]))
+        assert list(second.memos[1].blocks) == [("a", "cab")]
         rng = np.random.default_rng([5, 1])
         expected = [CharFeatureEncoder(vocab, rng, hidden=3),
                     CharFeatureEncoder(vocab, rng)]
@@ -275,6 +279,64 @@ class TestEmbedderFactory:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="unknown component kind 'glove'"):
             embedder_factory([{"kind": "glove"}], CharVocabulary("a"))
+
+
+MEMO_SENTENCES = [make_sentence([(w, "O") for w in words]) for words in (
+    ["das", "alte", "Tor"], ["Tor", "das"], ["das", "alte", "Tor"], ["alte"],
+    ["Tor", "das", "alte", "Tor", "das"])]
+
+
+def frozen_entries(tmp_path):
+    """Run-config entries for a word table, char features and a contextual
+    component, with the files the frozen two read."""
+    vectors = tmp_path / "vec.txt"
+    vectors.write_text("das 1 2\nalte 3 4\ntor 5 6\n", encoding="utf-8")
+    fwd_path, bwd_path = tmp_path / "fwd.lm", tmp_path / "bwd.lm"
+    save_lm(make_lm("forward", vocab="adeltsTor ", hidden=6), fwd_path)
+    save_lm(make_lm("backward", vocab="adeltsTor ", hidden=5, seed=2), bwd_path)
+    return [{"kind": "word_table", "path": str(vectors)},
+            {"kind": "char_features", "embed_dim": 4, "hidden": 3},
+            {"kind": "contextual", "forward": str(fwd_path), "backward": str(bwd_path)}]
+
+
+class TestBlockMemo:
+    def test_blocks_equal_direct_extraction_and_are_read_only(self, tmp_path):
+        build = embedder_factory(frozen_entries(tmp_path), CharVocabulary("adeltsTor"),
+                                 MEMO_SENTENCES)
+        stack = build(np.random.default_rng(0))
+        table, ctx = stack.components[0], stack.components[2]
+        assert set(stack.memos) == {0, 2}
+        distinct = {tuple(s.texts()) for s in MEMO_SENTENCES}
+        assert set(stack.memos[0].blocks) == set(stack.memos[2].blocks) == distinct
+        plain = StackedEmbedder(stack.components)
+        for sentence in MEMO_SENTENCES:
+            key = tuple(sentence.texts())
+            words, states = stack.memos[0].blocks[key], stack.memos[2].blocks[key]
+            np.testing.assert_array_equal(
+                words, np.stack([table.table.lookup(w) for w in key]))
+            np.testing.assert_array_equal(states, contextual_embed(ctx.fwd, ctx.bwd, sentence))
+            for block in (words, states):
+                assert block.dtype == np.float64 and not block.flags.writeable
+                with pytest.raises(ValueError):
+                    block[0, 0] = 0.0
+            np.testing.assert_array_equal(stack.forward(sentence)[0],
+                                          plain.forward(sentence)[0])
+
+    def test_byte_bound(self, tmp_path, monkeypatch):
+        bound = 300  # the first sentence's contextual block (3 × 11 × 8 bytes) fits
+        monkeypatch.setattr(embed, "MEMO_BYTES", bound)
+        build = embedder_factory(frozen_entries(tmp_path), CharVocabulary("adeltsTor"),
+                                 MEMO_SENTENCES)
+        stack = build(np.random.default_rng(0))
+        for memo in stack.memos.values():
+            assert 0 < memo.nbytes <= bound
+            assert memo.nbytes == sum(b.nbytes for b in memo.blocks.values())
+        assert list(stack.memos[2].blocks) == [tuple(MEMO_SENTENCES[0].texts())]
+        plain = StackedEmbedder(stack.components)
+        for sentence in MEMO_SENTENCES:
+            np.testing.assert_array_equal(stack.forward(sentence)[0],
+                                          plain.forward(sentence)[0])
+        assert stack.memos[2].nbytes <= bound
 
 
 class TestWordTable:

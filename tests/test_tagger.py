@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from histtag import embed
 from histtag.charlm import CharLm, CharLmConfig, save_lm
 from histtag.corpus import (
     CharVocabulary,
@@ -16,6 +17,8 @@ from histtag.embed import (
     StackedEmbedder,
     WordEmbeddingTable,
     WordTableEmbedder,
+    contextual_embed,
+    embedder_factory,
     load_vectors,
 )
 from histtag.errors import ConfigError, EmptyCorpusError, ModelFormatError, NonFiniteGradientError
@@ -304,6 +307,48 @@ def full_embedder(tmp_path, corpus):
     return StackedEmbedder([table, chars, ctx])
 
 
+class TestFrozenMemo:
+    @pytest.mark.parametrize("bound", [None, 2000], ids=["default_bound", "small_bound"])
+    def test_memo_backed_stack_trains_like_one_without(self, tmp_path, monkeypatch, bound):
+        if bound is not None:
+            monkeypatch.setattr(embed, "MEMO_BYTES", bound)
+        corpus = toy_corpus()
+        full_embedder(tmp_path, corpus)  # writes the files the entries name
+        entries = [{"kind": "word_table", "path": str(tmp_path / "vectors.txt")},
+                   {"kind": "char_features", "embed_dim": 6, "hidden": 5},
+                   {"kind": "contextual", "forward": str(tmp_path / "fwd.lm"),
+                    "backward": str(tmp_path / "bwd.lm")}]
+        build = embedder_factory(entries, extract_char_vocab(corpus), corpus)
+        memo_stack = build(np.random.default_rng(4))
+        plain_stack = StackedEmbedder(build(np.random.default_rng(4)).components)
+        config = small_config(max_epochs=3, seed=5)
+        m1, log1 = train_ner(corpus, corpus, config, memo_stack)
+        m2, log2 = train_ner(corpus, corpus, config, plain_stack)
+        assert log1 == log2
+        for (name, a), (_, b) in zip(layer_tensors(m1.named_layers),
+                                     layer_tensors(m2.named_layers), strict=True):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        distinct = len({tuple(s.texts()) for s in corpus})
+        for memo in memo_stack.memos.values():
+            assert memo.nbytes <= embed.MEMO_BYTES
+        stored = len(memo_stack.memos[2].blocks)
+        assert stored == distinct if bound is None else 0 < stored < distinct
+
+    def test_loaded_model_keeps_no_blocks(self, tmp_path, monkeypatch):
+        _, path = saved_full_model(tmp_path)
+        loaded = load_ner(path)
+        calls = []
+
+        def counting(fwd, bwd, sentence):
+            calls.append(sentence)
+            return contextual_embed(fwd, bwd, sentence)
+        monkeypatch.setattr(embed, "contextual_embed", counting)
+        corpus = toy_corpus()
+        assert predict(loaded, corpus) == predict(loaded, corpus)
+        assert loaded.embedder.memos == {}
+        assert len(calls) == 2 * len(corpus)
+
+
 class TestSaveLoad:
     def test_round_trip_predictions_identical(self, tmp_path):
         corpus = toy_corpus()
@@ -329,6 +374,41 @@ class TestSaveLoad:
         vec_path.write_text("tampered 1 2 3 4\n", encoding="utf-8")
         with pytest.raises(ModelFormatError, match="sha256"):
             load_ner(path)
+
+    def test_references_recorded_relative_to_the_model_file(self, tmp_path, monkeypatch):
+        corpus = toy_corpus()
+        model = NerModel.initialize(full_embedder(tmp_path, corpus), ("O", "S-LOC"),
+                                    small_config(), np.random.default_rng(3))
+        path = tmp_path / "models" / "ner.bin"
+        path.parent.mkdir()
+        monkeypatch.chdir(tmp_path / "models")
+        save_ner(model, "ner.bin")
+        meta, _ = load_tensors(path)
+        assert meta["paths_relative_to_model"] is True
+        assert [meta["components"][0]["path"], meta["components"][2]["forward_path"]] == [
+            "../vectors.txt", "../fwd.lm"]
+        monkeypatch.chdir(tmp_path.parent)
+        loaded = load_ner(path.relative_to(tmp_path.parent))
+        assert predict(loaded, corpus) == predict(model, corpus)
+
+    def test_files_without_relative_references_resolve_against_cwd(self, tmp_path,
+                                                                    monkeypatch):
+        """Files written before references were recorded relative to the
+        model file still load, with their paths taken from the current
+        directory as they were written."""
+        model, path = saved_full_model(tmp_path)
+        meta, tensors = load_tensors(path)
+        legacy = tmp_path / "old" / "ner.bin"
+        legacy.parent.mkdir()
+        del meta["paths_relative_to_model"]
+        save_tensors(legacy, meta, list(tensors.items()))
+        monkeypatch.chdir(tmp_path)
+        corpus = toy_corpus()
+        assert predict(load_ner(legacy), corpus) == predict(load_ner(path), corpus)
+        save_tensors(legacy, {**meta, "paths_relative_to_model": True},
+                     list(tensors.items()))
+        with pytest.raises(FileNotFoundError, match="old/vectors.txt"):
+            load_ner(legacy)
 
     def test_unsaved_reference_rejected(self, tmp_path):
         corpus = toy_corpus()
