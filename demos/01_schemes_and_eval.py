@@ -34,12 +34,9 @@ predicted = ["B-PER", "I-PER", "O", "B-LOC", "O", "B-ORG"]
 gold_corpus = TaggedCorpus(
     (Sentence(tuple(Token(w, gold_tag=t) for w, t in zip(words, iob2))),),
     scheme=TagScheme.IOB2)
-pred_corpus = TaggedCorpus(
-    (Sentence(tuple(Token(w, gold_tag=g, predicted_tag=p)
-                    for w, g, p in zip(words, iob2, predicted))),),
-    scheme=TagScheme.IOB2)
 
-report = evaluate(gold_corpus, pred_corpus)
+# predictions are one tag list per sentence, in the gold corpus's scheme
+report = evaluate(gold_corpus, [predicted])
 print(format_report(report))
 print(f"\nexact-boundary matching: {report.tp} of {report.tp + report.fn} "
       f"gold spans found, {report.fp} spurious.")

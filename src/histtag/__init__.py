@@ -35,7 +35,7 @@ from .corpus import (
     sentence_text,
     write_conll,
 )
-from .crf import CrfLayer, crf_log_partition, crf_nll, viterbi_decode
+from .crf import CrfLayer, viterbi_decode
 from .embed import (
     CharFeatureEncoder,
     ContextualEmbedder,
@@ -124,8 +124,6 @@ __all__ = [
     "load_vectors",
     # CRF and tagger
     "CrfLayer",
-    "crf_log_partition",
-    "crf_nll",
     "viterbi_decode",
     "NerModel",
     "TaggerConfig",

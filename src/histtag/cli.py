@@ -45,7 +45,7 @@ from .corpus import (
     read_plain,
 )
 from .embed import component_class, embedder_factory
-from .errors import ConfigError, HisttagError
+from .errors import ConfigError, HisttagError, StructureMismatchError
 from .evaluation import (
     average_runs,
     evaluate,
@@ -563,21 +563,25 @@ def cmd_eval(args) -> int:
             raise ConfigError(
                 "--predictions cannot be combined with --gold/--pred")
         predictions_path = _require_file(args.predictions, "--predictions")
-        gold, pred = read_conll_predictions(predictions_path, scheme)
+        gold, predicted = read_conll_predictions(predictions_path, scheme)
         inputs = {"predictions": predictions_path}
         data_cfg = {"predictions": str(predictions_path)}
     else:
         gold_path = _require_file(args.gold, "--gold")
         pred_path = _require_file(args.pred, "--pred")
         gold = read_conll(gold_path, token_column, tag_column, scheme, split="test")
-        # tags of the prediction file land in gold_tag; evaluate() treats
-        # them as the predictions when no predicted_tag is set
-        pred = read_conll(pred_path, token_column, tag_column, scheme, split="test")
+        pred_corpus = read_conll(pred_path, token_column, tag_column, scheme, split="test")
+        for i, (g, p) in enumerate(zip(gold, pred_corpus)):
+            if g.texts() != p.texts():
+                raise StructureMismatchError(
+                    f"sentence {i} has other tokens in {pred_path} than in {gold_path}",
+                    sentence_index=i)
+        predicted = [s.gold_tags() for s in pred_corpus]
         inputs = {"gold": gold_path, "pred": pred_path}
         data_cfg = {"gold": str(gold_path), "pred": str(pred_path),
                     "token_column": token_column, "tag_column": tag_column}
 
-    report = evaluate(gold, pred)
+    report = evaluate(gold, predicted)
     print(format_report(report))
     if args.output is not None:
         output = Path(args.output)

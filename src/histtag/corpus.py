@@ -2,8 +2,9 @@
 
 The data model is deliberately small: a corpus is a tuple of sentences, a
 sentence a tuple of tokens, and a token carries its text plus an optional gold
-and predicted tag. All values are immutable after construction, so they can be
-shared freely between threads.
+tag. A tagger's predictions are not part of it: they are one tag list per
+sentence, in the corpus's scheme. All values are immutable after
+construction, so they can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import codecs
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Union
@@ -53,7 +54,6 @@ class TagScheme(Enum):
 class Token:
     text: str
     gold_tag: Optional[str] = None
-    predicted_tag: Optional[str] = None
 
     def __post_init__(self):
         if not self.text:
@@ -82,9 +82,6 @@ class Sentence:
 
     def gold_tags(self) -> list[str]:
         return [t.gold_tag for t in self.tokens]
-
-    def predicted_tags(self) -> list[str]:
-        return [t.predicted_tag for t in self.tokens]
 
 
 @dataclass(frozen=True)
@@ -374,31 +371,13 @@ def convert_tags(tags: Sequence[str], source: TagScheme,
 
 
 def convert_scheme(corpus: TaggedCorpus, target: TagScheme) -> TaggedCorpus:
-    """Convert a corpus between tagging schemes without changing its spans.
-
-    Gold tags are always converted; predicted tags are converted too when
-    every token carries one.
-    """
-    has_pred = _predictions_state(corpus)
-    sentences = []
-    for sentence in corpus:
-        gold = convert_tags(sentence.gold_tags(), corpus.scheme, target)
-        if has_pred:
-            pred = convert_tags(sentence.predicted_tags(), corpus.scheme, target)
-        else:
-            pred = [None] * len(sentence)
-        sentences.append(Sentence(tuple(
-            replace(tok, gold_tag=g, predicted_tag=p)
-            for tok, g, p in zip(sentence.tokens, gold, pred))))
-    return TaggedCorpus(tuple(sentences), scheme=target, split=corpus.split)
-
-
-def _predictions_state(corpus: TaggedCorpus) -> bool:
-    """True if every token has a predicted tag, False if none does."""
-    states = {tok.predicted_tag is not None for s in corpus for tok in s}
-    if states == {True, False}:
-        raise ValueError("corpus has predicted tags on some tokens but not all")
-    return states == {True}
+    """Convert a corpus's gold tags between tagging schemes without
+    changing its spans."""
+    sentences = tuple(
+        Sentence(tuple(Token(tok.text, gold_tag=g) for tok, g in zip(
+            sentence, convert_tags(sentence.gold_tags(), corpus.scheme, target))))
+        for sentence in corpus)
+    return TaggedCorpus(sentences, scheme=target, split=corpus.split)
 
 
 def entity_counts(corpus: TaggedCorpus) -> Counter:

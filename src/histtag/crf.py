@@ -107,40 +107,17 @@ def crf_score(emissions: np.ndarray, crf: CrfLayer, path) -> float:
     return float(score)
 
 
-def _forward_alphas(emissions: np.ndarray, crf: CrfLayer):
-    trans = crf.params["transitions"]
-    K = crf.num_tags
-    T = emissions.shape[0]
-    alphas = np.empty((T, K))
-    alphas[0] = emissions[0] + trans[crf.start, :K]
-    inner = trans[:K, :K]
-    for t in range(1, T):
-        alphas[t] = emissions[t] + logsumexp(alphas[t - 1][:, None] + inner, axis=0)
-    log_z = logsumexp(alphas[-1] + trans[:K, crf.stop])
-    return alphas, float(log_z)
-
-
-def crf_log_partition(emissions: np.ndarray, crf: CrfLayer) -> float:
-    """Log-sum-exp over all K^T paths of exp(path score)."""
-    emissions = _check_emissions(emissions, crf)
-    _, log_z = _forward_alphas(emissions, crf)
-    return log_z
-
-
-def crf_nll(emissions: np.ndarray, crf: CrfLayer, gold) -> float:
-    """Negative log-likelihood of the gold path."""
-    emissions = _check_emissions(emissions, crf)
-    return crf_log_partition(emissions, crf) - crf_score(emissions, crf, gold)
-
-
 def crf_nll_with_grads(emissions: np.ndarray, crf: CrfLayer, gold,
                        scale: float = 1.0):
-    """NLL plus analytic gradients from the forward-backward recursions.
+    """Negative log-likelihood of the gold path plus analytic gradients
+    from the forward-backward recursions.
 
-    Returns (nll, d_emissions); the transition gradient accumulates into
-    ``crf.grads["transitions"]`` with pinned entries masked out.  Gradients
-    are marginal probabilities minus gold indicator counts, multiplied by
-    ``scale`` (callers averaging over a batch pass 1/batch size).
+    Returns (nll, d_emissions); nll + ``crf_score(gold)`` is the log
+    partition function, the log-sum-exp of every path's score.  The
+    transition gradient accumulates into ``crf.grads["transitions"]`` with
+    pinned entries masked out.  Gradients are marginal probabilities minus
+    gold indicator counts, multiplied by ``scale`` (callers averaging over a
+    batch pass 1/batch size).
     """
     emissions = _check_emissions(emissions, crf)
     gold = _check_path(gold, crf, emissions.shape[0])
@@ -149,7 +126,11 @@ def crf_nll_with_grads(emissions: np.ndarray, crf: CrfLayer, gold,
     T = emissions.shape[0]
     inner = trans[:K, :K]
 
-    alphas, log_z = _forward_alphas(emissions, crf)
+    alphas = np.empty((T, K))
+    alphas[0] = emissions[0] + trans[crf.start, :K]
+    for t in range(1, T):
+        alphas[t] = emissions[t] + logsumexp(alphas[t - 1][:, None] + inner, axis=0)
+    log_z = float(logsumexp(alphas[-1] + trans[:K, crf.stop]))
     betas = np.empty((T, K))
     betas[-1] = trans[:K, crf.stop]
     for t in range(T - 2, -1, -1):

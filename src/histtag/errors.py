@@ -72,7 +72,8 @@ class NonFiniteGradientError(HisttagError):
 
 
 class StructureMismatchError(HisttagError):
-    """Two corpora that must align sentence-by-sentence do not.
+    """Predictions, or a second CoNLL file, do not align with a corpus
+    sentence by sentence and token by token.
 
     ``sentence_index`` identifies the first divergent sentence.
     """

@@ -4,20 +4,16 @@ A predicted span counts as a true positive only when a gold span agrees on
 all three of label, start and end; boundary misses earn nothing.  Metrics
 are computed on spans directly, which is equivalent to converting to IOB2
 first and scoring chunks: both sides reduce to the same span sets.
+
+Predictions are one tag list per sentence of the gold corpus, in that
+corpus's scheme, as ``tagger.predict`` returns them.
 """
 
 import logging
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Optional
 
-from .corpus import (
-    Sentence,
-    TaggedCorpus,
-    TagScheme,
-    Token,
-    convert_tags,
-    extract_spans,
-)
+from .corpus import TaggedCorpus, TagScheme, convert_tags, extract_spans, read_conll
 from .errors import StructureMismatchError
 from .serialization import atomic_open
 
@@ -62,43 +58,35 @@ def _prf(tp: int, pred_total: int, gold_total: int) -> tuple[float, float, float
     return precision, recall, f1
 
 
-def _prediction_tags(sentence: Sentence) -> list[str]:
-    """Tag sequence of the prediction side.
-
-    Uses predicted tags when the sentence carries them on every token
-    (output of a tagger run); otherwise falls back to gold tags, which is
-    how predictions loaded from plain tag files arrive.
-    """
-    predicted = [tok.predicted_tag for tok in sentence]
-    if all(t is not None for t in predicted):
-        return predicted
-    return sentence.gold_tags()
-
-
-def _check_alignment(gold: TaggedCorpus, pred: TaggedCorpus) -> None:
-    if len(gold) != len(pred):
+def _check_alignment(corpus: TaggedCorpus,
+                     predicted: Sequence[Sequence[str]]) -> None:
+    """One tag list per sentence and one tag per token, or
+    StructureMismatchError naming the first sentence that differs."""
+    if len(corpus) != len(predicted):
         raise StructureMismatchError(
-            f"gold has {len(gold)} sentences, predictions have {len(pred)}")
-    for i, (gs, ps) in enumerate(zip(gold, pred)):
-        if gs.texts() != ps.texts():
+            f"gold has {len(corpus)} sentences, predictions have {len(predicted)}",
+            sentence_index=min(len(corpus), len(predicted)))
+    for i, (sentence, tags) in enumerate(zip(corpus, predicted)):
+        if len(sentence) != len(tags):
             raise StructureMismatchError(
-                f"sentence {i} differs between gold and predictions",
-                sentence_index=i)
+                f"sentence {i}: gold has {len(sentence)} tokens, predictions "
+                f"have {len(tags)} tags", sentence_index=i)
 
 
-def _span_set(corpus: TaggedCorpus, tags_of) -> set[tuple[int, str, int, int]]:
+def _span_set(rows: Iterable[Sequence[str]],
+              scheme: TagScheme) -> set[tuple[int, str, int, int]]:
     spans = set()
-    for i, sentence in enumerate(corpus):
-        for span in extract_spans(tags_of(sentence), corpus.scheme):
+    for i, tags in enumerate(rows):
+        for span in extract_spans(tags, scheme):
             spans.add((i, span.label, span.start, span.end))
     return spans
 
 
-def evaluate(gold: TaggedCorpus, pred: TaggedCorpus) -> EvalReport:
-    """Score predictions against gold annotations span by span."""
-    _check_alignment(gold, pred)
-    gold_spans = _span_set(gold, lambda s: s.gold_tags())
-    pred_spans = _span_set(pred, _prediction_tags)
+def evaluate(gold: TaggedCorpus, predicted: Sequence[Sequence[str]]) -> EvalReport:
+    """Score predicted tag lists against the gold corpus span by span."""
+    _check_alignment(gold, predicted)
+    gold_spans = _span_set((s.gold_tags() for s in gold), gold.scheme)
+    pred_spans = _span_set(predicted, gold.scheme)
 
     tp_spans = gold_spans & pred_spans
     tp, fp, fn = len(tp_spans), len(pred_spans - gold_spans), len(gold_spans - pred_spans)
@@ -133,39 +121,28 @@ def average_runs(reports: list[EvalReport]) -> RunSummary:
     return RunSummary(mean_f1=sum(values) / len(values), per_run_f1=values)
 
 
-def write_conll_predictions(gold: TaggedCorpus, pred: TaggedCorpus, path) -> None:
+def write_conll_predictions(corpus: TaggedCorpus, predicted: Sequence[Sequence[str]],
+                            path) -> None:
     """Write "token gold pred" lines in IOB2, one blank line per sentence.
 
     This is the column layout the official CoNLL-2003 scorer consumes.
     """
-    _check_alignment(gold, pred)
+    _check_alignment(corpus, predicted)
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for gs, ps in zip(gold, pred):
-            gold_tags = convert_tags(gs.gold_tags(), gold.scheme, TagScheme.IOB2)
-            pred_tags = convert_tags(_prediction_tags(ps), pred.scheme, TagScheme.IOB2)
-            for token, g, p in zip(gs, gold_tags, pred_tags):
+        for sentence, tags in zip(corpus, predicted):
+            gold_tags = convert_tags(sentence.gold_tags(), corpus.scheme, TagScheme.IOB2)
+            pred_tags = convert_tags(tags, corpus.scheme, TagScheme.IOB2)
+            for token, g, p in zip(sentence, gold_tags, pred_tags):
                 fh.write(f"{token.text} {g} {p}\n")
             fh.write("\n")
 
 
 def read_conll_predictions(path, scheme: TagScheme = TagScheme.IOB2
-                           ) -> tuple[TaggedCorpus, TaggedCorpus]:
-    """Read a "token gold pred" file back into aligned (gold, pred) corpora.
-
-    The prediction corpus carries the third column as predicted tags.
-    """
-    from .corpus import read_conll
-
+                           ) -> tuple[TaggedCorpus, list[list[str]]]:
+    """Read a "token gold pred" file back into the gold corpus and its
+    predicted tag lists."""
     gold = read_conll(path, 0, 1, scheme)
-    pred_tags = read_conll(path, 0, 2, scheme)
-    sentences = []
-    for gs, ps in zip(gold, pred_tags):
-        tokens = tuple(
-            Token(g.text, gold_tag=g.gold_tag, predicted_tag=p.gold_tag)
-            for g, p in zip(gs, ps))
-        sentences.append(Sentence(tokens))
-    pred = TaggedCorpus(tuple(sentences), scheme=scheme, split=gold.split)
-    return gold, pred
+    return gold, [s.gold_tags() for s in read_conll(path, 0, 2, scheme)]
 
 
 def format_report(report: EvalReport) -> str:

@@ -8,7 +8,8 @@ predictions back to the scheme of the corpus they were made for.
 Training is SGD over shuffled mini-batches minimizing the mean sentence
 NLL, with the gradient norm clipped at 5.0, dev-F1 model selection, and
 learning-rate halving after `patience` consecutive epochs without a dev
-improvement.
+improvement.  The selected parameters are rounded to float32, the values a
+model file stores, so a saved model predicts what the trained one did.
 """
 
 import logging
@@ -19,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .corpus import Sentence, TaggedCorpus, TagScheme, Token, convert_scheme, convert_tags
+from .corpus import Sentence, TaggedCorpus, TagScheme, convert_scheme, convert_tags
 from .crf import CrfLayer, crf_nll_with_grads, viterbi_decode
 from .embed import StackedEmbedder, component_class
 from .errors import (
@@ -105,21 +106,16 @@ class NerModel(Module):
         self.embedder.backward(emb_cache, dx_f[0] + dx_b[0, ::-1])
 
 
-def predict(model: NerModel, corpus: TaggedCorpus) -> TaggedCorpus:
-    """Viterbi-decode every sentence in IOBES; returns a corpus of the
-    input's scheme with gold tags kept and predicted tags filled in."""
-    sentences = []
+def predict(model: NerModel, corpus: TaggedCorpus) -> list[list[str]]:
+    """Viterbi-decode every sentence in IOBES; returns one tag list per
+    sentence, in the scheme of ``corpus``."""
+    predicted = []
     for sentence in corpus:
         emissions, _ = model._emissions(sentence)
         path, _ = viterbi_decode(emissions, model.crf)
-        predicted = convert_tags([model.tags[i] for i in path],
-                                 TagScheme.IOBES, corpus.scheme)
-        tokens = tuple(
-            Token(tok.text, gold_tag=tok.gold_tag, predicted_tag=tag)
-            for tok, tag in zip(sentence, predicted))
-        sentences.append(Sentence(tokens))
-    return TaggedCorpus(tuple(sentences), scheme=corpus.scheme,
-                        split=corpus.split)
+        predicted.append(convert_tags([model.tags[i] for i in path],
+                                      TagScheme.IOBES, corpus.scheme))
+    return predicted
 
 
 @dataclass
@@ -150,16 +146,19 @@ def _snapshot(model: NerModel):
             for layer in model.layers for name in layer.params]
 
 
-def _restore(snapshot) -> None:
+def _restore_as_float32(snapshot) -> None:
+    """Put the snapshot back, each value rounded to the float32 that
+    ``save_ner`` writes for it."""
     for layer, name, saved in snapshot:
-        layer.params[name][...] = saved
+        layer.params[name][...] = saved.astype(np.float32)
 
 
 def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
               embedder: StackedEmbedder,
               dev_scorer: Optional[Callable[[NerModel], float]] = None,
               constrained: bool = True) -> tuple[NerModel, NerTrainLog]:
-    """Train a tagger; returns the parameters from the best-dev epoch.
+    """Train a tagger; returns the parameters from the best-dev epoch,
+    rounded to float32 as ``save_ner`` stores them.
 
     Both corpora may use either tag scheme; they are converted to IOBES,
     the scheme of the model's tag set.  ``dev_scorer`` defaults to micro
@@ -241,7 +240,7 @@ def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
                     " (annealed)" if annealed else "")
 
     log.best_dev_f1 = best_f1
-    _restore(best_params)
+    _restore_as_float32(best_params)
     return model, log
 
 

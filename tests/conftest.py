@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from histtag.corpus import Sentence, TaggedCorpus, TagScheme, Token
+from histtag.crf import crf_nll_with_grads, crf_score
 from histtag.serialization import _HEAD, FORMAT_VERSION, MAGIC
 
 
@@ -14,6 +16,21 @@ def make_sentence(pairs):
 def make_corpus(sentence_pairs, scheme=TagScheme.IOBES, split="train"):
     return TaggedCorpus(
         tuple(make_sentence(p) for p in sentence_pairs), scheme=scheme, split=split)
+
+
+def nll_of(emissions, crf, gold) -> float:
+    """The NLL ``crf_nll_with_grads`` returns, with ``crf.grads`` left as
+    they were."""
+    grads = crf.grads["transitions"].copy()
+    nll, _ = crf_nll_with_grads(emissions, crf, gold)
+    crf.grads["transitions"][...] = grads
+    return nll
+
+
+def log_partition_of(emissions, crf) -> float:
+    """log Z = NLL of a path + that path's score; any path will do."""
+    path = np.zeros(len(emissions), dtype=np.int64)
+    return nll_of(emissions, crf, path) + crf_score(emissions, crf, path)
 
 
 def raw_container(header, payload=b""):

@@ -41,7 +41,7 @@ from histtag.corpus import (
     render_tags,
     EntitySpan,
 )
-from histtag.crf import CrfLayer, crf_log_partition, crf_nll, crf_nll_with_grads, viterbi_decode
+from histtag.crf import CrfLayer, crf_nll_with_grads, viterbi_decode
 from histtag.embed import CharFeatureEncoder, StackedEmbedder
 from histtag.evaluation import evaluate
 from histtag.nn import cross_entropy
@@ -50,7 +50,7 @@ from histtag.smlm import SmlmConfig, corruption_stats, smlm_transform
 from histtag.tagger import NerModel, TaggerConfig, predict, train_ner
 from histtag.toydata import build_tagged_splits, write_toy_dataset
 
-from conftest import make_corpus
+from conftest import log_partition_of, make_corpus, nll_of
 from oracles import (
     brute_log_partition,
     brute_nll,
@@ -88,12 +88,12 @@ def test_criterion_1_crf_oracle_equivalence():
         emissions, crf = _random_crf_instance(rng, T, K)
         trans = crf.params["transitions"]
 
-        z = crf_log_partition(emissions, crf)
+        z = log_partition_of(emissions, crf)
         worst = max(worst, abs(z - brute_log_partition(
             emissions, trans, crf.start, crf.stop)))
 
         gold = [int(g) for g in rng.integers(0, K, size=T)]
-        worst = max(worst, abs(crf_nll(emissions, crf, gold) - brute_nll(
+        worst = max(worst, abs(nll_of(emissions, crf, gold) - brute_nll(
             emissions, trans, crf.start, crf.stop, gold)))
 
         path, score = viterbi_decode(emissions, crf)
@@ -193,7 +193,7 @@ def _crf_gradient_error(errors):
     gold = [1, 0, 3, 2, 0]
 
     def loss():
-        return crf_nll(emissions, crf, gold)
+        return nll_of(emissions, crf, gold)
 
     crf.zero_grads()
     _, d_emissions = crf_nll_with_grads(emissions, crf, gold)
@@ -366,12 +366,12 @@ def _random_layout(rng, length):
     return spans
 
 
-def _oracle_prf(gold_corpus, pred_corpus):
+def _oracle_prf(gold_corpus, predicted):
     gold_set, pred_set = set(), set()
-    for i, (gs, ps) in enumerate(zip(gold_corpus, pred_corpus)):
+    for i, (gs, tags) in enumerate(zip(gold_corpus, predicted)):
         for span in extract_spans(gs.gold_tags(), gold_corpus.scheme):
             gold_set.add((i, span.label, span.start, span.end))
-        for span in extract_spans(ps.predicted_tags(), pred_corpus.scheme):
+        for span in extract_spans(tags, gold_corpus.scheme):
             pred_set.add((i, span.label, span.start, span.end))
     tp = len(gold_set & pred_set)
     p = tp / len(pred_set) if pred_set else 0.0
@@ -381,6 +381,7 @@ def _oracle_prf(gold_corpus, pred_corpus):
 
 
 def _random_tagged_pair(rng, sentences=8):
+    """An IOBES gold corpus and its predicted tag lists."""
     gold_rows, pred_rows = [], []
     for _ in range(sentences):
         length = int(rng.integers(1, 10))
@@ -389,11 +390,9 @@ def _random_tagged_pair(rng, sentences=8):
         gold_rows.append(gold)
         pred_rows.append(pred)
     sents = tuple(
-        Sentence(tuple(Token(f"w{i}", gold_tag=g, predicted_tag=p)
-                       for i, (g, p) in enumerate(zip(gr, pr))))
-        for gr, pr in zip(gold_rows, pred_rows))
-    corpus = TaggedCorpus(sents, scheme=TagScheme.IOBES)
-    return corpus
+        Sentence(tuple(Token(f"w{i}", gold_tag=g) for i, g in enumerate(gr)))
+        for gr in gold_rows)
+    return TaggedCorpus(sents, scheme=TagScheme.IOBES), pred_rows
 
 
 def test_criterion_7_scheme_and_eval_suite():
@@ -415,16 +414,17 @@ def test_criterion_7_scheme_and_eval_suite():
     oracle_ok = True
     conversion_neutral_ok = True
     for _ in range(200):
-        corpus = _random_tagged_pair(rng)
-        report = evaluate(corpus, corpus)
-        p, r, f = _oracle_prf(corpus, corpus)
+        corpus, predicted = _random_tagged_pair(rng)
+        report = evaluate(corpus, predicted)
+        p, r, f = _oracle_prf(corpus, predicted)
         if (abs(report.precision - p) > 1e-12
                 or abs(report.recall - r) > 1e-12
                 or abs(report.f1 - f) > 1e-12):
             oracle_ok = False
             break
         as_iob2 = convert_scheme(corpus, TagScheme.IOB2)
-        if evaluate(as_iob2, as_iob2) != report:
+        if evaluate(as_iob2, [convert_tags(tags, TagScheme.IOBES, TagScheme.IOB2)
+                              for tags in predicted]) != report:
             conversion_neutral_ok = False
             break
 

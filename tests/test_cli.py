@@ -498,6 +498,21 @@ class TestPredictAndEval:
         out = capsys.readouterr().out
         assert "micro" in out and "1.0000" in out
 
+    def test_eval_gold_pred_token_mismatch_names_the_sentence(self, toy, tmp_path, capsys):
+        blocks = toy["test"].read_text(encoding="utf-8").split("\n\n")
+        blocks[1] = "Anders" + blocks[1][blocks[1].index(" "):]
+        changed = tmp_path / "changed.conll"
+        changed.write_text("\n\n".join(blocks), encoding="utf-8")
+        assert main(["eval", "--gold", str(toy["test"]), "--pred", str(changed)]) == 1
+        assert "sentence 1 " in capsys.readouterr().err
+
+    def test_predict_reproduces_the_training_predictions(self, toy, trained, tmp_path):
+        """The saved model tags the eval file as the trained model did."""
+        pred = tmp_path / "pred.conll"
+        assert main(["ner", "predict", "--model", str(trained),
+                     "--input", str(toy["test"]), "--output", str(pred)]) == 0
+        assert pred.read_bytes() == (trained.parent / "predictions.conll").read_bytes()
+
     def test_eval_requires_an_input(self):
         assert main(["eval"]) == 2
 

@@ -9,6 +9,7 @@ from histtag.corpus import (
     TagScheme,
     Token,
     convert_scheme,
+    convert_tags,
 )
 from histtag.errors import StructureMismatchError
 from histtag.evaluation import (
@@ -20,25 +21,25 @@ from histtag.evaluation import (
     write_conll_predictions,
 )
 
-from conftest import make_corpus
 from oracles import scan_spans
 
 LABELS = ["LOC", "ORG", "PER"]
 
 
+def own_tags(corpus):
+    """The corpus's own gold tags, as predictions."""
+    return [s.gold_tags() for s in corpus]
+
+
 def paired_corpora(gold_rows, pred_rows, scheme=TagScheme.IOB2):
-    """Two aligned corpora over synthetic tokens; pred carries predictions."""
-    gold_sents, pred_sents = [], []
+    """A gold corpus over synthetic tokens and its predicted tag lists."""
+    gold_sents = []
     for gold_tags, pred_tags in zip(gold_rows, pred_rows):
         assert len(gold_tags) == len(pred_tags)
-        words = [f"w{i}" for i in range(len(gold_tags))]
         gold_sents.append(Sentence(tuple(
-            Token(w, gold_tag=t) for w, t in zip(words, gold_tags))))
-        pred_sents.append(Sentence(tuple(
-            Token(w, gold_tag=g, predicted_tag=p)
-            for w, g, p in zip(words, gold_tags, pred_tags))))
+            Token(f"w{i}", gold_tag=t) for i, t in enumerate(gold_tags))))
     return (TaggedCorpus(tuple(gold_sents), scheme=scheme),
-            TaggedCorpus(tuple(pred_sents), scheme=scheme))
+            [list(tags) for tags in pred_rows])
 
 
 @st.composite
@@ -81,7 +82,7 @@ class TestEvaluateTrivial:
         assert (report.precision, report.recall, report.f1) == (0.0, 0.0, 0.0)
 
     def test_self_evaluation_is_perfect(self, tiny_iobes_corpus):
-        report = evaluate(tiny_iobes_corpus, tiny_iobes_corpus)
+        report = evaluate(tiny_iobes_corpus, own_tags(tiny_iobes_corpus))
         assert report.f1 == 1.0
 
     def test_no_spans_at_all(self, caplog):
@@ -102,17 +103,16 @@ class TestEvaluateTrivial:
         assert report.per_label["ORG"].f1 == 0.0
 
     def test_structure_mismatch(self):
-        gold, _ = paired_corpora([["O", "O"]], [["O", "O"]])
-        _, pred = paired_corpora([["O"]], [["O"]])
-        with pytest.raises(StructureMismatchError):
-            evaluate(gold, pred)
-        bad_tokens, _ = paired_corpora([["O", "O"]], [["O", "O"]])
-        other = TaggedCorpus(
-            (Sentence((Token("x", gold_tag="O"), Token("w1", gold_tag="O"))),),
-            scheme=TagScheme.IOB2)
-        with pytest.raises(StructureMismatchError) as exc:
-            evaluate(bad_tokens, other)
-        assert exc.value.sentence_index == 0
+        """A sentence without predictions, or with a tag count of its own,
+        is a mismatch; it is never scored against its own gold tags."""
+        gold, _ = paired_corpora([["B-PER", "O"], ["B-LOC"]], [["O", "O"], ["O"]])
+        for predicted, index in (([["O", "O"]], 1),
+                                 ([["O", "O"], ["O"], ["O"]], 2),
+                                 ([["O"], ["O"]], 0),
+                                 ([["O", "O"], []], 1)):
+            with pytest.raises(StructureMismatchError) as exc:
+                evaluate(gold, predicted)
+            assert exc.value.sentence_index == index
 
 
 class TestEvaluateProperties:
@@ -136,23 +136,22 @@ class TestEvaluateProperties:
     @settings(max_examples=40)
     def test_swap_symmetry(self, layouts):
         gold_rows, pred_rows = layouts
-        # gold-only corpora so both directions read the same tag columns
-        a = make_corpus([[(f"w{i}", t) for i, t in enumerate(tags)]
-                         for tags in gold_rows], scheme=TagScheme.IOB2)
-        b = make_corpus([[(f"w{i}", t) for i, t in enumerate(tags)]
-                         for tags in pred_rows], scheme=TagScheme.IOB2)
-        fwd = evaluate(a, b)
-        rev = evaluate(b, a)
+        a, _ = paired_corpora(gold_rows, pred_rows)
+        b, _ = paired_corpora(pred_rows, gold_rows)
+        fwd = evaluate(a, pred_rows)
+        rev = evaluate(b, gold_rows)
         assert fwd.precision == rev.recall
         assert fwd.recall == rev.precision
         assert fwd.f1 == rev.f1
 
     def test_conversion_neutrality(self, tiny_iobes_corpus):
-        pred = tiny_iobes_corpus
+        pred = [["S-PER", "O", "O", "O"], ["O", "B-ORG", "E-ORG", "O", "O"]]
         direct = evaluate(tiny_iobes_corpus, pred)
-        converted = evaluate(convert_scheme(tiny_iobes_corpus, TagScheme.IOB2),
-                             convert_scheme(pred, TagScheme.IOB2))
+        converted = evaluate(
+            convert_scheme(tiny_iobes_corpus, TagScheme.IOB2),
+            [convert_tags(tags, TagScheme.IOBES, TagScheme.IOB2) for tags in pred])
         assert direct == converted
+        assert direct.tp == 2 and direct.fn == 1
 
 
 class TestConllFixture:
@@ -222,12 +221,22 @@ class TestPredictionFiles:
         write_conll_predictions(gold, pred, path)
         gold2, pred2 = read_conll_predictions(path)
         assert evaluate(gold2, pred2) == evaluate(gold, pred)
+        assert pred2 == pred
         for s_orig, s_read in zip(gold, gold2):
             assert s_orig.gold_tags() == s_read.gold_tags()
 
+    def test_mismatch_writes_nothing(self, tmp_path):
+        gold, _ = paired_corpora([["B-PER", "O"], ["O"]], [["O", "O"], ["O"]])
+        path = tmp_path / "pred.conll"
+        for predicted, index in (([["O", "O"]], 1), ([["O", "O"], ["O", "O"]], 1)):
+            with pytest.raises(StructureMismatchError) as exc:
+                write_conll_predictions(gold, predicted, path)
+            assert exc.value.sentence_index == index
+        assert not path.exists()
+
     def test_iobes_written_as_iob2(self, tmp_path, tiny_iobes_corpus):
         path = tmp_path / "pred.conll"
-        write_conll_predictions(tiny_iobes_corpus, tiny_iobes_corpus, path)
+        write_conll_predictions(tiny_iobes_corpus, own_tags(tiny_iobes_corpus), path)
         text = path.read_text(encoding="utf-8")
         assert "S-" not in text and "E-" not in text
         assert "Anna B-PER B-PER" in text
@@ -235,7 +244,7 @@ class TestPredictionFiles:
     def test_empty_corpus_empty_file(self, tmp_path):
         empty = TaggedCorpus((), scheme=TagScheme.IOB2)
         path = tmp_path / "empty.conll"
-        write_conll_predictions(empty, empty, path)
+        write_conll_predictions(empty, [], path)
         assert path.read_text(encoding="utf-8") == ""
 
 

@@ -8,6 +8,7 @@ from histtag.corpus import (
     TaggedCorpus,
     TagScheme,
     convert_scheme,
+    convert_tags,
     extract_char_vocab,
     extract_spans,
 )
@@ -22,7 +23,7 @@ from histtag.embed import (
     load_vectors,
 )
 from histtag.errors import ConfigError, EmptyCorpusError, ModelFormatError, NonFiniteGradientError
-from histtag.evaluation import evaluate
+from histtag.evaluation import evaluate, read_conll_predictions, write_conll_predictions
 from histtag.serialization import layer_tensors, load_tensors, save_tensors
 from histtag.tagger import (
     NerModel,
@@ -142,37 +143,36 @@ class TestPredict:
         model = fresh_model(corpus)
         out1 = predict(model, corpus)
         out2 = predict(model, corpus)
-        assert out1.scheme is TagScheme.IOBES
-        for s1, s2 in zip(out1, out2):
-            assert s1.predicted_tags() == s2.predicted_tags()
-            assert all(t is not None for t in s1.predicted_tags())
+        assert out1 == out2
+        assert [len(tags) for tags in out1] == [len(s) for s in corpus]
+        assert all(isinstance(t, str) for tags in out1 for t in tags)
 
-    def test_gold_tags_preserved(self):
+    def test_gold_tags_preserved(self, tmp_path):
+        """A prediction file written from predict's tag lists carries the
+        corpus's gold tags beside them, and both read back unchanged."""
         corpus = toy_corpus()
-        model = fresh_model(corpus)
-        out = predict(model, corpus)
-        for orig, tagged in zip(corpus, out):
-            assert orig.gold_tags() == tagged.gold_tags()
+        predicted = predict(fresh_model(corpus), corpus)
+        write_conll_predictions(corpus, predicted, tmp_path / "pred.conll")
+        gold, read = read_conll_predictions(tmp_path / "pred.conll", TagScheme.IOB2)
+        assert convert_scheme(gold, TagScheme.IOBES) == corpus
+        assert [convert_tags(tags, TagScheme.IOB2, TagScheme.IOBES)
+                for tags in read] == predicted
 
     def test_predictions_well_formed_across_random_models(self):
         corpus = toy_corpus()
         for seed in range(5):
             model = fresh_model(corpus, seed=seed)
-            for sentence in predict(model, corpus):
-                extract_spans(sentence.predicted_tags(), TagScheme.IOBES)
+            for tags in predict(model, corpus):
+                extract_spans(tags, TagScheme.IOBES)
 
     def test_iob2_corpus_predicted_in_iob2(self):
         corpus = toy_corpus()
         iob2 = convert_scheme(corpus, TagScheme.IOB2)
         for seed in range(5):
             model = fresh_model(corpus, seed=seed)
-            out = predict(model, iob2)
-            assert out.scheme is TagScheme.IOB2
-            for orig, tagged, iobes in zip(iob2, out, predict(model, corpus)):
-                assert tagged.gold_tags() == orig.gold_tags()
-                extract_spans(tagged.gold_tags(), TagScheme.IOB2)
-                assert (extract_spans(tagged.predicted_tags(), TagScheme.IOB2)
-                        == extract_spans(iobes.predicted_tags(), TagScheme.IOBES))
+            for tagged, iobes in zip(predict(model, iob2), predict(model, corpus)):
+                assert (extract_spans(tagged, TagScheme.IOB2)
+                        == extract_spans(iobes, TagScheme.IOBES))
 
 
 class TestTraining:
@@ -247,8 +247,9 @@ class TestTraining:
         assert log.best_epoch == 2
         assert log.best_dev_f1 == 0.9
         final = [p for layer in model.layers for p in layer.params.values()]
+        # the best epoch's values, rounded to the float32 a model file stores
         for param, saved in zip(final, seen[1]):
-            np.testing.assert_array_equal(param, saved)
+            np.testing.assert_array_equal(param, saved.astype(np.float32))
 
     def test_deterministic_given_seed(self):
         corpus = toy_corpus()
@@ -359,10 +360,18 @@ class TestSaveLoad:
         save_ner(model, path)
         loaded = load_ner(path)
         assert loaded.tags == model.tags
-        before = predict(model, corpus)
-        after = predict(loaded, corpus)
-        for s1, s2 in zip(before, after):
-            assert s1.predicted_tags() == s2.predicted_tags()
+        assert predict(loaded, corpus) == predict(model, corpus)
+
+    def test_trained_parameters_are_the_saved_float32_values(self, tmp_path):
+        corpus = toy_corpus()
+        model, _ = train_ner(corpus, corpus, small_config(max_epochs=2),
+                             full_embedder(tmp_path, corpus))
+        for name, value in layer_tensors(model.named_layers):
+            np.testing.assert_array_equal(value, value.astype(np.float32), err_msg=name)
+        save_ner(model, tmp_path / "ner.bin")
+        loaded = layer_tensors(load_ner(tmp_path / "ner.bin").named_layers)
+        for (name, a), (_, b) in zip(layer_tensors(model.named_layers), loaded):
+            np.testing.assert_array_equal(a, b, err_msg=name)
 
     def test_hash_mismatch_detected(self, tmp_path):
         corpus = toy_corpus()
