@@ -10,7 +10,6 @@ from histtag import (
     CharVocabulary,
     PlainCorpus,
     SmlmConfig,
-    corruption_stats,
     select_mask_char,
     smlm_transform,
 )
@@ -32,7 +31,7 @@ corrupted, stats = smlm_transform(corpus, vocab, config)
 print("clean:    ", lines[0])
 print("corrupted:", next(iter(corrupted)))
 print()
-print(corruption_stats(stats).to_text())
+print(stats.to_text())
 
 again, _ = smlm_transform(corpus, vocab, config)
 assert list(corrupted) == list(again)

@@ -15,7 +15,6 @@ from histtag import (
     Sentence,
     StackedEmbedder,
     Token,
-    contextual_embed,
     train_lm,
 )
 from histtag.toydata import build_plain_corpus
@@ -34,8 +33,9 @@ def sentence(words):
 visit = sentence(["Anna", "besucht", "Wien", "."])
 live = sentence(["Wien", "liegt", "an", "der", "Donau", "."])
 
-vectors_visit = contextual_embed(forward, backward, visit)
-vectors_live = contextual_embed(forward, backward, live)
+contextual = ContextualEmbedder(forward, backward)
+vectors_visit = contextual.forward(visit)
+vectors_live = contextual.forward(live)
 print(f"each token vector has {vectors_visit.shape[1]} dimensions "
       f"(forward state + backward state)")
 
@@ -46,14 +46,14 @@ cos = float(wien_as_object @ wien_as_subject /
 print(f"'Wien' in two different contexts, cosine similarity: {cos:.3f} "
       f"(not 1.0: the context flows into the vector)")
 
-again = contextual_embed(forward, backward, visit)
+again = contextual.forward(visit)
 assert np.array_equal(vectors_visit, again)
 print("same sentence, same models: identical vectors.\n")
 
 # stack the frozen LM block with a trainable character-feature block
 encoder = CharFeatureEncoder(forward.vocab, np.random.default_rng(0),
                              embed_dim=16, hidden=12)
-stack = StackedEmbedder([ContextualEmbedder(forward, backward), encoder])
+stack = StackedEmbedder([contextual, encoder])
 stacked, _ = stack.forward(visit)
 print(f"stacked embedder: {stacked.shape[1]} dimensions per token "
       f"({vectors_visit.shape[1]} frozen + {encoder.dim} trainable)")

@@ -42,7 +42,6 @@ from .embed import (
     StackedEmbedder,
     WordEmbeddingTable,
     WordTableEmbedder,
-    contextual_embed,
     load_vectors,
 )
 from .errors import (
@@ -67,7 +66,6 @@ from .evaluation import (
 )
 from .smlm import (
     SmlmConfig,
-    corruption_stats,
     select_mask_char,
     smlm_transform,
 )
@@ -103,7 +101,6 @@ __all__ = [
     "write_conll",
     # corruption
     "SmlmConfig",
-    "corruption_stats",
     "select_mask_char",
     "smlm_transform",
     # character LMs
@@ -120,7 +117,6 @@ __all__ = [
     "StackedEmbedder",
     "WordEmbeddingTable",
     "WordTableEmbedder",
-    "contextual_embed",
     "load_vectors",
     # CRF and tagger
     "CrfLayer",

@@ -64,23 +64,15 @@ class CharLm(Module):
     """
 
     def __init__(self, vocab: CharVocabulary, config: CharLmConfig,
-                 embedding: Embedding, lstm: Lstm, projection: Linear):
+                 rng: np.random.Generator):
         self.vocab = vocab
         self.config = config
-        self.embedding = embedding
-        self.lstm = lstm
-        self.projection = projection
-        self.named_layers = (("embedding", embedding), ("lstm", lstm),
-                             ("projection", projection))
-
-    @classmethod
-    def initialize(cls, vocab: CharVocabulary, config: CharLmConfig,
-                   rng: np.random.Generator) -> "CharLm":
-        n_out = len(vocab) + 1
-        embedding = Embedding(n_out, config.char_embed_dim, rng)
-        lstm = Lstm(config.char_embed_dim, config.hidden_size, rng)
-        projection = Linear(config.hidden_size, n_out, rng)
-        return cls(vocab, config, embedding, lstm, projection)
+        n_out = self.output_size
+        self.embedding = Embedding(n_out, config.char_embed_dim, rng)
+        self.lstm = Lstm(config.char_embed_dim, config.hidden_size, rng)
+        self.projection = Linear(config.hidden_size, n_out, rng)
+        self.named_layers = (("embedding", self.embedding), ("lstm", self.lstm),
+                             ("projection", self.projection))
 
     @property
     def direction(self) -> str:
@@ -201,7 +193,7 @@ def train_lm(corpus: PlainCorpus, config: CharLmConfig, seed: int,
         vocab = extract_char_vocab(PlainCorpus.from_lines([train_text]))
 
     rng = np.random.default_rng(seed)
-    model = CharLm.initialize(vocab, config, rng)
+    model = CharLm(vocab, config, rng)
     B = config.mini_batch
     strands = vocab.encode(train_text[:B * strand_len]).reshape(B, strand_len)
     dev_idx = vocab.encode(dev_text)
@@ -307,6 +299,6 @@ def load_lm(path) -> CharLm:
         )
     except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise ModelFormatError(f"{path}: invalid model metadata: {exc}") from exc
-    model = CharLm.initialize(vocab, config, np.random.default_rng(0))
+    model = CharLm(vocab, config, np.random.default_rng(0))
     assign_tensors(path, model.named_layers, tensors)
     return model

@@ -13,7 +13,8 @@ timestamps, so a repeated run over identical inputs reproduces them byte
 for byte.  The configs embedded by ``smlm``, ``lm train`` and ``ner train``
 re-execute the run when passed back as ``--config``; ``lm ppl``, ``ner
 predict`` and ``eval`` take no config, and theirs records the flags they
-were given.  Every file is written whole or not at all (see
+were given, as ``vocab``'s records the files it read and their columns.
+Every file is written whole or not at all (see
 ``serialization.atomic_open``).
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
@@ -54,7 +55,7 @@ from .evaluation import (
     write_conll_predictions,
 )
 from .serialization import atomic_open, file_sha256
-from .smlm import SmlmConfig, corruption_stats, select_mask_char, smlm_transform
+from .smlm import SmlmConfig, select_mask_char, smlm_transform
 from .tagger import TaggerConfig, load_ner, predict, save_ner, train_ner
 
 logger = logging.getLogger(__name__)
@@ -277,15 +278,25 @@ def cmd_vocab(args) -> int:
     output = Path(_require(
         args.output or config.get("vocab", {}).get("path"), "--output"))
 
-    sources = []
-    for p in plain_paths:
-        sources.append(read_plain(_require_file(p, "input")))
-    for p in conll_paths:
-        sources.append(read_conll(_require_file(p, "input"), token_column,
-                                  tag_column, scheme, split="train"))
+    inputs, sources = {}, []
+    for i, p in enumerate(plain_paths):
+        path = inputs[f"plain[{i}]"] = _require_file(p, "input")
+        sources.append(read_plain(path))
+    for i, p in enumerate(conll_paths):
+        path = inputs[f"conll[{i}]"] = _require_file(p, "input")
+        sources.append(read_conll(path, token_column, tag_column, scheme,
+                                  split="train"))
     vocab = extract_char_vocab(*sources)
     output.parent.mkdir(parents=True, exist_ok=True)
     vocab.to_path(output)
+    write_manifest(
+        Path(f"{output}.manifest.json"), "vocab",
+        {"data": {"plain": [str(p) for p in plain_paths],
+                  "conll": [str(p) for p in conll_paths],
+                  "token_column": token_column, "tag_column": tag_column,
+                  "scheme": scheme.value},
+         "vocab": {"path": str(output)}},
+        {}, inputs, {"vocab": output})
     print(f"{len(vocab)} characters from {len(sources)} source(s) -> {output}")
     return 0
 
@@ -317,12 +328,13 @@ def cmd_smlm(args) -> int:
 
     corrupted, stats = smlm_transform(read_plain(input_path), vocab,
                                       smlm_config)
+    # raises EmptyCorpusError on zero characters, before anything is written
+    stats_text = stats.to_text()
     _write_text(output, "".join(line + "\n" for line in corrupted))
-    report = corruption_stats(stats)
     artifacts = {"output": output}
     if stats_path is not None:
         stats_path = Path(stats_path)
-        _write_text(stats_path, report.to_text())
+        _write_text(stats_path, stats_text)
         artifacts["stats"] = stats_path
 
     resolved = {
@@ -334,9 +346,9 @@ def cmd_smlm(args) -> int:
     write_manifest(Path(f"{output}.manifest.json"), "smlm", resolved,
                    {"smlm": smlm_config.seed},
                    {"input": input_path, "vocab": vocab_source}, artifacts)
-    print(f"corrupted {report.total_chars} characters "
-          f"(kept {report.kept_rate:.4f}, masked {report.masked_rate:.4f}, "
-          f"replaced {report.replaced_rate:.4f}) -> {output}")
+    print(f"corrupted {stats.total_chars} characters "
+          f"(kept {stats.kept_rate:.4f}, masked {stats.masked_rate:.4f}, "
+          f"replaced {stats.replaced_rate:.4f}) -> {output}")
     return 0
 
 

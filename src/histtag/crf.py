@@ -7,7 +7,7 @@ large negative constant rather than true −∞ so arithmetic stays finite;
 pinned entries are excluded from gradient updates.
 """
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,10 +51,10 @@ def iobes_constraint_mask(tags: Sequence[str]) -> np.ndarray:
 
 
 class CrfLayer(Layer):
-    """Transition scores for a fixed tagset, with optional structural mask."""
+    """Transition scores for a fixed tagset, with ill-formed IOBES moves
+    pinned (see ``iobes_constraint_mask``)."""
 
-    def __init__(self, tags: Sequence[str], rng: np.random.Generator,
-                 constrained: bool = True):
+    def __init__(self, tags: Sequence[str], rng: np.random.Generator):
         super().__init__()
         self.tags = tuple(tags)
         self.num_tags = len(self.tags)
@@ -62,15 +62,9 @@ class CrfLayer(Layer):
         self.stop = self.num_tags + 1
         n = self.num_tags + 2
         transitions = rng.uniform(-1.0 / np.sqrt(n), 1.0 / np.sqrt(n), size=(n, n))
-        if constrained:
-            self.allowed = iobes_constraint_mask(self.tags)
-        else:
-            self.allowed = np.ones((n, n), dtype=bool)
-            self.allowed[:, self.start] = False
-            self.allowed[self.stop, :] = False
+        self.allowed = iobes_constraint_mask(self.tags)
         transitions[~self.allowed] = FORBIDDEN_SCORE
         self._register("transitions", transitions)
-        self.constrained = constrained
 
     def mask_grads(self) -> None:
         """Zero gradient at pinned entries so they never move."""

@@ -275,19 +275,13 @@ class ContextualEmbedder(Module):
                 "backward_sha256": file_sha256(self.backward_path)}
 
     def forward(self, sentence: Sentence) -> np.ndarray:
-        return contextual_embed(self.fwd, self.bwd, sentence)
-
-
-def contextual_embed(fwd: CharLm, bwd: CharLm, sentence: Sentence) -> np.ndarray:
-    """Per-token contextual vectors, (forward part, backward part)."""
-    text = sentence_text(sentence)
-    ranges = token_char_ranges(sentence)
-    L = len(text)
-    _, _, hs_f = lm_forward(fwd, fwd.vocab.encode(text))
-    _, _, hs_b = lm_forward(bwd, bwd.vocab.encode(text[::-1]))
-    rows = [np.concatenate([hs_f[end], hs_b[L - 1 - start]])
-            for start, end in ranges]
-    return np.stack(rows)
+        """Per-token contextual vectors, (forward part, backward part)."""
+        text = sentence_text(sentence)
+        L = len(text)
+        _, _, hs_f = lm_forward(self.fwd, self.fwd.vocab.encode(text))
+        _, _, hs_b = lm_forward(self.bwd, self.bwd.vocab.encode(text[::-1]))
+        return np.stack([np.concatenate([hs_f[end], hs_b[L - 1 - start]])
+                         for start, end in token_char_ranges(sentence)])
 
 
 class BlockMemo:

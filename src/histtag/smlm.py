@@ -12,7 +12,6 @@ and seed always produce byte-identical output.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -22,26 +21,21 @@ from .errors import ConfigError, EmptyCorpusError
 # First candidate is the pilcrow; the rest are fallbacks for vocabularies
 # that already contain it.  All are printable so corrupted text stays
 # inspectable.
-DEFAULT_MASK_CANDIDATES = ("¶", "§", "¤", "¦", "¿", "ð")
+MASK_CANDIDATES = ("¶", "§", "¤", "¦", "¿", "ð")
 
 
-def select_mask_char(vocab: CharVocabulary,
-                     candidates: Sequence[str] = DEFAULT_MASK_CANDIDATES) -> str:
-    """Pick the first candidate symbol that is absent from ``vocab``.
+def select_mask_char(vocab: CharVocabulary) -> str:
+    """Pick the first of MASK_CANDIDATES that is absent from ``vocab``.
 
     The mask must not collide with any real vocabulary character, otherwise
     the model could not distinguish "unknown here" from actual text.
     """
-    if not candidates:
-        raise ConfigError("mask candidate list is empty")
-    for ch in candidates:
-        if len(ch) != 1:
-            raise ConfigError(f"mask candidate {ch!r} is not a single character")
+    for ch in MASK_CANDIDATES:
         if ch not in vocab:
             return ch
     raise ConfigError(
         "every mask candidate occurs in the vocabulary; "
-        "pass explicit candidates outside it")
+        "pass an explicit mask character outside it")
 
 
 @dataclass(frozen=True)
@@ -80,7 +74,9 @@ class SmlmConfig:
 
 @dataclass(frozen=True)
 class CorruptionStats:
-    """Per-action counts over every transformed character position."""
+    """Per-action counts over every transformed character position, and
+    the empirical rate of each action; rates over zero characters raise
+    EmptyCorpusError."""
 
     total_chars: int
     kept: int
@@ -93,18 +89,22 @@ class CorruptionStats:
                 "action counts do not sum to total_chars: "
                 f"{self.kept} + {self.masked} + {self.replaced} != {self.total_chars}")
 
+    def _rate(self, count: int) -> float:
+        if self.total_chars == 0:
+            raise EmptyCorpusError("cannot compute rates over zero characters")
+        return count / self.total_chars
 
-@dataclass(frozen=True)
-class CorruptionReport:
-    """Stats plus empirical action rates, ready for a text report."""
+    @property
+    def kept_rate(self) -> float:
+        return self._rate(self.kept)
 
-    total_chars: int
-    kept: int
-    masked: int
-    replaced: int
-    kept_rate: float
-    masked_rate: float
-    replaced_rate: float
+    @property
+    def masked_rate(self) -> float:
+        return self._rate(self.masked)
+
+    @property
+    def replaced_rate(self) -> float:
+        return self._rate(self.replaced)
 
     def to_text(self) -> str:
         lines = [
@@ -115,22 +115,6 @@ class CorruptionReport:
             f"replaced {self.replaced} rate {self.replaced_rate:.6f}",
         ]
         return "\n".join(lines) + "\n"
-
-
-def corruption_stats(stats: CorruptionStats) -> CorruptionReport:
-    """Derive empirical rates from raw counts."""
-    if stats.total_chars == 0:
-        raise EmptyCorpusError("cannot compute rates over zero characters")
-    n = stats.total_chars
-    return CorruptionReport(
-        total_chars=n,
-        kept=stats.kept,
-        masked=stats.masked,
-        replaced=stats.replaced,
-        kept_rate=stats.kept / n,
-        masked_rate=stats.masked / n,
-        replaced_rate=stats.replaced / n,
-    )
 
 
 def smlm_transform(corpus: PlainCorpus, vocab: CharVocabulary,

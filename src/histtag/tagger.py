@@ -65,29 +65,18 @@ class TaggerConfig:
 class NerModel(Module):
     """Embedder → Bi-LSTM → emission projection → CRF."""
 
-    def __init__(self, embedder: StackedEmbedder, tags, config: TaggerConfig,
-                 fwd: Lstm, bwd: Lstm, projection: Linear, crf: CrfLayer):
+    def __init__(self, embedder: StackedEmbedder, tags, lstm_hidden: int,
+                 rng: np.random.Generator):
         self.embedder = embedder
         self.tags = tuple(tags)
         self.tag_index = {t: i for i, t in enumerate(self.tags)}
-        self.config = config
-        self.fwd = fwd
-        self.bwd = bwd
-        self.projection = projection
-        self.crf = crf
+        self.fwd = Lstm(embedder.dim, lstm_hidden, rng)
+        self.bwd = Lstm(embedder.dim, lstm_hidden, rng)
+        self.projection = Linear(2 * lstm_hidden, len(self.tags), rng)
+        self.crf = CrfLayer(self.tags, rng)
         self.named_layers = embedder.named_layers + (
-            ("encoder.fwd", fwd), ("encoder.bwd", bwd),
-            ("projection", projection), ("crf", crf))
-
-    @classmethod
-    def initialize(cls, embedder: StackedEmbedder, tags, config: TaggerConfig,
-                   rng: np.random.Generator, constrained: bool = True) -> "NerModel":
-        H = config.lstm_hidden
-        fwd = Lstm(embedder.dim, H, rng)
-        bwd = Lstm(embedder.dim, H, rng)
-        projection = Linear(2 * H, len(tags), rng)
-        crf = CrfLayer(tags, rng, constrained=constrained)
-        return cls(embedder, tags, config, fwd, bwd, projection, crf)
+            ("encoder.fwd", self.fwd), ("encoder.bwd", self.bwd),
+            ("projection", self.projection), ("crf", self.crf))
 
     def _emissions(self, sentence: Sentence):
         vecs, emb_cache = self.embedder.forward(sentence)
@@ -99,7 +88,7 @@ class NerModel(Module):
 
     def _backward(self, cache, d_emissions: np.ndarray) -> None:
         emb_cache, f_cache, b_cache, lin_cache = cache
-        H = self.config.lstm_hidden
+        H = self.fwd.hidden_size
         d_concat = self.projection.backward(lin_cache, d_emissions)
         dx_f, _ = self.fwd.backward(f_cache, d_concat[None, :, :H])
         dx_b, _ = self.bwd.backward(b_cache, d_concat[None, ::-1, H:])
@@ -155,8 +144,8 @@ def _restore_as_float32(snapshot) -> None:
 
 def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
               embedder: StackedEmbedder,
-              dev_scorer: Optional[Callable[[NerModel], float]] = None,
-              constrained: bool = True) -> tuple[NerModel, NerTrainLog]:
+              dev_scorer: Optional[Callable[[NerModel], float]] = None
+              ) -> tuple[NerModel, NerTrainLog]:
     """Train a tagger; returns the parameters from the best-dev epoch,
     rounded to float32 as ``save_ner`` stores them.
 
@@ -177,8 +166,7 @@ def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
 
     tags = _tagset_from(train)
     rng = np.random.default_rng(config.seed)
-    model = NerModel.initialize(embedder, tags, config, rng,
-                                constrained=constrained)
+    model = NerModel(embedder, tags, config.lstm_hidden, rng)
     if dev_scorer is None:
         def dev_scorer(m: NerModel) -> float:
             return evaluate(dev, predict(m, dev)).f1
@@ -253,8 +241,7 @@ def save_ner(model: NerModel, path) -> None:
     meta = {
         "kind": "ner",
         "tags": list(model.tags),
-        "lstm_hidden": model.config.lstm_hidden,
-        "constrained": model.crf.constrained,
+        "lstm_hidden": model.fwd.hidden_size,
         "components": [c.spec(model_dir) for c in model.embedder.components],
         "paths_relative_to_model": True,
     }
@@ -268,7 +255,10 @@ def load_ner(path) -> NerModel:
     Referenced paths resolve against the model file's directory; files
     written before they were recorded that way (no
     ``paths_relative_to_model`` in the meta) resolve them against the
-    current directory, as they were written."""
+    current directory, as they were written.  Older files also record
+    whether their CRF masked ill-formed IOBES moves; that key is ignored
+    and their transitions load as stored, so a file whose CRF was unmasked
+    predicts as before."""
     meta, tensors = load_tensors(path)
     if meta.get("kind") != "ner":
         raise ModelFormatError(f"{path}: not a tagger model file")
@@ -276,12 +266,13 @@ def load_ner(path) -> NerModel:
     rng = np.random.default_rng(0)
     try:
         tags = [str(t) for t in meta["tags"]]
-        config = TaggerConfig(lstm_hidden=int(meta["lstm_hidden"]))
+        lstm_hidden = int(meta["lstm_hidden"])
+        if lstm_hidden < 1:
+            raise ValueError(f"lstm_hidden must be positive, got {lstm_hidden}")
         # a char-feature encoder gets its tensors below, with the rest
         components = [component_class(spec["kind"]).from_spec(spec, rng, model_dir)
                       for spec in meta["components"]]
-        model = NerModel.initialize(StackedEmbedder(components), tags, config, rng,
-                                    constrained=bool(meta["constrained"]))
+        model = NerModel(StackedEmbedder(components), tags, lstm_hidden, rng)
     except (KeyError, TypeError, ValueError, OverflowError, ConfigError,
             SchemeError) as exc:
         raise ModelFormatError(f"{path}: invalid model metadata: {exc}") from exc

@@ -211,7 +211,7 @@ def train_lm_by_strand(corpus, config, seed):
     train_text = stream[:n - 2 * holdout]
     vocab = extract_char_vocab(PlainCorpus.from_lines([train_text]))
     rng = np.random.default_rng(seed)
-    model = CharLm.initialize(vocab, config, rng)
+    model = CharLm(vocab, config, rng)
     encoded = vocab.encode(train_text)
     strands = [encoded[b * strand_len:(b + 1) * strand_len] for b in range(B)]
     dropout = Dropout(config.dropout)

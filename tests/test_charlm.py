@@ -37,7 +37,7 @@ def small_model(vocab_chars="abcde", hidden=8, embed=4, seed=0, dropout=0.0):
     vocab = CharVocabulary(vocab_chars)
     cfg = CharLmConfig(direction="forward", char_embed_dim=embed,
                        hidden_size=hidden, dropout=dropout)
-    return CharLm.initialize(vocab, cfg, np.random.default_rng(seed))
+    return CharLm(vocab, cfg, np.random.default_rng(seed))
 
 
 def pinned_model(vocab_chars, probs):
@@ -249,7 +249,7 @@ class TestTraining:
         corpus = PlainCorpus.from_lines(["abcd" * 500])
         cfg = tiny_config(learning_rate=0.0)
         model, _ = train_lm(corpus, cfg, seed=0)
-        reference = CharLm.initialize(model.vocab, cfg, np.random.default_rng(0))
+        reference = CharLm(model.vocab, cfg, np.random.default_rng(0))
         for (_, a), (_, b) in zip(tensors(model), tensors(reference)):
             np.testing.assert_array_equal(a, b)
 

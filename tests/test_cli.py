@@ -127,6 +127,27 @@ class TestVocabCommand:
     def test_no_inputs_is_usage_error(self, tmp_path):
         assert main(["vocab", "--output", str(tmp_path / "v.txt")]) == 2
 
+    def test_manifest_hashes_sources_and_vocab(self, toy, tmp_path):
+        out = tmp_path / "vocab.txt"
+        assert main(["vocab", "--plain", str(toy["lm_corpus"]),
+                     "--conll", str(toy["train"]), "--output", str(out)]) == 0
+        manifest_path = tmp_path / "vocab.txt.manifest.json"
+        first = manifest_path.read_bytes()
+        manifest = json.loads(first.decode("utf-8"))
+        assert manifest["command"] == "vocab"
+        assert manifest["config"]["data"]["plain"] == [str(toy["lm_corpus"])]
+        assert manifest["config"]["data"]["conll"] == [str(toy["train"])]
+        assert manifest["config"]["vocab"] == {"path": str(out)}
+        assert manifest["inputs"] == {
+            "plain[0]": {"path": str(toy["lm_corpus"]),
+                         "sha256": file_sha256(toy["lm_corpus"])},
+            "conll[0]": {"path": str(toy["train"]), "sha256": file_sha256(toy["train"])}}
+        assert manifest["artifacts"] == {
+            "vocab": {"path": str(out), "sha256": file_sha256(out)}}
+        assert main(["vocab", "--plain", str(toy["lm_corpus"]),
+                     "--conll", str(toy["train"]), "--output", str(out)]) == 0
+        assert manifest_path.read_bytes() == first
+
     def test_config_driven(self, toy, tmp_path):
         out = tmp_path / "v.txt"
         cfg = write_config(tmp_path / "c.yaml", {
@@ -213,6 +234,15 @@ class TestSmlmCommand:
         assert smlm["p_mask_given_change"] == 0.2
         assert smlm["p_replace_given_change"] == 0.8
         assert smlm["seed"] == 0 and manifest["seeds"] == {"smlm": 0}
+
+    def test_input_without_characters_fails_before_writing(self, toy, tmp_path):
+        blank = tmp_path / "blank.txt"
+        blank.write_text("\n\n", encoding="utf-8")
+        out = tmp_path / "corrupted.txt"
+        rc = main(["smlm", "--input", str(blank), "--vocab", str(toy["lm_corpus"]),
+                   "--output", str(out), "--stats", str(tmp_path / "stats.txt")])
+        assert rc == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blank.txt"]
 
     def test_missing_output_is_usage_error(self, toy):
         rc = main(["smlm", "--input", str(toy["lm_corpus"]),
@@ -452,12 +482,12 @@ class TestFrozenBlocksShared:
     def test_contextual_extraction_once_per_distinct_sentence(self, toy, lm_dir, tmp_path,
                                                               monkeypatch):
         calls = []
-        extract = embed.contextual_embed
+        extract = embed.ContextualEmbedder.forward
 
-        def counting(fwd, bwd, sentence):
+        def counting(self, sentence):
             calls.append(tuple(sentence.texts()))
-            return extract(fwd, bwd, sentence)
-        monkeypatch.setattr(embed, "contextual_embed", counting)
+            return extract(self, sentence)
+        monkeypatch.setattr(embed.ContextualEmbedder, "forward", counting)
         cfg = stacked_config(tmp_path / "ner.yaml", toy["train"].parent, lm_dir,
                              tmp_path / "ner", runs=2)
         assert main(["ner", "train", "--config", cfg]) == 0

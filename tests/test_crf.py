@@ -28,9 +28,11 @@ IOBES_TAGS = ("O", "B-PER", "I-PER", "E-PER", "S-PER", "B-LOC", "I-LOC",
 
 
 def free_crf(num_tags, seed=0):
-    """Unconstrained CRF over synthetic tag names."""
+    """CRF over single-token tags, whose IOBES mask pins only moves into
+    START, moves out of STOP and START→STOP: every path of length ≥ 1 is
+    allowed."""
     tags = [f"S-T{i}" for i in range(num_tags)]
-    return CrfLayer(tags, np.random.default_rng(seed), constrained=False)
+    return CrfLayer(tags, np.random.default_rng(seed))
 
 
 def random_instance(rng, T, K):
@@ -146,8 +148,8 @@ class TestNll:
 class TestGradients:
     def test_emission_and_transition_gradients(self):
         rng = np.random.default_rng(11)
-        for constrained in (False, True):
-            if constrained:
+        for iobes in (False, True):
+            if iobes:
                 crf = CrfLayer(IOBES_TAGS[:5], rng)
                 K = 5
             else:
@@ -155,7 +157,7 @@ class TestGradients:
                 K = 3
             T = 4
             emissions = rng.standard_normal((T, K))
-            gold = [0, 1, 2, 0] if not constrained else [1, 2, 2, 3]
+            gold = [0, 1, 2, 0] if not iobes else [1, 2, 2, 3]
 
             def loss():
                 return nll_of(emissions, crf, gold)

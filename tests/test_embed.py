@@ -10,7 +10,6 @@ from histtag.embed import (
     StackedEmbedder,
     WordEmbeddingTable,
     WordTableEmbedder,
-    contextual_embed,
     load_vectors,
     embedder_factory,
 )
@@ -24,7 +23,7 @@ from oracles import gradient_relative_error, numeric_gradient
 def make_lm(direction, vocab="abcdcaptlsnoe ", hidden=6, seed=0):
     cfg = CharLmConfig(direction=direction, char_embed_dim=4,
                        hidden_size=hidden, dropout=0.0)
-    return CharLm.initialize(CharVocabulary(vocab), cfg, np.random.default_rng(seed))
+    return CharLm(CharVocabulary(vocab), cfg, np.random.default_rng(seed))
 
 
 class TestLoadVectors:
@@ -141,8 +140,8 @@ class TestContextual:
     def test_shapes_and_determinism(self):
         fwd, bwd = make_lm("forward", hidden=6), make_lm("backward", hidden=5)
         sentence = make_sentence([("das", "O"), ("alte", "O"), ("tor", "O")])
-        out1 = contextual_embed(fwd, bwd, sentence)
-        out2 = contextual_embed(fwd, bwd, sentence)
+        out1 = ContextualEmbedder(fwd, bwd).forward(sentence)
+        out2 = ContextualEmbedder(fwd, bwd).forward(sentence)
         assert out1.shape == (3, 11)
         np.testing.assert_array_equal(out1, out2)
 
@@ -150,16 +149,16 @@ class TestContextual:
         fwd, bwd = make_lm("forward"), make_lm("backward", seed=7)
         s1 = make_sentence([("la", "O"), ("casa", "O")])
         s2 = make_sentence([("el", "O"), ("casa", "O")])
-        v1 = contextual_embed(fwd, bwd, s1)[1]
-        v2 = contextual_embed(fwd, bwd, s2)[1]
+        v1 = ContextualEmbedder(fwd, bwd).forward(s1)[1]
+        v2 = ContextualEmbedder(fwd, bwd).forward(s2)[1]
         assert np.max(np.abs(v1 - v2)) > 0
 
     def test_position_sensitivity(self):
         fwd, bwd = make_lm("forward"), make_lm("backward", seed=9)
         s1 = make_sentence([("casa", "O"), ("sol", "O")])
         s2 = make_sentence([("sol", "O"), ("casa", "O")])
-        v1 = contextual_embed(fwd, bwd, s1)[0]
-        v2 = contextual_embed(fwd, bwd, s2)[1]
+        v1 = ContextualEmbedder(fwd, bwd).forward(s1)[0]
+        v2 = ContextualEmbedder(fwd, bwd).forward(s2)[1]
         assert np.max(np.abs(v1 - v2)) > 0
 
     def test_extraction_offsets(self):
@@ -171,7 +170,7 @@ class TestContextual:
         text = "ab c"
         _, _, hs_f = lm_forward(fwd, fwd.vocab.encode(text))
         _, _, hs_b = lm_forward(bwd, bwd.vocab.encode(text[::-1]))
-        out = contextual_embed(fwd, bwd, sentence)
+        out = ContextualEmbedder(fwd, bwd).forward(sentence)
         # token "ab": chars 0..1; token "c": char 3
         np.testing.assert_array_equal(out[0][:6], hs_f[1])
         np.testing.assert_array_equal(out[0][6:], hs_b[len(text) - 1 - 0])
@@ -314,7 +313,7 @@ class TestBlockMemo:
             words, states = stack.memos[0].blocks[key], stack.memos[2].blocks[key]
             np.testing.assert_array_equal(
                 words, np.stack([table.table.lookup(w) for w in key]))
-            np.testing.assert_array_equal(states, contextual_embed(ctx.fwd, ctx.bwd, sentence))
+            np.testing.assert_array_equal(states, ctx.forward(sentence))
             for block in (words, states):
                 assert block.dtype == np.float64 and not block.flags.writeable
                 with pytest.raises(ValueError):

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from histtag.corpus import CharVocabulary, PlainCorpus
 from histtag.errors import ConfigError, EmptyCorpusError
 from histtag.smlm import (
-    DEFAULT_MASK_CANDIDATES,
+    MASK_CANDIDATES,
     CorruptionStats,
     SmlmConfig,
-    corruption_stats,
     select_mask_char,
     smlm_transform,
 )
@@ -25,16 +24,12 @@ class TestSelectMaskChar:
 
     def test_falls_through_to_next_candidate(self):
         vocab = CharVocabulary("abc" + PILCROW)
-        assert select_mask_char(vocab, [PILCROW, SECTION]) == SECTION
+        assert select_mask_char(vocab) == SECTION
 
     def test_exhaustion(self):
-        vocab = CharVocabulary("".join(DEFAULT_MASK_CANDIDATES))
+        vocab = CharVocabulary("".join(MASK_CANDIDATES))
         with pytest.raises(ConfigError):
             select_mask_char(vocab)
-
-    def test_empty_candidates(self):
-        with pytest.raises(ConfigError):
-            select_mask_char(CharVocabulary("ab"), [])
 
 
 class TestConfig:
@@ -65,30 +60,34 @@ class TestStats:
             CorruptionStats(total_chars=10, kept=5, masked=1, replaced=1)
 
     def test_rates_hand_case(self):
-        report = corruption_stats(CorruptionStats(10, 9, 0, 1))
-        assert (report.kept_rate, report.masked_rate, report.replaced_rate) == (0.9, 0.0, 0.1)
+        stats = CorruptionStats(10, 9, 0, 1)
+        assert (stats.kept_rate, stats.masked_rate, stats.replaced_rate) == (0.9, 0.0, 0.1)
 
     def test_all_kept(self):
-        report = corruption_stats(CorruptionStats(7, 7, 0, 0))
-        assert (report.kept_rate, report.masked_rate, report.replaced_rate) == (1.0, 0.0, 0.0)
+        stats = CorruptionStats(7, 7, 0, 0)
+        assert (stats.kept_rate, stats.masked_rate, stats.replaced_rate) == (1.0, 0.0, 0.0)
 
     def test_zero_total(self):
+        stats = CorruptionStats(0, 0, 0, 0)
+        for rate in ("kept_rate", "masked_rate", "replaced_rate"):
+            with pytest.raises(EmptyCorpusError):
+                getattr(stats, rate)
         with pytest.raises(EmptyCorpusError):
-            corruption_stats(CorruptionStats(0, 0, 0, 0))
+            stats.to_text()
 
     @given(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6))
     def test_rates_match_hand_division(self, kept, masked, replaced):
         total = kept + masked + replaced
         if total == 0:
             return
-        report = corruption_stats(CorruptionStats(total, kept, masked, replaced))
-        assert report.kept_rate == kept / total
-        assert report.masked_rate == masked / total
-        assert report.replaced_rate == replaced / total
-        assert abs(report.kept_rate + report.masked_rate + report.replaced_rate - 1.0) <= 1e-12
+        stats = CorruptionStats(total, kept, masked, replaced)
+        assert stats.kept_rate == kept / total
+        assert stats.masked_rate == masked / total
+        assert stats.replaced_rate == replaced / total
+        assert abs(stats.kept_rate + stats.masked_rate + stats.replaced_rate - 1.0) <= 1e-12
 
     def test_report_text(self):
-        text = corruption_stats(CorruptionStats(10, 9, 0, 1)).to_text()
+        text = CorruptionStats(10, 9, 0, 1).to_text()
         assert "total_chars 10" in text
         assert "replaced 1" in text
 

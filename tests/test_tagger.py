@@ -18,7 +18,6 @@ from histtag.embed import (
     StackedEmbedder,
     WordEmbeddingTable,
     WordTableEmbedder,
-    contextual_embed,
     embedder_factory,
     load_vectors,
 )
@@ -92,12 +91,10 @@ class TestConfig:
         assert cfg.patience == 3
 
 
-def fresh_model(corpus, seed=2, **cfg):
+def fresh_model(corpus, seed=2):
     embedder = char_only_embedder(corpus, seed=seed)
-    config = small_config(**cfg)
     tags = tuple(sorted({t for s in corpus for t in s.gold_tags()} | {"O"}))
-    return NerModel.initialize(embedder, tags, config,
-                               np.random.default_rng(seed))
+    return NerModel(embedder, tags, 8, np.random.default_rng(seed))
 
 
 class TestEmissions:
@@ -299,8 +296,8 @@ def full_embedder(tmp_path, corpus):
     chars = CharFeatureEncoder(vocab, rng, embed_dim=6, hidden=5)
 
     lm_cfg = dict(char_embed_dim=4, hidden_size=6, dropout=0.0)
-    fwd = CharLm.initialize(vocab, CharLmConfig(direction="forward", **lm_cfg), rng)
-    bwd = CharLm.initialize(vocab, CharLmConfig(direction="backward", **lm_cfg), rng)
+    fwd = CharLm(vocab, CharLmConfig(direction="forward", **lm_cfg), rng)
+    bwd = CharLm(vocab, CharLmConfig(direction="backward", **lm_cfg), rng)
     fwd_path, bwd_path = tmp_path / "fwd.lm", tmp_path / "bwd.lm"
     save_lm(fwd, fwd_path)
     save_lm(bwd, bwd_path)
@@ -340,10 +337,12 @@ class TestFrozenMemo:
         loaded = load_ner(path)
         calls = []
 
-        def counting(fwd, bwd, sentence):
+        forward = embed.ContextualEmbedder.forward
+
+        def counting(self, sentence):
             calls.append(sentence)
-            return contextual_embed(fwd, bwd, sentence)
-        monkeypatch.setattr(embed, "contextual_embed", counting)
+            return forward(self, sentence)
+        monkeypatch.setattr(embed.ContextualEmbedder, "forward", counting)
         corpus = toy_corpus()
         assert predict(loaded, corpus) == predict(loaded, corpus)
         assert loaded.embedder.memos == {}
@@ -386,8 +385,8 @@ class TestSaveLoad:
 
     def test_references_recorded_relative_to_the_model_file(self, tmp_path, monkeypatch):
         corpus = toy_corpus()
-        model = NerModel.initialize(full_embedder(tmp_path, corpus), ("O", "S-LOC"),
-                                    small_config(), np.random.default_rng(3))
+        model = NerModel(full_embedder(tmp_path, corpus), ("O", "S-LOC"), 8,
+                         np.random.default_rng(3))
         path = tmp_path / "models" / "ner.bin"
         path.parent.mkdir()
         monkeypatch.chdir(tmp_path / "models")
@@ -422,9 +421,8 @@ class TestSaveLoad:
     def test_unsaved_reference_rejected(self, tmp_path):
         corpus = toy_corpus()
         table = WordTableEmbedder(WordEmbeddingTable(3, {"a": np.ones(3)}))
-        model = NerModel.initialize(
-            StackedEmbedder([table]), ("O", "S-PER"), small_config(),
-            np.random.default_rng(0))
+        model = NerModel(StackedEmbedder([table]), ("O", "S-PER"), 8,
+                         np.random.default_rng(0))
         with pytest.raises(ConfigError, match="source path"):
             save_ner(model, tmp_path / "x.bin")
 
@@ -438,8 +436,8 @@ class TestSaveLoad:
 def saved_full_model(tmp_path):
     """An untrained tagger over all three component kinds, saved."""
     corpus = toy_corpus()
-    model = NerModel.initialize(full_embedder(tmp_path, corpus), ("O", "S-LOC", "S-PER"),
-                                small_config(), np.random.default_rng(3))
+    model = NerModel(full_embedder(tmp_path, corpus), ("O", "S-LOC", "S-PER"), 8,
+                     np.random.default_rng(3))
     path = tmp_path / "ner.bin"
     save_ner(model, path)
     return model, path
@@ -493,4 +491,36 @@ class TestFileLayout:
         edit(meta["components"])
         save_tensors(path, meta, list(tensors.items()))
         with pytest.raises(ModelFormatError, match="invalid model metadata"):
+            load_ner(path)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_older_crf_mask_key_is_ignored(self, tmp_path, flag):
+        """Older files record ``constrained``; they load their transitions
+        as stored and predict what the saving model did, whatever the key
+        says.  With ``False`` every transition holds a free value, as an
+        unmasked CRF would have left it."""
+        corpus = toy_corpus()
+        model = NerModel(full_embedder(tmp_path, corpus), ("O", "S-LOC", "S-PER"), 8,
+                         np.random.default_rng(3))
+        if not flag:
+            transitions = model.crf.params["transitions"]
+            transitions[...] = np.random.default_rng(4).standard_normal(transitions.shape)
+        for layer in model.layers:
+            for value in layer.params.values():
+                value[...] = value.astype(np.float32)
+        path = tmp_path / "ner.bin"
+        save_ner(model, path)
+        meta, tensors = load_tensors(path)
+        assert "constrained" not in meta
+        save_tensors(path, {**meta, "constrained": flag}, list(tensors.items()))
+        loaded = load_ner(path)
+        np.testing.assert_array_equal(loaded.crf.params["transitions"],
+                                      model.crf.params["transitions"])
+        assert predict(loaded, corpus) == predict(model, corpus)
+
+    def test_lstm_hidden_below_one_rejected(self, tmp_path):
+        _, path = saved_full_model(tmp_path)
+        meta, tensors = load_tensors(path)
+        save_tensors(path, {**meta, "lstm_hidden": 0}, list(tensors.items()))
+        with pytest.raises(ModelFormatError, match="lstm_hidden must be positive"):
             load_ner(path)
