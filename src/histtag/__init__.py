@@ -40,7 +40,6 @@ from .embed import (
     CharFeatureEncoder,
     ContextualEmbedder,
     StackedEmbedder,
-    WordEmbeddingTable,
     WordTableEmbedder,
     load_vectors,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "CharFeatureEncoder",
     "ContextualEmbedder",
     "StackedEmbedder",
-    "WordEmbeddingTable",
     "WordTableEmbedder",
     "load_vectors",
     # CRF and tagger

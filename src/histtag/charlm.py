@@ -63,24 +63,16 @@ class CharLm(Module):
     UNK index at position ``len(vocab)``.
     """
 
-    def __init__(self, vocab: CharVocabulary, config: CharLmConfig,
-                 rng: np.random.Generator):
+    def __init__(self, vocab: CharVocabulary, direction: str, char_embed_dim: int,
+                 hidden_size: int, rng: np.random.Generator):
         self.vocab = vocab
-        self.config = config
+        self.direction = direction
         n_out = self.output_size
-        self.embedding = Embedding(n_out, config.char_embed_dim, rng)
-        self.lstm = Lstm(config.char_embed_dim, config.hidden_size, rng)
-        self.projection = Linear(config.hidden_size, n_out, rng)
+        self.embedding = Embedding(n_out, char_embed_dim, rng)
+        self.lstm = Lstm(char_embed_dim, hidden_size, rng)
+        self.projection = Linear(hidden_size, n_out, rng)
         self.named_layers = (("embedding", self.embedding), ("lstm", self.lstm),
                              ("projection", self.projection))
-
-    @property
-    def direction(self) -> str:
-        return self.config.direction
-
-    @property
-    def unk_index(self) -> int:
-        return len(self.vocab)
 
     @property
     def output_size(self) -> int:
@@ -152,7 +144,7 @@ def _train_window(model: CharLm, x: np.ndarray, y: np.ndarray, state,
     hs, new_state, lstm_cache = model.lstm.forward(emb, state)
     # one (B, T, H) draw consumes the generator exactly like B successive
     # (T, H) draws, one per strand
-    dropped, drop_cache = dropout.forward(hs, rng, train=True)
+    dropped, drop_cache = dropout.forward(hs, rng)
     logits, lin_cache = model.projection.forward(dropped.reshape(B * T, H))
     nll, dlogits = cross_entropy(logits, y.reshape(B * T))
     dlogits *= scale
@@ -193,7 +185,8 @@ def train_lm(corpus: PlainCorpus, config: CharLmConfig, seed: int,
         vocab = extract_char_vocab(PlainCorpus.from_lines([train_text]))
 
     rng = np.random.default_rng(seed)
-    model = CharLm(vocab, config, rng)
+    model = CharLm(vocab, config.direction, config.char_embed_dim,
+                   config.hidden_size, rng)
     B = config.mini_batch
     strands = vocab.encode(train_text[:B * strand_len]).reshape(B, strand_len)
     dev_idx = vocab.encode(dev_text)
@@ -277,28 +270,30 @@ def save_lm(model: CharLm, path) -> None:
     meta = {
         "kind": "charlm",
         "direction": model.direction,
-        "char_embed_dim": model.config.char_embed_dim,
-        "hidden_size": model.config.hidden_size,
-        "dropout": model.config.dropout,
+        "char_embed_dim": model.embedding.dim,
+        "hidden_size": model.lstm.hidden_size,
         "vocab": model.vocab.codepoints(),
     }
     save_tensors(path, meta, layer_tensors(model.named_layers))
 
 
 def load_lm(path) -> CharLm:
+    """Rebuild a saved LM.  Older files also record the training dropout;
+    that key is ignored."""
     meta, tensors = load_tensors(path)
     if meta.get("kind") != "charlm":
         raise ModelFormatError(f"{path}: not a character LM file")
     try:
         vocab = CharVocabulary.from_codepoints(meta["vocab"])
-        config = CharLmConfig(
-            direction=meta["direction"],
-            char_embed_dim=int(meta["char_embed_dim"]),
-            hidden_size=int(meta["hidden_size"]),
-            dropout=float(meta["dropout"]),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
+        direction = meta["direction"]
+        if direction not in DIRECTIONS:
+            raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+        dims = {name: int(meta[name]) for name in ("char_embed_dim", "hidden_size")}
+        for name, value in dims.items():
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: invalid model metadata: {exc}") from exc
-    model = CharLm(vocab, config, np.random.default_rng(0))
+    model = CharLm(vocab, direction, rng=np.random.default_rng(0), **dims)
     assign_tensors(path, model.named_layers, tensors)
     return model

@@ -48,14 +48,20 @@ CHAR_HIDDEN = 25
 MEMO_BYTES = 1 << 30
 
 
-class WordEmbeddingTable:
-    """Static word → vector map with a zero-vector OOV policy.
+class WordTableEmbedder(Module):
+    """Frozen component: a static word → vector map, one row per token.
 
     Lookup tries the exact word, then its lowercase form; anything else
-    gets the zero vector.  Vectors are never trained here.
+    gets the zero vector.  Vectors are never trained here.  ``source_path``
+    records where the table came from so tagger model files can reference
+    it instead of embedding megabytes of static vectors.
     """
 
-    def __init__(self, dim: int, entries: dict[str, np.ndarray]):
+    kind = "word_table"
+    files = ("path",)
+    options = ()
+
+    def __init__(self, dim: int, entries: dict[str, np.ndarray], source_path=None):
         if dim < 1:
             raise ConfigError(f"vector dim must be positive, got {dim}")
         for word, vec in entries.items():
@@ -64,13 +70,26 @@ class WordEmbeddingTable:
                     f"vector for {word!r} has shape {vec.shape}, expected ({dim},)")
         self.dim = dim
         self.entries = entries
+        self.source_path = source_path
         self._zero = np.zeros(dim)
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    @classmethod
+    def build(cls, entry: dict, vocab, rng) -> "WordTableEmbedder":
+        return load_vectors(entry["path"])
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
+    @classmethod
+    def from_spec(cls, spec: dict, rng, model_dir) -> "WordTableEmbedder":
+        path = _resolve(spec["path"], model_dir)
+        _verify_hash(path, spec["sha256"], "word-vector file")
+        return load_vectors(path)
+
+    def spec(self, model_dir) -> dict:
+        if self.source_path is None:
+            raise ConfigError(
+                "word-table component has no source path; load it via "
+                "load_vectors(path) before saving the model")
+        return {"kind": self.kind, "path": os.path.relpath(self.source_path, model_dir),
+                "sha256": file_sha256(self.source_path)}
 
     def lookup(self, word: str) -> np.ndarray:
         vec = self.entries.get(word)
@@ -78,11 +97,15 @@ class WordEmbeddingTable:
             vec = self.entries.get(word.lower())
         return self._zero if vec is None else vec
 
+    def forward(self, sentence: Sentence) -> np.ndarray:
+        return np.stack([self.lookup(tok.text) for tok in sentence])
 
-def load_vectors(path) -> WordEmbeddingTable:
+
+def load_vectors(path) -> WordTableEmbedder:
     """Parse a text vector file: optional "count dim" header, then one
     ``word v1 … vdim`` line per entry.  Duplicate words keep the last
-    occurrence (warned); dimension mismatches are parse errors.
+    occurrence (warned); dimension mismatches are parse errors.  Returns
+    the word-table component, recording ``path`` as its source.
     """
     entries: dict[str, np.ndarray] = {}
     dim: Optional[int] = None
@@ -120,45 +143,7 @@ def load_vectors(path) -> WordEmbeddingTable:
             entries[word] = vec
     if dim is None:
         raise ParseError("vector file contains no entries", path=str(path))
-    return WordEmbeddingTable(dim, entries)
-
-
-class WordTableEmbedder(Module):
-    """Frozen component: one table row (or zero vector) per token.
-
-    ``source_path`` records where the table came from so tagger model files
-    can reference it instead of embedding megabytes of static vectors.
-    """
-
-    kind = "word_table"
-    files = ("path",)
-    options = ()
-
-    def __init__(self, table: WordEmbeddingTable, source_path=None):
-        self.table = table
-        self.dim = table.dim
-        self.source_path = source_path
-
-    @classmethod
-    def build(cls, entry: dict, vocab, rng) -> "WordTableEmbedder":
-        return cls(load_vectors(entry["path"]), source_path=entry["path"])
-
-    @classmethod
-    def from_spec(cls, spec: dict, rng, model_dir) -> "WordTableEmbedder":
-        path = _resolve(spec["path"], model_dir)
-        _verify_hash(path, spec["sha256"], "word-vector file")
-        return cls.build({"path": path}, None, rng)
-
-    def spec(self, model_dir) -> dict:
-        if self.source_path is None:
-            raise ConfigError(
-                "word-table component has no source path; load it via "
-                "load_vectors(path) before saving the model")
-        return {"kind": self.kind, "path": os.path.relpath(self.source_path, model_dir),
-                "sha256": file_sha256(self.source_path)}
-
-    def forward(self, sentence: Sentence) -> np.ndarray:
-        return np.stack([self.table.lookup(tok.text) for tok in sentence])
+    return WordTableEmbedder(dim, entries, source_path=path)
 
 
 class CharFeatureEncoder(Module):
@@ -247,7 +232,7 @@ class ContextualEmbedder(Module):
                 f"{fwd.direction!r} and {bwd.direction!r}")
         self.fwd = fwd
         self.bwd = bwd
-        self.dim = fwd.config.hidden_size + bwd.config.hidden_size
+        self.dim = fwd.lstm.hidden_size + bwd.lstm.hidden_size
         self.forward_path = forward_path
         self.backward_path = backward_path
 

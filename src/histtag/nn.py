@@ -257,15 +257,15 @@ def _padding_mask(lengths, B: int, T: int):
 
 
 class Dropout:
-    """Inverted dropout; identity when rate is 0 or training is off."""
+    """Inverted dropout, for training only; identity when rate is 0."""
 
     def __init__(self, rate: float):
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
         self.rate = rate
 
-    def forward(self, x: np.ndarray, rng: np.random.Generator, train: bool):
-        if not train or self.rate == 0.0:
+    def forward(self, x: np.ndarray, rng: np.random.Generator):
+        if self.rate == 0.0:
             return x, None
         mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
         return x * mask, mask

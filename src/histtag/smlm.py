@@ -44,28 +44,22 @@ class SmlmConfig:
 
     ``p_keep`` is the probability of leaving a character unchanged.  The
     remaining probability mass splits into masking (``p_mask_given_change``)
-    and uniform replacement (``p_replace_given_change``).  Numeric fields
-    are stored as float and int, so a run config's ``p_keep: 1`` reads 1.0.
+    and uniform replacement (the rest).  Numeric fields are stored as float
+    and int, so a run config's ``p_keep: 1`` reads 1.0.
     """
 
     mask_char: str
     seed: int = 0
     p_keep: float = 0.90
     p_mask_given_change: float = 0.20
-    p_replace_given_change: float = 0.80
 
     def __post_init__(self):
-        for name in ("p_keep", "p_mask_given_change", "p_replace_given_change"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("p_keep", "p_mask_given_change"):
+            value = float(getattr(self, name))
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "seed", int(self.seed))
-        if not 0.0 <= self.p_keep <= 1.0:
-            raise ConfigError(f"p_keep must lie in [0, 1], got {self.p_keep}")
-        if self.p_mask_given_change < 0 or self.p_replace_given_change < 0:
-            raise ConfigError("change-split probabilities must be non-negative")
-        total = self.p_mask_given_change + self.p_replace_given_change
-        if abs(total - 1.0) > 1e-12:
-            raise ConfigError(
-                f"p_mask_given_change + p_replace_given_change must equal 1, got {total}")
         if len(self.mask_char) != 1:
             raise ConfigError(f"mask_char must be a single character, got {self.mask_char!r}")
         if self.seed < 0:

@@ -211,7 +211,8 @@ def train_lm_by_strand(corpus, config, seed):
     train_text = stream[:n - 2 * holdout]
     vocab = extract_char_vocab(PlainCorpus.from_lines([train_text]))
     rng = np.random.default_rng(seed)
-    model = CharLm(vocab, config, rng)
+    model = CharLm(vocab, config.direction, config.char_embed_dim,
+                   config.hidden_size, rng)
     encoded = vocab.encode(train_text)
     strands = [encoded[b * strand_len:(b + 1) * strand_len] for b in range(B)]
     dropout = Dropout(config.dropout)
@@ -225,7 +226,7 @@ def train_lm_by_strand(corpus, config, seed):
         for b, strand in enumerate(strands):
             emb, emb_cache = model.embedding.forward(strand[pos:end])
             hs, states[b], cache = lstm_reference_forward(lstm.params, emb, states[b])
-            dropped, drop_cache = dropout.forward(hs, rng, train=True)
+            dropped, drop_cache = dropout.forward(hs, rng)
             logits, lin_cache = model.projection.forward(dropped)
             _, dlogits = cross_entropy(logits, strand[pos + 1:end + 1])
             dh = model.projection.backward(lin_cache, dlogits * scale)

@@ -121,9 +121,7 @@ def _charlm_gradient_error(errors):
     from histtag.charlm import lm_forward
 
     vocab = CharVocabulary("abcde")
-    config = CharLmConfig(direction="forward", char_embed_dim=4,
-                          hidden_size=8, dropout=0.0)
-    model = CharLm(vocab, config, np.random.default_rng(0))
+    model = CharLm(vocab, "forward", 4, 8, np.random.default_rng(0))
     x = model.vocab.encode("abdec")
     y = model.vocab.encode("bdeca")
 
@@ -255,9 +253,7 @@ def test_criterion_3_smlm_statistics():
 
 def _pinned_lm(vocab_chars: str, probs) -> CharLm:
     vocab = CharVocabulary(vocab_chars)
-    config = CharLmConfig(direction="forward", char_embed_dim=4,
-                          hidden_size=8, dropout=0.0)
-    model = CharLm(vocab, config, np.random.default_rng(0))
+    model = CharLm(vocab, "forward", 4, 8, np.random.default_rng(0))
     for layer in model.layers:
         for p in layer.params.values():
             p[...] = 0.0

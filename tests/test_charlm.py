@@ -33,16 +33,14 @@ def tensors(model):
     return layer_tensors(model.named_layers)
 
 
-def small_model(vocab_chars="abcde", hidden=8, embed=4, seed=0, dropout=0.0):
-    vocab = CharVocabulary(vocab_chars)
-    cfg = CharLmConfig(direction="forward", char_embed_dim=embed,
-                       hidden_size=hidden, dropout=dropout)
-    return CharLm(vocab, cfg, np.random.default_rng(seed))
+def small_model(vocab_chars="abcde", hidden=8, embed=4, seed=0, direction="forward"):
+    return CharLm(CharVocabulary(vocab_chars), direction, embed, hidden,
+                  np.random.default_rng(seed))
 
 
-def pinned_model(vocab_chars, probs):
+def pinned_model(vocab_chars, probs, direction="forward"):
     """Zero recurrence, projection bias = log probs: constant distribution."""
-    model = small_model(vocab_chars)
+    model = small_model(vocab_chars, direction=direction)
     for layer in model.layers:
         for p in layer.params.values():
             p[...] = 0.0
@@ -104,7 +102,8 @@ class TestForward:
     def test_unknown_maps_to_unk(self):
         model = small_model()
         idx = model.vocab.encode("aZ!")
-        assert idx.tolist() == [0, model.unk_index, model.unk_index]
+        unk = len(model.vocab)
+        assert idx.tolist() == [0, unk, unk]
 
     def test_out_of_range_index(self):
         model = small_model()
@@ -175,9 +174,7 @@ class TestPerplexity:
 
     def test_backward_scores_reversed_text(self):
         fwd = pinned_model("abc", [0.5, 0.25, 0.125, 0.125])
-        bwd = pinned_model("abc", [0.5, 0.25, 0.125, 0.125])
-        bwd.config = CharLmConfig(direction="backward", char_embed_dim=4,
-                                  hidden_size=8, dropout=0.0)
+        bwd = pinned_model("abc", [0.5, 0.25, 0.125, 0.125], direction="backward")
         # constant distribution: backward ppl of text = forward ppl of reverse
         assert sentence_perplexity(bwd, "aab") == pytest.approx(
             sentence_perplexity(fwd, "baa"), abs=1e-12)
@@ -249,7 +246,8 @@ class TestTraining:
         corpus = PlainCorpus.from_lines(["abcd" * 500])
         cfg = tiny_config(learning_rate=0.0)
         model, _ = train_lm(corpus, cfg, seed=0)
-        reference = CharLm(model.vocab, cfg, np.random.default_rng(0))
+        reference = CharLm(model.vocab, cfg.direction, cfg.char_embed_dim,
+                           cfg.hidden_size, np.random.default_rng(0))
         for (_, a), (_, b) in zip(tensors(model), tensors(reference)):
             np.testing.assert_array_equal(a, b)
 
@@ -369,6 +367,32 @@ class TestSaveLoad:
         assert list(loaded) == [
             "embedding.weight", "lstm.Wx", "lstm.Wh", "lstm.bias",
             "projection.weight", "projection.bias"]
+
+    def test_meta_holds_only_the_model(self, tmp_path):
+        _, path = self._trained(tmp_path)
+        meta, _ = load_tensors(path)
+        assert set(meta) == {"kind", "direction", "char_embed_dim", "hidden_size", "vocab"}
+
+    def test_older_dropout_key_is_ignored(self, tmp_path):
+        _, path = self._trained(tmp_path)
+        meta, loaded = load_tensors(path)
+        older = tmp_path / "older.bin"
+        save_tensors(older, {**meta, "dropout": 0.3}, list(loaded.items()))
+        current, legacy = load_lm(path), load_lm(older)
+        for (n1, a), (n2, b) in zip(tensors(current), tensors(legacy)):
+            assert n1 == n2
+            np.testing.assert_array_equal(a, b)
+        text = "guten morgen"
+        assert sentence_perplexity(legacy, text) == sentence_perplexity(current, text)
+
+    @pytest.mark.parametrize("key,value", [
+        ("direction", "sideways"), ("hidden_size", 0), ("char_embed_dim", 0)])
+    def test_invalid_meta_rejected(self, tmp_path, key, value):
+        _, path = self._trained(tmp_path)
+        meta, loaded = load_tensors(path)
+        save_tensors(path, {**meta, key: value}, list(loaded.items()))
+        with pytest.raises(ModelFormatError, match=key):
+            load_lm(path)
 
     def test_missing_tensor(self, tmp_path):
         _, path = self._trained(tmp_path)

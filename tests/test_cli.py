@@ -232,7 +232,7 @@ class TestSmlmCommand:
         smlm = manifest["config"]["smlm"]
         assert smlm["p_keep"] == 1.0 and isinstance(smlm["p_keep"], float)
         assert smlm["p_mask_given_change"] == 0.2
-        assert smlm["p_replace_given_change"] == 0.8
+        assert set(smlm) == {"mask_char", "seed", "p_keep", "p_mask_given_change", "output"}
         assert smlm["seed"] == 0 and manifest["seeds"] == {"smlm": 0}
 
     def test_input_without_characters_fails_before_writing(self, toy, tmp_path):

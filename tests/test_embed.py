@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from histtag import embed
-from histtag.charlm import CharLm, CharLmConfig, save_lm
+from histtag.charlm import CharLm, save_lm
 from histtag.corpus import CharVocabulary
 from histtag.embed import (
     CharFeatureEncoder,
     ContextualEmbedder,
     StackedEmbedder,
-    WordEmbeddingTable,
     WordTableEmbedder,
     load_vectors,
     embedder_factory,
@@ -21,9 +20,7 @@ from oracles import gradient_relative_error, numeric_gradient
 
 
 def make_lm(direction, vocab="abcdcaptlsnoe ", hidden=6, seed=0):
-    cfg = CharLmConfig(direction=direction, char_embed_dim=4,
-                       hidden_size=hidden, dropout=0.0)
-    return CharLm(CharVocabulary(vocab), cfg, np.random.default_rng(seed))
+    return CharLm(CharVocabulary(vocab), direction, 4, hidden, np.random.default_rng(seed))
 
 
 class TestLoadVectors:
@@ -31,14 +28,14 @@ class TestLoadVectors:
         p = tmp_path / "vec.txt"
         p.write_text("der 0.1 0.2 0.3\nhaus -1 0 1\n", encoding="utf-8")
         table = load_vectors(p)
-        assert len(table) == 2 and table.dim == 3
+        assert len(table.entries) == 2 and table.dim == 3
         np.testing.assert_allclose(table.lookup("haus"), [-1, 0, 1])
 
     def test_header_skipped(self, tmp_path):
         p = tmp_path / "vec.txt"
         p.write_text("2 3\na 1 2 3\nb 4 5 6\n", encoding="utf-8")
         table = load_vectors(p)
-        assert len(table) == 2 and table.dim == 3
+        assert len(table.entries) == 2 and table.dim == 3
 
     def test_oov_is_zero(self, tmp_path):
         p = tmp_path / "vec.txt"
@@ -184,7 +181,7 @@ class TestContextual:
 
 def table_embedder(words, dim, fill):
     entries = {w: np.full(dim, v) for w, v in zip(words, fill)}
-    return WordTableEmbedder(WordEmbeddingTable(dim, entries))
+    return WordTableEmbedder(dim, entries)
 
 
 class TestStacked:
@@ -312,7 +309,7 @@ class TestBlockMemo:
             key = tuple(sentence.texts())
             words, states = stack.memos[0].blocks[key], stack.memos[2].blocks[key]
             np.testing.assert_array_equal(
-                words, np.stack([table.table.lookup(w) for w in key]))
+                words, np.stack([table.lookup(w) for w in key]))
             np.testing.assert_array_equal(states, ctx.forward(sentence))
             for block in (words, states):
                 assert block.dtype == np.float64 and not block.flags.writeable
@@ -341,10 +338,6 @@ class TestBlockMemo:
 class TestWordTable:
     def test_dim_validation(self):
         with pytest.raises(ConfigError):
-            WordEmbeddingTable(3, {"a": np.zeros(2)})
+            WordTableEmbedder(3, {"a": np.zeros(2)})
         with pytest.raises(ConfigError):
-            WordEmbeddingTable(0, {})
-
-    def test_contains(self):
-        table = WordEmbeddingTable(2, {"a": np.ones(2)})
-        assert "a" in table and "b" not in table
+            WordTableEmbedder(0, {})

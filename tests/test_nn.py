@@ -177,21 +177,15 @@ class TestLstm:
 
 
 class TestDropout:
-    def test_eval_is_identity(self):
-        x = np.ones((3, 3))
-        drop = Dropout(0.5)
-        out, cache = drop.forward(x, np.random.default_rng(0), train=False)
-        assert out is x and cache is None
-
     def test_zero_rate_is_identity(self):
         x = np.ones((3, 3))
-        out, cache = Dropout(0.0).forward(x, np.random.default_rng(0), train=True)
+        out, cache = Dropout(0.0).forward(x, np.random.default_rng(0))
         assert out is x and cache is None
 
     def test_training_scales_survivors(self):
         x = np.ones((200, 50))
         drop = Dropout(0.3)
-        out, mask = drop.forward(x, np.random.default_rng(1), train=True)
+        out, mask = drop.forward(x, np.random.default_rng(1))
         survivors = out[out != 0]
         np.testing.assert_allclose(survivors, 1.0 / 0.7)
         assert abs(out.mean() - 1.0) < 0.05
@@ -204,9 +198,9 @@ class TestDropout:
         stream of the strand-by-strand loop."""
         drop = Dropout(0.4)
         x = np.ones((4, 6, 5))
-        _, batched = drop.forward(x, np.random.default_rng(9), train=True)
+        _, batched = drop.forward(x, np.random.default_rng(9))
         rng = np.random.default_rng(9)
-        rows = [drop.forward(x[b], rng, train=True)[1] for b in range(4)]
+        rows = [drop.forward(x[b], rng)[1] for b in range(4)]
         np.testing.assert_array_equal(batched, np.stack(rows))
 
     def test_invalid_rate(self):

@@ -37,12 +37,12 @@ class TestConfig:
         cfg = SmlmConfig(mask_char=PILCROW, seed=1)
         assert cfg.p_keep == 0.90
         assert cfg.p_mask_given_change == 0.20
-        assert cfg.p_replace_given_change == 0.80
 
     @pytest.mark.parametrize("kwargs", [
         {"p_keep": -0.1},
         {"p_keep": 1.5},
-        {"p_mask_given_change": 0.5, "p_replace_given_change": 0.6},
+        {"p_mask_given_change": 1.5},
+        {"p_mask_given_change": -0.1},
         {"mask_char": "ab"},
         {"mask_char": ""},
         {"seed": -3},

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from histtag import embed
-from histtag.charlm import CharLm, CharLmConfig, save_lm
+from histtag.charlm import CharLm, save_lm
 from histtag.corpus import (
     CharVocabulary,
     TaggedCorpus,
@@ -16,7 +16,6 @@ from histtag.embed import (
     CharFeatureEncoder,
     ContextualEmbedder,
     StackedEmbedder,
-    WordEmbeddingTable,
     WordTableEmbedder,
     embedder_factory,
     load_vectors,
@@ -187,8 +186,8 @@ class TestTraining:
 
     def test_non_finite_gradient_stops_training(self):
         corpus = toy_corpus()
-        table = WordEmbeddingTable(2, {"Graz": np.array([np.nan, 0.0])})
-        embedder = StackedEmbedder([WordTableEmbedder(table)])
+        table = WordTableEmbedder(2, {"Graz": np.array([np.nan, 0.0])})
+        embedder = StackedEmbedder([table])
         # one mini-batch holds every sentence, "Graz" among them
         with pytest.raises(NonFiniteGradientError, match="epoch 1, step 1"):
             train_ner(corpus, corpus, small_config(mini_batch=8), embedder)
@@ -290,14 +289,13 @@ def full_embedder(tmp_path, corpus):
     lines = [f"{w} " + " ".join(f"{v:.3f}" for v in rng.standard_normal(4))
              for w in words[:5]]
     vec_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    table = WordTableEmbedder(load_vectors(vec_path), source_path=vec_path)
+    table = load_vectors(vec_path)
 
     vocab = extract_char_vocab(corpus)
     chars = CharFeatureEncoder(vocab, rng, embed_dim=6, hidden=5)
 
-    lm_cfg = dict(char_embed_dim=4, hidden_size=6, dropout=0.0)
-    fwd = CharLm(vocab, CharLmConfig(direction="forward", **lm_cfg), rng)
-    bwd = CharLm(vocab, CharLmConfig(direction="backward", **lm_cfg), rng)
+    fwd = CharLm(vocab, "forward", 4, 6, rng)
+    bwd = CharLm(vocab, "backward", 4, 6, rng)
     fwd_path, bwd_path = tmp_path / "fwd.lm", tmp_path / "bwd.lm"
     save_lm(fwd, fwd_path)
     save_lm(bwd, bwd_path)
@@ -420,7 +418,7 @@ class TestSaveLoad:
 
     def test_unsaved_reference_rejected(self, tmp_path):
         corpus = toy_corpus()
-        table = WordTableEmbedder(WordEmbeddingTable(3, {"a": np.ones(3)}))
+        table = WordTableEmbedder(3, {"a": np.ones(3)})
         model = NerModel(StackedEmbedder([table]), ("O", "S-PER"), 8,
                          np.random.default_rng(0))
         with pytest.raises(ConfigError, match="source path"):
