@@ -3,8 +3,10 @@
 One binary, subcommand style.  Orchestrated commands read a YAML run
 config; individual flags override config values.  The keys and defaults of
 the ``lm.<direction>``, ``tagger`` and ``smlm`` sections are the fields of
-CharLmConfig, TaggerConfig and SmlmConfig, and the embedding component
-kinds are those of ``histtag.embed``; this module only orchestrates.
+CharLmConfig, TaggerConfig and SmlmConfig, their annotations are the types
+the values must have, and the embedding component kinds and their keys are
+those of ``histtag.embed``; this module only orchestrates.  _SCHEMA types
+every key, and a value of the wrong type is a config error.
 
 Every command that produces file artifacts also writes a run manifest
 beside them: the fully resolved config, its hash, the seeds used, library
@@ -65,59 +67,70 @@ logger = logging.getLogger(__name__)
 # run config
 
 
-def _fields(cls) -> frozenset:
-    return frozenset(f.name for f in fields(cls))
+def _fields(cls) -> dict:
+    return {f.name: f.type for f in fields(cls)}
 
 
+# the keys ``lm train`` takes for each direction; it sets the direction itself
+_LM_DIRECTION = {k: t for k, t in _fields(CharLmConfig).items() if k != "direction"}
+# every key of the run config and the type of its value; a nested dict is
+# a section, and ``list`` marks the list of embedding components
 _SCHEMA = {
-    "data": frozenset({"train", "dev", "test", "lm_corpus",
-                       "token_column", "tag_column", "scheme"}),
-    "vocab": frozenset({"path"}),
-    "smlm": _fields(SmlmConfig) | {"output", "stats"},
-    "lm": frozenset({"forward", "backward", "corpus", "vocab", "seed",
-                     "output_dir"}),
-    "embeddings": None,
+    "data": {"train": str, "dev": str, "test": str, "lm_corpus": str,
+             "token_column": int, "tag_column": int, "scheme": str},
+    "vocab": {"path": str},
+    "smlm": {**_fields(SmlmConfig), "output": str, "stats": str},
+    "lm": {"corpus": str, "seed": int, "output_dir": str,
+           "forward": _LM_DIRECTION, "backward": _LM_DIRECTION},
+    "embeddings": list,
     "tagger": _fields(TaggerConfig),
-    "eval": frozenset({"runs", "output_dir"}),
+    "eval": {"runs": int, "output_dir": str},
 }
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
-def _check_keys(mapping, allowed, where: str) -> None:
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"config section {where!r} must be a mapping")
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) in {where}: {', '.join(unknown)}")
+def _component_schema(comp, where: str) -> dict:
+    """The keys of embedding entry ``comp`` and their types, by its kind."""
+    if not isinstance(comp, dict) or "kind" not in comp:
+        raise ConfigError(f"{where} needs a 'kind' key")
+    try:
+        cls = component_class(comp["kind"])
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    return {"kind": str, **dict.fromkeys(cls.files, str), **cls.options}
+
+
+def _checked(value, schema, where: str):
+    """``value`` checked against ``schema``, with its null entries dropped.
+
+    An int takes no bool or float, a float takes an int or a float, and a
+    str takes only a string."""
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"config section {where!r} must be a mapping")
+        unknown = sorted(map(str, set(value) - set(schema)))
+        if unknown:
+            raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+        prefix = "" if where == "run config" else f"{where}."
+        return {k: _checked(v, schema[k], prefix + k)
+                for k, v in value.items() if v is not None}
+    if schema is list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where} must be a list of components: "
+                              "need at least one embedding component")
+        return [_checked(comp, _component_schema(comp, f"{where}[{i}]"), f"{where}[{i}]")
+                for i, comp in enumerate(value)]
+    kinds = (int, float) if schema is float else schema
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{where} must be {_TYPE_NAMES[schema]}, got {value!r}")
+    return value
 
 
 def validate_config(config: dict) -> dict:
-    """Reject unknown sections and keys anywhere in the document."""
-    _check_keys(config, _SCHEMA, "run config")
-    for section in ("data", "vocab", "smlm", "tagger", "eval"):
-        if section in config:
-            _check_keys(config[section], _SCHEMA[section], section)
-    if "lm" in config:
-        _check_keys(config["lm"], _SCHEMA["lm"], "lm")
-        for direction in ("forward", "backward"):
-            if direction in config["lm"]:
-                _check_keys(config["lm"][direction],
-                            _fields(CharLmConfig) - {"direction"},
-                            f"lm.{direction}")
-    if "embeddings" in config:
-        components = config["embeddings"]
-        if not isinstance(components, list):
-            raise ConfigError("embeddings must be a list of components")
-        for i, comp in enumerate(components):
-            where = f"embeddings[{i}]"
-            if not isinstance(comp, dict) or "kind" not in comp:
-                raise ConfigError(f"{where} needs a 'kind' key")
-            try:
-                cls = component_class(comp["kind"])
-            except ConfigError as exc:
-                raise ConfigError(f"{where}: {exc}") from None
-            _check_keys(comp, {"kind", *cls.files, *cls.options}, where)
-    return config
+    """Reject unknown sections and keys anywhere in the document, and
+    values of the wrong type; returns the config with its null values
+    dropped, so that they read as absent."""
+    return _checked(config, _SCHEMA, "run config")
 
 
 def load_run_config(path) -> dict:
@@ -170,8 +183,8 @@ def _pick(flag_value, section: dict, key: str, default=None):
 def _columns(args, data: dict) -> tuple[int, int, TagScheme]:
     """Token column, tag column and tag scheme of CoNLL inputs; ``ner
     train`` has no column flags and reads them from the config alone."""
-    return (int(_pick(getattr(args, "token_column", None), data, "token_column", 0)),
-            int(_pick(getattr(args, "tag_column", None), data, "tag_column", 1)),
+    return (_pick(getattr(args, "token_column", None), data, "token_column", 0),
+            _pick(getattr(args, "tag_column", None), data, "tag_column", 1),
             _scheme_of(_pick(getattr(args, "scheme", None), data, "scheme", "iob2")))
 
 
@@ -366,33 +379,23 @@ def cmd_lm_train(args) -> int:
         section.get("corpus", data.get("lm_corpus")), "LM corpus")
     out_dir = Path(_require(_pick(args.output_dir, section, "output_dir"),
                             "--output-dir"))
-    seed = int(_pick(args.seed, section, "seed", 0))
+    seed = _pick(args.seed, section, "seed", 0)
     directions = (("forward", "backward") if args.direction == "both"
                   else (args.direction,))
-
-    vocab = None
-    vocab_path = section.get("vocab")
-    if vocab_path is not None:
-        vocab = CharVocabulary.from_path(_require_file(vocab_path, "lm.vocab"))
 
     corpus = read_plain(corpus_path)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     resolved_lm = {"corpus": str(corpus_path), "seed": seed,
                    "output_dir": str(out_dir)}
-    if vocab_path is not None:
-        resolved_lm["vocab"] = str(vocab_path)
-    inputs = {"corpus": corpus_path}
-    if vocab_path is not None:
-        inputs["vocab"] = Path(vocab_path)
     artifacts = {}
 
     for direction in directions:
         lm_config = _config_from(
-            CharLmConfig, section.get(direction) or {}, f"lm.{direction}",
+            CharLmConfig, section.get(direction, {}), f"lm.{direction}",
             direction=direction, epochs=args.epochs,
             learning_rate=args.learning_rate)
-        model, log = train_lm(corpus, lm_config, seed, vocab=vocab)
+        model, log = train_lm(corpus, lm_config, seed)
         model_path = out_dir / f"{direction}.bin"
         save_lm(model, model_path)
         log_path = out_dir / f"{direction}_log.json"
@@ -407,7 +410,8 @@ def cmd_lm_train(args) -> int:
               f"over {len(log.epochs)} epoch(s), saved {model_path}")
 
     write_manifest(out_dir / "manifest.json", "lm train",
-                   {"lm": resolved_lm}, {"lm": seed}, inputs, artifacts)
+                   {"lm": resolved_lm}, {"lm": seed}, {"corpus": corpus_path},
+                   artifacts)
     return 0
 
 
@@ -451,7 +455,7 @@ def cmd_ner_train(args) -> int:
     if test_path is not None:
         inputs["test"] = test_path
 
-    components = config.get("embeddings") or [{"kind": "char_features"}]
+    components = config.get("embeddings", [{"kind": "char_features"}])
     for i, comp in enumerate(components):
         for key in component_class(comp["kind"]).files:
             name = f"embeddings[{i}].{key}"
@@ -460,7 +464,7 @@ def cmd_ner_train(args) -> int:
     if vocab_path is not None:
         vocab_path = inputs["vocab"] = _require_file(vocab_path, "vocab.path")
 
-    runs = int(_pick(args.runs, eval_section, "runs", 3))
+    runs = _pick(args.runs, eval_section, "runs", 3)
     if runs < 1:
         raise ConfigError(f"eval.runs must be at least 1, got {runs}")
     out_dir = Path(_require(_pick(args.output_dir, eval_section,
@@ -485,7 +489,6 @@ def cmd_ner_train(args) -> int:
     build_stack = embedder_factory(components, vocab,
                                    itertools.chain(train, dev, eval_corpus))
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = {}
     reports = []
     for run in range(runs):

@@ -22,10 +22,10 @@ builds it for ``ner predict``, keeps no block beyond the sentence in hand.
 
 This module is the one place that knows each component kind: its
 ``kind`` name, the run-config keys naming the files it reads (``files``)
-and its other run-config keys (``options``), how ``build`` constructs it
-from a run-config entry, and the model-file meta entry that ``spec``
-writes and ``from_spec`` reads back, with the paths of referenced files
-relative to the model file's directory.
+and its other run-config keys with their types (``options``), how
+``build`` constructs it from a run-config entry, and the model-file meta
+entry that ``spec`` writes and ``from_spec`` reads back, with the paths of
+referenced files relative to the model file's directory.
 """
 
 import logging
@@ -59,7 +59,7 @@ class WordTableEmbedder(Module):
 
     kind = "word_table"
     files = ("path",)
-    options = ()
+    options = {}
 
     def __init__(self, dim: int, entries: dict[str, np.ndarray], source_path=None):
         if dim < 1:
@@ -157,10 +157,13 @@ class CharFeatureEncoder(Module):
 
     kind = "char_features"
     files = ()
-    options = ("embed_dim", "hidden")
+    options = {"embed_dim": int, "hidden": int}
 
     def __init__(self, vocab: CharVocabulary, rng: np.random.Generator,
                  embed_dim: int = CHAR_EMBED_DIM, hidden: int = CHAR_HIDDEN):
+        for name, value in (("embed_dim", embed_dim), ("hidden", hidden)):
+            if value < 1:
+                raise ConfigError(f"char_features {name} must be positive, got {value}")
         self.vocab = vocab
         self.embed_dim = embed_dim
         self.hidden = hidden
@@ -175,7 +178,7 @@ class CharFeatureEncoder(Module):
     def build(cls, entry: dict, vocab: CharVocabulary,
               rng: np.random.Generator) -> "CharFeatureEncoder":
         """Dims the entry leaves out take the constructor's defaults."""
-        return cls(vocab, rng, **{k: int(entry[k]) for k in cls.options if k in entry})
+        return cls(vocab, rng, **{k: entry[k] for k in cls.options if k in entry})
 
     @classmethod
     def from_spec(cls, spec: dict, rng: np.random.Generator,
@@ -222,7 +225,7 @@ class ContextualEmbedder(Module):
 
     kind = "contextual"
     files = ("forward", "backward")
-    options = ()
+    options = {}
 
     def __init__(self, fwd: CharLm, bwd: CharLm,
                  forward_path=None, backward_path=None):

@@ -7,9 +7,11 @@ The model works in IOBES; this module alone converts corpora to it and
 predictions back to the scheme of the corpus they were made for.
 Training is SGD over shuffled mini-batches minimizing the mean sentence
 NLL, with the gradient norm clipped at 5.0, dev-F1 model selection, and
-learning-rate halving after `patience` consecutive epochs without a dev
-improvement.  The selected parameters are rounded to float32, the values a
-model file stores, so a saved model predicts what the trained one did.
+the learning rate multiplied by ANNEAL_FACTOR (0.5) after `patience`
+consecutive epochs without a dev improvement; training stops once it falls
+below MIN_LEARNING_RATE (1e-4).  The selected parameters are rounded to
+float32, the values a model file stores, so a saved model predicts what
+the trained one did.
 """
 
 import logging
@@ -37,6 +39,8 @@ from .serialization import assign_tensors, layer_tensors, load_tensors, save_ten
 logger = logging.getLogger(__name__)
 
 GRAD_CLIP = 5.0
+ANNEAL_FACTOR = 0.5
+MIN_LEARNING_RATE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -45,21 +49,16 @@ class TaggerConfig:
     learning_rate: float = 0.1
     mini_batch: int = 8
     max_epochs: int = 500
-    anneal_factor: float = 0.5
     patience: int = 3
-    min_learning_rate: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed))
         if self.lstm_hidden < 1 or self.mini_batch < 1 or self.max_epochs < 1:
             raise ConfigError("lstm_hidden, mini_batch and max_epochs must be positive")
-        if not 0.0 < self.anneal_factor < 1.0:
-            raise ConfigError(f"anneal_factor must lie in (0, 1), got {self.anneal_factor}")
         if self.patience < 0:
             raise ConfigError(f"patience must be non-negative, got {self.patience}")
-        if self.learning_rate <= 0 or self.min_learning_rate <= 0:
-            raise ConfigError("learning rates must be positive")
+        if self.learning_rate <= 0:
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
 
 
 class NerModel(Module):
@@ -153,9 +152,9 @@ def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
     the scheme of the model's tag set.  ``dev_scorer`` defaults to micro
     span F1 of the model's predictions on the dev corpus.  A non-improving
     streak of `patience` epochs multiplies the learning rate by
-    `anneal_factor` (streak counter resets after each cut); training stops
+    ANNEAL_FACTOR (streak counter resets after each cut); training stops
     at max_epochs, or earlier with status "converged" once the rate falls
-    below min_learning_rate.
+    below MIN_LEARNING_RATE.
     """
     if len(train) == 0:
         raise EmptyCorpusError("training corpus is empty")
@@ -184,10 +183,10 @@ def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
     n = len(train)
     sentences = list(train)
     for epoch in range(1, config.max_epochs + 1):
-        if lr < config.min_learning_rate:
+        if lr < MIN_LEARNING_RATE:
             log.status = "converged"
             logger.info("ner epoch %d: learning rate %g below %g, stopping",
-                        epoch, lr, config.min_learning_rate)
+                        epoch, lr, MIN_LEARNING_RATE)
             break
         order = rng.permutation(n)
         loss_sum = 0.0
@@ -215,12 +214,12 @@ def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
         else:
             stagnant += 1
             if stagnant >= config.patience:
-                lr *= config.anneal_factor
+                lr *= ANNEAL_FACTOR
                 stagnant = 0
                 annealed = True
         log.records.append(NerEpochRecord(
             epoch=epoch, train_loss=loss_sum / n, dev_f1=dev_f1,
-            learning_rate=lr if not annealed else lr / config.anneal_factor,
+            learning_rate=lr if not annealed else lr / ANNEAL_FACTOR,
             annealed=annealed))
         logger.info("ner epoch %d: loss %.4f dev f1 %.4f lr %g%s",
                     epoch, loss_sum / n, dev_f1,

@@ -330,8 +330,8 @@ def test_criterion_6_annealing_rule():
     encoder = CharFeatureEncoder(extract_char_vocab(corpus),
                                  np.random.default_rng(0),
                                  embed_dim=4, hidden=4)
-    config = TaggerConfig(lstm_hidden=4, learning_rate=0.1, anneal_factor=0.5,
-                          patience=3, max_epochs=4, mini_batch=6, seed=0)
+    config = TaggerConfig(lstm_hidden=4, learning_rate=0.1, patience=3,
+                          max_epochs=4, mini_batch=6, seed=0)
     _, log = train_ner(corpus, corpus, config, StackedEmbedder([encoder]),
                        dev_scorer=lambda model: 0.0)
     rates = [r.learning_rate for r in log.records]

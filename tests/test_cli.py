@@ -1,4 +1,6 @@
+import copy
 import json
+import re
 import shutil
 from dataclasses import fields
 from pathlib import Path
@@ -9,7 +11,7 @@ import yaml
 from histtag import embed
 from histtag.charlm import CharLmConfig
 from histtag.cli import load_run_config, main, validate_config
-from histtag.corpus import TagScheme, read_conll
+from histtag.corpus import TagScheme, extract_char_vocab, read_conll, read_plain
 from histtag.errors import ConfigError
 from histtag.serialization import file_sha256
 from histtag.smlm import SmlmConfig
@@ -33,6 +35,7 @@ def section_doc(section, body):
     return {"lm": {"backward": body}} if section == "lm.backward" else {section: body}
 
 
+SECTION_CLASSES = {"lm.backward": CharLmConfig, "tagger": TaggerConfig, "smlm": SmlmConfig}
 DATACLASS_FIELDS = (
     [("lm.backward", f.name) for f in fields(CharLmConfig) if f.name != "direction"]
     + [("tagger", f.name) for f in fields(TaggerConfig)]
@@ -42,7 +45,42 @@ DATACLASS_FIELDS = (
 class TestConfigValidation:
     @pytest.mark.parametrize("section,key", DATACLASS_FIELDS)
     def test_every_dataclass_field_accepted(self, section, key):
-        validate_config(section_doc(section, {key: 1}))
+        # 1, 1.0 or "1", by the field's annotation
+        kind = {f.name: f.type for f in fields(SECTION_CLASSES[section])}[key]
+        validate_config(section_doc(section, {key: kind(1)}))
+
+    @pytest.mark.parametrize("doc", [
+        {"tagger": {"learning_rate": 1}},     # a float key takes an int
+        {"smlm": {"p_keep": 1, "mask_char": "#"}},
+        {"lm": {"forward": {"dropout": 0, "hidden_size": 8}}},
+        {"data": {"tag_column": -1, "scheme": "iobes"}},
+        {"embeddings": [{"kind": "char_features", "embed_dim": 3}]},
+    ])
+    def test_right_typed_values_accepted(self, doc):
+        assert validate_config(doc) == doc
+
+    @pytest.mark.parametrize("doc,where", [
+        ({"tagger": {"learning_rate": True}}, "tagger.learning_rate"),  # no bool
+        ({"data": {"scheme": 2}}, "data.scheme"),
+        ({"vocab": {"path": ["a"]}}, "vocab.path"),
+        ({"smlm": {"mask_char": 1}}, "smlm.mask_char"),
+        ({"embeddings": [{"kind": "word_table", "path": 3}]}, "embeddings[0].path"),
+    ])
+    def test_wrong_typed_values_rejected(self, doc, where):
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            validate_config(doc)
+
+    def test_null_reads_as_absent(self):
+        doc = {"data": {"test": None, "scheme": "iob2"}, "embeddings": None,
+               "lm": {"forward": None, "seed": 2}, "eval": None}
+        assert validate_config(doc) == {"data": {"scheme": "iob2"}, "lm": {"seed": 2}}
+
+    def test_readme_example_config_validates(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        example = readme.read_text(encoding="utf-8").split("```yaml\n", 1)[1]
+        config = yaml.safe_load(example.split("```", 1)[0])
+        assert {"data", "smlm", "lm", "embeddings", "tagger", "eval"} <= set(config)
+        assert validate_config(config) == config
 
     @pytest.mark.parametrize("section", ["lm.backward", "tagger", "smlm"])
     def test_non_field_rejected(self, section):
@@ -60,6 +98,7 @@ class TestConfigValidation:
         ("tagger", {"hidden": 4}),
         ("eval", {"run": 1}),
         ("vocab", {"file": "x"}),
+        ("tagger", {1: 4, "x": 2}),                  # YAML reads `1:` as an int key
     ])
     def test_unknown_key_in_section(self, section, body):
         with pytest.raises(ConfigError, match=section):
@@ -438,6 +477,66 @@ class TestNerTrain:
             "eval": {"output_dir": str(tmp_path / "o")},
         })
         assert main(["ner", "train", "--config", cfg]) == 2
+
+
+def every_section_doc(toy, tmp_path) -> dict:
+    """A run config that ``smlm``, ``lm train`` and ``ner train`` all
+    accept, at toy size, writing only under ``tmp_path / "out"``."""
+    vocab = tmp_path / "vocab.txt"
+    extract_char_vocab(read_plain(toy["lm_corpus"])).to_path(vocab)
+    out = tmp_path / "out"
+    return {
+        "data": {"train": str(toy["train"]), "dev": str(toy["dev"]),
+                 "test": str(toy["test"]), "lm_corpus": str(toy["lm_corpus"]),
+                 "scheme": "iob2"},
+        "vocab": {"path": str(vocab)},
+        "smlm": {"output": str(out / "corrupted.txt")},
+        "lm": {**copy.deepcopy(LM_SECTION), "output_dir": str(out / "lm")},
+        "embeddings": [{"kind": "char_features", "embed_dim": 4, "hidden": 4}],
+        "tagger": {"lstm_hidden": 4, "max_epochs": 1, "seed": 3},
+        "eval": {"runs": 1, "output_dir": str(out / "ner")},
+    }
+
+
+WRONG_VALUES = [
+    (["ner", "train"], ("tagger", "lstm_hidden"), 8.5, "tagger.lstm_hidden"),
+    (["ner", "train"], ("tagger", "seed"), 1.7, "tagger.seed"),
+    (["ner", "train"], ("tagger", "mini_batch"), True, "tagger.mini_batch"),
+    (["lm", "train"], ("lm", "forward", "hidden_size"), 8.5, "lm.forward.hidden_size"),
+    (["lm", "train"], ("lm", "forward", "mini_batch"), True, "lm.forward.mini_batch"),
+    (["lm", "train"], ("lm", "seed"), "x", "lm.seed"),
+    (["ner", "train"], ("data", "token_column"), "x", "data.token_column"),
+    (["ner", "train"], ("eval", "runs"), "x", "eval.runs"),
+    (["smlm"], ("smlm", "p_keep"), "0.9", "smlm.p_keep"),
+    (["ner", "train"], ("embeddings", 0, "embed_dim"), 2.7, "embeddings[0].embed_dim"),
+    (["ner", "train"], ("embeddings", 0, "hidden"), 0, "char_features hidden"),
+    (["ner", "train"], ("embeddings", 0, "hidden"), -2, "char_features hidden"),
+    (["ner", "train"], ("embeddings",), [], "need at least one embedding component"),
+]
+
+
+class TestWrongValues:
+    @pytest.mark.parametrize(
+        "command,path,value,named", WRONG_VALUES,
+        ids=[f"{'.'.join(map(str, path))}={value!r}" for _, path, value, _ in WRONG_VALUES])
+    def test_config_error_names_the_key(self, toy, tmp_path, capsys,
+                                        command, path, value, named):
+        doc = every_section_doc(toy, tmp_path)
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        cfg = write_config(tmp_path / "c.yaml", doc)
+        assert main([*command, "--config", cfg]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_null_embeddings_mean_char_features(self, toy, tmp_path):
+        doc = every_section_doc(toy, tmp_path)
+        doc["embeddings"] = None
+        assert main(["ner", "train", "--config", write_config(tmp_path / "c.yaml", doc)]) == 0
+        manifest = json.loads((tmp_path / "out" / "ner" / "manifest.json").read_text())
+        assert manifest["config"]["embeddings"] == [{"kind": "char_features"}]
 
 
 @pytest.fixture(scope="module")

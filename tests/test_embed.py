@@ -89,6 +89,11 @@ class TestCharFeatures:
         assert out.shape == (3, 50)
         assert enc.dim == 50
 
+    @pytest.mark.parametrize("dims", [{"embed_dim": 0}, {"hidden": 0}, {"hidden": -2}])
+    def test_dims_below_one_rejected(self, dims):
+        with pytest.raises(ConfigError, match=f"char_features {next(iter(dims))} must be positive"):
+            CharFeatureEncoder(CharVocabulary("abc"), np.random.default_rng(0), **dims)
+
     def test_identical_tokens_identical_vectors(self):
         enc = CharFeatureEncoder(CharVocabulary("abc"), np.random.default_rng(1))
         sentence = make_sentence([("cab", "O"), ("a", "O"), ("cab", "O"), ("bbacc", "O")])

@@ -24,6 +24,7 @@ from histtag.errors import ConfigError, EmptyCorpusError, ModelFormatError, NonF
 from histtag.evaluation import evaluate, read_conll_predictions, write_conll_predictions
 from histtag.serialization import layer_tensors, load_tensors, save_tensors
 from histtag.tagger import (
+    MIN_LEARNING_RATE,
     NerModel,
     TaggerConfig,
     load_ner,
@@ -70,11 +71,9 @@ class TestConfig:
         {"lstm_hidden": 0},
         {"mini_batch": 0},
         {"max_epochs": 0},
-        {"anneal_factor": 0.0},
-        {"anneal_factor": 1.0},
         {"patience": -1},
         {"learning_rate": 0.0},
-        {"min_learning_rate": 0.0},
+        {"learning_rate": -0.1},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):
@@ -86,7 +85,6 @@ class TestConfig:
         assert cfg.learning_rate == 0.1
         assert cfg.mini_batch == 8
         assert cfg.max_epochs == 500
-        assert cfg.anneal_factor == 0.5
         assert cfg.patience == 3
 
 
@@ -195,8 +193,7 @@ class TestTraining:
     def test_annealing_schedule_with_flat_scores(self):
         corpus = toy_corpus()
         embedder = char_only_embedder(corpus)
-        config = small_config(max_epochs=4, learning_rate=0.1,
-                              anneal_factor=0.5, patience=3)
+        config = small_config(max_epochs=4, learning_rate=0.1, patience=3)
         _, log = train_ner(corpus, corpus, config, embedder,
                            dev_scorer=lambda m: 0.0)
         rates = [r.learning_rate for r in log.records]
@@ -206,9 +203,7 @@ class TestTraining:
     def test_counter_resets_after_anneal(self):
         corpus = toy_corpus()
         embedder = char_only_embedder(corpus)
-        config = small_config(max_epochs=7, learning_rate=0.1,
-                              anneal_factor=0.5, patience=3,
-                              min_learning_rate=1e-4)
+        config = small_config(max_epochs=7, learning_rate=0.1, patience=3)
         _, log = train_ner(corpus, corpus, config, embedder,
                            dev_scorer=lambda m: 0.0)
         rates = [r.learning_rate for r in log.records]
@@ -217,14 +212,15 @@ class TestTraining:
     def test_converged_status(self):
         corpus = toy_corpus()
         embedder = char_only_embedder(corpus)
-        config = small_config(max_epochs=50, learning_rate=0.1,
-                              anneal_factor=0.5, patience=1,
-                              min_learning_rate=0.04)
+        # 3, then 1.5 times the floor; halved once more, it falls below
+        config = small_config(max_epochs=50, learning_rate=3 * MIN_LEARNING_RATE,
+                              patience=1)
         _, log = train_ner(corpus, corpus, config, embedder,
                            dev_scorer=lambda m: 0.0)
         assert log.status == "converged"
         assert len(log.records) == 2
-        assert [r.learning_rate for r in log.records] == [0.1, 0.05]
+        assert [r.learning_rate for r in log.records] == [
+            3 * MIN_LEARNING_RATE, 1.5 * MIN_LEARNING_RATE]
 
     def test_best_epoch_parameters_returned(self):
         corpus = toy_corpus()
@@ -521,4 +517,13 @@ class TestFileLayout:
         meta, tensors = load_tensors(path)
         save_tensors(path, {**meta, "lstm_hidden": 0}, list(tensors.items()))
         with pytest.raises(ModelFormatError, match="lstm_hidden must be positive"):
+            load_ner(path)
+
+    @pytest.mark.parametrize("key,value", [("embed_dim", 0), ("hidden", 0), ("hidden", -2)])
+    def test_char_feature_dims_below_one_rejected(self, tmp_path, key, value):
+        _, path = saved_full_model(tmp_path)
+        meta, tensors = load_tensors(path)
+        meta["components"][1][key] = value
+        save_tensors(path, meta, list(tensors.items()))
+        with pytest.raises(ModelFormatError, match=f"char_features {key} must be positive"):
             load_ner(path)
