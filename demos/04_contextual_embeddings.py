@@ -13,6 +13,7 @@ from histtag import (
     CharLmConfig,
     ContextualEmbedder,
     Sentence,
+    SentenceGroup,
     StackedEmbedder,
     Token,
     train_lm,
@@ -34,8 +35,9 @@ visit = sentence(["Anna", "besucht", "Wien", "."])
 live = sentence(["Wien", "liegt", "an", "der", "Donau", "."])
 
 contextual = ContextualEmbedder(forward, backward)
-vectors_visit = contextual.forward(visit)
-vectors_live = contextual.forward(live)
+# a component reads a group of sentences and returns one row per token
+both = contextual.forward(SentenceGroup([visit, live]))
+vectors_visit, vectors_live = both[:len(visit)], both[len(visit):]
 print(f"each token vector has {vectors_visit.shape[1]} dimensions "
       f"(forward state + backward state)")
 
@@ -46,14 +48,15 @@ cos = float(wien_as_object @ wien_as_subject /
 print(f"'Wien' in two different contexts, cosine similarity: {cos:.3f} "
       f"(not 1.0: the context flows into the vector)")
 
-again = contextual.forward(visit)
-assert np.array_equal(vectors_visit, again)
-print("same sentence, same models: identical vectors.\n")
+again = contextual.forward(SentenceGroup([visit]))
+assert np.allclose(vectors_visit, again, rtol=0, atol=1e-12)
+print("same sentence alone, same models: the same vectors (within 1e-12).\n")
 
 # stack the frozen LM block with a trainable character-feature block
 encoder = CharFeatureEncoder(forward.vocab, np.random.default_rng(0),
                              embed_dim=16, hidden=12)
 stack = StackedEmbedder([contextual, encoder])
-stacked, _ = stack.forward(visit)
-print(f"stacked embedder: {stacked.shape[1]} dimensions per token "
-      f"({vectors_visit.shape[1]} frozen + {encoder.dim} trainable)")
+stacked, lengths, _ = stack.forward([visit, live])
+print(f"stacked embedder: {stacked.shape[2]} dimensions per token "
+      f"({vectors_visit.shape[1]} frozen + {encoder.dim} trainable), "
+      f"padded block {stacked.shape} for sentences of {lengths.tolist()} tokens")

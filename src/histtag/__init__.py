@@ -39,6 +39,7 @@ from .crf import CrfLayer, viterbi_decode
 from .embed import (
     CharFeatureEncoder,
     ContextualEmbedder,
+    SentenceGroup,
     StackedEmbedder,
     WordTableEmbedder,
     load_vectors,
@@ -113,6 +114,7 @@ __all__ = [
     # embeddings
     "CharFeatureEncoder",
     "ContextualEmbedder",
+    "SentenceGroup",
     "StackedEmbedder",
     "WordTableEmbedder",
     "load_vectors",

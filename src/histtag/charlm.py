@@ -19,7 +19,13 @@ from typing import Optional, Union
 import numpy as np
 
 from .corpus import CharVocabulary, PlainCorpus, TaggedCorpus, extract_char_vocab, sentence_text
-from .errors import ConfigError, EmptyCorpusError, ModelFormatError, NonFiniteGradientError
+from .errors import (
+    ConfigError,
+    EmptyCorpusError,
+    ModelFormatError,
+    NonFiniteGradientError,
+    check_field_types,
+)
 from .nn import Dropout, Embedding, Linear, Lstm, Module, clip_grad_norm, cross_entropy, sgd_step
 from .serialization import assign_tensors, layer_tensors, load_tensors, save_tensors
 
@@ -43,6 +49,7 @@ class CharLmConfig:
     learning_rate: float = 20.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.direction not in DIRECTIONS:
             raise ConfigError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
         for name in ("char_embed_dim", "hidden_size", "sequence_length",

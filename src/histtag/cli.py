@@ -48,7 +48,7 @@ from .corpus import (
     read_plain,
 )
 from .embed import component_class, embedder_factory
-from .errors import ConfigError, HisttagError, StructureMismatchError
+from .errors import ConfigError, HisttagError, StructureMismatchError, check_type
 from .evaluation import (
     average_runs,
     evaluate,
@@ -86,7 +86,6 @@ _SCHEMA = {
     "tagger": _fields(TaggerConfig),
     "eval": {"runs": int, "output_dir": str},
 }
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _component_schema(comp, where: str) -> dict:
@@ -101,10 +100,8 @@ def _component_schema(comp, where: str) -> dict:
 
 
 def _checked(value, schema, where: str):
-    """``value`` checked against ``schema``, with its null entries dropped.
-
-    An int takes no bool or float, a float takes an int or a float, and a
-    str takes only a string."""
+    """``value`` checked against ``schema``, with its null entries dropped;
+    a scalar by ``check_type``."""
     if isinstance(schema, dict):
         if not isinstance(value, dict):
             raise ConfigError(f"config section {where!r} must be a mapping")
@@ -120,10 +117,7 @@ def _checked(value, schema, where: str):
                               "need at least one embedding component")
         return [_checked(comp, _component_schema(comp, f"{where}[{i}]"), f"{where}[{i}]")
                 for i, comp in enumerate(value)]
-    kinds = (int, float) if schema is float else schema
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ConfigError(f"{where} must be {_TYPE_NAMES[schema]}, got {value!r}")
-    return value
+    return check_type(value, schema, where)
 
 
 def validate_config(config: dict) -> dict:
@@ -196,7 +190,7 @@ def _config_from(cls, section: dict, where: str, **flags):
     values.update((k, v) for k, v in flags.items() if v is not None)
     try:
         return cls(**values)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
@@ -383,6 +377,11 @@ def cmd_lm_train(args) -> int:
     directions = (("forward", "backward") if args.direction == "both"
                   else (args.direction,))
 
+    # every direction's config is checked before any LM trains
+    lm_configs = [_config_from(CharLmConfig, section.get(direction, {}), f"lm.{direction}",
+                               direction=direction, epochs=args.epochs,
+                               learning_rate=args.learning_rate)
+                  for direction in directions]
     corpus = read_plain(corpus_path)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -390,11 +389,8 @@ def cmd_lm_train(args) -> int:
                    "output_dir": str(out_dir)}
     artifacts = {}
 
-    for direction in directions:
-        lm_config = _config_from(
-            CharLmConfig, section.get(direction, {}), f"lm.{direction}",
-            direction=direction, epochs=args.epochs,
-            learning_rate=args.learning_rate)
+    for lm_config in lm_configs:
+        direction = lm_config.direction
         model, log = train_lm(corpus, lm_config, seed)
         model_path = out_dir / f"{direction}.bin"
         save_lm(model, model_path)

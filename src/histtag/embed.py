@@ -1,14 +1,24 @@
 """Per-token embeddings: static word vectors, trainable character
 features, and contextual extractions from pre-trained character LMs.
 
-Every component has ``dim``, ``forward(sentence)`` and ``named_layers``
-naming its trainable layers.  A frozen component (word table, contextual)
-has none: its ``forward`` returns the (tokens × dim) block alone, a
-function of the sentence's token texts.  A trainable component (char
-features) returns the block plus a cache for its ``backward(cache,
-grad)``.  A StackedEmbedder concatenates component blocks in a fixed
-order, routes each trainable component its gradient columns, and prefixes
+Every component has ``dim``, ``forward(sentences)`` and ``named_layers``
+naming its trainable layers.  ``forward`` takes a SentenceGroup, a tuple
+of sentences whose ``texts()`` lists all their token texts in order, and
+returns one row per token in that order.  A frozen component (word table,
+contextual) has no layers: its ``forward`` returns the (tokens × dim)
+block alone, a function of each sentence's token texts.  A trainable
+component (char features) returns the block plus a cache for its
+``backward(cache, grad)``.  A StackedEmbedder concatenates component
+blocks in a fixed order into one padded (sentences × tokens × dim) block,
+routes each trainable component its gradient columns, and prefixes
 component i's layer names with ``component{i}.``.
+
+Sentences run in groups: ``length_groups`` sorts them by the length of
+their text and cuts groups whose size times their longest text stays
+within GROUP_CHARS characters, so each LM and each recurrence runs once
+per group on rows padded at their end.  A row's values do not depend on
+the rows beside it beyond the rounding of the batched products (within
+1e-12 of the sentence run alone).
 
 Frozen blocks are memoized for training.  ``embedder_factory`` gives each
 frozen component one BlockMemo, shared by every stack it builds, so one
@@ -17,8 +27,9 @@ dev evaluations and runs.  A memo is keyed by ``tuple(sentence.texts())``
 and holds read-only float64 blocks: 8 · (sum of frozen dims) bytes per
 distinct token, which is 32 KB per token at paper scale (H = 2048 per LM
 direction).  Each memo stores blocks up to MEMO_BYTES (1 GiB); past that
-a miss is computed and not stored.  A stack built without memos, as ``load_ner``
-builds it for ``ner predict``, keeps no block beyond the sentence in hand.
+a miss is computed and not stored.  A stack built without memos, as
+``load_ner`` builds it for ``ner predict``, keeps no block beyond the
+group in hand.
 
 This module is the one place that knows each component kind: its
 ``kind`` name, the run-config keys naming the files it reads (``files``)
@@ -35,7 +46,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .charlm import CharLm, lm_forward, load_lm
+from .charlm import CharLm, load_lm
 from .corpus import CharVocabulary, Sentence, sentence_text, token_char_ranges
 from .errors import ConfigError, ModelFormatError, ParseError
 from .nn import Embedding, Lstm, Module
@@ -46,6 +57,33 @@ logger = logging.getLogger(__name__)
 CHAR_EMBED_DIM = 25
 CHAR_HIDDEN = 25
 MEMO_BYTES = 1 << 30
+# sentences per group times the group's longest text, in characters
+GROUP_CHARS = 1024
+
+
+class SentenceGroup(tuple):
+    """Sentences embedded together, in order."""
+
+    def texts(self) -> list[str]:
+        """The token texts of every sentence, one per row of a block."""
+        return [text for sentence in self for text in sentence.texts()]
+
+
+def length_groups(sentences: Sequence[Sentence]) -> list[list[int]]:
+    """Indices of ``sentences``, sorted by the length of their text and
+    cut into groups whose size times their longest text is at most
+    GROUP_CHARS characters; a longer sentence forms a group alone."""
+    sizes = [len(sentence_text(s)) for s in sentences]
+    groups: list[list[int]] = []
+    group: list[int] = []
+    for i in sorted(range(len(sentences)), key=sizes.__getitem__):
+        if group and (len(group) + 1) * sizes[i] > GROUP_CHARS:
+            groups.append(group)
+            group = []
+        group.append(i)
+    if group:
+        groups.append(group)
+    return groups
 
 
 class WordTableEmbedder(Module):
@@ -97,8 +135,8 @@ class WordTableEmbedder(Module):
             vec = self.entries.get(word.lower())
         return self._zero if vec is None else vec
 
-    def forward(self, sentence: Sentence) -> np.ndarray:
-        return np.stack([self.lookup(tok.text) for tok in sentence])
+    def forward(self, sentences: SentenceGroup) -> np.ndarray:
+        return np.stack([self.lookup(text) for text in sentences.texts()])
 
 
 def load_vectors(path) -> WordTableEmbedder:
@@ -150,9 +188,10 @@ class CharFeatureEncoder(Module):
     """Trainable character features: a small bidirectional recurrence over
     each token's characters; output is the two final states concatenated.
 
-    All tokens of a sentence run through one length-masked recurrence per
-    direction: the forward one reads each token's characters, the backward
-    one each token's characters reversed, both padded at the end.
+    The distinct token texts of a group run through one length-masked
+    recurrence per direction: the forward one reads each text's
+    characters, the backward one each text's characters reversed, both
+    padded at the end.
     """
 
     kind = "char_features"
@@ -189,10 +228,13 @@ class CharFeatureEncoder(Module):
         return {"kind": self.kind, "vocab": self.vocab.codepoints(),
                 "embed_dim": self.embed_dim, "hidden": self.hidden}
 
-    def forward(self, sentence: Sentence):
-        codes = [self.vocab.encode(token.text) for token in sentence]
+    def forward(self, sentences: SentenceGroup):
+        # a token's features depend on its text alone: each distinct text
+        # runs once, and ``rows`` maps every token to its text's row
+        texts, rows = np.unique(sentences.texts(), return_inverse=True)
+        codes = [self.vocab.encode(text) for text in texts]
         lengths = np.array([len(c) for c in codes])
-        # plane 0 holds each token's characters, plane 1 the same reversed;
+        # plane 0 holds each text's characters, plane 1 the same reversed;
         # padded steps look up index 0 and pass it exactly zero gradient
         indices = np.zeros((2, len(codes), lengths.max()), dtype=np.int64)
         for j, c in enumerate(codes):
@@ -201,26 +243,31 @@ class CharFeatureEncoder(Module):
         emb, emb_cache = self.embedding.forward(indices)
         _, (hf, _), f_cache = self.fwd.forward(emb[0], lengths=lengths)
         _, (hb, _), b_cache = self.bwd.forward(emb[1], lengths=lengths)
-        return np.concatenate([hf, hb], axis=1), (emb_cache, f_cache, b_cache)
+        return np.concatenate([hf, hb], axis=1)[rows], (rows, emb_cache, f_cache, b_cache)
 
     def backward(self, cache, grad: np.ndarray) -> None:
-        emb_cache, f_cache, b_cache = cache
+        """Backprop ``grad``, one row per token of the forward group."""
+        rows, emb_cache, f_cache, b_cache = cache
         N, T = emb_cache.shape[1:]
         H = self.hidden
+        per_text = np.zeros((N, 2 * H))
+        np.add.at(per_text, rows, grad)
         zeros = np.zeros((N, T, H))
         zero_h = np.zeros((N, H))
-        demb_f, _ = self.fwd.backward(f_cache, zeros, (grad[:, :H], zero_h))
-        demb_b, _ = self.bwd.backward(b_cache, zeros, (grad[:, H:], zero_h))
+        demb_f, _ = self.fwd.backward(f_cache, zeros, (per_text[:, :H], zero_h))
+        demb_b, _ = self.bwd.backward(b_cache, zeros, (per_text[:, H:], zero_h))
         self.embedding.backward(emb_cache, np.stack([demb_f, demb_b]))
 
 
 class ContextualEmbedder(Module):
     """Frozen component extracting hidden states from two directional LMs.
 
-    The sentence is rendered as its space-joined text.  A token's forward
+    Each sentence is rendered as its space-joined text.  A token's forward
     part is the forward LM's hidden state at the token's last character;
     its backward part is the backward LM's state (computed over the
-    reversed text) at the token's first character.
+    reversed text) at the token's first character.  Each LM reads all
+    texts of a group in one length-masked run, and its vocabulary
+    projection is never computed.
     """
 
     kind = "contextual"
@@ -262,36 +309,58 @@ class ContextualEmbedder(Module):
                 "backward_path": os.path.relpath(self.backward_path, model_dir),
                 "backward_sha256": file_sha256(self.backward_path)}
 
-    def forward(self, sentence: Sentence) -> np.ndarray:
+    def forward(self, sentences: SentenceGroup) -> np.ndarray:
         """Per-token contextual vectors, (forward part, backward part)."""
-        text = sentence_text(sentence)
-        L = len(text)
-        _, _, hs_f = lm_forward(self.fwd, self.fwd.vocab.encode(text))
-        _, _, hs_b = lm_forward(self.bwd, self.bwd.vocab.encode(text[::-1]))
-        return np.stack([np.concatenate([hs_f[end], hs_b[L - 1 - start]])
-                         for start, end in token_char_ranges(sentence)])
+        texts = [sentence_text(s) for s in sentences]
+        lengths = np.array([len(text) for text in texts])
+        hs_f = _lm_states(self.fwd, texts, lengths)
+        hs_b = _lm_states(self.bwd, [text[::-1] for text in texts], lengths)
+        rows, lasts, firsts = [], [], []
+        for row, (sentence, L) in enumerate(zip(sentences, lengths)):
+            for start, end in token_char_ranges(sentence):
+                rows.append(row)
+                lasts.append(end)
+                firsts.append(L - 1 - start)
+        return np.concatenate([hs_f[rows, lasts], hs_b[rows, firsts]], axis=1)
+
+
+def _lm_states(lm: CharLm, texts: Sequence[str], lengths: np.ndarray) -> np.ndarray:
+    """The (texts × longest × H) hidden states of ``lm`` reading each text
+    from a zero state, the rows padded at their end."""
+    indices = np.zeros((len(texts), lengths.max()), dtype=np.int64)
+    for row, text in zip(indices, texts):
+        row[:len(text)] = lm.vocab.encode(text)
+    emb, _ = lm.embedding.forward(indices)
+    hs, _, _ = lm.lstm.forward(emb, lengths=lengths)
+    return hs
 
 
 class BlockMemo:
     """Read-only blocks of one frozen component, keyed by the token texts
     of their sentence.  Stores blocks while their bytes stay within
-    MEMO_BYTES; past that, ``block`` computes and returns without storing.
+    MEMO_BYTES; past that, ``lookup`` computes and returns without storing.
     """
 
     def __init__(self):
         self.blocks: dict[tuple[str, ...], np.ndarray] = {}
         self.nbytes = 0
 
-    def block(self, component, sentence: Sentence) -> np.ndarray:
-        key = tuple(sentence.texts())
-        block = self.blocks.get(key)
-        if block is None:
-            block = component.forward(sentence)
-            block.flags.writeable = False
-            if self.nbytes + block.nbytes <= MEMO_BYTES:
-                self.blocks[key] = block
-                self.nbytes += block.nbytes
-        return block
+    def lookup(self, component, sentences: Sequence[Sentence]) -> list[np.ndarray]:
+        """The block of each sentence; those not stored are extracted
+        together, in one call of ``component.forward``."""
+        keys = [tuple(s.texts()) for s in sentences]
+        found = {key: self.blocks[key] for key in keys if key in self.blocks}
+        missing = {key: s for key, s in zip(keys, sentences) if key not in found}
+        if missing:
+            fresh = component.forward(SentenceGroup(missing.values()))
+            fresh.flags.writeable = False
+            ends = list(accumulate(map(len, missing)))
+            for key, block in zip(missing, np.split(fresh, ends[:-1])):
+                found[key] = block
+                if self.nbytes + block.nbytes <= MEMO_BYTES:
+                    self.blocks[key] = block
+                    self.nbytes += block.nbytes
+        return [found[key] for key in keys]
 
 
 class StackedEmbedder(Module):
@@ -311,28 +380,40 @@ class StackedEmbedder(Module):
         self.named_layers = tuple(
             (f"component{i}.{name}", layer)
             for i, c in enumerate(self.components) for name, layer in c.named_layers)
-        offsets = accumulate((c.dim for c in self.components), initial=0)
-        self._trainable = tuple((c, offset) for c, offset in zip(self.components, offsets)
+        ends = tuple(accumulate(c.dim for c in self.components))
+        self._columns = tuple(slice(end - c.dim, end)
+                              for c, end in zip(self.components, ends))
+        self._trainable = tuple((c, columns) for c, columns in zip(self.components, self._columns)
                                 if c.named_layers)
 
-    def forward(self, sentence: Sentence):
-        """The sentence's (tokens × dim) block and the caches of its
-        trainable components, in stack order."""
-        blocks, caches = [], []
-        for i, c in enumerate(self.components):
-            if c.named_layers:
-                block, cache = c.forward(sentence)
-                caches.append(cache)
-            elif i in self.memos:
-                block = self.memos[i].block(c, sentence)
-            else:
-                block = c.forward(sentence)
-            blocks.append(block)
-        return np.concatenate(blocks, axis=1), caches
+    def forward(self, sentences: Sequence[Sentence]):
+        """The (sentences × T × dim) block of ``sentences``, T their most
+        tokens, with row b's ``lengths[b]`` tokens first and zeros after;
+        returns it, ``lengths`` and the cache for ``backward``."""
+        group = SentenceGroup(sentences)
+        lengths = np.array([len(s) for s in group])
+        real = np.arange(lengths.max()) < lengths[:, None]
+        vecs = np.zeros(real.shape + (self.dim,))
+        # frozen blocks first, so no extraction runs while caches are held
+        for i, (c, columns) in enumerate(zip(self.components, self._columns)):
+            if i in self.memos:
+                vecs[real, columns] = np.concatenate(self.memos[i].lookup(c, group))
+            elif not c.named_layers:
+                vecs[real, columns] = c.forward(group)
+        caches = []
+        for c, columns in self._trainable:
+            block, cache = c.forward(group)
+            vecs[real, columns] = block
+            caches.append(cache)
+        return vecs, lengths, (real, caches)
 
-    def backward(self, caches, grad: np.ndarray) -> None:
-        for (c, offset), cache in zip(self._trainable, caches, strict=True):
-            c.backward(cache, grad[:, offset:offset + c.dim])
+    def backward(self, cache, grad: np.ndarray) -> None:
+        """Route the real rows of the padded gradient ``grad`` to the
+        trainable components."""
+        real, caches = cache
+        grad = grad[real]
+        for (c, columns), c_cache in zip(self._trainable, caches, strict=True):
+            c.backward(c_cache, grad[:, columns])
 
 
 COMPONENT_KINDS = {cls.kind: cls for cls in
@@ -367,16 +448,18 @@ def embedder_factory(entries: Sequence[dict], vocab: CharVocabulary,
     The components that read files (word vectors, LMs) are frozen: they
     hold no parameters, so they are built here, once, each with one
     BlockMemo, and every stack shares both.  The memos are filled here with
-    the blocks of ``sentences``, in their order.  Each call initializes the
-    trainable components afresh from ``rng``, in stack order.
+    the blocks of ``sentences``, a ``length_groups`` group at a time, in
+    order of text length.  Each call initializes the trainable components
+    afresh from ``rng``, in stack order.
     """
     classes = [component_class(entry["kind"]) for entry in entries]
     frozen = {i: cls.build(entry, vocab, None)
               for i, (cls, entry) in enumerate(zip(classes, entries)) if cls.files}
     memos = {i: BlockMemo() for i in frozen}
-    for sentence in sentences:
+    sentences = list(sentences)
+    for group in length_groups(sentences):
         for i, memo in memos.items():
-            memo.block(frozen[i], sentence)
+            memo.lookup(frozen[i], [sentences[j] for j in group])
 
     def build(rng: np.random.Generator) -> StackedEmbedder:
         return StackedEmbedder([

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a
+config value's type."""
+
+from dataclasses import fields
 
 
 class HisttagError(Exception):
@@ -52,6 +55,26 @@ class EmptyCorpusError(HisttagError):
 
 class ConfigError(HisttagError):
     """Invalid configuration: bad parameter values or inconsistent inputs."""
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def check_type(value, kind: type, where: str):
+    """``value``, if it has the scalar type ``kind``; else a ConfigError
+    naming ``where``.  An int takes no bool or float, a float takes an int
+    or a float, and a str takes only a string."""
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def check_field_types(config) -> None:
+    """``check_type`` on every field of a dataclass instance, against the
+    field's annotation."""
+    for f in fields(config):
+        check_type(getattr(config, f.name), f.type, f.name)
 
 
 class ModelFormatError(HisttagError):

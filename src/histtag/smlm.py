@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CharVocabulary, PlainCorpus
-from .errors import ConfigError, EmptyCorpusError
+from .errors import ConfigError, EmptyCorpusError, check_field_types
 
 # First candidate is the pilcrow; the rest are fallbacks for vocabularies
 # that already contain it.  All are printable so corrupted text stays
@@ -44,8 +44,9 @@ class SmlmConfig:
 
     ``p_keep`` is the probability of leaving a character unchanged.  The
     remaining probability mass splits into masking (``p_mask_given_change``)
-    and uniform replacement (the rest).  Numeric fields are stored as float
-    and int, so a run config's ``p_keep: 1`` reads 1.0.
+    and uniform replacement (the rest).  Each field must have its
+    annotated type; the probabilities are stored as float, so a run
+    config's ``p_keep: 1`` reads 1.0.
     """
 
     mask_char: str
@@ -54,12 +55,12 @@ class SmlmConfig:
     p_mask_given_change: float = 0.20
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("p_keep", "p_mask_given_change"):
             value = float(getattr(self, name))
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {value}")
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "seed", int(self.seed))
         if len(self.mask_char) != 1:
             raise ConfigError(f"mask_char must be a single character, got {self.mask_char!r}")
         if self.seed < 0:

@@ -5,6 +5,8 @@ linear layer projects the concatenated directional states to per-tag
 emission scores, and a linear-chain CRF scores complete tag sequences.
 The model works in IOBES; this module alone converts corpora to it and
 predictions back to the scheme of the corpus they were made for.
+``_emissions`` runs a list of sentences as one padded call per direction;
+``predict`` runs the length-sorted groups of ``embed.length_groups``.
 Training is SGD over shuffled mini-batches minimizing the mean sentence
 NLL, with the gradient norm clipped at 5.0, dev-F1 model selection, and
 the learning rate multiplied by ANNEAL_FACTOR (0.5) after `patience`
@@ -18,19 +20,20 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .corpus import Sentence, TaggedCorpus, TagScheme, convert_scheme, convert_tags
 from .crf import CrfLayer, crf_nll_with_grads, viterbi_decode
-from .embed import StackedEmbedder, component_class
+from .embed import StackedEmbedder, component_class, length_groups
 from .errors import (
     ConfigError,
     EmptyCorpusError,
     ModelFormatError,
     NonFiniteGradientError,
     SchemeError,
+    check_field_types,
 )
 from .evaluation import evaluate
 from .nn import Linear, Lstm, Module, clip_grad_norm, sgd_step
@@ -53,6 +56,7 @@ class TaggerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.lstm_hidden < 1 or self.mini_batch < 1 or self.max_epochs < 1:
             raise ConfigError("lstm_hidden, mini_batch and max_epochs must be positive")
         if self.patience < 0:
@@ -77,32 +81,57 @@ class NerModel(Module):
             ("encoder.fwd", self.fwd), ("encoder.bwd", self.bwd),
             ("projection", self.projection), ("crf", self.crf))
 
-    def _emissions(self, sentence: Sentence):
-        vecs, emb_cache = self.embedder.forward(sentence)
-        hs_f, _, f_cache = self.fwd.forward(vecs[None])
-        hs_b, _, b_cache = self.bwd.forward(vecs[None, ::-1])
-        concat = np.concatenate([hs_f[0], hs_b[0, ::-1]], axis=1)
-        emissions, lin_cache = self.projection.forward(concat)
-        return emissions, (emb_cache, f_cache, b_cache, lin_cache)
+    def _emissions(self, sentences: Sequence[Sentence]):
+        """Emission scores (sentences × T × tags), row b's first
+        ``lengths[b]`` positions those of sentence b; returns them,
+        ``lengths`` and the cache for ``_backward``."""
+        vecs, lengths, emb_cache = self.embedder.forward(sentences)
+        rows, rev = _row_reversal(lengths, vecs.shape[1])
+        hs_f, _, f_cache = self.fwd.forward(vecs, lengths=lengths)
+        hs_b, _, b_cache = self.bwd.forward(vecs[rows, rev], lengths=lengths)
+        concat = np.concatenate([hs_f, hs_b[rows, rev]], axis=2)
+        B, T, _ = concat.shape
+        emissions, lin_cache = self.projection.forward(concat.reshape(B * T, -1))
+        return (emissions.reshape(B, T, -1), lengths,
+                (emb_cache, rev, f_cache, b_cache, lin_cache))
 
     def _backward(self, cache, d_emissions: np.ndarray) -> None:
-        emb_cache, f_cache, b_cache, lin_cache = cache
+        """Backprop ``d_emissions`` (sentences × T × tags, zero at padded
+        positions) into every layer's gradients."""
+        emb_cache, rev, f_cache, b_cache, lin_cache = cache
+        B, T, K = d_emissions.shape
+        rows = np.arange(B)[:, None]
         H = self.fwd.hidden_size
-        d_concat = self.projection.backward(lin_cache, d_emissions)
-        dx_f, _ = self.fwd.backward(f_cache, d_concat[None, :, :H])
-        dx_b, _ = self.bwd.backward(b_cache, d_concat[None, ::-1, H:])
-        self.embedder.backward(emb_cache, dx_f[0] + dx_b[0, ::-1])
+        d_concat = self.projection.backward(
+            lin_cache, d_emissions.reshape(B * T, K)).reshape(B, T, 2 * H)
+        dx_f, _ = self.fwd.backward(f_cache, d_concat[..., :H])
+        dx_b, _ = self.bwd.backward(b_cache, d_concat[rows, rev, H:])
+        self.embedder.backward(emb_cache, dx_f + dx_b[rows, rev])
+
+
+def _row_reversal(lengths: np.ndarray, T: int):
+    """Index pair (rows, rev) such that ``x[rows, rev]`` reverses the first
+    ``lengths[b]`` positions of each row b of a (B, T, ·) array and keeps
+    its padding in place; applied twice it restores ``x``."""
+    t = np.arange(T)
+    real = t < lengths[:, None]
+    rev = np.where(real, lengths[:, None] - 1 - t, t)
+    return np.arange(len(lengths))[:, None], rev
 
 
 def predict(model: NerModel, corpus: TaggedCorpus) -> list[list[str]]:
     """Viterbi-decode every sentence in IOBES; returns one tag list per
-    sentence, in the scheme of ``corpus``."""
-    predicted = []
-    for sentence in corpus:
-        emissions, _ = model._emissions(sentence)
-        path, _ = viterbi_decode(emissions, model.crf)
-        predicted.append(convert_tags([model.tags[i] for i in path],
-                                      TagScheme.IOBES, corpus.scheme))
+    sentence, in the scheme of ``corpus``.  Sentences run in the groups of
+    ``embed.length_groups`` and each is decoded from its own rows."""
+    sentences = corpus.sentences
+    predicted: list = [None] * len(sentences)
+    for group in length_groups(sentences):
+        # the cache is dropped here, before the next group runs
+        emissions, lengths = model._emissions([sentences[i] for i in group])[:2]
+        for i, scores, length in zip(group, emissions, lengths):
+            path, _ = viterbi_decode(scores[:length], model.crf)
+            predicted[i] = convert_tags([model.tags[k] for k in path],
+                                        TagScheme.IOBES, corpus.scheme)
     return predicted
 
 
@@ -139,6 +168,17 @@ def _restore_as_float32(snapshot) -> None:
     ``save_ner`` writes for it."""
     for layer, name, saved in snapshot:
         layer.params[name][...] = saved.astype(np.float32)
+
+
+def _sentence_step(model: NerModel, sentence: Sentence, gold: np.ndarray,
+                   scale: float) -> float:
+    """Add one sentence's NLL gradient, times ``scale``, to the model's
+    gradients, running it as a list of one; returns the NLL.  Its caches
+    die here, before dev scoring runs."""
+    emissions, _, cache = model._emissions([sentence])
+    nll, d_emissions = crf_nll_with_grads(emissions[0], model.crf, gold, scale=scale)
+    model._backward(cache, d_emissions[None])
+    return nll
 
 
 def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
@@ -195,11 +235,7 @@ def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
             model.zero_grads()
             scale = 1.0 / len(batch)
             for i in batch:
-                emissions, cache = model._emissions(sentences[i])
-                nll, d_emissions = crf_nll_with_grads(
-                    emissions, model.crf, gold_paths[i], scale=scale)
-                model._backward(cache, d_emissions)
-                loss_sum += nll
+                loss_sum += _sentence_step(model, sentences[i], gold_paths[i], scale)
             if not math.isfinite(clip_grad_norm(model.layers, GRAD_CLIP)):
                 raise NonFiniteGradientError("tagger training", epoch, step)
             sgd_step(model.layers, lr)

@@ -3,8 +3,10 @@
 Everything here is deliberately written with a different algorithm than the
 code under test: span extraction scans with explicit two-pointer lookahead,
 CRF quantities are brute-force sums over every tag path, gradients come
-from central finite differences, and the LSTM runs one sequence one step at
-a time where the library runs a padded batch.
+from central finite differences, the LSTM runs one sequence one step at
+a time where the library runs a padded batch, and contextual vectors and
+tagger emissions come from each sentence run alone where the library runs
+padded groups of sentences.
 """
 
 import itertools
@@ -239,3 +241,42 @@ def train_lm_by_strand(corpus, config, seed):
         sgd_step(model.layers, config.learning_rate)
         pos = end
     return model
+
+
+def contextual_reference(embedder, sentence):
+    """A ContextualEmbedder's block for one sentence, extracted alone: each
+    LM scores the sentence's text through ``lm_forward`` (the backward one
+    the text reversed), and a token takes the forward state at its last
+    character and the backward state at its first."""
+    from histtag.charlm import lm_forward
+    from histtag.corpus import sentence_text, token_char_ranges
+
+    text = sentence_text(sentence)
+    L = len(text)
+    _, _, hs_f = lm_forward(embedder.fwd, embedder.fwd.vocab.encode(text))
+    _, _, hs_b = lm_forward(embedder.bwd, embedder.bwd.vocab.encode(text[::-1]))
+    return np.stack([np.concatenate([hs_f[end], hs_b[L - 1 - start]])
+                     for start, end in token_char_ranges(sentence)])
+
+
+def emissions_reference(model, sentence):
+    """A NerModel's (tokens × tags) emissions for one sentence, computed
+    alone: each component's block on its own (a contextual one by
+    ``contextual_reference``), then one single-row recurrence per
+    direction over the block and over its reverse."""
+    from histtag.embed import ContextualEmbedder, SentenceGroup
+
+    blocks = []
+    for c in model.embedder.components:
+        if isinstance(c, ContextualEmbedder):
+            blocks.append(contextual_reference(c, sentence))
+        elif c.named_layers:
+            blocks.append(c.forward(SentenceGroup([sentence]))[0])
+        else:
+            blocks.append(c.forward(SentenceGroup([sentence])))
+    vecs = np.concatenate(blocks, axis=1)
+    hs_f, _, _ = model.fwd.forward(vecs[None])
+    hs_b, _, _ = model.bwd.forward(vecs[None, ::-1])
+    emissions, _ = model.projection.forward(
+        np.concatenate([hs_f[0], hs_b[0, ::-1]], axis=1))
+    return emissions

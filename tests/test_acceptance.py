@@ -42,7 +42,7 @@ from histtag.corpus import (
     EntitySpan,
 )
 from histtag.crf import CrfLayer, crf_nll_with_grads, viterbi_decode
-from histtag.embed import CharFeatureEncoder, StackedEmbedder
+from histtag.embed import CharFeatureEncoder, SentenceGroup, StackedEmbedder
 from histtag.evaluation import evaluate
 from histtag.nn import cross_entropy
 from histtag.serialization import file_sha256
@@ -151,12 +151,12 @@ def _char_encoder_gradient_error(errors):
     R = np.random.default_rng(2).standard_normal((3, encoder.dim))
 
     def loss():
-        vecs, _ = encoder.forward(sentence)
+        vecs, _ = encoder.forward(SentenceGroup([sentence]))
         return float(np.sum(vecs * R))
 
     for layer in encoder.layers:
         layer.zero_grads()
-    _, cache = encoder.forward(sentence)
+    _, cache = encoder.forward(SentenceGroup([sentence]))
     encoder.backward(cache, R)
     _check_layers(encoder.layers, loss, errors)
 
@@ -171,14 +171,14 @@ def _emission_gradient_error(errors):
     model = NerModel(StackedEmbedder([encoder]), ("O", "S-LOC", "S-PER"), 6,
                      np.random.default_rng(4))
     sentence = corpus.sentences[0]
-    R = np.random.default_rng(5).standard_normal((3, 3))
+    R = np.random.default_rng(5).standard_normal((1, 3, 3))
 
     def loss():
-        emissions, _ = model._emissions(sentence)
+        emissions, _, _ = model._emissions([sentence])
         return float(np.sum(emissions * R))
 
     model.zero_grads()
-    _, cache = model._emissions(sentence)
+    _, _, cache = model._emissions([sentence])
     model._backward(cache, R)
     _check_layers(model.layers, loss, errors)
 

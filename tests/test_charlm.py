@@ -66,6 +66,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             CharLmConfig(**base)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"hidden_size": 8.5}, {"mini_batch": True}, {"dropout": "0.1"}, {"direction": 1},
+    ])
+    def test_rejects_wrong_types(self, kwargs):
+        base = {"direction": "forward", **kwargs}
+        with pytest.raises(ConfigError, match=f"{next(iter(kwargs))} must be"):
+            CharLmConfig(**base)
+
     def test_defaults(self):
         cfg = CharLmConfig(direction="backward")
         assert cfg.sequence_length == 250

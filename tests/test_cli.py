@@ -365,6 +365,16 @@ class TestLmCommands:
                            {"lm": {"corpuss": str(toy["lm_corpus"])}})
         assert main(["lm", "train", "--config", cfg]) == 2
 
+    def test_bad_backward_config_fails_before_any_training(self, toy, tmp_path, capsys):
+        out_dir = tmp_path / "lm"
+        section = {**LM_SECTION, "backward": {**LM_SECTION["backward"], "dropout": 1.5}}
+        cfg = write_config(tmp_path / "c.yaml", {
+            "lm": {**section, "corpus": str(toy["lm_corpus"]), "output_dir": str(out_dir)}})
+        assert main(["lm", "train", "--config", cfg]) == 2
+        assert "lm.backward" in capsys.readouterr().err
+        assert not (out_dir / "forward.bin").exists()
+        assert not (out_dir / "forward_log.json").exists()
+
 
 def ner_config(tmp_path, toy, out_dir, **tagger_overrides):
     tagger = {"lstm_hidden": 8, "learning_rate": 0.5, "mini_batch": 8,
@@ -583,9 +593,9 @@ class TestFrozenBlocksShared:
         calls = []
         extract = embed.ContextualEmbedder.forward
 
-        def counting(self, sentence):
-            calls.append(tuple(sentence.texts()))
-            return extract(self, sentence)
+        def counting(self, sentences):
+            calls.extend(tuple(s.texts()) for s in sentences)
+            return extract(self, sentences)
         monkeypatch.setattr(embed.ContextualEmbedder, "forward", counting)
         cfg = stacked_config(tmp_path / "ner.yaml", toy["train"].parent, lm_dir,
                              tmp_path / "ner", runs=2)

@@ -7,16 +7,18 @@ from histtag.corpus import CharVocabulary
 from histtag.embed import (
     CharFeatureEncoder,
     ContextualEmbedder,
+    SentenceGroup,
     StackedEmbedder,
     WordTableEmbedder,
-    load_vectors,
     embedder_factory,
+    length_groups,
+    load_vectors,
 )
 from histtag.errors import ConfigError, ParseError
 from histtag.serialization import layer_tensors
 
 from conftest import make_sentence
-from oracles import gradient_relative_error, numeric_gradient
+from oracles import contextual_reference, gradient_relative_error, numeric_gradient
 
 
 def make_lm(direction, vocab="abcdcaptlsnoe ", hidden=6, seed=0):
@@ -85,7 +87,8 @@ class TestCharFeatures:
 
     def test_shape_is_50_by_default(self):
         enc = CharFeatureEncoder(CharVocabulary("abc"), np.random.default_rng(0))
-        out, _ = enc.forward(make_sentence([("abc", "O"), ("a", "O"), ("cabba", "O")]))
+        out, _ = enc.forward(SentenceGroup(
+            [make_sentence([("abc", "O"), ("a", "O"), ("cabba", "O")])]))
         assert out.shape == (3, 50)
         assert enc.dim == 50
 
@@ -96,10 +99,11 @@ class TestCharFeatures:
 
     def test_identical_tokens_identical_vectors(self):
         enc = CharFeatureEncoder(CharVocabulary("abc"), np.random.default_rng(1))
-        sentence = make_sentence([("cab", "O"), ("a", "O"), ("cab", "O"), ("bbacc", "O")])
-        out, _ = enc.forward(sentence)
+        group = SentenceGroup(
+            [make_sentence([("cab", "O"), ("a", "O"), ("cab", "O"), ("bbacc", "O")])])
+        out, _ = enc.forward(group)
         np.testing.assert_array_equal(out[0], out[2])
-        np.testing.assert_array_equal(out, enc.forward(sentence)[0])
+        np.testing.assert_array_equal(out, enc.forward(group)[0])
 
     def test_rows_match_one_token_sentences(self):
         """A token's row from a padded sentence batch equals the token run
@@ -108,9 +112,9 @@ class TestCharFeatures:
         enc = CharFeatureEncoder(CharVocabulary("abc"), np.random.default_rng(6),
                                  embed_dim=5, hidden=4)
         words = ["bca", "a", "cabbac", "ab"]
-        out, _ = enc.forward(make_sentence([(w, "O") for w in words]))
+        out, _ = enc.forward(SentenceGroup([make_sentence([(w, "O") for w in words])]))
         for row, word in zip(out, words):
-            alone, _ = enc.forward(make_sentence([(word, "O")]))
+            alone, _ = enc.forward(SentenceGroup([make_sentence([(word, "O")])]))
             np.testing.assert_allclose(row, alone[0], rtol=0, atol=1e-14)
 
     def test_unknown_chars_use_unk_row(self):
@@ -121,13 +125,15 @@ class TestCharFeatures:
     def test_gradient_through_token(self):
         enc = CharFeatureEncoder(CharVocabulary("abc"), np.random.default_rng(3),
                                  embed_dim=5, hidden=4)
-        sentence = make_sentence([("bca", "O"), ("a", "O"), ("cabbac", "O")])
-        R = np.random.default_rng(4).standard_normal((3, 8))
+        # "a" twice: its text runs once and takes both rows' gradients
+        group = SentenceGroup([make_sentence([("bca", "O"), ("a", "O")]),
+                               make_sentence([("cabbac", "O"), ("a", "O")])])
+        R = np.random.default_rng(4).standard_normal((4, 8))
 
         def loss():
-            return float(np.sum(enc.forward(sentence)[0] * R))
+            return float(np.sum(enc.forward(group)[0] * R))
 
-        _, cache = enc.forward(sentence)
+        _, cache = enc.forward(group)
         for layer in enc.layers:
             layer.zero_grads()
         enc.backward(cache, R)
@@ -141,9 +147,9 @@ class TestCharFeatures:
 class TestContextual:
     def test_shapes_and_determinism(self):
         fwd, bwd = make_lm("forward", hidden=6), make_lm("backward", hidden=5)
-        sentence = make_sentence([("das", "O"), ("alte", "O"), ("tor", "O")])
-        out1 = ContextualEmbedder(fwd, bwd).forward(sentence)
-        out2 = ContextualEmbedder(fwd, bwd).forward(sentence)
+        group = SentenceGroup([make_sentence([("das", "O"), ("alte", "O"), ("tor", "O")])])
+        out1 = ContextualEmbedder(fwd, bwd).forward(group)
+        out2 = ContextualEmbedder(fwd, bwd).forward(group)
         assert out1.shape == (3, 11)
         np.testing.assert_array_equal(out1, out2)
 
@@ -151,16 +157,16 @@ class TestContextual:
         fwd, bwd = make_lm("forward"), make_lm("backward", seed=7)
         s1 = make_sentence([("la", "O"), ("casa", "O")])
         s2 = make_sentence([("el", "O"), ("casa", "O")])
-        v1 = ContextualEmbedder(fwd, bwd).forward(s1)[1]
-        v2 = ContextualEmbedder(fwd, bwd).forward(s2)[1]
+        v1 = ContextualEmbedder(fwd, bwd).forward(SentenceGroup([s1]))[1]
+        v2 = ContextualEmbedder(fwd, bwd).forward(SentenceGroup([s2]))[1]
         assert np.max(np.abs(v1 - v2)) > 0
 
     def test_position_sensitivity(self):
         fwd, bwd = make_lm("forward"), make_lm("backward", seed=9)
         s1 = make_sentence([("casa", "O"), ("sol", "O")])
         s2 = make_sentence([("sol", "O"), ("casa", "O")])
-        v1 = ContextualEmbedder(fwd, bwd).forward(s1)[0]
-        v2 = ContextualEmbedder(fwd, bwd).forward(s2)[1]
+        v1 = ContextualEmbedder(fwd, bwd).forward(SentenceGroup([s1]))[0]
+        v2 = ContextualEmbedder(fwd, bwd).forward(SentenceGroup([s2]))[1]
         assert np.max(np.abs(v1 - v2)) > 0
 
     def test_extraction_offsets(self):
@@ -172,7 +178,7 @@ class TestContextual:
         text = "ab c"
         _, _, hs_f = lm_forward(fwd, fwd.vocab.encode(text))
         _, _, hs_b = lm_forward(bwd, bwd.vocab.encode(text[::-1]))
-        out = ContextualEmbedder(fwd, bwd).forward(sentence)
+        out = ContextualEmbedder(fwd, bwd).forward(SentenceGroup([sentence]))
         # token "ab": chars 0..1; token "c": char 3
         np.testing.assert_array_equal(out[0][:6], hs_f[1])
         np.testing.assert_array_equal(out[0][6:], hs_b[len(text) - 1 - 0])
@@ -182,6 +188,57 @@ class TestContextual:
     def test_direction_validation(self):
         with pytest.raises(ConfigError):
             ContextualEmbedder(make_lm("backward"), make_lm("backward"))
+
+
+GROUP_SENTENCES = [make_sentence([(w, "O") for w in words]) for words in (
+    ["das", "alte", "tor"], ["a"], ["tor", "das", "alte", "tor", "das", "casa"],
+    ["casa", "sol"], ["ab"], ["sol", "la", "casa", "del", "sol"])]
+
+
+class TestGroups:
+    """One run over a group of unequal sentences against each sentence
+    run alone (``oracles.contextual_reference`` is the unbatched LM path):
+    batched products may round differently, so 1e-12; char features
+    compute the same products either way and agree bit for bit."""
+
+    def test_contextual_rows_equal_sentences_alone(self):
+        ctx = ContextualEmbedder(make_lm("forward", hidden=6),
+                                 make_lm("backward", hidden=5, seed=4))
+        out = ctx.forward(SentenceGroup(GROUP_SENTENCES))
+        np.testing.assert_allclose(
+            out, np.concatenate([contextual_reference(ctx, s) for s in GROUP_SENTENCES]),
+            rtol=0, atol=1e-12)
+
+    def test_char_feature_rows_equal_sentences_alone_bit_for_bit(self):
+        """Sentences of two or more tokens; a one-token sentence alone is a
+        single row, whose products may round differently (see
+        ``TestCharFeatures.test_rows_match_one_token_sentences``)."""
+        enc = CharFeatureEncoder(CharVocabulary("abcdelorst"), np.random.default_rng(8),
+                                 embed_dim=5, hidden=4)
+        sentences = [s for s in GROUP_SENTENCES if len(s) > 1]
+        out, _ = enc.forward(SentenceGroup(sentences))
+        alone = [enc.forward(SentenceGroup([s]))[0] for s in sentences]
+        np.testing.assert_array_equal(out, np.concatenate(alone))
+
+    def test_stack_pads_rows_in_input_order(self):
+        table = table_embedder(["a", "sol"], 1, [1.0, 2.0])
+        vecs, lengths, _ = StackedEmbedder([table]).forward(GROUP_SENTENCES)
+        assert lengths.tolist() == [len(s) for s in GROUP_SENTENCES]
+        assert vecs.shape == (6, 6, 1)
+        np.testing.assert_array_equal(vecs[3, :, 0], [0, 2, 0, 0, 0, 0])
+        np.testing.assert_array_equal(vecs[1, :, 0], [1, 0, 0, 0, 0, 0])
+
+    def test_length_groups_sort_and_respect_the_budget(self, monkeypatch):
+        monkeypatch.setattr(embed, "GROUP_CHARS", 24)
+        # text lengths 12, 1, 26, 8, 2, 19
+        groups = length_groups(GROUP_SENTENCES)
+        assert groups == [[1, 4, 3], [0], [5], [2]]
+        # the 26-character sentence is longer than the budget and runs alone
+        assert len(" ".join(GROUP_SENTENCES[2].texts())) > embed.GROUP_CHARS
+
+    def test_length_groups_default_budget_takes_all_short_sentences(self):
+        assert length_groups(GROUP_SENTENCES) == [[1, 4, 3, 0, 5, 2]]
+        assert length_groups([]) == []
 
 
 def table_embedder(words, dim, fill):
@@ -195,27 +252,30 @@ class TestStacked:
         e2 = table_embedder(["a"], 4, [2.0])
         stacked = StackedEmbedder([e1, e2])
         assert stacked.dim == 7
-        sentence = make_sentence([("a", "O"), ("b", "O")])
-        out, _ = stacked.forward(sentence)
-        assert out.shape == (2, 7)
-        np.testing.assert_allclose(out[0], [1, 1, 1, 2, 2, 2, 2])
-        np.testing.assert_allclose(out[1], np.zeros(7))
+        sentences = [make_sentence([("a", "O"), ("b", "O")]), make_sentence([("a", "O")])]
+        out, lengths, _ = stacked.forward(sentences)
+        assert out.shape == (2, 2, 7)
+        assert lengths.tolist() == [2, 1]
+        np.testing.assert_allclose(out[0, 0], [1, 1, 1, 2, 2, 2, 2])
+        np.testing.assert_allclose(out[0, 1], np.zeros(7))
+        np.testing.assert_allclose(out[1, 0], [1, 1, 1, 2, 2, 2, 2])
+        np.testing.assert_array_equal(out[1, 1], np.zeros(7))  # padding
 
     def test_single_component_identity(self):
         e1 = table_embedder(["x"], 2, [3.0])
         stacked = StackedEmbedder([e1])
         sentence = make_sentence([("x", "O")])
         np.testing.assert_array_equal(
-            stacked.forward(sentence)[0], e1.forward(sentence))
+            stacked.forward([sentence])[0][0], e1.forward(SentenceGroup([sentence])))
 
     def test_permuting_components_permutes_blocks(self):
         e1 = table_embedder(["w"], 2, [1.0])
         e2 = table_embedder(["w"], 3, [2.0])
         sentence = make_sentence([("w", "O")])
-        a, _ = StackedEmbedder([e1, e2]).forward(sentence)
-        b, _ = StackedEmbedder([e2, e1]).forward(sentence)
-        np.testing.assert_array_equal(a[:, :2], b[:, 3:])
-        np.testing.assert_array_equal(a[:, 2:], b[:, :3])
+        a = StackedEmbedder([e1, e2]).forward([sentence])[0]
+        b = StackedEmbedder([e2, e1]).forward([sentence])[0]
+        np.testing.assert_array_equal(a[..., :2], b[..., 3:])
+        np.testing.assert_array_equal(a[..., 2:], b[..., :3])
 
     def test_empty_component_list(self):
         with pytest.raises(ConfigError):
@@ -231,16 +291,18 @@ class TestStacked:
         stacked = StackedEmbedder([word, chars, ctx])
         assert stacked.layers == chars.layers
 
-        sentence = make_sentence([("ab", "O"), ("c", "O")])
-        out, caches = stacked.forward(sentence)
+        # two rows of unequal length: the gradient on the padded position
+        # must reach nothing
+        sentences = [make_sentence([("ab", "O"), ("c", "O")]), make_sentence([("ca", "O")])]
+        out, _, cache = stacked.forward(sentences)
         grad = rng.standard_normal(out.shape)
         for layer in stacked.layers:
             layer.zero_grads()
-        stacked.backward(caches, grad)
+        stacked.backward(cache, grad)
 
         def loss():
-            vec, _ = stacked.forward(sentence)
-            return float(np.sum(vec * grad))
+            vecs, _, _ = stacked.forward(sentences)
+            return float(np.sum(vecs * grad))
 
         for layer in chars.layers:
             for name, param in layer.params.items():
@@ -265,7 +327,7 @@ class TestEmbedderFactory:
         assert first.components[1] is second.components[1]
         assert first.components[1].source_path == str(vectors)
         assert list(first.memos) == [1] and first.memos[1] is second.memos[1]
-        first.forward(make_sentence([("a", "O"), ("cab", "O")]))
+        first.forward([make_sentence([("a", "O"), ("cab", "O")])])
         assert list(second.memos[1].blocks) == [("a", "cab")]
         rng = np.random.default_rng([5, 1])
         expected = [CharFeatureEncoder(vocab, rng, hidden=3),
@@ -309,22 +371,46 @@ class TestBlockMemo:
         assert set(stack.memos) == {0, 2}
         distinct = {tuple(s.texts()) for s in MEMO_SENTENCES}
         assert set(stack.memos[0].blocks) == set(stack.memos[2].blocks) == distinct
-        plain = StackedEmbedder(stack.components)
         for sentence in MEMO_SENTENCES:
             key = tuple(sentence.texts())
             words, states = stack.memos[0].blocks[key], stack.memos[2].blocks[key]
             np.testing.assert_array_equal(
                 words, np.stack([table.lookup(w) for w in key]))
-            np.testing.assert_array_equal(states, ctx.forward(sentence))
+            # filled in one group, so equal to the sentence alone within 1e-12
+            np.testing.assert_allclose(states, contextual_reference(ctx, sentence),
+                                       rtol=0, atol=1e-12)
             for block in (words, states):
                 assert block.dtype == np.float64 and not block.flags.writeable
                 with pytest.raises(ValueError):
                     block[0, 0] = 0.0
-            np.testing.assert_array_equal(stack.forward(sentence)[0],
-                                          plain.forward(sentence)[0])
+        plain = StackedEmbedder(stack.components)
+        memo_vecs, memo_lengths, _ = stack.forward(MEMO_SENTENCES)
+        plain_vecs, plain_lengths, _ = plain.forward(MEMO_SENTENCES)
+        np.testing.assert_array_equal(memo_lengths, plain_lengths)
+        np.testing.assert_allclose(memo_vecs, plain_vecs, rtol=0, atol=1e-12)
+
+    def test_misses_extracted_together_and_stored_per_sentence(self):
+        groups = []
+        table = table_embedder(["a", "b"], 2, [1.0, 2.0])
+
+        class Recording:
+            def forward(self, sentences):
+                groups.append([tuple(s.texts()) for s in sentences])
+                return table.forward(sentences)
+
+        memo = embed.BlockMemo()
+        ab, b, a = (make_sentence([(w, "O") for w in words])
+                    for words in (["a", "b"], ["b"], ["a"]))
+        first = memo.lookup(Recording(), [ab, b, ab])
+        assert groups == [[("a", "b"), ("b",)]]
+        assert list(memo.blocks) == [("a", "b"), ("b",)]
+        second = memo.lookup(Recording(), [a, b, ab])
+        assert groups[1:] == [[("a",)]]
+        for block, sentence in zip(first + second, [ab, b, ab, a, b, ab]):
+            np.testing.assert_array_equal(block, table.forward(SentenceGroup([sentence])))
 
     def test_byte_bound(self, tmp_path, monkeypatch):
-        bound = 300  # the first sentence's contextual block (3 × 11 × 8 bytes) fits
+        bound = 300  # contextual blocks are 11 × 8 bytes per token
         monkeypatch.setattr(embed, "MEMO_BYTES", bound)
         build = embedder_factory(frozen_entries(tmp_path), CharVocabulary("adeltsTor"),
                                  MEMO_SENTENCES)
@@ -332,11 +418,13 @@ class TestBlockMemo:
         for memo in stack.memos.values():
             assert 0 < memo.nbytes <= bound
             assert memo.nbytes == sum(b.nbytes for b in memo.blocks.values())
-        assert list(stack.memos[2].blocks) == [tuple(MEMO_SENTENCES[0].texts())]
+        # the fill stores in order of text length while the bound allows:
+        # one token (88 bytes) and two (176), but not three more (264)
+        assert list(stack.memos[2].blocks) == [("alte",), ("Tor", "das")]
         plain = StackedEmbedder(stack.components)
         for sentence in MEMO_SENTENCES:
-            np.testing.assert_array_equal(stack.forward(sentence)[0],
-                                          plain.forward(sentence)[0])
+            np.testing.assert_allclose(stack.forward([sentence])[0],
+                                       plain.forward([sentence])[0], rtol=0, atol=1e-12)
         assert stack.memos[2].nbytes <= bound
 
 

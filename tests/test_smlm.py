@@ -53,6 +53,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SmlmConfig(**base)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": 1.7}, {"seed": True}, {"seed": "1"}, {"p_keep": "0.9"}, {"mask_char": 1},
+    ])
+    def test_rejects_wrong_types(self, kwargs):
+        base = {"mask_char": PILCROW, "seed": 0, **kwargs}
+        name = next(iter(kwargs))
+        with pytest.raises(ConfigError, match=f"{name} must be"):
+            SmlmConfig(**base)
+
+    def test_int_probability_stored_as_float(self):
+        cfg = SmlmConfig(mask_char=PILCROW, p_keep=1)
+        assert cfg.p_keep == 1.0 and isinstance(cfg.p_keep, float)
+
 
 class TestStats:
     def test_counts_must_sum(self):
