@@ -27,7 +27,14 @@ from .errors import (
     check_field_types,
 )
 from .nn import Dropout, Embedding, Linear, Lstm, Module, clip_grad_norm, cross_entropy, sgd_step
-from .serialization import assign_tensors, layer_tensors, load_tensors, save_tensors
+from .serialization import (
+    assign_tensors,
+    check_layout,
+    layer_tensors,
+    load_tensors,
+    named_shapes,
+    save_tensors,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -84,6 +91,16 @@ class CharLm(Module):
     @property
     def output_size(self) -> int:
         return len(self.vocab) + 1
+
+    @staticmethod
+    def tensor_shapes(vocab: CharVocabulary, char_embed_dim: int,
+                      hidden_size: int) -> dict[str, tuple]:
+        """The shape of each tensor an LM of these dims holds, by name,
+        without building it."""
+        n_out = len(vocab) + 1
+        return named_shapes((("embedding", Embedding.shapes(n_out, char_embed_dim)),
+                             ("lstm", Lstm.shapes(char_embed_dim, hidden_size)),
+                             ("projection", Linear.shapes(hidden_size, n_out))))
 
 
 def lm_forward(model: CharLm, chars: np.ndarray, state=None):
@@ -301,6 +318,7 @@ def load_lm(path) -> CharLm:
                 raise ValueError(f"{name} must be positive, got {value}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: invalid model metadata: {exc}") from exc
+    check_layout(path, CharLm.tensor_shapes(vocab, **dims), tensors)
     model = CharLm(vocab, direction, rng=np.random.default_rng(0), **dims)
     assign_tensors(path, model.named_layers, tensors)
     return model

@@ -516,6 +516,10 @@ def cmd_ner_train(args) -> int:
                         ("training_log.json", log_path)):
             artifacts[f"run{run}/{name}"] = p
         reports.append(report)
+        if log.status == "no_improvement":
+            logger.warning("run %d: dev F1 never rose above 0 in %d epochs; "
+                           "the model keeps its initial parameters",
+                           run, len(log.records))
         print(f"run {run}: seed {run_seed}, {eval_name} F1 {report.f1:.4f} "
               f"({log.status}, best epoch {log.best_epoch})")
 

@@ -66,6 +66,10 @@ class CrfLayer(Layer):
         transitions[~self.allowed] = FORBIDDEN_SCORE
         self._register("transitions", transitions)
 
+    @staticmethod
+    def shapes(num_tags: int) -> dict:
+        return {"transitions": (num_tags + 2, num_tags + 2)}
+
     def mask_grads(self) -> None:
         """Zero gradient at pinned entries so they never move."""
         self.grads["transitions"][~self.allowed] = 0.0
@@ -81,76 +85,105 @@ def _check_emissions(emissions: np.ndarray, crf: CrfLayer) -> np.ndarray:
     return emissions
 
 
-def _check_path(path, crf: CrfLayer, T: int) -> np.ndarray:
-    path = np.asarray(path, dtype=np.int64)
-    if path.shape != (T,):
-        raise ValueError(f"path length {path.shape} does not match T={T}")
-    if path.min() < 0 or path.max() >= crf.num_tags:
-        raise ValueError("path may only contain real tag indices, not START/STOP")
-    return path
+def _check_batch(emissions, crf: CrfLayer, golds, lengths):
+    """The emissions as float64, the gold paths padded with tag 0 into one
+    (B, T) array, and the lengths; raises ValueError unless every row has
+    a length in [1, T] and a gold path of exactly that many real tags."""
+    emissions = np.asarray(emissions, dtype=np.float64)
+    if emissions.ndim != 3 or emissions.shape[0] < 1 or emissions.shape[1] < 1:
+        raise ValueError("emissions must be a non-empty B × T × K array")
+    B, T, K = emissions.shape
+    if K != crf.num_tags:
+        raise ValueError(f"emissions have {K} columns, CRF has {crf.num_tags} tags")
+    lengths = np.asarray(lengths)
+    if (lengths.shape != (B,) or not np.issubdtype(lengths.dtype, np.integer)
+            or lengths.min() < 1 or lengths.max() > T):
+        raise ValueError(f"lengths must be {B} integers in [1, {T}]")
+    if len(golds) != B:
+        raise ValueError(f"{len(golds)} gold paths for {B} rows")
+    paths = np.zeros((B, T), dtype=np.int64)
+    for b, (gold, length) in enumerate(zip(golds, lengths)):
+        gold = np.asarray(gold, dtype=np.int64)
+        if gold.shape != (length,):
+            raise ValueError(f"row {b}: path length {gold.shape} does not match "
+                             f"its length {length}")
+        if gold.min() < 0 or gold.max() >= K:
+            raise ValueError(
+                f"row {b}: path may only contain real tag indices, not START/STOP")
+        paths[b, :length] = gold
+    return emissions, paths, lengths
 
 
-def crf_score(emissions: np.ndarray, crf: CrfLayer, path) -> float:
-    """Score of one tag path: emissions plus START→…→STOP transitions."""
-    emissions = _check_emissions(emissions, crf)
-    path = _check_path(path, crf, emissions.shape[0])
-    trans = crf.params["transitions"]
-    score = trans[crf.start, path[0]] + trans[path[-1], crf.stop]
-    score += emissions[np.arange(len(path)), path].sum()
-    score += trans[path[:-1], path[1:]].sum()
-    return float(score)
-
-
-def crf_nll_with_grads(emissions: np.ndarray, crf: CrfLayer, gold,
+def crf_nll_with_grads(emissions: np.ndarray, crf: CrfLayer, golds, lengths,
                        scale: float = 1.0):
-    """Negative log-likelihood of the gold path plus analytic gradients
-    from the forward-backward recursions.
+    """Negative log-likelihood of each row's gold path plus analytic
+    gradients from the forward-backward recursions, for a padded batch.
 
-    Returns (nll, d_emissions); nll + ``crf_score(gold)`` is the log
-    partition function, the log-sum-exp of every path's score.  The
-    transition gradient accumulates into ``crf.grads["transitions"]`` with
-    pinned entries masked out.  Gradients are marginal probabilities minus
-    gold indicator counts, multiplied by ``scale`` (callers averaging over a
-    batch pass 1/batch size).
+    ``emissions`` is (B, T, K) with row b's first ``lengths[b]`` positions
+    real and the rest padding, whatever it holds; ``golds`` holds one path
+    of ``lengths[b]`` real tag indices per row.  Returns (nlls (B,),
+    d_emissions (B, T, K)): each row's NLL is its log partition function
+    minus its gold path's score, and d_emissions is zero at padded
+    positions.  The transition gradient accumulates into
+    ``crf.grads["transitions"]`` with pinned entries masked out.  Gradients
+    are marginal probabilities minus gold indicator counts, summed over the
+    rows and multiplied by ``scale`` (callers averaging over a batch pass
+    1/batch size).
     """
-    emissions = _check_emissions(emissions, crf)
-    gold = _check_path(gold, crf, emissions.shape[0])
+    emissions, golds, lengths = _check_batch(emissions, crf, golds, lengths)
     trans = crf.params["transitions"]
-    K = crf.num_tags
-    T = emissions.shape[0]
+    B, T, K = emissions.shape
     inner = trans[:K, :K]
+    rows = np.arange(B)
+    last = lengths - 1
+    real = np.arange(T) < lengths[:, None]
 
-    alphas = np.empty((T, K))
-    alphas[0] = emissions[0] + trans[crf.start, :K]
+    alphas = np.empty((B, T, K))
+    alphas[:, 0] = emissions[:, 0] + trans[crf.start, :K]
     for t in range(1, T):
-        alphas[t] = emissions[t] + logsumexp(alphas[t - 1][:, None] + inner, axis=0)
-    log_z = float(logsumexp(alphas[-1] + trans[:K, crf.stop]))
-    betas = np.empty((T, K))
-    betas[-1] = trans[:K, crf.stop]
+        alphas[:, t] = emissions[:, t] + logsumexp(
+            alphas[:, t - 1, :, None] + inner, axis=1)
+    log_z = logsumexp(alphas[rows, last] + trans[:K, crf.stop], axis=1)
+    # each row's last position, and its padding, start from STOP
+    betas = np.empty((B, T, K))
+    betas[:] = trans[:K, crf.stop]
     for t in range(T - 2, -1, -1):
-        betas[t] = logsumexp(inner + (emissions[t + 1] + betas[t + 1])[None, :], axis=1)
+        inside = t < last
+        betas[inside, t] = logsumexp(
+            inner + (emissions[inside, t + 1] + betas[inside, t + 1])[:, None, :],
+            axis=2)
 
-    # unary marginals P(y_t = k)
-    gamma = np.exp(alphas + betas - log_z)
+    # unary marginals P(y_t = k), zero at padded positions
+    gamma = np.exp(np.where(real[..., None], alphas + betas - log_z[:, None, None],
+                            -np.inf))
+    b_real, t_real = np.nonzero(real)
     d_emissions = gamma.copy()
-    d_emissions[np.arange(T), gold] -= 1.0
+    d_emissions[b_real, t_real, golds[b_real, t_real]] -= 1.0
     d_emissions *= scale
 
     d_trans = np.zeros_like(trans)
-    d_trans[crf.start, :K] += gamma[0]
-    d_trans[crf.start, gold[0]] -= 1.0
-    d_trans[:K, crf.stop] += gamma[-1]
-    d_trans[gold[-1], crf.stop] -= 1.0
-    # pairwise marginals P(y_t = i, y_{t+1} = j), all t in one broadcast
-    xi = np.exp(alphas[:-1, :, None] + inner
-                + (emissions[1:] + betas[1:])[:, None, :] - log_z)
-    d_trans[:K, :K] += xi.sum(axis=0)
-    np.add.at(d_trans, (gold[:-1], gold[1:]), -1.0)
+    d_trans[crf.start, :K] += gamma[:, 0].sum(axis=0)
+    np.add.at(d_trans, (crf.start, golds[:, 0]), -1.0)
+    d_trans[:K, crf.stop] += gamma[rows, last].sum(axis=0)
+    np.add.at(d_trans, (golds[rows, last], crf.stop), -1.0)
+    # pairwise marginals P(y_t = i, y_{t+1} = j), all rows and positions in
+    # one broadcast; a pair is real when its second position is
+    pair = real[:, 1:]
+    xi = np.exp(np.where(
+        pair[..., None, None],
+        alphas[:, :-1, :, None] + inner
+        + (emissions[:, 1:] + betas[:, 1:])[:, :, None, :] - log_z[:, None, None, None],
+        -np.inf))
+    d_trans[:K, :K] += xi.sum(axis=(0, 1))
+    np.add.at(d_trans, (golds[:, :-1][pair], golds[:, 1:][pair]), -1.0)
     crf.grads["transitions"] += scale * d_trans
     crf.mask_grads()
 
-    nll = log_z - crf_score(emissions, crf, gold)
-    return float(nll), d_emissions
+    gold_scores = (trans[crf.start, golds[:, 0]] + trans[golds[rows, last], crf.stop]
+                   + np.where(real, np.take_along_axis(
+                       emissions, golds[..., None], axis=2)[..., 0], 0.0).sum(axis=1)
+                   + np.where(pair, trans[golds[:, :-1], golds[:, 1:]], 0.0).sum(axis=1))
+    return log_z - gold_scores, d_emissions
 
 
 def viterbi_decode(emissions: np.ndarray, crf: CrfLayer):

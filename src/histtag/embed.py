@@ -36,7 +36,9 @@ This module is the one place that knows each component kind: its
 and its other run-config keys with their types (``options``), how
 ``build`` constructs it from a run-config entry, and the model-file meta
 entry that ``spec`` writes and ``from_spec`` reads back, with the paths of
-referenced files relative to the model file's directory.
+referenced files relative to the model file's directory, and
+``tensor_shapes`` gives the shapes of the tensors stored for that entry
+without building the component.
 """
 
 import logging
@@ -50,7 +52,7 @@ from .charlm import CharLm, load_lm
 from .corpus import CharVocabulary, Sentence, sentence_text, token_char_ranges
 from .errors import ConfigError, ModelFormatError, ParseError
 from .nn import Embedding, Lstm, Module
-from .serialization import file_sha256
+from .serialization import file_sha256, named_shapes
 
 logger = logging.getLogger(__name__)
 
@@ -120,6 +122,11 @@ class WordTableEmbedder(Module):
         path = _resolve(spec["path"], model_dir)
         _verify_hash(path, spec["sha256"], "word-vector file")
         return load_vectors(path)
+
+    @classmethod
+    def tensor_shapes(cls, spec: dict) -> dict:
+        """Frozen: the model file stores none of its values."""
+        return {}
 
     def spec(self, model_dir) -> dict:
         if self.source_path is None:
@@ -200,9 +207,7 @@ class CharFeatureEncoder(Module):
 
     def __init__(self, vocab: CharVocabulary, rng: np.random.Generator,
                  embed_dim: int = CHAR_EMBED_DIM, hidden: int = CHAR_HIDDEN):
-        for name, value in (("embed_dim", embed_dim), ("hidden", hidden)):
-            if value < 1:
-                raise ConfigError(f"char_features {name} must be positive, got {value}")
+        self._check_dims(embed_dim, hidden)
         self.vocab = vocab
         self.embed_dim = embed_dim
         self.hidden = hidden
@@ -212,6 +217,12 @@ class CharFeatureEncoder(Module):
         self.bwd = Lstm(embed_dim, hidden, rng)
         self.named_layers = (("embedding", self.embedding), ("fwd", self.fwd),
                              ("bwd", self.bwd))
+
+    @staticmethod
+    def _check_dims(embed_dim: int, hidden: int) -> None:
+        for name, value in (("embed_dim", embed_dim), ("hidden", hidden)):
+            if value < 1:
+                raise ConfigError(f"char_features {name} must be positive, got {value}")
 
     @classmethod
     def build(cls, entry: dict, vocab: CharVocabulary,
@@ -223,6 +234,18 @@ class CharFeatureEncoder(Module):
     def from_spec(cls, spec: dict, rng: np.random.Generator,
                   model_dir) -> "CharFeatureEncoder":
         return cls.build(spec, CharVocabulary.from_codepoints(spec["vocab"]), rng)
+
+    @classmethod
+    def tensor_shapes(cls, spec: dict) -> dict[str, tuple]:
+        """The shape of each tensor of the encoder ``from_spec`` builds, by
+        name, without building it."""
+        embed_dim = spec.get("embed_dim", CHAR_EMBED_DIM)
+        hidden = spec.get("hidden", CHAR_HIDDEN)
+        cls._check_dims(embed_dim, hidden)
+        vocab = CharVocabulary.from_codepoints(spec["vocab"])
+        return named_shapes((("embedding", Embedding.shapes(len(vocab) + 1, embed_dim)),
+                             ("fwd", Lstm.shapes(embed_dim, hidden)),
+                             ("bwd", Lstm.shapes(embed_dim, hidden))))
 
     def spec(self, model_dir) -> dict:
         return {"kind": self.kind, "vocab": self.vocab.codepoints(),
@@ -297,6 +320,11 @@ class ContextualEmbedder(Module):
         for d, path in paths.items():
             _verify_hash(path, spec[f"{d}_sha256"], f"{d} LM file")
         return cls.build(paths, None, rng)
+
+    @classmethod
+    def tensor_shapes(cls, spec: dict) -> dict:
+        """Frozen: the model file stores none of its values."""
+        return {}
 
     def spec(self, model_dir) -> dict:
         if self.forward_path is None or self.backward_path is None:

@@ -39,7 +39,9 @@ def init_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class Layer:
-    """Base for parameterized blocks: named tensors plus gradient slots."""
+    """Base for parameterized blocks: named tensors plus gradient slots.
+    A subclass's static ``shapes`` gives the shape of each tensor its
+    constructor registers for the same dims, without building it."""
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
@@ -79,6 +81,10 @@ class Embedding(Layer):
         self.dim = dim
         self._register("weight", init_uniform(rng, (num_embeddings, dim), dim))
 
+    @staticmethod
+    def shapes(num_embeddings: int, dim: int) -> dict:
+        return {"weight": (num_embeddings, dim)}
+
     def forward(self, indices: np.ndarray):
         indices = np.asarray(indices, dtype=np.int64)
         return self.params["weight"][indices], indices
@@ -95,6 +101,10 @@ class Linear(Layer):
         self.out_dim = out_dim
         self._register("weight", init_uniform(rng, (in_dim, out_dim), in_dim))
         self._register("bias", np.zeros(out_dim))
+
+    @staticmethod
+    def shapes(in_dim: int, out_dim: int) -> dict:
+        return {"weight": (in_dim, out_dim), "bias": (out_dim,)}
 
     def forward(self, x: np.ndarray):
         return x @ self.params["weight"] + self.params["bias"], x
@@ -132,6 +142,11 @@ class Lstm(Layer):
         H = hidden_size
         self._slope = np.concatenate([np.full(2 * H, 0.5), np.ones(H), np.full(H, 0.5)])
         self._offset = np.concatenate([np.full(2 * H, 0.5), np.zeros(H), np.full(H, 0.5)])
+
+    @staticmethod
+    def shapes(input_dim: int, hidden_size: int) -> dict:
+        return {"Wx": (input_dim, 4 * hidden_size), "Wh": (hidden_size, 4 * hidden_size),
+                "bias": (4 * hidden_size,)}
 
     def forward(self, x: np.ndarray, state=None, lengths=None):
         """Run the recurrence.

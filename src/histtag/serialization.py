@@ -13,7 +13,10 @@ Byte layout, in order:
 
 Models name their tensors ``<layer name>.<param name>`` after their ordered
 ``named_layers``: ``layer_tensors`` walks them for saving, and
-``assign_tensors`` copies a loaded file back in.
+``assign_tensors`` copies a loaded file back in.  Before building a model,
+a loader compares the file's tensors with the names and shapes its meta
+dims imply (``check_layout``), so no layer is allocated at dims the
+payload does not hold.
 
 Tensors live in float64 in memory but are stored as float32.  Because every
 float32 converts to float64 and back without loss, save → load → save is
@@ -139,6 +142,32 @@ def layer_tensors(named_layers: Iterable) -> list[tuple[str, np.ndarray]]:
             for param, value in layer.params.items()]
 
 
+def named_shapes(named) -> dict[str, tuple]:
+    """``<layer name>.<param name>`` → shape over ``(layer name, shapes)``
+    pairs, in the order ``layer_tensors`` names a built model's tensors."""
+    return {f"{name}.{param}": shape for name, shapes in named
+            for param, shape in shapes.items()}
+
+
+def check_layout(path, expected: Mapping[str, tuple],
+                 tensors: Mapping[str, np.ndarray]) -> None:
+    """Raise ModelFormatError unless ``tensors`` holds exactly the named
+    tensors of ``expected``, each of its expected shape.  Loaders check the
+    layout a file's meta dims imply before building a model of those dims,
+    so dims that would need more memory than the payload holds are refused
+    before anything is allocated."""
+    unexpected = sorted(tensors.keys() - expected.keys())
+    if unexpected:
+        raise ModelFormatError(f"{path}: unexpected tensor {unexpected[0]!r}")
+    for name, shape in expected.items():
+        if name not in tensors:
+            raise ModelFormatError(f"{path}: missing tensor {name!r}")
+        if tensors[name].shape != shape:
+            raise ModelFormatError(
+                f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
+                f"expected {shape}")
+
+
 def assign_tensors(path, named_layers: Iterable, tensors: Mapping[str, np.ndarray]) -> None:
     """Copy loaded tensors into the params of named layers.
 
@@ -146,14 +175,6 @@ def assign_tensors(path, named_layers: Iterable, tensors: Mapping[str, np.ndarra
     or wrongly shaped one raises ``ModelFormatError``.
     """
     targets = dict(layer_tensors(named_layers))
-    unexpected = sorted(tensors.keys() - targets.keys())
-    if unexpected:
-        raise ModelFormatError(f"{path}: unexpected tensor {unexpected[0]!r}")
+    check_layout(path, {name: target.shape for name, target in targets.items()}, tensors)
     for name, target in targets.items():
-        if name not in tensors:
-            raise ModelFormatError(f"{path}: missing tensor {name!r}")
-        if tensors[name].shape != target.shape:
-            raise ModelFormatError(
-                f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
-                f"expected {target.shape}")
         target[...] = tensors[name]

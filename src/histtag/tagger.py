@@ -8,12 +8,14 @@ predictions back to the scheme of the corpus they were made for.
 ``_emissions`` runs a list of sentences as one padded call per direction;
 ``predict`` runs the length-sorted groups of ``embed.length_groups``.
 Training is SGD over shuffled mini-batches minimizing the mean sentence
-NLL, with the gradient norm clipped at 5.0, dev-F1 model selection, and
-the learning rate multiplied by ANNEAL_FACTOR (0.5) after `patience`
-consecutive epochs without a dev improvement; training stops once it falls
-below MIN_LEARNING_RATE (1e-4).  The selected parameters are rounded to
-float32, the values a model file stores, so a saved model predicts what
-the trained one did.
+NLL.  Each mini-batch runs as one padded group: one ``_emissions`` call,
+one length-masked CRF forward-backward over its rows and one
+``_backward``.  The gradient norm is clipped at 5.0, dev F1 selects the
+model, and the learning rate is multiplied by ANNEAL_FACTOR (0.5) after
+`patience` consecutive epochs without a dev improvement; training stops
+once it falls below MIN_LEARNING_RATE (1e-4).  The selected parameters
+are rounded to float32, the values a model file stores, so a saved model
+predicts what the trained one did.
 """
 
 import logging
@@ -37,7 +39,14 @@ from .errors import (
 )
 from .evaluation import evaluate
 from .nn import Linear, Lstm, Module, clip_grad_norm, sgd_step
-from .serialization import assign_tensors, layer_tensors, load_tensors, save_tensors
+from .serialization import (
+    assign_tensors,
+    check_layout,
+    layer_tensors,
+    load_tensors,
+    named_shapes,
+    save_tensors,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -80,6 +89,16 @@ class NerModel(Module):
         self.named_layers = embedder.named_layers + (
             ("encoder.fwd", self.fwd), ("encoder.bwd", self.bwd),
             ("projection", self.projection), ("crf", self.crf))
+
+    @staticmethod
+    def tensor_shapes(embedder_dim: int, num_tags: int,
+                      lstm_hidden: int) -> dict[str, tuple]:
+        """The shape of each tensor of the layers a model builds on its
+        embedder, by name, without building them."""
+        return named_shapes((("encoder.fwd", Lstm.shapes(embedder_dim, lstm_hidden)),
+                             ("encoder.bwd", Lstm.shapes(embedder_dim, lstm_hidden)),
+                             ("projection", Linear.shapes(2 * lstm_hidden, num_tags)),
+                             ("crf", CrfLayer.shapes(num_tags))))
 
     def _emissions(self, sentences: Sequence[Sentence]):
         """Emission scores (sentences × T × tags), row b's first
@@ -147,6 +166,7 @@ class NerEpochRecord:
 @dataclass
 class NerTrainLog:
     records: list[NerEpochRecord] = field(default_factory=list)
+    # "max_epochs", "converged" or "no_improvement" (see train_ner)
     status: str = "max_epochs"
     best_epoch: int = 0
     best_dev_f1: float = 0.0
@@ -170,15 +190,16 @@ def _restore_as_float32(snapshot) -> None:
         layer.params[name][...] = saved.astype(np.float32)
 
 
-def _sentence_step(model: NerModel, sentence: Sentence, gold: np.ndarray,
-                   scale: float) -> float:
-    """Add one sentence's NLL gradient, times ``scale``, to the model's
-    gradients, running it as a list of one; returns the NLL.  Its caches
-    die here, before dev scoring runs."""
-    emissions, _, cache = model._emissions([sentence])
-    nll, d_emissions = crf_nll_with_grads(emissions[0], model.crf, gold, scale=scale)
-    model._backward(cache, d_emissions[None])
-    return nll
+def _batch_step(model: NerModel, sentences: Sequence[Sentence], golds,
+                scale: float) -> np.ndarray:
+    """Add a mini-batch's NLL gradient, times ``scale``, to the model's
+    gradients, the batch run as one padded group; returns each sentence's
+    NLL.  Its caches die here, before dev scoring runs."""
+    emissions, lengths, cache = model._emissions(sentences)
+    nlls, d_emissions = crf_nll_with_grads(emissions, model.crf, golds, lengths,
+                                           scale=scale)
+    model._backward(cache, d_emissions)
+    return nlls
 
 
 def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
@@ -194,7 +215,9 @@ def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
     streak of `patience` epochs multiplies the learning rate by
     ANNEAL_FACTOR (streak counter resets after each cut); training stops
     at max_epochs, or earlier with status "converged" once the rate falls
-    below MIN_LEARNING_RATE.
+    below MIN_LEARNING_RATE.  A run whose dev score never rose above 0 kept
+    its initial parameters and ends with status "no_improvement" either
+    way.
     """
     if len(train) == 0:
         raise EmptyCorpusError("training corpus is empty")
@@ -233,9 +256,10 @@ def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
         for step, start in enumerate(range(0, n, config.mini_batch), start=1):
             batch = order[start:start + config.mini_batch]
             model.zero_grads()
-            scale = 1.0 / len(batch)
-            for i in batch:
-                loss_sum += _sentence_step(model, sentences[i], gold_paths[i], scale)
+            nlls = _batch_step(model, [sentences[i] for i in batch],
+                               [gold_paths[i] for i in batch], 1.0 / len(batch))
+            for nll in nlls:
+                loss_sum += float(nll)
             if not math.isfinite(clip_grad_norm(model.layers, GRAD_CLIP)):
                 raise NonFiniteGradientError("tagger training", epoch, step)
             sgd_step(model.layers, lr)
@@ -262,6 +286,8 @@ def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
                     log.records[-1].learning_rate,
                     " (annealed)" if annealed else "")
 
+    if log.best_epoch == 0:
+        log.status = "no_improvement"
     log.best_dev_f1 = best_f1
     _restore_as_float32(best_params)
     return model, log
@@ -304,10 +330,24 @@ def load_ner(path) -> NerModel:
         lstm_hidden = int(meta["lstm_hidden"])
         if lstm_hidden < 1:
             raise ValueError(f"lstm_hidden must be positive, got {lstm_hidden}")
-        # a char-feature encoder gets its tensors below, with the rest
-        components = [component_class(spec["kind"]).from_spec(spec, rng, model_dir)
-                      for spec in meta["components"]]
-        model = NerModel(StackedEmbedder(components), tags, lstm_hidden, rng)
+        # the layout the meta dims imply is checked against the payload
+        # before anything of those dims is built: each component's own
+        # tensors first, then the whole model's
+        layout = {}
+        components = []
+        for i, spec in enumerate(meta["components"]):
+            cls = component_class(spec["kind"])
+            prefix = f"component{i}."
+            own = {prefix + name: shape for name, shape in cls.tensor_shapes(spec).items()}
+            check_layout(path, own, {name: value for name, value in tensors.items()
+                                     if name.startswith(prefix)})
+            layout.update(own)
+            # a char-feature encoder gets its tensors below, with the rest
+            components.append(cls.from_spec(spec, rng, model_dir))
+        embedder = StackedEmbedder(components)
+        layout.update(NerModel.tensor_shapes(embedder.dim, len(tags), lstm_hidden))
+        check_layout(path, layout, tensors)
+        model = NerModel(embedder, tags, lstm_hidden, rng)
     except (KeyError, TypeError, ValueError, OverflowError, ConfigError,
             SchemeError) as exc:
         raise ModelFormatError(f"{path}: invalid model metadata: {exc}") from exc

@@ -1,11 +1,15 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from histtag import nn
 from histtag.corpus import Sentence, TaggedCorpus, TagScheme, Token
-from histtag.crf import crf_nll_with_grads, crf_score
+from histtag.crf import crf_nll_with_grads
 from histtag.serialization import _HEAD, FORMAT_VERSION, MAGIC
+
+from oracles import brute_path_score
 
 
 def make_sentence(pairs):
@@ -19,24 +23,44 @@ def make_corpus(sentence_pairs, scheme=TagScheme.IOBES, split="train"):
 
 
 def nll_of(emissions, crf, gold) -> float:
-    """The NLL ``crf_nll_with_grads`` returns, with ``crf.grads`` left as
-    they were."""
+    """The NLL ``crf_nll_with_grads`` returns for (T × K) ``emissions`` run
+    as a batch of one, with ``crf.grads`` left as they were."""
     grads = crf.grads["transitions"].copy()
-    nll, _ = crf_nll_with_grads(emissions, crf, gold)
+    nlls, _ = crf_nll_with_grads(np.asarray(emissions)[None], crf, [gold],
+                                 [len(emissions)])
     crf.grads["transitions"][...] = grads
-    return nll
+    return float(nlls[0])
+
+
+def score_of(emissions, crf, path) -> float:
+    """Score of one tag path: emissions plus START→…→STOP transitions."""
+    return brute_path_score(emissions, crf.params["transitions"], crf.start,
+                            crf.stop, path)
 
 
 def log_partition_of(emissions, crf) -> float:
     """log Z = NLL of a path + that path's score; any path will do."""
     path = np.zeros(len(emissions), dtype=np.int64)
-    return nll_of(emissions, crf, path) + crf_score(emissions, crf, path)
+    return nll_of(emissions, crf, path) + score_of(emissions, crf, path)
 
 
 def raw_container(header, payload=b""):
     """Container bytes with an arbitrary JSON header, malformed ones too."""
     head = json.dumps(header).encode("utf-8")
     return MAGIC + _HEAD.pack(FORMAT_VERSION, len(head)) + head + payload
+
+
+@pytest.fixture
+def no_large_layers(monkeypatch):
+    """Layers built under this fixture fail, instead of allocating, when a
+    parameter tensor would hold more than a million entries."""
+    init_uniform = nn.init_uniform
+
+    def guarded(rng, shape, fan_in):
+        if math.prod(shape) > 10 ** 6:
+            raise AssertionError(f"a layer began to allocate a {shape} tensor")
+        return init_uniform(rng, shape, fan_in)
+    monkeypatch.setattr(nn, "init_uniform", guarded)
 
 
 @pytest.fixture

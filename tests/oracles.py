@@ -4,9 +4,9 @@ Everything here is deliberately written with a different algorithm than the
 code under test: span extraction scans with explicit two-pointer lookahead,
 CRF quantities are brute-force sums over every tag path, gradients come
 from central finite differences, the LSTM runs one sequence one step at
-a time where the library runs a padded batch, and contextual vectors and
-tagger emissions come from each sentence run alone where the library runs
-padded groups of sentences.
+a time where the library runs a padded batch, and contextual vectors,
+tagger emissions, CRF likelihoods and training gradients come from each
+sentence run alone where the library runs padded groups of sentences.
 """
 
 import itertools
@@ -14,6 +14,7 @@ import itertools
 import numpy as np
 
 from histtag.corpus import TagScheme
+from histtag.nn import logsumexp
 
 
 def scan_spans(tags, scheme):
@@ -104,6 +105,60 @@ def brute_nll_gradients(emissions, transitions, start, stop, gold):
         count(path, np.exp(score - logz))
     count(list(gold), -1.0)
     return d_emissions, d_transitions
+
+
+def crf_nll_reference(emissions, crf, gold, scale=1.0):
+    """One sentence's NLL and (T × K) emission gradient from the unbatched
+    forward-backward recursions, the kernel the batched
+    ``crf_nll_with_grads`` replaced.  Adds the transition gradient, times
+    ``scale``, to ``crf.grads["transitions"]`` with pinned entries masked
+    out; the returned emission gradient is multiplied by ``scale`` too."""
+    emissions = np.asarray(emissions, dtype=np.float64)
+    gold = np.asarray(gold, dtype=np.int64)
+    trans = crf.params["transitions"]
+    T, K = emissions.shape
+    inner = trans[:K, :K]
+
+    alphas = np.empty((T, K))
+    alphas[0] = emissions[0] + trans[crf.start, :K]
+    for t in range(1, T):
+        alphas[t] = emissions[t] + logsumexp(alphas[t - 1][:, None] + inner, axis=0)
+    log_z = float(logsumexp(alphas[-1] + trans[:K, crf.stop]))
+    betas = np.empty((T, K))
+    betas[-1] = trans[:K, crf.stop]
+    for t in range(T - 2, -1, -1):
+        betas[t] = logsumexp(inner + (emissions[t + 1] + betas[t + 1])[None, :], axis=1)
+
+    gamma = np.exp(alphas + betas - log_z)
+    d_emissions = gamma.copy()
+    d_emissions[np.arange(T), gold] -= 1.0
+    d_emissions *= scale
+
+    d_trans = np.zeros_like(trans)
+    d_trans[crf.start, :K] += gamma[0]
+    d_trans[crf.start, gold[0]] -= 1.0
+    d_trans[:K, crf.stop] += gamma[-1]
+    d_trans[gold[-1], crf.stop] -= 1.0
+    xi = np.exp(alphas[:-1, :, None] + inner
+                + (emissions[1:] + betas[1:])[:, None, :] - log_z)
+    d_trans[:K, :K] += xi.sum(axis=0)
+    np.add.at(d_trans, (gold[:-1], gold[1:]), -1.0)
+    crf.grads["transitions"] += scale * d_trans
+    crf.mask_grads()
+
+    score = brute_path_score(emissions, trans, crf.start, crf.stop, gold)
+    return log_z - score, d_emissions
+
+
+def sentence_step_reference(model, sentence, gold, scale):
+    """Add one sentence's NLL gradient, times ``scale``, to a NerModel's
+    gradients, the sentence run alone through ``crf_nll_reference``, as
+    training ran before its mini-batches ran as one group; returns the
+    NLL."""
+    emissions, _, cache = model._emissions([sentence])
+    nll, d_emissions = crf_nll_reference(emissions[0], model.crf, gold, scale)
+    model._backward(cache, d_emissions[None])
+    return nll
 
 
 def brute_viterbi(emissions, transitions, start, stop):

@@ -192,7 +192,8 @@ def _crf_gradient_error(errors):
         return nll_of(emissions, crf, gold)
 
     crf.zero_grads()
-    _, d_emissions = crf_nll_with_grads(emissions, crf, gold)
+    _, d_emissions = crf_nll_with_grads(emissions[None], crf, [gold], [len(gold)])
+    d_emissions = d_emissions[0]
     errors.append(gradient_relative_error(
         crf.grads["transitions"],
         numeric_gradient(loss, crf.params["transitions"])))

@@ -369,6 +369,26 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError):
             load_lm(path)
 
+    def test_tensor_shapes_are_the_built_models(self, tmp_path):
+        model, _ = self._trained(tmp_path)
+        shapes = CharLm.tensor_shapes(model.vocab, model.embedding.dim,
+                                      model.lstm.hidden_size)
+        assert list(shapes.items()) == [(name, value.shape) for name, value in tensors(model)]
+
+    @pytest.mark.parametrize("key,value,tensor", [
+        ("hidden_size", 2 ** 20, "lstm.Wx"), ("hidden_size", 9, "lstm.Wx"),
+        ("char_embed_dim", 2 ** 30, "embedding.weight")])
+    def test_dims_the_payload_cannot_hold_refused_before_building(
+            self, tmp_path, no_large_layers, key, value, tensor):
+        """hidden_size 2**20 implies about 4.4e12 parameters (35 TB as
+        float64), char_embed_dim 2**30 about 2.7e10; the file is refused on
+        the tensor shapes its dims imply before any layer is built."""
+        _, path = self._trained(tmp_path)
+        meta, stored = load_tensors(path)
+        save_tensors(path, {**meta, key: value}, list(stored.items()))
+        with pytest.raises(ModelFormatError, match=f"tensor '{tensor}' has shape .*, expected"):
+            load_lm(path)
+
     def test_file_layout(self, tmp_path):
         _, path = self._trained(tmp_path)
         _, loaded = load_tensors(path)

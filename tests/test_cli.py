@@ -1,5 +1,6 @@
 import copy
 import json
+import logging
 import re
 import shutil
 from dataclasses import fields
@@ -440,6 +441,18 @@ class TestNerTrain:
         assert len(log["records"]) == 1
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["seeds"]["base_seed"] == 99
+
+    def test_run_that_never_improves_warns(self, toy, tmp_path, caplog):
+        """At lr 0.1 the char-features tagger scores dev F1 0 in its one
+        epoch, so it keeps its initial parameters."""
+        out_dir = tmp_path / "ner"
+        cfg = ner_config(tmp_path, toy, out_dir, learning_rate=0.1, max_epochs=1)
+        with caplog.at_level(logging.WARNING, logger="histtag.cli"):
+            assert main(["ner", "train", "--config", cfg, "--runs", "1"]) == 0
+        log = json.loads((out_dir / "run0" / "training_log.json").read_text())
+        assert (log["status"], log["best_epoch"]) == ("no_improvement", 0)
+        assert any("run 0: dev F1 never rose above 0" in r.getMessage()
+                   for r in caplog.records if r.levelno == logging.WARNING)
 
     def test_missing_data_path_is_usage_error(self, toy, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", {

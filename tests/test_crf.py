@@ -8,17 +8,17 @@ from histtag.crf import (
     FORBIDDEN_SCORE,
     CrfLayer,
     crf_nll_with_grads,
-    crf_score,
     iobes_constraint_mask,
     viterbi_decode,
 )
 
-from conftest import log_partition_of, nll_of
+from conftest import log_partition_of, nll_of, score_of
 from oracles import (
     brute_log_partition,
     brute_nll,
     brute_nll_gradients,
     brute_viterbi,
+    crf_nll_reference,
     gradient_relative_error,
     numeric_gradient,
 )
@@ -93,7 +93,7 @@ class TestLogPartition:
         crf = CrfLayer(("B-X", "E-X"), np.random.default_rng(2))
         emissions = np.random.default_rng(3).standard_normal((2, 2))
         z = log_partition_of(emissions, crf)
-        only = crf_score(emissions, crf, [0, 1])
+        only = score_of(emissions, crf, [0, 1])
         assert abs(z - only) < 1e-9
 
     def test_dominates_any_path(self):
@@ -101,7 +101,7 @@ class TestLogPartition:
         emissions, crf = random_instance(rng, 4, 3)
         z = log_partition_of(emissions, crf)
         for path in [[0, 0, 0, 0], [1, 2, 1, 0], [2, 2, 2, 2]]:
-            assert z >= crf_score(emissions, crf, path)
+            assert z >= score_of(emissions, crf, path)
 
 
 class TestNll:
@@ -139,8 +139,8 @@ class TestNll:
         first = nll_of(emissions, crf, gold)
         for _ in range(20):
             crf.zero_grads()
-            _, demis = crf_nll_with_grads(emissions, crf, gold)
-            emissions -= 0.05 * demis
+            _, demis = crf_nll_with_grads(emissions[None], crf, [gold], [4])
+            emissions -= 0.05 * demis[0]
             crf.params["transitions"] -= 0.05 * crf.grads["transitions"]
         assert nll_of(emissions, crf, gold) < first
 
@@ -163,8 +163,8 @@ class TestGradients:
                 return nll_of(emissions, crf, gold)
 
             crf.zero_grads()
-            _, demis = crf_nll_with_grads(emissions, crf, gold)
-            err_e = gradient_relative_error(demis, numeric_gradient(loss, emissions))
+            _, demis = crf_nll_with_grads(emissions[None], crf, [gold], [T])
+            err_e = gradient_relative_error(demis[0], numeric_gradient(loss, emissions))
             assert err_e < 1e-4, f"emissions: {err_e:.2e}"
             err_t = gradient_relative_error(
                 crf.grads["transitions"],
@@ -181,11 +181,11 @@ class TestGradients:
             emissions, crf = random_instance(rng, T, K)
             gold = rng.integers(0, K, size=T)
             crf.zero_grads()
-            _, d_emissions = crf_nll_with_grads(emissions, crf, gold)
+            _, d_emissions = crf_nll_with_grads(emissions[None], crf, [gold], [T])
             ref_emissions, ref_transitions = brute_nll_gradients(
                 emissions, crf.params["transitions"], crf.start, crf.stop, gold)
             ref_transitions[~crf.allowed] = 0.0
-            np.testing.assert_allclose(d_emissions, ref_emissions, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(d_emissions[0], ref_emissions, rtol=0, atol=1e-10)
             np.testing.assert_allclose(crf.grads["transitions"], ref_transitions,
                                        rtol=0, atol=1e-10)
 
@@ -194,8 +194,77 @@ class TestGradients:
         crf = CrfLayer(IOBES_TAGS[:5], rng)
         emissions = rng.standard_normal((3, 5))
         crf.zero_grads()
-        crf_nll_with_grads(emissions, crf, [1, 2, 3])
+        crf_nll_with_grads(emissions[None], crf, [[1, 2, 3]], [3])
         assert np.all(crf.grads["transitions"][~crf.allowed] == 0.0)
+
+
+def padded_batch(rng, lengths, K, padding=1e3):
+    """A CRF, (B, T, K) emissions whose padded positions hold ``padding``,
+    and one random gold path per row."""
+    T = max(lengths)
+    emissions, crf = random_instance(rng, T, K)
+    emissions = rng.standard_normal((len(lengths), T, K))
+    emissions[np.arange(T) >= np.array(lengths)[:, None]] = padding
+    golds = [rng.integers(0, K, size=length) for length in lengths]
+    return emissions, crf, golds
+
+
+class TestBatch:
+    """A padded batch's rows against ``oracles.crf_nll_reference``, the
+    unbatched kernel, each row run alone; sums run in another order, so
+    agreement is to 1e-12."""
+
+    @pytest.mark.parametrize("lengths", [[1, 5, 3, 5], [4], [1], [2, 1, 1]])
+    def test_rows_equal_the_unbatched_reference(self, lengths):
+        rng = np.random.default_rng(20)
+        emissions, crf, golds = padded_batch(rng, lengths, 4)
+        scale = 1.0 / len(lengths)
+        crf.zero_grads()
+        nlls, d_emissions = crf_nll_with_grads(emissions, crf, golds, lengths, scale)
+        batched = crf.grads["transitions"].copy()
+        crf.zero_grads()
+        for b, (gold, length) in enumerate(zip(golds, lengths)):
+            nll, d_row = crf_nll_reference(emissions[b, :length], crf, gold, scale)
+            assert abs(nlls[b] - nll) < 1e-12
+            np.testing.assert_allclose(d_emissions[b, :length], d_row, rtol=0, atol=1e-12)
+            assert np.all(d_emissions[b, length:] == 0.0)
+        np.testing.assert_allclose(batched, crf.grads["transitions"], rtol=0, atol=1e-12)
+
+    def test_padding_values_do_not_matter(self):
+        lengths = [1, 5, 3]
+        out = []
+        for padding in (0.0, -7.5, 1e3):
+            emissions, crf, golds = padded_batch(np.random.default_rng(21), lengths, 3,
+                                                 padding)
+            crf.zero_grads()
+            nlls, d_emissions = crf_nll_with_grads(emissions, crf, golds, lengths)
+            out.append((nlls, d_emissions, crf.grads["transitions"].copy()))
+        for nlls, d_emissions, d_trans in out[1:]:
+            np.testing.assert_array_equal(nlls, out[0][0])
+            np.testing.assert_array_equal(d_emissions, out[0][1])
+            np.testing.assert_array_equal(d_trans, out[0][2])
+
+    def test_finite_differences_on_a_padded_batch(self):
+        rng = np.random.default_rng(22)
+        crf = CrfLayer(IOBES_TAGS[:5], rng)
+        lengths = [4, 1, 3]
+        emissions = rng.standard_normal((3, 4, 5))
+        golds = [[1, 2, 2, 3], [4], [0, 1, 3]]
+        scale = 1.0 / 3
+
+        def loss():
+            saved = crf.grads["transitions"].copy()
+            nlls, _ = crf_nll_with_grads(emissions, crf, golds, lengths, scale)
+            crf.grads["transitions"][...] = saved
+            return scale * float(nlls.sum())
+
+        crf.zero_grads()
+        _, d_emissions = crf_nll_with_grads(emissions, crf, golds, lengths, scale)
+        err_e = gradient_relative_error(d_emissions, numeric_gradient(loss, emissions))
+        assert err_e < 1e-4, f"emissions: {err_e:.2e}"
+        err_t = gradient_relative_error(
+            crf.grads["transitions"], numeric_gradient(loss, crf.params["transitions"]))
+        assert err_t < 1e-4, f"transitions: {err_t:.2e}"
 
 
 class TestViterbi:
@@ -223,7 +292,7 @@ class TestViterbi:
         rng = np.random.default_rng(15)
         emissions, crf = random_instance(rng, 5, 3)
         path, score = viterbi_decode(emissions, crf)
-        assert abs(score - crf_score(emissions, crf, path)) < 1e-12
+        assert abs(score - score_of(emissions, crf, path)) < 1e-12
 
     def test_all_zero_ties_break_low(self):
         crf = free_crf(3)
@@ -253,5 +322,31 @@ class TestValidation:
 
     def test_path_length_checked(self):
         emissions, crf = random_instance(np.random.default_rng(18), 3, 3)
-        with pytest.raises(ValueError):
-            crf_score(emissions, crf, [0, 1])
+        with pytest.raises(ValueError, match="path length"):
+            nll_of(emissions, crf, [0, 1])
+
+    @pytest.mark.parametrize("golds,lengths,message", [
+        ([[0, 1, 2], [0, 1, 2]], [3, 2], "row 1: path length"),
+        ([[0, 1, 2], [0]], [3, 2], "row 1: path length"),
+        ([[0, 1, 2], []], [3, 0], r"lengths must be 2 integers in \[1, 3\]"),
+        ([[0, 1, 2], [0, 1, 2, 0]], [3, 4], r"lengths must be 2 integers in \[1, 3\]"),
+        ([[0, 1, 2], [0, 1]], [3.0, 2.0], "lengths must be 2 integers"),
+        ([[0, 1, 2], [0, 1]], [3], "lengths must be 2 integers"),
+        ([[0, 1, 2], [0, 3]], [3, 2], "row 1: path may only contain real tag indices"),
+        ([[0, 1, 2], [4, 0]], [3, 2], "row 1: path may only contain real tag indices"),
+        ([[0, 1, 2], [-1, 0]], [3, 2], "row 1: path may only contain real tag indices"),
+        ([[0, 1, 2]], [3, 2], "1 gold paths for 2 rows"),
+    ], ids=["gold_longer_than_length", "gold_shorter_than_length", "length_zero",
+            "length_above_T", "float_lengths", "lengths_shape", "start_index",
+            "stop_index", "negative_index", "too_few_golds"])
+    def test_batch_rows_checked(self, golds, lengths, message):
+        emissions, crf = random_instance(np.random.default_rng(19), 3, 3)
+        batch = np.stack([emissions, emissions])
+        with pytest.raises(ValueError, match=message):
+            crf_nll_with_grads(batch, crf, golds, lengths)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (0, 3, 3), (2, 0, 3), (2, 3, 4)])
+    def test_batch_shape_checked(self, shape):
+        _, crf = random_instance(np.random.default_rng(19), 3, 3)
+        with pytest.raises(ValueError, match="emissions"):
+            crf_nll_with_grads(np.zeros(shape), crf, [[0]] * 2, [1, 1])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from histtag import embed
+from histtag import embed, tagger
 from histtag.charlm import CharLm, save_lm
 from histtag.corpus import (
     CharVocabulary,
@@ -23,10 +23,12 @@ from histtag.embed import (
 from histtag.errors import ConfigError, EmptyCorpusError, ModelFormatError, NonFiniteGradientError
 from histtag.evaluation import evaluate, read_conll_predictions, write_conll_predictions
 from histtag.serialization import layer_tensors, load_tensors, save_tensors
+from histtag.toydata import build_tagged_splits
 from histtag.tagger import (
     MIN_LEARNING_RATE,
     NerModel,
     TaggerConfig,
+    _batch_step,
     load_ner,
     predict,
     save_ner,
@@ -34,7 +36,12 @@ from histtag.tagger import (
 )
 
 from conftest import make_corpus
-from oracles import emissions_reference, gradient_relative_error, numeric_gradient
+from oracles import (
+    emissions_reference,
+    gradient_relative_error,
+    numeric_gradient,
+    sentence_step_reference,
+)
 
 TRAIN_SENTENCES = [
     [("Anna", "S-PER"), ("besucht", "O"), ("Wien", "S-LOC")],
@@ -46,6 +53,9 @@ TRAIN_SENTENCES = [
     [("Graz", "S-LOC"), ("liegt", "O"), ("im", "O"), ("Süden", "O")],
     [("Herr", "O"), ("Huber", "S-PER"), ("lacht", "O")],
 ]
+
+
+ONE_TOKEN = [("Wien", "S-LOC")]
 
 
 def toy_corpus(rows=None, split="train"):
@@ -122,7 +132,7 @@ class TestEmissions:
         np.testing.assert_array_equal(out, 0.0)
 
     def test_gradient_through_encoder_and_projection(self):
-        """Training's list of one."""
+        """A group of one sentence."""
         check_emission_gradients([toy_corpus().sentences[0]])
 
     def test_gradient_through_padded_group(self):
@@ -232,15 +242,43 @@ class TestTraining:
     def test_converged_status(self):
         corpus = toy_corpus()
         embedder = char_only_embedder(corpus)
-        # 3, then 1.5 times the floor; halved once more, it falls below
+        # dev F1 rises at epoch 1 only; the rate is 3, 3, then 1.5 times
+        # the floor, and halved once more it falls below
+        scores = iter([0.5, 0.0, 0.0])
         config = small_config(max_epochs=50, learning_rate=3 * MIN_LEARNING_RATE,
                               patience=1)
         _, log = train_ner(corpus, corpus, config, embedder,
-                           dev_scorer=lambda m: 0.0)
+                           dev_scorer=lambda m: next(scores))
         assert log.status == "converged"
-        assert len(log.records) == 2
+        assert log.best_epoch == 1
         assert [r.learning_rate for r in log.records] == [
-            3 * MIN_LEARNING_RATE, 1.5 * MIN_LEARNING_RATE]
+            3 * MIN_LEARNING_RATE, 3 * MIN_LEARNING_RATE, 1.5 * MIN_LEARNING_RATE]
+
+    @pytest.mark.parametrize("max_epochs,records", [(50, 2), (1, 1)],
+                             ids=["rate_below_floor", "max_epochs"])
+    def test_run_that_never_improves_is_not_converged(self, max_epochs, records):
+        corpus = toy_corpus()
+        config = small_config(max_epochs=max_epochs, learning_rate=3 * MIN_LEARNING_RATE,
+                              patience=1)
+        _, log = train_ner(corpus, corpus, config, char_only_embedder(corpus),
+                           dev_scorer=lambda m: 0.0)
+        assert (log.status, log.best_epoch, len(log.records)) == (
+            "no_improvement", 0, records)
+
+    def test_char_features_at_the_default_schedule_report_no_improvement(self):
+        """On the toy splits a char-features-only tagger at the default
+        schedule (lr 0.1, mini_batch 8, patience 3) scores dev F1 0 on every
+        epoch and anneals below MIN_LEARNING_RATE after 30 epochs, keeping
+        its initial parameters.  lstm_hidden is 16 rather than 512 to keep
+        the test fast; 512 gives the same 30 zero epochs."""
+        splits = build_tagged_splits(0)
+        train, dev = splits["train"], splits["dev"]
+        encoder = CharFeatureEncoder(extract_char_vocab(train, dev),
+                                     np.random.default_rng([0, 1]))
+        _, log = train_ner(train, dev, TaggerConfig(lstm_hidden=16),
+                           StackedEmbedder([encoder]))
+        assert [r.dev_f1 for r in log.records] == [0.0] * 30
+        assert (log.status, log.best_epoch) == ("no_improvement", 0)
 
     def test_best_epoch_parameters_returned(self):
         corpus = toy_corpus()
@@ -296,6 +334,62 @@ class TestTraining:
             np.testing.assert_array_equal(a, b, err_msg=name)
 
 
+class TestBatchedStep:
+    """A mini-batch runs as one padded group; ``oracles``'s
+    ``sentence_step_reference`` runs each of its sentences alone through the
+    unbatched CRF, as training did before.  Sums run in another order, so
+    the two agree within 1e-12."""
+
+    @pytest.mark.parametrize("rows", [(8, 1, 3, 6), (3, 8), (1,), (8,)],
+                             ids=["one_token_among_longer", "one_token_last",
+                                  "batch_of_one", "batch_of_one_token"])
+    def test_gradients_are_the_scaled_sum_of_sentences(self, rows):
+        corpus = toy_corpus(TRAIN_SENTENCES + [ONE_TOKEN])
+        model = fresh_model(corpus)
+        sentences = [corpus.sentences[i] for i in rows]
+        golds = [np.array([model.tag_index[t] for t in s.gold_tags()]) for s in sentences]
+        scale = 1.0 / len(rows)
+
+        def grads():
+            return {f"{name}.{p}": g.copy() for name, layer in model.named_layers
+                    for p, g in layer.grads.items()}
+
+        model.zero_grads()
+        nlls = _batch_step(model, sentences, golds, scale)
+        batched = grads()
+        model.zero_grads()
+        reference = [sentence_step_reference(model, s, g, scale)
+                     for s, g in zip(sentences, golds)]
+        np.testing.assert_allclose(nlls, reference, rtol=0, atol=1e-12)
+        for name, want in grads().items():
+            # a recurrence over one step gets no gradient through Wh
+            one_step = name.endswith(".Wh") and max(map(len, sentences)) == 1
+            assert np.any(want != 0.0) or one_step, name
+            np.testing.assert_allclose(batched[name], want, rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    def test_training_matches_steps_per_sentence(self, monkeypatch):
+        """Nine sentences in mini-batches of 4: the last batch holds one."""
+        corpus = toy_corpus(TRAIN_SENTENCES + [ONE_TOKEN])
+        config = small_config(max_epochs=3, seed=7)
+        m1, log1 = train_ner(corpus, corpus, config, char_only_embedder(corpus, seed=7))
+
+        def per_sentence(model, sentences, golds, scale):
+            return [sentence_step_reference(model, s, g, scale)
+                    for s, g in zip(sentences, golds)]
+        monkeypatch.setattr(tagger, "_batch_step", per_sentence)
+        m2, log2 = train_ner(corpus, corpus, config, char_only_embedder(corpus, seed=7))
+        assert [r.dev_f1 for r in log1.records] == [r.dev_f1 for r in log2.records]
+        assert (log1.best_epoch, log1.status) == (log2.best_epoch, log2.status)
+        np.testing.assert_allclose([r.train_loss for r in log1.records],
+                                   [r.train_loss for r in log2.records], rtol=1e-12)
+        for (name, a), (_, b) in zip(layer_tensors(m1.named_layers),
+                                     layer_tensors(m2.named_layers), strict=True):
+            # float32 after training: equal, or one float32 rounding step
+            # apart where a 1e-16 difference crossed a boundary
+            np.testing.assert_allclose(a, b, rtol=2 ** -23, atol=1e-12, err_msg=name)
+
+
 def full_embedder(tmp_path, corpus):
     """All three component kinds, with on-disk artifacts for by-reference
     serialization."""
@@ -321,7 +415,7 @@ def full_embedder(tmp_path, corpus):
 
 class TestGroupedPath:
     """``predict`` runs length-sorted groups; ``oracles.emissions_reference``
-    runs each sentence alone, as training does."""
+    runs each sentence alone."""
 
     def test_group_emissions_equal_sentences_alone(self, tmp_path):
         corpus = toy_corpus()
@@ -587,6 +681,39 @@ class TestFileLayout:
         meta, tensors = load_tensors(path)
         save_tensors(path, {**meta, "lstm_hidden": 0}, list(tensors.items()))
         with pytest.raises(ModelFormatError, match="lstm_hidden must be positive"):
+            load_ner(path)
+
+    def test_tensor_shapes_are_the_built_models(self, tmp_path):
+        model, path = saved_full_model(tmp_path)
+        meta, _ = load_tensors(path)
+        shapes = [(f"component{i}.{name}", shape) for i, spec in enumerate(meta["components"])
+                  for name, shape in embed.component_class(spec["kind"])
+                  .tensor_shapes(spec).items()]
+        shapes += NerModel.tensor_shapes(model.embedder.dim, len(model.tags),
+                                         model.fwd.hidden_size).items()
+        assert shapes == [(name, value.shape)
+                          for name, value in layer_tensors(model.named_layers)]
+
+    @pytest.mark.parametrize("edit,tensor", [
+        (lambda meta: meta.__setitem__("lstm_hidden", 2 ** 20), "encoder.fwd.Wx"),
+        (lambda meta: meta.__setitem__("lstm_hidden", 9), "encoder.fwd.Wx"),
+        (lambda meta: meta["components"][1].__setitem__("hidden", 2 ** 20),
+         "component1.fwd.Wx"),
+        (lambda meta: meta["components"][1].__setitem__("embed_dim", 2 ** 30),
+         "component1.embedding.weight"),
+        (lambda meta: meta.__setitem__("tags", ["O"] * 3000), "projection.weight"),
+    ], ids=["lstm_hidden_huge", "lstm_hidden_off_by_one", "char_hidden_huge",
+            "char_embed_dim_huge", "tags_too_many"])
+    def test_dims_the_payload_cannot_hold_refused_before_building(
+            self, tmp_path, no_large_layers, edit, tensor):
+        """lstm_hidden 2**20 implies about 8.8e12 parameters (70 TB as
+        float64); the file is refused on the tensor shapes its dims imply
+        before any layer of those dims is built."""
+        _, path = saved_full_model(tmp_path)
+        meta, tensors = load_tensors(path)
+        edit(meta)
+        save_tensors(path, meta, list(tensors.items()))
+        with pytest.raises(ModelFormatError, match=f"tensor '{tensor}' has shape .*, expected"):
             load_ner(path)
 
     @pytest.mark.parametrize("key,value", [("embed_dim", 0), ("hidden", 0), ("hidden", -2)])
