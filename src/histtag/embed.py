@@ -15,21 +15,36 @@ component i's layer names with ``component{i}.``.
 
 Sentences run in groups: ``length_groups`` sorts them by the length of
 their text and cuts groups whose size times their longest text stays
-within GROUP_CHARS characters, so each LM and each recurrence runs once
-per group on rows padded at their end.  A row's values do not depend on
-the rows beside it beyond the rounding of the batched products (within
-1e-12 of the sentence run alone).
+within a character budget, so each LM and each recurrence runs once per
+group on rows padded at their end.  Frozen components extract over
+groups of EXTRACT_CHARS (4,096) characters; the trainable components and
+the tagger run groups of GROUP_CHARS (1,024), which bound the caches
+backward keeps.  ``extraction_groups`` gathers the latter whole into the
+former.  An LM's working
+set is transient and grows with its group: gates, cells and outputs are
+6 · H float32 values per character, about 6.6 MB per direction at H = 64
+and about 200 MB at paper scale (H = 2048), against about 100 MB for
+float64 over 1,024 characters.  A row's values do not depend on the rows
+beside it beyond the rounding of the batched products.
 
-Frozen blocks are memoized for training.  ``embedder_factory`` gives each
-frozen component one BlockMemo, shared by every stack it builds, so one
-``ner train`` command computes a sentence's block once for all its epochs,
-dev evaluations and runs.  A memo is keyed by ``tuple(sentence.texts())``
-and holds read-only float64 blocks: 8 · (sum of frozen dims) bytes per
-distinct token, which is 32 KB per token at paper scale (H = 2048 per LM
-direction).  Each memo stores blocks up to MEMO_BYTES (1 GiB); past that
-a miss is computed and not stored.  A stack built without memos, as
-``load_ner`` builds it for ``ner predict``, keeps no block beyond the
-group in hand.
+Contextual extraction computes in float32, the precision LM files store
+their weights in: ``ContextualEmbedder`` keeps float32 copies of its LMs'
+embedding and LSTM weights and leaves the LMs it is given as they are.
+Its blocks are within 1e-6 of the float64 LMs' states (at most 4.2e-7
+measured at H = 64, on values up to 0.92); everything else computes in
+float64.
+
+Frozen blocks are memoized.  ``embedder_factory`` gives each frozen
+component one BlockMemo, shared by every stack it builds, so one ``ner
+train`` command computes a sentence's block once for all its epochs, dev
+evaluations and runs.  A memo is keyed by ``tuple(sentence.texts())`` and
+holds read-only blocks: 4 bytes per value of a contextual block (float32)
+and 8 per value of a word-table block (float64), so 16 KB per distinct
+token at paper scale (H = 2048 per LM direction).  Each memo stores blocks
+up to MEMO_BYTES (1 GiB); past that a miss is computed and not stored.  A
+stack built without memos, as ``load_ner`` builds it for ``ner predict``,
+reads transient memos (``StackedEmbedder.extracting``) for one extraction
+group at a time and keeps no block beyond it.
 
 This module is the one place that knows each component kind: its
 ``kind`` name, the run-config keys naming the files it reads (``files``)
@@ -43,6 +58,7 @@ without building the component.
 
 import logging
 import os
+from contextlib import contextmanager
 from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -59,8 +75,11 @@ logger = logging.getLogger(__name__)
 CHAR_EMBED_DIM = 25
 CHAR_HIDDEN = 25
 MEMO_BYTES = 1 << 30
-# sentences per group times the group's longest text, in characters
+# sentences per group times the group's longest text, in characters: the
+# groups trainable components and the tagger run, and the larger ones
+# frozen components extract over
 GROUP_CHARS = 1024
+EXTRACT_CHARS = 4096
 
 
 class SentenceGroup(tuple):
@@ -71,21 +90,37 @@ class SentenceGroup(tuple):
         return [text for sentence in self for text in sentence.texts()]
 
 
-def length_groups(sentences: Sequence[Sentence]) -> list[list[int]]:
+def length_groups(sentences: Sequence[Sentence], budget: int) -> list[list[int]]:
     """Indices of ``sentences``, sorted by the length of their text and
     cut into groups whose size times their longest text is at most
-    GROUP_CHARS characters; a longer sentence forms a group alone."""
+    ``budget`` characters; a longer sentence forms a group alone."""
     sizes = [len(sentence_text(s)) for s in sentences]
     groups: list[list[int]] = []
     group: list[int] = []
     for i in sorted(range(len(sentences)), key=sizes.__getitem__):
-        if group and (len(group) + 1) * sizes[i] > GROUP_CHARS:
+        if group and (len(group) + 1) * sizes[i] > budget:
             groups.append(group)
             group = []
         group.append(i)
     if group:
         groups.append(group)
     return groups
+
+
+def extraction_groups(sentences: Sequence[Sentence]) -> list[tuple[list[int], list[list[int]]]]:
+    """The GROUP_CHARS ``length_groups`` of ``sentences``, gathered in order
+    into extraction groups whose size times their longest text stays
+    within EXTRACT_CHARS characters; returns (extraction group, its
+    groups) pairs, all as indices of ``sentences``."""
+    tiers: list[tuple[list[int], list[list[int]]]] = []
+    for group in length_groups(sentences, GROUP_CHARS):
+        longest = len(sentence_text(sentences[group[-1]]))
+        if tiers and (len(tiers[-1][0]) + len(group)) * longest <= EXTRACT_CHARS:
+            tiers[-1][0].extend(group)
+            tiers[-1][1].append(group)
+        else:
+            tiers.append((list(group), [group]))
+    return tiers
 
 
 class WordTableEmbedder(Module):
@@ -289,8 +324,10 @@ class ContextualEmbedder(Module):
     part is the forward LM's hidden state at the token's last character;
     its backward part is the backward LM's state (computed over the
     reversed text) at the token's first character.  Each LM reads all
-    texts of a group in one length-masked run, and its vocabulary
-    projection is never computed.
+    texts of a group in one length-masked run, in float32, and its
+    vocabulary projection is never computed.  ``fwd`` and ``bwd`` are the
+    LMs as given; extraction reads float32 copies of their embedding and
+    LSTM weights.
     """
 
     kind = "contextual"
@@ -305,6 +342,8 @@ class ContextualEmbedder(Module):
                 f"{fwd.direction!r} and {bwd.direction!r}")
         self.fwd = fwd
         self.bwd = bwd
+        self._float32 = tuple((lm.vocab, lm.embedding.cast(np.float32),
+                               lm.lstm.cast(np.float32)) for lm in (fwd, bwd))
         self.dim = fwd.lstm.hidden_size + bwd.lstm.hidden_size
         self.forward_path = forward_path
         self.backward_path = backward_path
@@ -341,8 +380,9 @@ class ContextualEmbedder(Module):
         """Per-token contextual vectors, (forward part, backward part)."""
         texts = [sentence_text(s) for s in sentences]
         lengths = np.array([len(text) for text in texts])
-        hs_f = _lm_states(self.fwd, texts, lengths)
-        hs_b = _lm_states(self.bwd, [text[::-1] for text in texts], lengths)
+        fwd, bwd = self._float32
+        hs_f = _lm_states(*fwd, texts, lengths)
+        hs_b = _lm_states(*bwd, [text[::-1] for text in texts], lengths)
         rows, lasts, firsts = [], [], []
         for row, (sentence, L) in enumerate(zip(sentences, lengths)):
             for start, end in token_char_ranges(sentence):
@@ -352,14 +392,16 @@ class ContextualEmbedder(Module):
         return np.concatenate([hs_f[rows, lasts], hs_b[rows, firsts]], axis=1)
 
 
-def _lm_states(lm: CharLm, texts: Sequence[str], lengths: np.ndarray) -> np.ndarray:
-    """The (texts × longest × H) hidden states of ``lm`` reading each text
-    from a zero state, the rows padded at their end."""
+def _lm_states(vocab: CharVocabulary, embedding: Embedding, lstm: Lstm,
+               texts: Sequence[str], lengths: np.ndarray) -> np.ndarray:
+    """The (texts × longest × H) hidden states of an LM's ``embedding``
+    and ``lstm`` reading each text from a zero state, the rows padded at
+    their end, in the dtype of the LM's weights."""
     indices = np.zeros((len(texts), lengths.max()), dtype=np.int64)
     for row, text in zip(indices, texts):
-        row[:len(text)] = lm.vocab.encode(text)
-    emb, _ = lm.embedding.forward(indices)
-    hs, _, _ = lm.lstm.forward(emb, lengths=lengths)
+        row[:len(text)] = vocab.encode(text)
+    emb, _ = embedding.forward(indices)
+    hs, _, _ = lstm.forward(emb, lengths=lengths)
     return hs
 
 
@@ -413,6 +455,23 @@ class StackedEmbedder(Module):
                               for c, end in zip(self.components, ends))
         self._trainable = tuple((c, columns) for c, columns in zip(self.components, self._columns)
                                 if c.named_layers)
+
+    @contextmanager
+    def extracting(self, sentences: Sequence[Sentence]):
+        """Within the ``with`` block, each frozen component without a memo
+        reads from a transient one, filled with the blocks of
+        ``sentences`` in one extraction; ``memos`` is restored on leaving
+        it, also on error."""
+        own = self.memos
+        transient = {i: BlockMemo() for i, c in enumerate(self.components)
+                     if not c.named_layers and i not in own}
+        for i, memo in transient.items():
+            memo.lookup(self.components[i], sentences)
+        self.memos = {**own, **transient}
+        try:
+            yield
+        finally:
+            self.memos = own
 
     def forward(self, sentences: Sequence[Sentence]):
         """The (sentences × T × dim) block of ``sentences``, T their most
@@ -476,8 +535,8 @@ def embedder_factory(entries: Sequence[dict], vocab: CharVocabulary,
     The components that read files (word vectors, LMs) are frozen: they
     hold no parameters, so they are built here, once, each with one
     BlockMemo, and every stack shares both.  The memos are filled here with
-    the blocks of ``sentences``, a ``length_groups`` group at a time, in
-    order of text length.  Each call initializes the trainable components
+    the blocks of ``sentences``, an EXTRACT_CHARS group at a time, in order
+    of text length.  Each call initializes the trainable components
     afresh from ``rng``, in stack order.
     """
     classes = [component_class(entry["kind"]) for entry in entries]
@@ -485,7 +544,7 @@ def embedder_factory(entries: Sequence[dict], vocab: CharVocabulary,
               for i, (cls, entry) in enumerate(zip(classes, entries)) if cls.files}
     memos = {i: BlockMemo() for i in frozen}
     sentences = list(sentences)
-    for group in length_groups(sentences):
+    for group in length_groups(sentences, EXTRACT_CHARS):
         for i, memo in memos.items():
             memo.lookup(frozen[i], [sentences[j] for j in group])
 

@@ -6,9 +6,14 @@ opaque cache; ``backward`` consumes the cache and the upstream gradient and
 returns the gradient with respect to the layer input.  ``Lstm`` is the one
 recurrence: it runs a (B, T, D) batch of left-aligned sequences with an
 optional ``lengths`` mask, and callers with a single sequence pass B = 1.
-All math runs in float64 so analytic gradients can be checked against
-central finite differences to tight tolerances.
+Parameters and training math are float64, so analytic gradients can be
+checked against central finite differences to tight tolerances.  A frozen
+layer can be cast to float32 (``Layer.cast``) for inference: ``Lstm.forward``
+computes in the dtype of its weights, and its float64 path is the one
+training runs.
 """
+
+import copy
 
 import numpy as np
 from scipy.special import log_softmax
@@ -54,6 +59,15 @@ class Layer:
     def zero_grads(self) -> None:
         for g in self.grads.values():
             g[...] = 0.0
+
+    def cast(self, dtype) -> "Layer":
+        """A copy of this layer, for inference only, whose parameters are
+        ``dtype`` copies of these; it holds no gradients, and this layer is
+        left as it is."""
+        twin = copy.copy(self)
+        twin.params = {name: value.astype(dtype) for name, value in self.params.items()}
+        twin.grads = {}
+        return twin
 
 
 class Module:
@@ -127,6 +141,8 @@ class Lstm(Layer):
     Gate pre-activations sit in one 4H block ordered input, forget, cell,
     output.  The input projection for all steps is one matrix product; the
     recurrence is the only per-step loop, over time-major (T, B, ·) arrays.
+    ``forward`` computes in the dtype of the weights (float32 for a layer
+    made by ``cast``); ``backward`` is float64 only.
     """
 
     def __init__(self, input_dim: int, hidden_size: int, rng: np.random.Generator):
@@ -158,12 +174,15 @@ class Lstm(Layer):
         """
         B, T, D = x.shape
         H = self.hidden_size
+        dtype = self.params["Wh"].dtype
         if state is None:
-            h0 = c0 = np.zeros((B, H))
+            h0 = c0 = np.zeros((B, H), dtype)
         else:
             h0, c0 = state
         pad = _padding_mask(lengths, B, T)
-        slope, offset = self._slope, self._offset
+        # no copies in float64, the training path
+        slope = self._slope.astype(dtype, copy=False)
+        offset = self._offset.astype(dtype, copy=False)
         Wh = self.params["Wh"] * slope
         # time-major, so each step reads and writes contiguous (B, 4H)
         # blocks; gates first hold the scaled input projection, then the
@@ -172,8 +191,8 @@ class Lstm(Layer):
         gates = (x_tm @ self.params["Wx"]).reshape(T, B, 4 * H)
         gates += self.params["bias"]
         gates *= slope
-        cells = np.empty((T, B, H))
-        hs = np.empty((T, B, H))
+        cells = np.empty((T, B, H), dtype)
+        hs = np.empty((T, B, H), dtype)
         h, c = h0, c0
         for t in range(T):
             gt = gates[t]

@@ -6,7 +6,7 @@ emission scores, and a linear-chain CRF scores complete tag sequences.
 The model works in IOBES; this module alone converts corpora to it and
 predictions back to the scheme of the corpus they were made for.
 ``_emissions`` runs a list of sentences as one padded call per direction;
-``predict`` runs the length-sorted groups of ``embed.length_groups``.
+``predict`` runs the length-sorted groups of ``embed.extraction_groups``.
 Training is SGD over shuffled mini-batches minimizing the mean sentence
 NLL.  Each mini-batch runs as one padded group: one ``_emissions`` call,
 one length-masked CRF forward-backward over its rows and one
@@ -28,7 +28,7 @@ import numpy as np
 
 from .corpus import Sentence, TaggedCorpus, TagScheme, convert_scheme, convert_tags
 from .crf import CrfLayer, crf_nll_with_grads, viterbi_decode
-from .embed import StackedEmbedder, component_class, length_groups
+from .embed import StackedEmbedder, component_class, extraction_groups
 from .errors import (
     ConfigError,
     EmptyCorpusError,
@@ -140,17 +140,23 @@ def _row_reversal(lengths: np.ndarray, T: int):
 
 def predict(model: NerModel, corpus: TaggedCorpus) -> list[list[str]]:
     """Viterbi-decode every sentence in IOBES; returns one tag list per
-    sentence, in the scheme of ``corpus``.  Sentences run in the groups of
-    ``embed.length_groups`` and each is decoded from its own rows."""
+    sentence, in the scheme of ``corpus``.  Sentences run in the two tiers
+    of ``embed.extraction_groups``: the frozen components without a memo
+    extract each EXTRACT_CHARS group at once into transient memos, then
+    its GROUP_CHARS groups run through the stack and the tagger, and each
+    sentence is decoded from its own rows.  A stack whose memos hold
+    the sentences already (dev scoring in training) extracts nothing."""
     sentences = corpus.sentences
     predicted: list = [None] * len(sentences)
-    for group in length_groups(sentences):
-        # the cache is dropped here, before the next group runs
-        emissions, lengths = model._emissions([sentences[i] for i in group])[:2]
-        for i, scores, length in zip(group, emissions, lengths):
-            path, _ = viterbi_decode(scores[:length], model.crf)
-            predicted[i] = convert_tags([model.tags[k] for k in path],
-                                        TagScheme.IOBES, corpus.scheme)
+    for extraction, groups in extraction_groups(sentences):
+        with model.embedder.extracting([sentences[i] for i in extraction]):
+            for group in groups:
+                # the cache is dropped here, before the next group runs
+                emissions, lengths = model._emissions([sentences[i] for i in group])[:2]
+                for i, scores, length in zip(group, emissions, lengths):
+                    path, _ = viterbi_decode(scores[:length], model.crf)
+                    predicted[i] = convert_tags([model.tags[k] for k in path],
+                                                TagScheme.IOBES, corpus.scheme)
     return predicted
 
 

@@ -298,11 +298,21 @@ def train_lm_by_strand(corpus, config, seed):
     return model
 
 
+# ContextualEmbedder extracts in float32, the float64 references below do
+# not.  With the small untrained LMs of the tests, whose states stay below
+# 0.2, blocks differed from ``contextual_reference`` by at most 4.2e-8 (H
+# from 6 to 256, five seeds each), and a tagger's emissions built on them
+# from ``emissions_reference`` by at most 1.0e-9 (eight tagger seeds).
+# Trained LMs at H = 64, with states up to 0.92, differ by up to 4.2e-7.
+FLOAT32_STATE_ATOL = 1e-7
+FLOAT32_EMISSION_ATOL = 1e-8
+
+
 def contextual_reference(embedder, sentence):
-    """A ContextualEmbedder's block for one sentence, extracted alone: each
-    LM scores the sentence's text through ``lm_forward`` (the backward one
-    the text reversed), and a token takes the forward state at its last
-    character and the backward state at its first."""
+    """A ContextualEmbedder's block for one sentence, extracted alone and
+    in float64: each LM scores the sentence's text through ``lm_forward``
+    (the backward one the text reversed), and a token takes the forward
+    state at its last character and the backward state at its first."""
     from histtag.charlm import lm_forward
     from histtag.corpus import sentence_text, token_char_ranges
 

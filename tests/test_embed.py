@@ -11,6 +11,7 @@ from histtag.embed import (
     StackedEmbedder,
     WordTableEmbedder,
     embedder_factory,
+    extraction_groups,
     length_groups,
     load_vectors,
 )
@@ -18,7 +19,12 @@ from histtag.errors import ConfigError, ParseError
 from histtag.serialization import layer_tensors
 
 from conftest import make_sentence
-from oracles import contextual_reference, gradient_relative_error, numeric_gradient
+from oracles import (
+    FLOAT32_STATE_ATOL,
+    contextual_reference,
+    gradient_relative_error,
+    numeric_gradient,
+)
 
 
 def make_lm(direction, vocab="abcdcaptlsnoe ", hidden=6, seed=0):
@@ -171,7 +177,8 @@ class TestContextual:
 
     def test_extraction_offsets(self):
         """Forward part comes from the token's last char, backward from its
-        first char, verified against direct LM state inspection."""
+        first char, verified against the LMs' float64 states from
+        ``lm_forward``, so within FLOAT32_STATE_ATOL."""
         from histtag.charlm import lm_forward
         fwd, bwd = make_lm("forward"), make_lm("backward", seed=3)
         sentence = make_sentence([("ab", "O"), ("c", "O")])
@@ -180,10 +187,24 @@ class TestContextual:
         _, _, hs_b = lm_forward(bwd, bwd.vocab.encode(text[::-1]))
         out = ContextualEmbedder(fwd, bwd).forward(SentenceGroup([sentence]))
         # token "ab": chars 0..1; token "c": char 3
-        np.testing.assert_array_equal(out[0][:6], hs_f[1])
-        np.testing.assert_array_equal(out[0][6:], hs_b[len(text) - 1 - 0])
-        np.testing.assert_array_equal(out[1][:6], hs_f[3])
-        np.testing.assert_array_equal(out[1][6:], hs_b[len(text) - 1 - 3])
+        for got, want in ((out[0][:6], hs_f[1]), (out[0][6:], hs_b[len(text) - 1 - 0]),
+                          (out[1][:6], hs_f[3]), (out[1][6:], hs_b[len(text) - 1 - 3])):
+            np.testing.assert_allclose(got, want, rtol=0, atol=FLOAT32_STATE_ATOL)
+        # neighbouring states lie much further apart than the tolerance
+        assert np.abs(hs_f[1] - hs_f[2]).max() > 100 * FLOAT32_STATE_ATOL
+
+    def test_extracts_in_float32_and_leaves_the_lms_as_given(self):
+        fwd, bwd = make_lm("forward"), make_lm("backward", seed=3)
+        before = [(lm, name, value.copy()) for lm in (fwd, bwd)
+                  for name, value in layer_tensors(lm.named_layers)]
+        ctx = ContextualEmbedder(fwd, bwd)
+        out = ctx.forward(SentenceGroup([make_sentence([("ab", "O"), ("c", "O")])]))
+        assert out.dtype == np.float32
+        assert ctx.fwd is fwd and ctx.bwd is bwd
+        for lm, name, value in before:
+            now = dict(layer_tensors(lm.named_layers))[name]
+            assert now.dtype == np.float64
+            np.testing.assert_array_equal(now, value)
 
     def test_direction_validation(self):
         with pytest.raises(ConfigError):
@@ -197,9 +218,9 @@ GROUP_SENTENCES = [make_sentence([(w, "O") for w in words]) for words in (
 
 class TestGroups:
     """One run over a group of unequal sentences against each sentence
-    run alone (``oracles.contextual_reference`` is the unbatched LM path):
-    batched products may round differently, so 1e-12; char features
-    compute the same products either way and agree bit for bit."""
+    run alone.  ``oracles.contextual_reference`` is the unbatched float64
+    LM path, so contextual rows agree within FLOAT32_STATE_ATOL; char
+    features compute the same products either way and agree bit for bit."""
 
     def test_contextual_rows_equal_sentences_alone(self):
         ctx = ContextualEmbedder(make_lm("forward", hidden=6),
@@ -207,7 +228,7 @@ class TestGroups:
         out = ctx.forward(SentenceGroup(GROUP_SENTENCES))
         np.testing.assert_allclose(
             out, np.concatenate([contextual_reference(ctx, s) for s in GROUP_SENTENCES]),
-            rtol=0, atol=1e-12)
+            rtol=0, atol=FLOAT32_STATE_ATOL)
 
     def test_char_feature_rows_equal_sentences_alone_bit_for_bit(self):
         """Sentences of two or more tokens; a one-token sentence alone is a
@@ -228,17 +249,24 @@ class TestGroups:
         np.testing.assert_array_equal(vecs[3, :, 0], [0, 2, 0, 0, 0, 0])
         np.testing.assert_array_equal(vecs[1, :, 0], [1, 0, 0, 0, 0, 0])
 
-    def test_length_groups_sort_and_respect_the_budget(self, monkeypatch):
-        monkeypatch.setattr(embed, "GROUP_CHARS", 24)
+    def test_length_groups_sort_and_respect_the_budget(self):
         # text lengths 12, 1, 26, 8, 2, 19
-        groups = length_groups(GROUP_SENTENCES)
+        groups = length_groups(GROUP_SENTENCES, 24)
         assert groups == [[1, 4, 3], [0], [5], [2]]
         # the 26-character sentence is longer than the budget and runs alone
-        assert len(" ".join(GROUP_SENTENCES[2].texts())) > embed.GROUP_CHARS
+        assert len(" ".join(GROUP_SENTENCES[2].texts())) > 24
+
+    def test_extraction_groups_gather_whole_groups_within_their_budget(self, monkeypatch):
+        monkeypatch.setattr(embed, "GROUP_CHARS", 24)
+        monkeypatch.setattr(embed, "EXTRACT_CHARS", 40)
+        # groups [1, 4, 3], [0], [5], [2] of longest text 8, 12, 19, 26: two
+        # rows of 19 fit in 40 characters, four of 12 and three of 26 do not
+        assert extraction_groups(GROUP_SENTENCES) == [
+            ([1, 4, 3], [[1, 4, 3]]), ([0, 5], [[0], [5]]), ([2], [[2]])]
 
     def test_length_groups_default_budget_takes_all_short_sentences(self):
-        assert length_groups(GROUP_SENTENCES) == [[1, 4, 3, 0, 5, 2]]
-        assert length_groups([]) == []
+        assert length_groups(GROUP_SENTENCES, embed.GROUP_CHARS) == [[1, 4, 3, 0, 5, 2]]
+        assert length_groups([], embed.GROUP_CHARS) == []
 
 
 def table_embedder(words, dim, fill):
@@ -376,11 +404,12 @@ class TestBlockMemo:
             words, states = stack.memos[0].blocks[key], stack.memos[2].blocks[key]
             np.testing.assert_array_equal(
                 words, np.stack([table.lookup(w) for w in key]))
-            # filled in one group, so equal to the sentence alone within 1e-12
+            # extracted in float32: the float64 reference within the tolerance
             np.testing.assert_allclose(states, contextual_reference(ctx, sentence),
-                                       rtol=0, atol=1e-12)
+                                       rtol=0, atol=FLOAT32_STATE_ATOL)
+            assert words.dtype == np.float64 and states.dtype == np.float32
             for block in (words, states):
-                assert block.dtype == np.float64 and not block.flags.writeable
+                assert not block.flags.writeable
                 with pytest.raises(ValueError):
                     block[0, 0] = 0.0
         plain = StackedEmbedder(stack.components)
@@ -388,6 +417,22 @@ class TestBlockMemo:
         plain_vecs, plain_lengths, _ = plain.forward(MEMO_SENTENCES)
         np.testing.assert_array_equal(memo_lengths, plain_lengths)
         np.testing.assert_allclose(memo_vecs, plain_vecs, rtol=0, atol=1e-12)
+
+    def test_fill_extracts_in_groups_of_extract_chars(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embed, "GROUP_CHARS", 24)
+        monkeypatch.setattr(embed, "EXTRACT_CHARS", 40)
+        groups = []
+        forward = ContextualEmbedder.forward
+
+        def recording(self, sentences):
+            groups.append([" ".join(s.texts()) for s in sentences])
+            return forward(self, sentences)
+        monkeypatch.setattr(ContextualEmbedder, "forward", recording)
+        embedder_factory(frozen_entries(tmp_path), CharVocabulary("adeltsTor"), MEMO_SENTENCES)
+        # text lengths 4, 7, 12, 12, 20: three rows of 12 fit in 40
+        # characters (a fill in groups of 24 would make three calls), and
+        # the second "das alte Tor" is stored already
+        assert groups == [["alte", "Tor das", "das alte Tor"], ["Tor das alte Tor das"]]
 
     def test_misses_extracted_together_and_stored_per_sentence(self):
         groups = []
@@ -410,7 +455,7 @@ class TestBlockMemo:
             np.testing.assert_array_equal(block, table.forward(SentenceGroup([sentence])))
 
     def test_byte_bound(self, tmp_path, monkeypatch):
-        bound = 300  # contextual blocks are 11 × 8 bytes per token
+        bound = 150  # contextual blocks are 11 × 4 bytes per token
         monkeypatch.setattr(embed, "MEMO_BYTES", bound)
         build = embedder_factory(frozen_entries(tmp_path), CharVocabulary("adeltsTor"),
                                  MEMO_SENTENCES)
@@ -419,7 +464,7 @@ class TestBlockMemo:
             assert 0 < memo.nbytes <= bound
             assert memo.nbytes == sum(b.nbytes for b in memo.blocks.values())
         # the fill stores in order of text length while the bound allows:
-        # one token (88 bytes) and two (176), but not three more (264)
+        # one token (44 bytes) and two (88), but not three more (132)
         assert list(stack.memos[2].blocks) == [("alte",), ("Tor", "das")]
         plain = StackedEmbedder(stack.components)
         for sentence in MEMO_SENTENCES:

@@ -12,6 +12,7 @@ from histtag.corpus import (
     extract_char_vocab,
     extract_spans,
 )
+from histtag.crf import viterbi_decode
 from histtag.embed import (
     CharFeatureEncoder,
     ContextualEmbedder,
@@ -37,6 +38,7 @@ from histtag.tagger import (
 
 from conftest import make_corpus
 from oracles import (
+    FLOAT32_EMISSION_ATOL,
     emissions_reference,
     gradient_relative_error,
     numeric_gradient,
@@ -415,7 +417,8 @@ def full_embedder(tmp_path, corpus):
 
 class TestGroupedPath:
     """``predict`` runs length-sorted groups; ``oracles.emissions_reference``
-    runs each sentence alone."""
+    runs each sentence alone, with float64 contextual states, so emissions
+    agree within FLOAT32_EMISSION_ATOL."""
 
     def test_group_emissions_equal_sentences_alone(self, tmp_path):
         corpus = toy_corpus()
@@ -424,7 +427,7 @@ class TestGroupedPath:
         emissions, lengths, _ = model._emissions(corpus.sentences)
         for row, length, sentence in zip(emissions, lengths, corpus):
             np.testing.assert_allclose(row[:length], emissions_reference(model, sentence),
-                                       rtol=0, atol=1e-12)
+                                       rtol=0, atol=FLOAT32_EMISSION_ATOL)
 
     def test_tags_do_not_depend_on_the_group(self, tmp_path):
         corpus = toy_corpus()
@@ -455,12 +458,80 @@ class TestGroupedPath:
         assert max(len(g) for g in groups) > 1
 
 
+class TestTwoTierPredict:
+    """``predict`` extracts frozen blocks over EXTRACT_CHARS groups and runs
+    GROUP_CHARS groups through the stack and the tagger.  Budgets of 80 and
+    40 characters cut the corpus below into several of each."""
+
+    SENTENCES = TRAIN_SENTENCES + [
+        ONE_TOKEN, [("Anna", "S-PER"), ("und", "O"), ("Karl", "S-PER"), ("wohnen", "O"),
+                    ("in", "O"), ("Wien", "S-LOC"), ("und", "O"), ("Graz", "S-LOC")]]
+
+    def model_and_corpus(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embed, "EXTRACT_CHARS", 80)
+        monkeypatch.setattr(embed, "GROUP_CHARS", 40)
+        corpus = toy_corpus(self.SENTENCES)
+        model = NerModel(full_embedder(tmp_path, corpus), ("O", "S-LOC", "S-PER"), 7,
+                         np.random.default_rng(9))
+        # emissions large enough that the tags vary along a sentence
+        model.projection.params["weight"] *= 40.0
+        return model, corpus
+
+    def test_tags_equal_the_reference_per_sentence(self, tmp_path, monkeypatch):
+        model, corpus = self.model_and_corpus(tmp_path, monkeypatch)
+        extractions, groups = [], []
+        extracting, emissions = StackedEmbedder.extracting, NerModel._emissions
+
+        def recording_extracting(self, sentences):
+            extractions.append(list(sentences))
+            return extracting(self, sentences)
+
+        def recording_emissions(self, sentences):
+            groups.append(list(sentences))
+            return emissions(self, sentences)
+        monkeypatch.setattr(StackedEmbedder, "extracting", recording_extracting)
+        monkeypatch.setattr(NerModel, "_emissions", recording_emissions)
+        tags = predict(model, corpus)
+        expected = [[model.tags[k] for k in
+                     viterbi_decode(emissions_reference(model, sentence), model.crf)[0]]
+                    for sentence in corpus]
+        assert tags == expected
+        assert len({t for sentence_tags in tags for t in sentence_tags}) > 1
+        # several extraction groups, one of them run as several stack groups,
+        # each stack group inside the extraction group it runs in
+        assert len(extractions) > 1 and len(groups) > len(extractions)
+        for group in groups:
+            assert any(all(s in extraction for s in group) for extraction in extractions)
+        assert sum(map(len, extractions)) == sum(map(len, groups)) == len(corpus)
+
+    def test_stack_memos_restored_also_on_error(self, tmp_path, monkeypatch):
+        model, corpus = self.model_and_corpus(tmp_path, monkeypatch)
+        memos = model.embedder.memos
+        predict(model, corpus)
+        assert model.embedder.memos is memos and memos == {}
+        emissions = NerModel._emissions
+        calls = []
+
+        def failing(self, sentences):
+            calls.append(sentences)
+            if len(calls) == 2:
+                assert set(self.embedder.memos) == {0, 2}
+                raise RuntimeError("stop")
+            return emissions(self, sentences)
+        monkeypatch.setattr(NerModel, "_emissions", failing)
+        with pytest.raises(RuntimeError, match="stop"):
+            predict(model, corpus)
+        assert model.embedder.memos is memos and memos == {}
+
+
 class TestFrozenMemo:
-    @pytest.mark.parametrize("bound", [None, 2000], ids=["default_bound", "small_bound"])
+    # contextual blocks are 12 × 4 bytes per token: 1000 holds some of the
+    # corpus's sentences, not all
+    @pytest.mark.parametrize("bound", [None, 1000], ids=["default_bound", "small_bound"])
     def test_memo_backed_stack_trains_like_one_without(self, tmp_path, monkeypatch, bound):
         """The memo's blocks come from one grouped extraction and the plain
-        stack's from each sentence alone, so they agree within 1e-12, and
-        so do the two trainings."""
+        stack's from each mini-batch, so they agree to the rounding of the
+        batched products (here within 1e-12), and so do the two trainings."""
         if bound is not None:
             monkeypatch.setattr(embed, "MEMO_BYTES", bound)
         corpus = toy_corpus()
@@ -489,6 +560,23 @@ class TestFrozenMemo:
             assert memo.nbytes <= embed.MEMO_BYTES
         stored = len(memo_stack.memos[2].blocks)
         assert stored == distinct if bound is None else 0 < stored < distinct
+
+    def test_filled_memos_leave_nothing_to_extract(self, tmp_path, monkeypatch):
+        """Dev scoring predicts with the stack whose memos the training fill
+        made: no frozen component runs again."""
+        corpus = toy_corpus()
+        full_embedder(tmp_path, corpus)  # writes the files the entries name
+        entries = [{"kind": "word_table", "path": str(tmp_path / "vectors.txt")},
+                   {"kind": "contextual", "forward": str(tmp_path / "fwd.lm"),
+                    "backward": str(tmp_path / "bwd.lm")}]
+        stack = embedder_factory(entries, extract_char_vocab(corpus), corpus)(
+            np.random.default_rng(4))
+        model = NerModel(stack, ("O", "S-LOC", "S-PER"), 7, np.random.default_rng(9))
+        calls = []
+        for cls in (embed.WordTableEmbedder, embed.ContextualEmbedder):
+            monkeypatch.setattr(cls, "forward", lambda self, sentences: calls.append(self))
+        predict(model, corpus)
+        assert calls == []
 
     def test_loaded_model_keeps_no_blocks(self, tmp_path, monkeypatch):
         _, path = saved_full_model(tmp_path)
