@@ -9,16 +9,31 @@ window boundaries within an epoch.
 Perplexity here is the natural exponent of the mean natural-log negative
 log-likelihood.  Scoring always starts from a zero state, and characters
 outside the model vocabulary map to a reserved UNK index.
+
+``lm_forward`` is the one eval-mode forward pass, for contextual
+extraction and scoring alike.  Scoring runs ``corpus.length_groups`` of
+EVAL_CHUNK (4,096) characters, each in slices of EVAL_CHUNK positions that
+carry the state, so a longer text runs alone, a slice at a time.  A slice
+holds at most EVAL_CHUNK characters, which bounds the recurrence's working
+set and the logits; ``corpus_perplexity`` reads EVAL_CHUNK lines at a time.
 """
 
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from itertools import islice
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .corpus import CharVocabulary, PlainCorpus, TaggedCorpus, extract_char_vocab, sentence_text
+from .corpus import (
+    CharVocabulary,
+    PlainCorpus,
+    TaggedCorpus,
+    extract_char_vocab,
+    length_groups,
+    sentence_text,
+)
 from .errors import (
     ConfigError,
     EmptyCorpusError,
@@ -81,16 +96,12 @@ class CharLm(Module):
                  hidden_size: int, rng: np.random.Generator):
         self.vocab = vocab
         self.direction = direction
-        n_out = self.output_size
+        n_out = len(vocab) + 1
         self.embedding = Embedding(n_out, char_embed_dim, rng)
         self.lstm = Lstm(char_embed_dim, hidden_size, rng)
         self.projection = Linear(hidden_size, n_out, rng)
         self.named_layers = (("embedding", self.embedding), ("lstm", self.lstm),
                              ("projection", self.projection))
-
-    @property
-    def output_size(self) -> int:
-        return len(self.vocab) + 1
 
     @staticmethod
     def tensor_shapes(vocab: CharVocabulary, char_embed_dim: int,
@@ -103,24 +114,19 @@ class CharLm(Module):
                              ("projection", Linear.shapes(hidden_size, n_out))))
 
 
-def lm_forward(model: CharLm, chars: np.ndarray, state=None):
-    """Score a chunk of already-encoded characters in eval mode.
-
-    ``state`` is the ``(h, c)`` pair, each 1 × H, that the LSTM starts from
-    (zeros when None).  Returns (logits T × output_size, final (h, c) state,
-    hidden states T × H).  ``logits[t]`` is the prediction for the
-    character after position t.
-    """
-    chars = np.asarray(chars, dtype=np.int64)
-    if chars.ndim != 1 or chars.shape[0] < 1:
-        raise ValueError("chars must be a non-empty 1-d index sequence")
-    if chars.min() < 0 or chars.max() >= model.output_size:
-        raise ValueError(
-            f"character index out of range [0, {model.output_size})")
-    emb, _ = model.embedding.forward(chars[None])
-    hs, state, _ = model.lstm.forward(emb, state)
-    logits, _ = model.projection.forward(hs[0])
-    return logits, state, hs[0]
+def lm_forward(vocab: CharVocabulary, embedding: Embedding, lstm: Lstm,
+               texts: Sequence[str], state=None):
+    """Run an LM's ``embedding`` and ``lstm``, in the dtype of their
+    weights, over ``texts`` as one batch padded at the end and length-masked,
+    from ``state`` ((h, c), each texts × H; zeros when None).  Returns the
+    (texts × longest × H) hidden states, the final state and the lengths."""
+    lengths = np.array([len(text) for text in texts])
+    indices = np.zeros((len(texts), lengths.max()), dtype=np.int64)
+    for row, text in zip(indices, texts):
+        row[:len(text)] = vocab.encode(text)
+    emb, _ = embedding.forward(indices)
+    hs, state, _ = lstm.forward(emb, state, lengths=lengths)
+    return hs, state, lengths
 
 
 @dataclass
@@ -138,21 +144,31 @@ class LmTrainLog:
     epochs: list[LmEpochRecord] = field(default_factory=list)
 
 
-def _render_stream(corpus: PlainCorpus) -> str:
-    return " ".join(corpus)
+def _mean_nll(model: CharLm, texts: Sequence[str]) -> np.ndarray:
+    """Each text's mean next-character NLL from a zero state, grouped and
+    sliced as the module docstring says; every text needs 2 characters."""
+    inputs = [text[:-1] for text in texts]
+    totals = np.zeros(len(texts))
+    for group in length_groups([len(text) for text in inputs], EVAL_CHUNK):
+        state = None
+        for start in range(0, len(inputs[group[-1]]), EVAL_CHUNK):
+            end = start + EVAL_CHUNK
+            hs, state, steps = lm_forward(model.vocab, model.embedding, model.lstm,
+                                          [inputs[i][start:end] for i in group], state)
+            real = np.arange(hs.shape[1]) < steps[:, None]
+            logits, _ = model.projection.forward(hs[real])
+            targets = [model.vocab.encode(texts[i][start + 1:end + 1]) for i in group]
+            per_step = np.zeros(real.shape)
+            per_step[real], _ = cross_entropy(logits, np.concatenate(targets))
+            totals[group] += per_step.sum(axis=1)
+    return totals / [len(text) for text in inputs]
 
 
-def _stream_nll(model: CharLm, indices: np.ndarray) -> float:
-    """Mean next-character NLL over a stream, chunked to bound memory."""
-    total, count = 0.0, 0
-    state = None
-    for start in range(0, len(indices) - 1, EVAL_CHUNK):
-        end = min(start + EVAL_CHUNK, len(indices) - 1)
-        logits, state, _ = lm_forward(model, indices[start:end], state)
-        nll, _ = cross_entropy(logits, indices[start + 1:end + 1])
-        total += float(nll.sum())
-        count += nll.shape[0]
-    return total / count
+def _perplexities(model: CharLm, texts: Sequence[str]) -> np.ndarray:
+    """Each text's perplexity; backward models score the reversed text."""
+    if model.direction == "backward":
+        texts = [text[::-1] for text in texts]
+    return np.exp(_mean_nll(model, texts))
 
 
 def _train_window(model: CharLm, x: np.ndarray, y: np.ndarray, state,
@@ -192,7 +208,7 @@ def train_lm(corpus: PlainCorpus, config: CharLmConfig, seed: int,
     gradients.  The learning rate halves after any epoch whose dev loss
     fails to improve.
     """
-    stream = _render_stream(corpus)
+    stream = " ".join(corpus)
     if config.direction == "backward":
         stream = stream[::-1]
     n = len(stream)
@@ -213,10 +229,8 @@ def train_lm(corpus: PlainCorpus, config: CharLmConfig, seed: int,
                    config.hidden_size, rng)
     B = config.mini_batch
     strands = vocab.encode(train_text[:B * strand_len]).reshape(B, strand_len)
-    dev_idx = vocab.encode(dev_text)
-    test_idx = vocab.encode(test_text)
 
-    log = LmTrainLog(initial_test_perplexity=float(np.exp(_stream_nll(model, test_idx))))
+    log = LmTrainLog(initial_test_perplexity=float(np.exp(_mean_nll(model, [test_text])[0])))
     dropout = Dropout(config.dropout)
     lr = config.learning_rate
     best_dev = np.inf
@@ -236,8 +250,8 @@ def train_lm(corpus: PlainCorpus, config: CharLmConfig, seed: int,
             if not math.isfinite(clip_grad_norm(model.layers, GRAD_CLIP)):
                 raise NonFiniteGradientError("lm training", epoch, step)
             sgd_step(model.layers, lr)
-        dev_loss = _stream_nll(model, dev_idx)
-        test_ppl = float(np.exp(_stream_nll(model, test_idx)))
+        dev_loss = float(_mean_nll(model, [dev_text])[0])
+        test_ppl = float(np.exp(_mean_nll(model, [test_text])[0]))
         log.epochs.append(LmEpochRecord(
             epoch=epoch, train_loss=loss_sum / position_count,
             dev_loss=dev_loss, test_perplexity=test_ppl, learning_rate=lr))
@@ -257,11 +271,8 @@ def sentence_perplexity(model: CharLm, text: str) -> float:
     vocabulary map to UNK.
     """
     if len(text) < 2:
-        raise ValueError(
-            f"need at least 2 characters to score, got {len(text)}")
-    if model.direction == "backward":
-        text = text[::-1]
-    return float(np.exp(_stream_nll(model, model.vocab.encode(text))))
+        raise ValueError(f"need at least 2 characters to score, got {len(text)}")
+    return float(_perplexities(model, [text])[0])
 
 
 def corpus_perplexity(model: CharLm,
@@ -277,11 +288,10 @@ def corpus_perplexity(model: CharLm,
         texts = iter(corpus)
     values = []
     skipped = 0
-    for text in texts:
-        if len(text) < 2:
-            skipped += 1
-            continue
-        values.append(sentence_perplexity(model, text))
+    while window := list(islice(texts, EVAL_CHUNK)):
+        scored = [text for text in window if len(text) >= 2]
+        skipped += len(window) - len(scored)
+        values.extend(_perplexities(model, scored))
     if skipped:
         logger.info("corpus perplexity: skipped %d sentence(s) shorter than 2 chars",
                     skipped)

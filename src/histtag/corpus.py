@@ -488,12 +488,28 @@ def extract_char_vocab(*sources: Union[TaggedCorpus, PlainCorpus]) -> CharVocabu
 
 
 # ---------------------------------------------------------------------------
-# sentence rendering shared by language models and embedders
+# sentence rendering and grouping shared by language models and embedders
 
 
 def sentence_text(sentence: Sentence) -> str:
     """Token texts joined by single spaces, the canonical rendering."""
     return " ".join(sentence.texts())
+
+
+def length_groups(lengths: Sequence[int], budget: int) -> list[list[int]]:
+    """Indices of ``lengths``, sorted by length and cut into groups whose
+    size times their longest length is at most ``budget``; a longer item
+    forms a group alone."""
+    groups: list[list[int]] = []
+    group: list[int] = []
+    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
+        if group and (len(group) + 1) * lengths[i] > budget:
+            groups.append(group)
+            group = []
+        group.append(i)
+    if group:
+        groups.append(group)
+    return groups
 
 
 def token_char_ranges(sentence: Sentence) -> list[tuple[int, int]]:

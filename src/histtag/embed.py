@@ -13,24 +13,24 @@ blocks in a fixed order into one padded (sentences × tokens × dim) block,
 routes each trainable component its gradient columns, and prefixes
 component i's layer names with ``component{i}.``.
 
-Sentences run in groups: ``length_groups`` sorts them by the length of
-their text and cuts groups whose size times their longest text stays
-within a character budget, so each LM and each recurrence runs once per
-group on rows padded at their end.  Frozen components extract over
-groups of EXTRACT_CHARS (4,096) characters; the trainable components and
-the tagger run groups of GROUP_CHARS (1,024), which bound the caches
+Sentences run in groups: ``corpus.length_groups``, given the lengths of
+their texts, sorts them and cuts groups whose size times their longest
+text stays within a character budget, so each LM and each recurrence runs
+once per group on rows padded at their end.  Frozen components extract
+over groups of EXTRACT_CHARS (4,096) characters; the trainable components
+and the tagger run groups of GROUP_CHARS (1,024), which bound the caches
 backward keeps.  ``extraction_groups`` gathers the latter whole into the
-former.  An LM's working
-set is transient and grows with its group: gates, cells and outputs are
-6 · H float32 values per character, about 6.6 MB per direction at H = 64
-and about 200 MB at paper scale (H = 2048), against about 100 MB for
-float64 over 1,024 characters.  A row's values do not depend on the rows
-beside it beyond the rounding of the batched products.
+former.  An LM's working set is transient and grows with its group:
+gates, cells and outputs are 6 · H float32 values per character, about
+6.6 MB per direction at H = 64 and about 200 MB at paper scale
+(H = 2048), against about 100 MB for float64 over 1,024 characters.  A
+row's values do not depend on the rows beside it beyond the rounding of
+the batched products.
 
 Contextual extraction computes in float32, the precision LM files store
-their weights in: ``ContextualEmbedder`` keeps float32 copies of its LMs'
-embedding and LSTM weights and leaves the LMs it is given as they are.
-Its blocks are within 1e-6 of the float64 LMs' states (at most 4.2e-7
+their weights in: ``ContextualEmbedder`` keeps only float32 copies of its
+LMs' embedding and LSTM weights and leaves the LMs it is given as they
+are.  Its blocks are within 1e-6 of the float64 LMs' states (at most 4.2e-7
 measured at H = 64, on values up to 0.92); everything else computes in
 float64.
 
@@ -64,8 +64,14 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .charlm import CharLm, load_lm
-from .corpus import CharVocabulary, Sentence, sentence_text, token_char_ranges
+from .charlm import CharLm, lm_forward, load_lm
+from .corpus import (
+    CharVocabulary,
+    Sentence,
+    length_groups,
+    sentence_text,
+    token_char_ranges,
+)
 from .errors import ConfigError, ModelFormatError, ParseError
 from .nn import Embedding, Lstm, Module
 from .serialization import file_sha256, named_shapes
@@ -90,31 +96,15 @@ class SentenceGroup(tuple):
         return [text for sentence in self for text in sentence.texts()]
 
 
-def length_groups(sentences: Sequence[Sentence], budget: int) -> list[list[int]]:
-    """Indices of ``sentences``, sorted by the length of their text and
-    cut into groups whose size times their longest text is at most
-    ``budget`` characters; a longer sentence forms a group alone."""
-    sizes = [len(sentence_text(s)) for s in sentences]
-    groups: list[list[int]] = []
-    group: list[int] = []
-    for i in sorted(range(len(sentences)), key=sizes.__getitem__):
-        if group and (len(group) + 1) * sizes[i] > budget:
-            groups.append(group)
-            group = []
-        group.append(i)
-    if group:
-        groups.append(group)
-    return groups
-
-
 def extraction_groups(sentences: Sequence[Sentence]) -> list[tuple[list[int], list[list[int]]]]:
     """The GROUP_CHARS ``length_groups`` of ``sentences``, gathered in order
     into extraction groups whose size times their longest text stays
     within EXTRACT_CHARS characters; returns (extraction group, its
     groups) pairs, all as indices of ``sentences``."""
+    sizes = [len(sentence_text(s)) for s in sentences]
     tiers: list[tuple[list[int], list[list[int]]]] = []
-    for group in length_groups(sentences, GROUP_CHARS):
-        longest = len(sentence_text(sentences[group[-1]]))
+    for group in length_groups(sizes, GROUP_CHARS):
+        longest = sizes[group[-1]]
         if tiers and (len(tiers[-1][0]) + len(group)) * longest <= EXTRACT_CHARS:
             tiers[-1][0].extend(group)
             tiers[-1][1].append(group)
@@ -324,10 +314,10 @@ class ContextualEmbedder(Module):
     part is the forward LM's hidden state at the token's last character;
     its backward part is the backward LM's state (computed over the
     reversed text) at the token's first character.  Each LM reads all
-    texts of a group in one length-masked run, in float32, and its
-    vocabulary projection is never computed.  ``fwd`` and ``bwd`` are the
-    LMs as given; extraction reads float32 copies of their embedding and
-    LSTM weights.
+    texts of a group in one ``charlm.lm_forward`` run, in float32, and its
+    vocabulary projection is never computed.  It keeps only float32 copies
+    of the given LMs' embedding and LSTM weights, so the LMs themselves can
+    be freed.
     """
 
     kind = "contextual"
@@ -340,8 +330,6 @@ class ContextualEmbedder(Module):
             raise ConfigError(
                 f"need one forward and one backward model, got "
                 f"{fwd.direction!r} and {bwd.direction!r}")
-        self.fwd = fwd
-        self.bwd = bwd
         self._float32 = tuple((lm.vocab, lm.embedding.cast(np.float32),
                                lm.lstm.cast(np.float32)) for lm in (fwd, bwd))
         self.dim = fwd.lstm.hidden_size + bwd.lstm.hidden_size
@@ -379,10 +367,9 @@ class ContextualEmbedder(Module):
     def forward(self, sentences: SentenceGroup) -> np.ndarray:
         """Per-token contextual vectors, (forward part, backward part)."""
         texts = [sentence_text(s) for s in sentences]
-        lengths = np.array([len(text) for text in texts])
         fwd, bwd = self._float32
-        hs_f = _lm_states(*fwd, texts, lengths)
-        hs_b = _lm_states(*bwd, [text[::-1] for text in texts], lengths)
+        hs_f, _, lengths = lm_forward(*fwd, texts)
+        hs_b, _, _ = lm_forward(*bwd, [text[::-1] for text in texts])
         rows, lasts, firsts = [], [], []
         for row, (sentence, L) in enumerate(zip(sentences, lengths)):
             for start, end in token_char_ranges(sentence):
@@ -390,19 +377,6 @@ class ContextualEmbedder(Module):
                 lasts.append(end)
                 firsts.append(L - 1 - start)
         return np.concatenate([hs_f[rows, lasts], hs_b[rows, firsts]], axis=1)
-
-
-def _lm_states(vocab: CharVocabulary, embedding: Embedding, lstm: Lstm,
-               texts: Sequence[str], lengths: np.ndarray) -> np.ndarray:
-    """The (texts × longest × H) hidden states of an LM's ``embedding``
-    and ``lstm`` reading each text from a zero state, the rows padded at
-    their end, in the dtype of the LM's weights."""
-    indices = np.zeros((len(texts), lengths.max()), dtype=np.int64)
-    for row, text in zip(indices, texts):
-        row[:len(text)] = vocab.encode(text)
-    emb, _ = embedding.forward(indices)
-    hs, _, _ = lstm.forward(emb, lengths=lengths)
-    return hs
 
 
 class BlockMemo:
@@ -544,7 +518,7 @@ def embedder_factory(entries: Sequence[dict], vocab: CharVocabulary,
               for i, (cls, entry) in enumerate(zip(classes, entries)) if cls.files}
     memos = {i: BlockMemo() for i in frozen}
     sentences = list(sentences)
-    for group in length_groups(sentences, EXTRACT_CHARS):
+    for group in length_groups([len(sentence_text(s)) for s in sentences], EXTRACT_CHARS):
         for i, memo in memos.items():
             memo.lookup(frozen[i], [sentences[j] for j in group])
 

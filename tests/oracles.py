@@ -5,8 +5,9 @@ code under test: span extraction scans with explicit two-pointer lookahead,
 CRF quantities are brute-force sums over every tag path, gradients come
 from central finite differences, the LSTM runs one sequence one step at
 a time where the library runs a padded batch, and contextual vectors,
-tagger emissions, CRF likelihoods and training gradients come from each
-sentence run alone where the library runs padded groups of sentences.
+perplexities, tagger emissions, CRF likelihoods and training gradients
+come from each sentence run alone where the library runs padded groups of
+sentences.
 """
 
 import itertools
@@ -308,33 +309,65 @@ FLOAT32_STATE_ATOL = 1e-7
 FLOAT32_EMISSION_ATOL = 1e-8
 
 
-def contextual_reference(embedder, sentence):
-    """A ContextualEmbedder's block for one sentence, extracted alone and
-    in float64: each LM scores the sentence's text through ``lm_forward``
-    (the backward one the text reversed), and a token takes the forward
-    state at its last character and the backward state at its first."""
-    from histtag.charlm import lm_forward
+def lm_reference(model, chars, state=None):
+    """A CharLm over one chunk of already-encoded characters, B = 1 and
+    unmasked, the path ``charlm.lm_forward`` replaced.  ``state`` is the
+    ``(h, c)`` pair, each 1 × H, that the LSTM starts from (zeros when
+    None).  Returns (logits T × (|vocab| + 1), final (h, c) state, hidden
+    states T × H); ``logits[t]`` predicts the character after position t."""
+    chars = np.asarray(chars, dtype=np.int64)
+    n_out = len(model.vocab) + 1
+    if chars.ndim != 1 or chars.shape[0] < 1:
+        raise ValueError("chars must be a non-empty 1-d index sequence")
+    if chars.min() < 0 or chars.max() >= n_out:
+        raise ValueError(f"character index out of range [0, {n_out})")
+    emb, _ = model.embedding.forward(chars[None])
+    hs, state, _ = model.lstm.forward(emb, state)
+    logits, _ = model.projection.forward(hs[0])
+    return logits, state, hs[0]
+
+
+def perplexity_reference(model, text):
+    """A CharLm's perplexity of one text, scored by ``lm_reference`` in one
+    chunk (the backward LM reads the text reversed)."""
+    from histtag.nn import cross_entropy
+
+    if model.direction == "backward":
+        text = text[::-1]
+    chars = model.vocab.encode(text)
+    logits, _, _ = lm_reference(model, chars[:-1])
+    nll, _ = cross_entropy(logits, chars[1:])
+    return float(np.exp(nll.mean()))
+
+
+def contextual_reference(fwd, bwd, sentence):
+    """The block a ContextualEmbedder built from the CharLms ``fwd`` and
+    ``bwd`` gives one sentence, extracted alone and in float64: each LM
+    reads the sentence's text through ``lm_reference`` (the backward one
+    the text reversed), and a token takes the forward state at its last
+    character and the backward state at its first."""
     from histtag.corpus import sentence_text, token_char_ranges
 
     text = sentence_text(sentence)
     L = len(text)
-    _, _, hs_f = lm_forward(embedder.fwd, embedder.fwd.vocab.encode(text))
-    _, _, hs_b = lm_forward(embedder.bwd, embedder.bwd.vocab.encode(text[::-1]))
+    _, _, hs_f = lm_reference(fwd, fwd.vocab.encode(text))
+    _, _, hs_b = lm_reference(bwd, bwd.vocab.encode(text[::-1]))
     return np.stack([np.concatenate([hs_f[end], hs_b[L - 1 - start]])
                      for start, end in token_char_ranges(sentence)])
 
 
-def emissions_reference(model, sentence):
+def emissions_reference(model, sentence, lms):
     """A NerModel's (tokens × tags) emissions for one sentence, computed
     alone: each component's block on its own (a contextual one by
-    ``contextual_reference``), then one single-row recurrence per
-    direction over the block and over its reverse."""
+    ``contextual_reference`` from ``lms``, the (forward, backward) CharLms
+    it was built from), then one single-row recurrence per direction over
+    the block and over its reverse."""
     from histtag.embed import ContextualEmbedder, SentenceGroup
 
     blocks = []
     for c in model.embedder.components:
         if isinstance(c, ContextualEmbedder):
-            blocks.append(contextual_reference(c, sentence))
+            blocks.append(contextual_reference(*lms, sentence))
         elif c.named_layers:
             blocks.append(c.forward(SentenceGroup([sentence]))[0])
         else:

@@ -126,7 +126,8 @@ def _charlm_gradient_error(errors):
     y = model.vocab.encode("bdeca")
 
     def loss():
-        logits, _, _ = lm_forward(model, x)
+        hs, _, _ = lm_forward(model.vocab, model.embedding, model.lstm, ["abdec"])
+        logits, _ = model.projection.forward(hs[0])
         nll, _ = cross_entropy(logits, y)
         return float(nll.sum())
 

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import softmax
 
+from histtag import charlm
 from histtag.charlm import (
+    DIRECTIONS,
     CharLm,
     CharLmConfig,
     corpus_perplexity,
@@ -26,7 +28,13 @@ from histtag.nn import cross_entropy
 from histtag.serialization import layer_tensors, load_tensors, save_tensors
 
 from conftest import make_corpus, raw_container
-from oracles import gradient_relative_error, numeric_gradient, train_lm_by_strand
+from oracles import (
+    gradient_relative_error,
+    lm_reference,
+    numeric_gradient,
+    perplexity_reference,
+    train_lm_by_strand,
+)
 
 
 def tensors(model):
@@ -36,6 +44,14 @@ def tensors(model):
 def small_model(vocab_chars="abcde", hidden=8, embed=4, seed=0, direction="forward"):
     return CharLm(CharVocabulary(vocab_chars), direction, embed, hidden,
                   np.random.default_rng(seed))
+
+
+def run(model, text, state=None):
+    """Logits, final state and hidden states of one text through
+    ``lm_forward`` and the projection."""
+    hs, state, _ = lm_forward(model.vocab, model.embedding, model.lstm, [text], state)
+    logits, _ = model.projection.forward(hs[0])
+    return logits, state, hs[0]
 
 
 def pinned_model(vocab_chars, probs, direction="forward"):
@@ -84,7 +100,7 @@ class TestConfig:
 class TestForward:
     def test_single_char_shapes(self):
         model = small_model()
-        logits, state, hidden = lm_forward(model, model.vocab.encode("a"))
+        logits, state, hidden = run(model, "a")
         assert logits.shape == (1, 6)
         assert hidden.shape == (1, 8)
         h, c = state
@@ -96,14 +112,14 @@ class TestForward:
         for layer in model.layers:
             for p in layer.params.values():
                 p[...] = 0.0
-        logits, _, _ = lm_forward(model, model.vocab.encode("abcab"))
+        logits, _, _ = run(model, "abcab")
         assert np.all(logits == logits[0])
         probs = softmax(logits, axis=-1)
         np.testing.assert_allclose(probs, 1.0 / 6, atol=1e-12)
 
     def test_softmax_rows_sum_to_one(self):
         model = small_model(seed=3)
-        logits, _, _ = lm_forward(model, model.vocab.encode("edcba"))
+        logits, _, _ = run(model, "edcba")
         np.testing.assert_allclose(softmax(logits, axis=-1).sum(axis=1), 1.0,
                                    atol=1e-6)
 
@@ -113,19 +129,34 @@ class TestForward:
         unk = len(model.vocab)
         assert idx.tolist() == [0, unk, unk]
 
-    def test_out_of_range_index(self):
-        model = small_model()
-        with pytest.raises(ValueError):
-            lm_forward(model, np.array([99]))
-        with pytest.raises(ValueError):
-            lm_forward(model, np.array([], dtype=np.int64))
-
     def test_state_carry_changes_output(self):
         model = small_model(seed=5)
-        chars = model.vocab.encode("abc")
-        logits1, state, _ = lm_forward(model, chars)
-        logits2, _, _ = lm_forward(model, chars, state)
+        logits1, state, _ = run(model, "abc")
+        logits2, _, _ = run(model, "abc", state)
         assert not np.allclose(logits1, logits2)
+
+    def test_rows_equal_texts_run_alone(self):
+        """Each row of a padded batch, from a zero or a carried state, holds
+        the states of its text run alone by ``oracles.lm_reference``, and
+        its final state is the state after its last character; an empty
+        text keeps its state."""
+        model = small_model(seed=6)
+        texts = ["abc", "a", "edcbaZ", ""]
+        rng = np.random.default_rng(2)
+        start = (rng.uniform(-0.5, 0.5, (4, 8)), rng.uniform(-0.5, 0.5, (4, 8)))
+        for state in (None, start):
+            hs, (h, c), lengths = lm_forward(model.vocab, model.embedding, model.lstm,
+                                             texts, state)
+            assert hs.shape == (4, 6, 8) and lengths.tolist() == [3, 1, 6, 0]
+            for b, text in enumerate(texts[:3]):
+                row_state = None if state is None else (state[0][b:b + 1], state[1][b:b + 1])
+                _, (h_ref, c_ref), hs_ref = lm_reference(
+                    model, model.vocab.encode(text), row_state)
+                np.testing.assert_allclose(hs[b, :len(text)], hs_ref, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(h[b], h_ref[0], rtol=0, atol=1e-14)
+                np.testing.assert_allclose(c[b], c_ref[0], rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(h[3], start[0][3])
+        np.testing.assert_array_equal(c[3], start[1][3])
 
     def test_nll_gradient_all_parameters(self):
         # hidden 8, |V|=5: the full model chain against finite differences
@@ -134,11 +165,11 @@ class TestForward:
         y = model.vocab.encode("bdeca")
 
         def loss():
-            logits, _, _ = lm_forward(model, x)
+            logits, _, _ = run(model, "abdec")
             nll, _ = cross_entropy(logits, y)
             return float(nll.sum())
 
-        logits, _, _ = lm_forward(model, x)
+        logits, _, _ = run(model, "abdec")
         _, dlogits = cross_entropy(logits, y)
         model.zero_grads()
         # manual backward through projection → lstm → embedding
@@ -228,6 +259,43 @@ class TestCorpusPerplexity:
         model = small_model("ab")
         with pytest.raises(EmptyCorpusError):
             corpus_perplexity(model, PlainCorpus.from_lines(["a", "b"]))
+
+
+@pytest.fixture(params=[1, 7, 16, None], ids=["chunk1", "chunk7", "chunk16", "default"])
+def eval_chunk(request, monkeypatch):
+    """EVAL_CHUNK, set to each small value and left at its default."""
+    if request.param is not None:
+        monkeypatch.setattr(charlm, "EVAL_CHUNK", request.param)
+    return charlm.EVAL_CHUNK
+
+
+def scoring_texts(chunk):
+    """Texts of unequal length, one of them longer than ``chunk``, with a
+    character outside the vocabulary."""
+    return ["ab", "edcba", "abc de", "a b c d e", "ddd", "cab xab", "ba",
+            "abc ded cab " * (chunk // 12 + 2)]
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+class TestScoringOracle:
+    """Grouped and sliced scoring against ``oracles.perplexity_reference``,
+    each text scored alone in one B = 1 chunk."""
+
+    def test_sentence_perplexity(self, eval_chunk, direction):
+        model = small_model("abcde ", seed=21, direction=direction)
+        for text in scoring_texts(eval_chunk):
+            assert sentence_perplexity(model, text) == pytest.approx(
+                perplexity_reference(model, text), rel=1e-12, abs=0)
+
+    def test_corpus_perplexity_over_several_windows(self, eval_chunk, direction):
+        model = small_model("abcde ", seed=22, direction=direction)
+        texts = scoring_texts(eval_chunk)
+        reference = {text: perplexity_reference(model, text) for text in texts}
+        # more lines than one window of EVAL_CHUNK lines; the long text once
+        lines = [texts[i % 7] for i in range(eval_chunk + 9)] + [texts[-1], "a"]
+        expected = np.mean([reference[line] for line in lines[:-1]])
+        assert corpus_perplexity(model, PlainCorpus.from_lines(lines)) == pytest.approx(
+            expected, rel=1e-12, abs=0)
 
 
 def tiny_config(**kwargs):

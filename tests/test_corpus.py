@@ -17,6 +17,7 @@ from histtag.corpus import (
     entity_counts,
     extract_char_vocab,
     extract_spans,
+    length_groups,
     read_conll,
     read_plain,
     render_tags,
@@ -384,3 +385,15 @@ class TestRendering:
         assert ranges == [(0, 3), (5, 11), (13, 16), (18, 18)]
         for (a, b), tok in zip(ranges, sentence):
             assert text[a:b + 1] == tok.text
+
+
+class TestLengthGroups:
+    def test_sort_and_respect_the_budget(self):
+        lengths = [12, 1, 26, 8, 2, 19]
+        assert length_groups(lengths, 24) == [[1, 4, 3], [0], [5], [2]]
+        # item 2 is longer than the budget and forms a group alone
+        assert lengths[2] > 24
+
+    def test_large_budget_takes_all_short_items(self):
+        assert length_groups([12, 1, 26, 8, 2, 19], 1024) == [[1, 4, 3, 0, 5, 2]]
+        assert length_groups([], 1024) == []

@@ -1,8 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from histtag import embed
-from histtag.charlm import CharLm, save_lm
+from histtag.charlm import CharLm, load_lm, save_lm
 from histtag.corpus import CharVocabulary
 from histtag.embed import (
     CharFeatureEncoder,
@@ -12,7 +15,6 @@ from histtag.embed import (
     WordTableEmbedder,
     embedder_factory,
     extraction_groups,
-    length_groups,
     load_vectors,
 )
 from histtag.errors import ConfigError, ParseError
@@ -23,6 +25,7 @@ from oracles import (
     FLOAT32_STATE_ATOL,
     contextual_reference,
     gradient_relative_error,
+    lm_reference,
     numeric_gradient,
 )
 
@@ -178,13 +181,12 @@ class TestContextual:
     def test_extraction_offsets(self):
         """Forward part comes from the token's last char, backward from its
         first char, verified against the LMs' float64 states from
-        ``lm_forward``, so within FLOAT32_STATE_ATOL."""
-        from histtag.charlm import lm_forward
+        ``lm_reference``, so within FLOAT32_STATE_ATOL."""
         fwd, bwd = make_lm("forward"), make_lm("backward", seed=3)
         sentence = make_sentence([("ab", "O"), ("c", "O")])
         text = "ab c"
-        _, _, hs_f = lm_forward(fwd, fwd.vocab.encode(text))
-        _, _, hs_b = lm_forward(bwd, bwd.vocab.encode(text[::-1]))
+        _, _, hs_f = lm_reference(fwd, fwd.vocab.encode(text))
+        _, _, hs_b = lm_reference(bwd, bwd.vocab.encode(text[::-1]))
         out = ContextualEmbedder(fwd, bwd).forward(SentenceGroup([sentence]))
         # token "ab": chars 0..1; token "c": char 3
         for got, want in ((out[0][:6], hs_f[1]), (out[0][6:], hs_b[len(text) - 1 - 0]),
@@ -200,11 +202,23 @@ class TestContextual:
         ctx = ContextualEmbedder(fwd, bwd)
         out = ctx.forward(SentenceGroup([make_sentence([("ab", "O"), ("c", "O")])]))
         assert out.dtype == np.float32
-        assert ctx.fwd is fwd and ctx.bwd is bwd
         for lm, name, value in before:
             now = dict(layer_tensors(lm.named_layers))[name]
             assert now.dtype == np.float64
             np.testing.assert_array_equal(now, value)
+
+    def test_lms_given_can_be_freed(self):
+        """The embedder keeps its float32 copies only: the float64 LMs,
+        with their projections and gradient buffers, go once the caller
+        drops them."""
+        fwd, bwd = make_lm("forward"), make_lm("backward", seed=3)
+        refs = [weakref.ref(lm) for lm in (fwd, bwd)]
+        ctx = ContextualEmbedder(fwd, bwd)
+        del fwd, bwd
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        out = ctx.forward(SentenceGroup([make_sentence([("ab", "O"), ("c", "O")])]))
+        assert out.shape == (2, 12)
 
     def test_direction_validation(self):
         with pytest.raises(ConfigError):
@@ -223,11 +237,10 @@ class TestGroups:
     features compute the same products either way and agree bit for bit."""
 
     def test_contextual_rows_equal_sentences_alone(self):
-        ctx = ContextualEmbedder(make_lm("forward", hidden=6),
-                                 make_lm("backward", hidden=5, seed=4))
-        out = ctx.forward(SentenceGroup(GROUP_SENTENCES))
+        fwd, bwd = make_lm("forward", hidden=6), make_lm("backward", hidden=5, seed=4)
+        out = ContextualEmbedder(fwd, bwd).forward(SentenceGroup(GROUP_SENTENCES))
         np.testing.assert_allclose(
-            out, np.concatenate([contextual_reference(ctx, s) for s in GROUP_SENTENCES]),
+            out, np.concatenate([contextual_reference(fwd, bwd, s) for s in GROUP_SENTENCES]),
             rtol=0, atol=FLOAT32_STATE_ATOL)
 
     def test_char_feature_rows_equal_sentences_alone_bit_for_bit(self):
@@ -249,13 +262,6 @@ class TestGroups:
         np.testing.assert_array_equal(vecs[3, :, 0], [0, 2, 0, 0, 0, 0])
         np.testing.assert_array_equal(vecs[1, :, 0], [1, 0, 0, 0, 0, 0])
 
-    def test_length_groups_sort_and_respect_the_budget(self):
-        # text lengths 12, 1, 26, 8, 2, 19
-        groups = length_groups(GROUP_SENTENCES, 24)
-        assert groups == [[1, 4, 3], [0], [5], [2]]
-        # the 26-character sentence is longer than the budget and runs alone
-        assert len(" ".join(GROUP_SENTENCES[2].texts())) > 24
-
     def test_extraction_groups_gather_whole_groups_within_their_budget(self, monkeypatch):
         monkeypatch.setattr(embed, "GROUP_CHARS", 24)
         monkeypatch.setattr(embed, "EXTRACT_CHARS", 40)
@@ -263,10 +269,6 @@ class TestGroups:
         # rows of 19 fit in 40 characters, four of 12 and three of 26 do not
         assert extraction_groups(GROUP_SENTENCES) == [
             ([1, 4, 3], [[1, 4, 3]]), ([0, 5], [[0], [5]]), ([2], [[2]])]
-
-    def test_length_groups_default_budget_takes_all_short_sentences(self):
-        assert length_groups(GROUP_SENTENCES, embed.GROUP_CHARS) == [[1, 4, 3, 0, 5, 2]]
-        assert length_groups([], embed.GROUP_CHARS) == []
 
 
 def table_embedder(words, dim, fill):
@@ -392,10 +394,11 @@ def frozen_entries(tmp_path):
 
 class TestBlockMemo:
     def test_blocks_equal_direct_extraction_and_are_read_only(self, tmp_path):
-        build = embedder_factory(frozen_entries(tmp_path), CharVocabulary("adeltsTor"),
-                                 MEMO_SENTENCES)
+        entries = frozen_entries(tmp_path)
+        build = embedder_factory(entries, CharVocabulary("adeltsTor"), MEMO_SENTENCES)
+        lms = [load_lm(entries[2][d]) for d in ("forward", "backward")]
         stack = build(np.random.default_rng(0))
-        table, ctx = stack.components[0], stack.components[2]
+        table = stack.components[0]
         assert set(stack.memos) == {0, 2}
         distinct = {tuple(s.texts()) for s in MEMO_SENTENCES}
         assert set(stack.memos[0].blocks) == set(stack.memos[2].blocks) == distinct
@@ -405,7 +408,7 @@ class TestBlockMemo:
             np.testing.assert_array_equal(
                 words, np.stack([table.lookup(w) for w in key]))
             # extracted in float32: the float64 reference within the tolerance
-            np.testing.assert_allclose(states, contextual_reference(ctx, sentence),
+            np.testing.assert_allclose(states, contextual_reference(*lms, sentence),
                                        rtol=0, atol=FLOAT32_STATE_ATOL)
             assert words.dtype == np.float64 and states.dtype == np.float32
             for block in (words, states):

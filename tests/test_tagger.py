@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from histtag import embed, tagger
-from histtag.charlm import CharLm, save_lm
+from histtag.charlm import CharLm, load_lm, save_lm
 from histtag.corpus import (
     CharVocabulary,
     TaggedCorpus,
@@ -415,6 +415,11 @@ def full_embedder(tmp_path, corpus):
     return StackedEmbedder([table, chars, ctx])
 
 
+def saved_lms(tmp_path):
+    """The float64 LMs ``full_embedder`` saved, as their files hold them."""
+    return [load_lm(tmp_path / name) for name in ("fwd.lm", "bwd.lm")]
+
+
 class TestGroupedPath:
     """``predict`` runs length-sorted groups; ``oracles.emissions_reference``
     runs each sentence alone, with float64 contextual states, so emissions
@@ -425,8 +430,9 @@ class TestGroupedPath:
         embedder = full_embedder(tmp_path, corpus)
         model = NerModel(embedder, ("O", "S-LOC", "S-PER"), 7, np.random.default_rng(9))
         emissions, lengths, _ = model._emissions(corpus.sentences)
+        lms = saved_lms(tmp_path)
         for row, length, sentence in zip(emissions, lengths, corpus):
-            np.testing.assert_allclose(row[:length], emissions_reference(model, sentence),
+            np.testing.assert_allclose(row[:length], emissions_reference(model, sentence, lms),
                                        rtol=0, atol=FLOAT32_EMISSION_ATOL)
 
     def test_tags_do_not_depend_on_the_group(self, tmp_path):
@@ -492,8 +498,9 @@ class TestTwoTierPredict:
         monkeypatch.setattr(StackedEmbedder, "extracting", recording_extracting)
         monkeypatch.setattr(NerModel, "_emissions", recording_emissions)
         tags = predict(model, corpus)
+        lms = saved_lms(tmp_path)
         expected = [[model.tags[k] for k in
-                     viterbi_decode(emissions_reference(model, sentence), model.crf)[0]]
+                     viterbi_decode(emissions_reference(model, sentence, lms), model.crf)[0]]
                     for sentence in corpus]
         assert tags == expected
         assert len({t for sentence_tags in tags for t in sentence_tags}) > 1
