@@ -259,8 +259,8 @@ def train_lm(corpus: PlainCorpus, config: CharLmConfig, seed: int,
             best_dev = dev_loss
         else:
             lr *= 0.5
-        logger.info("lm epoch %d: train %.4f dev %.4f test ppl %.4f lr %g",
-                    epoch, loss_sum / position_count, dev_loss, test_ppl, lr)
+        logger.info("%s lm epoch %d: train %.4f dev %.4f test ppl %.4f lr %g",
+                    config.direction, epoch, loss_sum / position_count, dev_loss, test_ppl, lr)
     return model, log
 
 

@@ -17,7 +17,11 @@ re-execute the run when passed back as ``--config``; ``lm ppl``, ``ner
 predict`` and ``eval`` take no config, and theirs records the flags they
 were given, as ``vocab``'s records the files it read and their columns.
 Every file is written whole or not at all (see
-``serialization.atomic_open``).
+``serialization.atomic_open``).  ``lm train``'s directions and ``ner
+train``'s runs are ``parallel.map_jobs`` jobs, spread over the CPUs the
+process may use; each job writes its own files, and this module prints
+and writes the manifest from their results, so neither depends on how
+many CPUs there are.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 The only environment variable is HISTTAG_LOG, which sets the logging
@@ -56,6 +60,7 @@ from .evaluation import (
     read_conll_predictions,
     write_conll_predictions,
 )
+from .parallel import map_jobs
 from .serialization import atomic_open, file_sha256
 from .smlm import SmlmConfig, select_mask_char, smlm_transform
 from .tagger import TaggerConfig, load_ner, predict, save_ner, train_ner
@@ -385,19 +390,20 @@ def cmd_lm_train(args) -> int:
     corpus = read_plain(corpus_path)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    def train_direction(lm_config: CharLmConfig):
+        model, log = train_lm(corpus, lm_config, seed)
+        save_lm(model, out_dir / f"{lm_config.direction}.bin")
+        _write_json(out_dir / f"{lm_config.direction}_log.json", asdict(log))
+        return log
+
     resolved_lm = {"corpus": str(corpus_path), "seed": seed,
                    "output_dir": str(out_dir)}
     artifacts = {}
-
-    for lm_config in lm_configs:
+    for lm_config, log in zip(lm_configs, map_jobs(train_direction, lm_configs)):
         direction = lm_config.direction
-        model, log = train_lm(corpus, lm_config, seed)
         model_path = out_dir / f"{direction}.bin"
-        save_lm(model, model_path)
-        log_path = out_dir / f"{direction}_log.json"
-        _write_json(log_path, asdict(log))
         artifacts[f"{direction}.bin"] = model_path
-        artifacts[f"{direction}_log.json"] = log_path
+        artifacts[f"{direction}_log.json"] = out_dir / f"{direction}_log.json"
         resolved_lm[direction] = {k: v for k, v in asdict(lm_config).items()
                                   if k != "direction"}
         final = log.epochs[-1].test_perplexity if log.epochs else float("nan")
@@ -485,36 +491,32 @@ def cmd_ner_train(args) -> int:
     build_stack = embedder_factory(components, vocab,
                                    itertools.chain(train, dev, eval_corpus))
 
-    artifacts = {}
-    reports = []
-    for run in range(runs):
+    def train_run(run: int):
+        """Train, save, predict and score run ``run``; its report and log."""
         run_seed = base_seed + run
         # distinct seed material keeps encoder init clear of the training
         # stream, which also starts at run_seed
         embedder = build_stack(np.random.default_rng([run_seed, 1]))
         model, log = train_ner(train, dev, replace(base_config, seed=run_seed),
                                embedder)
-
         run_dir = out_dir / f"run{run}"
         run_dir.mkdir(parents=True, exist_ok=True)
-        model_path = run_dir / "model.bin"
-        save_ner(model, model_path)
+        save_ner(model, run_dir / "model.bin")
         predicted = predict(model, eval_corpus)
-        predictions_path = run_dir / "predictions.conll"
-        write_conll_predictions(eval_corpus, predicted, predictions_path)
+        write_conll_predictions(eval_corpus, predicted, run_dir / "predictions.conll")
         report = evaluate(eval_corpus, predicted)
-        report_txt = run_dir / "report.txt"
-        _write_text(report_txt, format_report(report) + "\n")
-        report_json = run_dir / "report.json"
-        _write_json(report_json, {"evaluated_on": eval_name, **report.to_dict()})
-        log_path = run_dir / "training_log.json"
-        _write_json(log_path, asdict(log))
-        for name, p in (("model.bin", model_path),
-                        ("predictions.conll", predictions_path),
-                        ("report.txt", report_txt),
-                        ("report.json", report_json),
-                        ("training_log.json", log_path)):
-            artifacts[f"run{run}/{name}"] = p
+        _write_text(run_dir / "report.txt", format_report(report) + "\n")
+        _write_json(run_dir / "report.json", {"evaluated_on": eval_name, **report.to_dict()})
+        _write_json(run_dir / "training_log.json", asdict(log))
+        return report, log
+
+    artifacts = {}
+    reports = []
+    for run, (report, log) in enumerate(map_jobs(train_run, range(runs))):
+        run_seed = base_seed + run
+        for name in ("model.bin", "predictions.conll", "report.txt", "report.json",
+                     "training_log.json"):
+            artifacts[f"run{run}/{name}"] = out_dir / f"run{run}" / name
         reports.append(report)
         if log.status == "no_improvement":
             logger.warning("run %d: dev F1 never rose above 0 in %d epochs; "

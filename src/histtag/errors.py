@@ -5,7 +5,20 @@ from dataclasses import fields
 
 
 class HisttagError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Every subclass survives pickling, as an error raised in a worker
+    process must: the copy has the original's ``args`` (so its message)
+    and attributes.  The default pickling would call the class with
+    ``args``, which are not what most subclasses' ``__init__`` takes.
+    """
+
+    def __reduce__(self):
+        return _rebuilt, (type(self), self.args), self.__dict__
+
+
+def _rebuilt(cls, args):
+    return cls.__new__(cls, *args)
 
 
 class ParseError(HisttagError):
@@ -104,3 +117,8 @@ class StructureMismatchError(HisttagError):
     def __init__(self, message, sentence_index=None):
         self.sentence_index = sentence_index
         super().__init__(message)
+
+
+class WorkerError(HisttagError):
+    """A worker process running a job ended without reporting its outcome,
+    or reported one that could not be sent back."""

@@ -254,8 +254,8 @@ def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
     for epoch in range(1, config.max_epochs + 1):
         if lr < MIN_LEARNING_RATE:
             log.status = "converged"
-            logger.info("ner epoch %d: learning rate %g below %g, stopping",
-                        epoch, lr, MIN_LEARNING_RATE)
+            logger.info("ner seed %d epoch %d: learning rate %g below %g, stopping",
+                        config.seed, epoch, lr, MIN_LEARNING_RATE)
             break
         order = rng.permutation(n)
         loss_sum = 0.0
@@ -287,8 +287,8 @@ def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
             epoch=epoch, train_loss=loss_sum / n, dev_f1=dev_f1,
             learning_rate=lr if not annealed else lr / ANNEAL_FACTOR,
             annealed=annealed))
-        logger.info("ner epoch %d: loss %.4f dev f1 %.4f lr %g%s",
-                    epoch, loss_sum / n, dev_f1,
+        logger.info("ner seed %d epoch %d: loss %.4f dev f1 %.4f lr %g%s",
+                    config.seed, epoch, loss_sum / n, dev_f1,
                     log.records[-1].learning_rate,
                     " (annealed)" if annealed else "")
 

@@ -1,6 +1,8 @@
 import copy
 import json
 import logging
+import multiprocessing
+import os
 import re
 import shutil
 from dataclasses import fields
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from histtag import embed
+from histtag import cli, embed
 from histtag.charlm import CharLmConfig
 from histtag.cli import load_run_config, main, validate_config
 from histtag.corpus import TagScheme, extract_char_vocab, read_conll, read_plain
@@ -697,3 +699,74 @@ class TestPredictAndEval:
         assert main(["ner", "predict", "--model", "w/out/ner/run0/model.bin",
                      "--input", "w/data/test.conll", "--output", "pred.conll"]) == 0
         assert (tmp_path / "pred.conll").is_file()
+
+
+def files_under(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestParallelJobs:
+    """``lm train``'s directions and ``ner train``'s runs go to one process
+    per usable CPU; the artifacts are those of the serial run."""
+
+    @pytest.fixture(autouse=True)
+    def no_worker_left(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    def run_on(self, monkeypatch, cpus, work: Path, argv) -> int:
+        """``main(argv)`` in ``work`` with ``cpus`` usable CPUs."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        work.mkdir(exist_ok=True)
+        monkeypatch.chdir(work)
+        return main(argv)
+
+    def test_lm_train_and_ner_train_byte_identical_to_serial(self, toy, lm_dir, tmp_path,
+                                                             monkeypatch, capsys):
+        lm_cfg = write_config(tmp_path / "lm.yaml", {
+            "lm": {**LM_SECTION, "corpus": str(toy["lm_corpus"]), "output_dir": "lm"}})
+        ner_cfg = stacked_config(tmp_path / "ner.yaml", toy["train"].parent, lm_dir,
+                                 Path("ner"), runs=3)
+        outputs = {}
+        for cpus in (1, 2):
+            work = tmp_path / f"cpus{cpus}"
+            assert self.run_on(monkeypatch, cpus, work,
+                               ["lm", "train", "--config", lm_cfg]) == 0
+            assert self.run_on(monkeypatch, cpus, work,
+                               ["ner", "train", "--config", ner_cfg]) == 0
+            outputs[cpus] = (files_under(work), capsys.readouterr().out)
+        files = outputs[1][0]
+        assert {"lm/forward.bin", "lm/backward_log.json", "lm/manifest.json",
+                "ner/run2/model.bin", "ner/summary.json", "ner/manifest.json"} <= set(files)
+        assert outputs[2] == outputs[1]
+
+    def test_diverging_directions_fail_as_in_the_serial_run(self, toy, tmp_path,
+                                                            monkeypatch, capsys):
+        cfg = write_config(tmp_path / "c.yaml", {
+            "lm": {**LM_SECTION, "corpus": str(toy["lm_corpus"]), "output_dir": "lm"}})
+        errs = []
+        for cpus in (1, 2):
+            assert self.run_on(monkeypatch, cpus, tmp_path / f"cpus{cpus}",
+                               ["lm", "train", "--config", cfg,
+                                "--learning-rate", "inf"]) == 1
+            errs.append(capsys.readouterr().err)
+        assert "error: lm training: non-finite gradient norm at epoch 1" in errs[0]
+        assert errs[1] == errs[0]
+
+    def test_run_whose_worker_exits_is_a_runtime_error(self, toy, tmp_path, monkeypatch,
+                                                       capsys):
+        train_ner = cli.train_ner
+
+        def exiting(train, dev, config, embedder):
+            if config.seed == 12:
+                os._exit(3)
+            return train_ner(train, dev, config, embedder)
+        monkeypatch.setattr(cli, "train_ner", exiting)
+        cfg = ner_config(tmp_path, toy, Path("ner"), max_epochs=1)
+        argv = ["ner", "train", "--config", cfg]
+        assert self.run_on(monkeypatch, 2, tmp_path / "w", argv) == 1
+        assert ("error: job 1 has no result: its worker process exited with status 3"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "w" / "ner" / "manifest.json").exists()
+
