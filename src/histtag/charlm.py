@@ -80,6 +80,8 @@ class CharLmConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
+        if not math.isfinite(self.learning_rate):
+            raise ConfigError(f"learning_rate must be finite, got {self.learning_rate}")
         # zero is allowed: it freezes parameters, useful for measuring baselines
         if self.learning_rate < 0:
             raise ConfigError(f"learning_rate must not be negative, got {self.learning_rate}")

@@ -1,4 +1,6 @@
-"""Independent jobs run on the CPUs this process may use.
+"""Independent jobs run on the CPUs this process may use: ``lm train``'s
+directions, ``ner train``'s runs and the extraction tiers of
+``tagger.predict``, which ``ner predict`` calls.
 
 ``map_jobs(fn, items)`` returns ``[fn(item) for item in items]``.  It runs
 on ``n = min(len(items), usable CPUs)`` processes: the caller and ``n - 1``
@@ -9,6 +11,10 @@ frozen-block memos) and nothing is pickled on the way in; each job's
 result, or its exception, comes back pickled over a pipe.  With one
 usable CPU, or on a platform without ``os.sched_getaffinity``, every job
 runs inline and nothing is forked: ``taskset -c 0`` gives the serial run.
+A call made while jobs run, from a job in the caller or in a worker (which
+inherits that state through the fork), runs its jobs inline in that
+process: a ``ner train`` run calls ``tagger.predict`` for dev scoring and
+its final predictions, and a worker, being daemonic, may not fork.
 
 A failure reads as in the serial loop: the exception of the first failing
 job in item order is raised, and a worker that dies before reporting a job
@@ -41,18 +47,29 @@ _OPENBLAS_SYMBOLS = (("scipy_openblas", "64_"), ("scipy_openblas", ""),
                      ("openblas", "64_"), ("openblas", ""))
 
 
+# whether jobs run in this process: a job's own map_jobs call runs inline
+_running = False
+
+
 def map_jobs(fn, items) -> list:
     """``[fn(item) for item in items]``, with the jobs spread over the
     usable CPUs (see the module docstring)."""
+    global _running
     items = list(items)
+    if _running:
+        return [fn(item) for item in items]
     # the platforms without the call (Windows, macOS) are those where
     # forking is unavailable or unsafe
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     n = min(len(items), cpus)
-    with _one_blas_thread():
-        if n <= 1:
-            return [fn(item) for item in items]
-        return _spread(fn, items, n)
+    _running = True
+    try:
+        with _one_blas_thread():
+            if n <= 1:
+                return [fn(item) for item in items]
+            return _spread(fn, items, n)
+    finally:
+        _running = False
 
 
 def _spread(fn, items: list, n: int) -> list:

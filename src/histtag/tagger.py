@@ -6,7 +6,8 @@ emission scores, and a linear-chain CRF scores complete tag sequences.
 The model works in IOBES; this module alone converts corpora to it and
 predictions back to the scheme of the corpus they were made for.
 ``_emissions`` runs a list of sentences as one padded call per direction;
-``predict`` runs the length-sorted groups of ``embed.extraction_groups``.
+``predict`` runs the length-sorted groups of ``embed.extraction_groups``,
+one ``parallel.map_jobs`` job per extraction group.
 Training is SGD over shuffled mini-batches minimizing the mean sentence
 NLL.  Each mini-batch runs as one padded group: one ``_emissions`` call,
 one length-masked CRF forward-backward over its rows and one
@@ -39,6 +40,7 @@ from .errors import (
 )
 from .evaluation import evaluate
 from .nn import Linear, Lstm, Module, clip_grad_norm, sgd_step
+from .parallel import map_jobs
 from .serialization import (
     assign_tensors,
     check_layout,
@@ -70,6 +72,8 @@ class TaggerConfig:
             raise ConfigError("lstm_hidden, mini_batch and max_epochs must be positive")
         if self.patience < 0:
             raise ConfigError(f"patience must be non-negative, got {self.patience}")
+        if not math.isfinite(self.learning_rate):
+            raise ConfigError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
 
@@ -141,22 +145,32 @@ def _row_reversal(lengths: np.ndarray, T: int):
 def predict(model: NerModel, corpus: TaggedCorpus) -> list[list[str]]:
     """Viterbi-decode every sentence in IOBES; returns one tag list per
     sentence, in the scheme of ``corpus``.  Sentences run in the two tiers
-    of ``embed.extraction_groups``: the frozen components without a memo
-    extract each EXTRACT_CHARS group at once into transient memos, then
-    its GROUP_CHARS groups run through the stack and the tagger, and each
-    sentence is decoded from its own rows.  A stack whose memos hold
-    the sentences already (dev scoring in training) extracts nothing."""
+    of ``embed.extraction_groups``, each tier a ``parallel.map_jobs`` job:
+    the frozen components without a memo extract its EXTRACT_CHARS group
+    at once into transient memos, then its GROUP_CHARS groups run through
+    the stack and the tagger, and each sentence is decoded from its own
+    rows.  A row's values do not depend on the job it runs in, so the tags
+    do not depend on the number of CPUs.  A stack whose memos hold the
+    sentences already (dev scoring in training) extracts nothing."""
     sentences = corpus.sentences
-    predicted: list = [None] * len(sentences)
-    for extraction, groups in extraction_groups(sentences):
+
+    def tag_tier(tier) -> list[tuple[int, list[str]]]:
+        extraction, groups = tier
+        tagged = []
         with model.embedder.extracting([sentences[i] for i in extraction]):
             for group in groups:
                 # the cache is dropped here, before the next group runs
                 emissions, lengths = model._emissions([sentences[i] for i in group])[:2]
                 for i, scores, length in zip(group, emissions, lengths):
                     path, _ = viterbi_decode(scores[:length], model.crf)
-                    predicted[i] = convert_tags([model.tags[k] for k in path],
-                                                TagScheme.IOBES, corpus.scheme)
+                    tagged.append((i, convert_tags([model.tags[k] for k in path],
+                                                   TagScheme.IOBES, corpus.scheme)))
+        return tagged
+
+    predicted: list = [None] * len(sentences)
+    for tagged in map_jobs(tag_tier, extraction_groups(sentences)):
+        for i, tags in tagged:
+            predicted[i] = tags
     return predicted
 
 

@@ -90,6 +90,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{next(iter(kwargs))} must be"):
             CharLmConfig(**base)
 
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan"), -float("inf")])
+    def test_rejects_non_finite_learning_rate(self, rate):
+        with pytest.raises(ConfigError, match="learning_rate must be finite"):
+            CharLmConfig(direction="forward", learning_rate=rate)
+
     def test_defaults(self):
         cfg = CharLmConfig(direction="backward")
         assert cfg.sequence_length == 250
@@ -312,11 +317,11 @@ class TestTraining:
         assert log.epochs[0].test_perplexity < log.initial_test_perplexity
 
     def test_non_finite_gradient_stops_training(self):
-        # an infinite rate makes the first update non-finite, so the second
-        # window's gradient is NaN
+        # a rate near the largest float overflows the parameters in the
+        # first updates, so the third window's gradient is NaN
         corpus = PlainCorpus.from_lines(["abcd" * 500])
-        with pytest.raises(NonFiniteGradientError, match="epoch 1, step 2"):
-            train_lm(corpus, tiny_config(learning_rate=np.inf), seed=0)
+        with pytest.raises(NonFiniteGradientError, match="epoch 1, step 3"):
+            train_lm(corpus, tiny_config(learning_rate=1.7e308), seed=0)
 
     def test_zero_learning_rate_freezes_parameters(self):
         corpus = PlainCorpus.from_lines(["abcd" * 500])

@@ -5,6 +5,9 @@ import multiprocessing
 import os
 import re
 import shutil
+import subprocess
+import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -353,8 +356,25 @@ class TestLmCommands:
                    "output_dir": str(tmp_path / "lm")},
         })
         assert main(["lm", "train", "--config", cfg, "--direction", "forward",
-                     "--learning-rate", "inf"]) == 1
+                     "--learning-rate", "1.7e308"]) == 1
         assert "non-finite gradient norm at epoch 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", ["inf", "nan"])
+    def test_non_finite_learning_rate_is_config_error(self, toy, tmp_path, rate):
+        """Rejected before any training, so no numpy warning reaches stderr."""
+        cfg = write_config(tmp_path / "c.yaml", {
+            "lm": {**LM_SECTION, "corpus": str(toy["lm_corpus"]),
+                   "output_dir": str(tmp_path / "lm")},
+        })
+        done = subprocess.run(
+            [sys.executable, "-m", "histtag.cli", "lm", "train", "--config", cfg,
+             "--learning-rate", rate],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+        assert done.returncode == 2
+        assert f"learning_rate must be finite, got {rate}" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
+        assert not (tmp_path / "lm").exists()
 
     def test_bad_model_file_is_runtime_error(self, toy, tmp_path):
         junk = tmp_path / "junk.bin"
@@ -433,6 +453,17 @@ class TestNerTrain:
         fresh = {k: file_sha256(v["path"])
                  for k, v in manifest["artifacts"].items()}
         assert fresh == recorded
+
+    @pytest.mark.parametrize("rate", ["inf", "nan"])
+    def test_non_finite_learning_rate_is_config_error(self, toy, tmp_path, capsys, rate):
+        out_dir = tmp_path / "ner"
+        cfg = ner_config(tmp_path, toy, out_dir)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["ner", "train", "--config", cfg, "--learning-rate", rate]) == 2
+        assert f"learning_rate must be finite, got {rate}" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out_dir.exists()
 
     def test_flag_overrides_reach_training(self, toy, tmp_path):
         out_dir = tmp_path / "ner"
@@ -741,6 +772,24 @@ class TestParallelJobs:
                 "ner/run2/model.bin", "ner/summary.json", "ner/manifest.json"} <= set(files)
         assert outputs[2] == outputs[1]
 
+    def test_runs_tag_several_tiers_as_in_the_serial_run(self, toy, lm_dir, tmp_path,
+                                                         monkeypatch):
+        """A run's ``predict`` calls run their tiers inline in the run's
+        process, which for run 1 is a worker that may not fork."""
+        monkeypatch.setattr(embed, "EXTRACT_CHARS", 80)
+        monkeypatch.setattr(embed, "GROUP_CHARS", 40)
+        test = read_conll(toy["test"], 0, 1, TagScheme.IOB2)
+        assert len(embed.extraction_groups(test.sentences)) >= 2
+        cfg = stacked_config(tmp_path / "ner.yaml", toy["train"].parent, lm_dir,
+                             Path("ner"), runs=2)
+        outputs = {}
+        for cpus in (1, 2):
+            work = tmp_path / f"cpus{cpus}"
+            assert self.run_on(monkeypatch, cpus, work, ["ner", "train", "--config", cfg]) == 0
+            outputs[cpus] = files_under(work)
+        assert "ner/run1/predictions.conll" in outputs[1]
+        assert outputs[2] == outputs[1]
+
     def test_diverging_directions_fail_as_in_the_serial_run(self, toy, tmp_path,
                                                             monkeypatch, capsys):
         cfg = write_config(tmp_path / "c.yaml", {
@@ -749,7 +798,7 @@ class TestParallelJobs:
         for cpus in (1, 2):
             assert self.run_on(monkeypatch, cpus, tmp_path / f"cpus{cpus}",
                                ["lm", "train", "--config", cfg,
-                                "--learning-rate", "inf"]) == 1
+                                "--learning-rate", "1.7e308"]) == 1
             errs.append(capsys.readouterr().err)
         assert "error: lm training: non-finite gradient norm at epoch 1" in errs[0]
         assert errs[1] == errs[0]

@@ -53,6 +53,22 @@ def test_results_in_item_order(cpus):
     assert pids[1] == pids[3] != os.getpid()
 
 
+def test_call_from_a_job_runs_inline(cpus):
+    """In the caller's job and in the worker's alike: a job's process forks
+    nothing, so every inner job runs where its outer job does."""
+    cpus(2)
+
+    def outer(i):
+        return os.getpid(), map_jobs(job, range(i, i + 3))
+    results = map_jobs(outer, range(2))
+    for i, (pid, inner) in enumerate(results):
+        assert [r for r, _ in inner] == [x * x for x in range(i, i + 3)]
+        assert {p for _, p in inner} == {pid}
+    assert results[0][0] == os.getpid() != results[1][0]
+    # and the next top-level call spreads again
+    assert len({pid for _, pid in map_jobs(job, range(2))}) == 2
+
+
 def test_workers_never_exceed_the_jobs(cpus):
     cpus(8)
     results = map_jobs(job, range(3))
@@ -66,6 +82,8 @@ def test_first_failure_in_item_order_is_raised(cpus, failing):
     cpus(2)
     with pytest.raises(ConfigError, match=f"job {min(failing)} failed"):
         map_jobs(fails_at(*failing), range(4))
+    # a failed call leaves the next one free to spread
+    assert len({pid for _, pid in map_jobs(job, range(2))}) == 2
 
 
 def test_caller_failure_ends_a_running_worker(cpus):

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -97,6 +100,11 @@ class TestConfig:
     def test_rejects_wrong_types(self, kwargs):
         with pytest.raises(ConfigError, match=f"{next(iter(kwargs))} must be"):
             TaggerConfig(**kwargs)
+
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan"), -float("inf")])
+    def test_rejects_non_finite_learning_rate(self, rate):
+        with pytest.raises(ConfigError, match="learning_rate must be finite"):
+            TaggerConfig(learning_rate=rate)
 
     def test_int_learning_rate_accepted(self):
         assert TaggerConfig(learning_rate=1).learning_rate == 1
@@ -483,8 +491,16 @@ class TestTwoTierPredict:
         model.projection.params["weight"] *= 40.0
         return model, corpus
 
+    def reference_tags(self, tmp_path, model, corpus):
+        lms = saved_lms(tmp_path)
+        return [[model.tags[k] for k in
+                 viterbi_decode(emissions_reference(model, sentence, lms), model.crf)[0]]
+                for sentence in corpus]
+
     def test_tags_equal_the_reference_per_sentence(self, tmp_path, monkeypatch):
         model, corpus = self.model_and_corpus(tmp_path, monkeypatch)
+        # on one CPU every tier runs in this process, where the recorders see it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         extractions, groups = [], []
         extracting, emissions = StackedEmbedder.extracting, NerModel._emissions
 
@@ -498,11 +514,7 @@ class TestTwoTierPredict:
         monkeypatch.setattr(StackedEmbedder, "extracting", recording_extracting)
         monkeypatch.setattr(NerModel, "_emissions", recording_emissions)
         tags = predict(model, corpus)
-        lms = saved_lms(tmp_path)
-        expected = [[model.tags[k] for k in
-                     viterbi_decode(emissions_reference(model, sentence, lms), model.crf)[0]]
-                    for sentence in corpus]
-        assert tags == expected
+        assert tags == self.reference_tags(tmp_path, model, corpus)
         assert len({t for sentence_tags in tags for t in sentence_tags}) > 1
         # several extraction groups, one of them run as several stack groups,
         # each stack group inside the extraction group it runs in
@@ -510,6 +522,18 @@ class TestTwoTierPredict:
         for group in groups:
             assert any(all(s in extraction for s in group) for extraction in extractions)
         assert sum(map(len, extractions)) == sum(map(len, groups)) == len(corpus)
+
+    def test_tags_do_not_depend_on_the_cpus(self, tmp_path, monkeypatch):
+        """Each tier is a ``parallel.map_jobs`` job: on two CPUs a forked
+        worker tags the second."""
+        model, corpus = self.model_and_corpus(tmp_path, monkeypatch)
+        assert len(embed.extraction_groups(corpus.sentences)) >= 3
+        tags = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            tags[cpus] = predict(model, corpus)
+            assert multiprocessing.active_children() == []
+        assert tags[2] == tags[1] == self.reference_tags(tmp_path, model, corpus)
 
     def test_stack_memos_restored_also_on_error(self, tmp_path, monkeypatch):
         model, corpus = self.model_and_corpus(tmp_path, monkeypatch)
