@@ -31,8 +31,9 @@ Contextual extraction computes in float32, the precision LM files store
 their weights in: ``ContextualEmbedder`` keeps only float32 copies of its
 LMs' embedding and LSTM weights and leaves the LMs it is given as they
 are.  Its blocks are within 1e-6 of the float64 LMs' states (at most 4.2e-7
-measured at H = 64, on values up to 0.92); everything else computes in
-float64.
+measured at H = 64, on values up to 0.92).  Training computes everything
+else in float64; a ``StackedEmbedder.cast`` copy, which ``tagger.predict``
+tags with, runs the char features in float32 and builds float32 blocks.
 
 Frozen blocks are memoized.  ``embedder_factory`` gives each frozen
 component one BlockMemo, shared by every stack it builds, so one ``ner
@@ -56,6 +57,7 @@ referenced files relative to the model file's directory, and
 without building the component.
 """
 
+import copy
 import logging
 import os
 from contextlib import contextmanager
@@ -240,8 +242,18 @@ class CharFeatureEncoder(Module):
         self.embedding = Embedding(len(vocab) + 1, embed_dim, rng)
         self.fwd = Lstm(embed_dim, hidden, rng)
         self.bwd = Lstm(embed_dim, hidden, rng)
-        self.named_layers = (("embedding", self.embedding), ("fwd", self.fwd),
-                             ("bwd", self.bwd))
+
+    @property
+    def named_layers(self) -> tuple:
+        return (("embedding", self.embedding), ("fwd", self.fwd), ("bwd", self.bwd))
+
+    def cast(self, dtype) -> "CharFeatureEncoder":
+        """A copy for inference whose layers are ``Layer.cast`` copies in
+        ``dtype``; this encoder is left as it is."""
+        twin = copy.copy(self)
+        twin.embedding, twin.fwd, twin.bwd = (
+            layer.cast(dtype) for layer in (self.embedding, self.fwd, self.bwd))
+        return twin
 
     @staticmethod
     def _check_dims(embed_dim: int, hidden: int) -> None:
@@ -412,7 +424,11 @@ class StackedEmbedder(Module):
 
     ``memos`` maps the index of a frozen component to the BlockMemo its
     blocks come from; a frozen component without one runs on every call.
+    Blocks are built in ``dtype``: float64, or the dtype of a ``cast``
+    copy.
     """
+
+    dtype = np.float64
 
     def __init__(self, components: Sequence,
                  memos: Optional[Mapping[int, BlockMemo]] = None):
@@ -429,6 +445,15 @@ class StackedEmbedder(Module):
                               for c, end in zip(self.components, ends))
         self._trainable = tuple((c, columns) for c, columns in zip(self.components, self._columns)
                                 if c.named_layers)
+
+    def cast(self, dtype) -> "StackedEmbedder":
+        """A copy for inference that builds its blocks in ``dtype``, with
+        ``cast`` copies of the trainable components; it shares the frozen
+        components and their memos, and this stack is left as it is."""
+        twin = StackedEmbedder([c.cast(dtype) if c.named_layers else c
+                                for c in self.components], self.memos)
+        twin.dtype = dtype
+        return twin
 
     @contextmanager
     def extracting(self, sentences: Sequence[Sentence]):
@@ -454,7 +479,7 @@ class StackedEmbedder(Module):
         group = SentenceGroup(sentences)
         lengths = np.array([len(s) for s in group])
         real = np.arange(lengths.max()) < lengths[:, None]
-        vecs = np.zeros(real.shape + (self.dim,))
+        vecs = np.zeros(real.shape + (self.dim,), self.dtype)
         # frozen blocks first, so no extraction runs while caches are held
         for i, (c, columns) in enumerate(zip(self.components, self._columns)):
             if i in self.memos:

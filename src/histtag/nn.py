@@ -7,10 +7,11 @@ returns the gradient with respect to the layer input.  ``Lstm`` is the one
 recurrence: it runs a (B, T, D) batch of left-aligned sequences with an
 optional ``lengths`` mask, and callers with a single sequence pass B = 1.
 Parameters and training math are float64, so analytic gradients can be
-checked against central finite differences to tight tolerances.  A frozen
-layer can be cast to float32 (``Layer.cast``) for inference: ``Lstm.forward``
-computes in the dtype of its weights, and its float64 path is the one
-training runs.
+checked against central finite differences to tight tolerances.  Any
+layer can be copied in float32 (``Layer.cast``) for inference: the frozen
+LMs extract with such copies, and ``tagger.predict`` tags with a model whose
+trainable layers are.  ``Lstm.forward`` computes in the dtype of its
+weights, and its float64 path is the one training runs.
 """
 
 import copy

@@ -7,18 +7,23 @@ The model works in IOBES; this module alone converts corpora to it and
 predictions back to the scheme of the corpus they were made for.
 ``_emissions`` runs a list of sentences as one padded call per direction;
 ``predict`` runs the length-sorted groups of ``embed.extraction_groups``,
-one ``parallel.map_jobs`` job per extraction group.
+one ``parallel.map_jobs`` job per extraction group, on a float32 copy of
+the model (``NerModel.cast``): model files store float32, so tagging
+computes in it, and only the CRF and Viterbi stay float64.
 Training is SGD over shuffled mini-batches minimizing the mean sentence
 NLL.  Each mini-batch runs as one padded group: one ``_emissions`` call,
 one length-masked CRF forward-backward over its rows and one
 ``_backward``.  The gradient norm is clipped at 5.0, dev F1 selects the
 model, and the learning rate is multiplied by ANNEAL_FACTOR (0.5) after
 `patience` consecutive epochs without a dev improvement; training stops
-once it falls below MIN_LEARNING_RATE (1e-4).  The selected parameters
-are rounded to float32, the values a model file stores, so a saved model
-predicts what the trained one did.
+once it falls below MIN_LEARNING_RATE (1e-4).  Training computes in
+float64.  The selected parameters are rounded to float32, the values a
+model file stores, so a saved model predicts what the trained one did:
+dev scoring, the test predictions of ``ner train`` and ``ner predict`` all
+run ``predict``.
 """
 
+import copy
 import logging
 import math
 import os
@@ -90,9 +95,23 @@ class NerModel(Module):
         self.bwd = Lstm(embedder.dim, lstm_hidden, rng)
         self.projection = Linear(2 * lstm_hidden, len(self.tags), rng)
         self.crf = CrfLayer(self.tags, rng)
-        self.named_layers = embedder.named_layers + (
+
+    @property
+    def named_layers(self) -> tuple:
+        return self.embedder.named_layers + (
             ("encoder.fwd", self.fwd), ("encoder.bwd", self.bwd),
             ("projection", self.projection), ("crf", self.crf))
+
+    def cast(self, dtype) -> "NerModel":
+        """A copy for inference that runs the embedder's trainable
+        components, the Bi-LSTM and the projection on ``Layer.cast`` copies
+        in ``dtype``; it shares the CRF and the frozen components, and this
+        model is left as it is."""
+        twin = copy.copy(self)
+        twin.embedder = self.embedder.cast(dtype)
+        twin.fwd, twin.bwd, twin.projection = (
+            layer.cast(dtype) for layer in (self.fwd, self.bwd, self.projection))
+        return twin
 
     @staticmethod
     def tensor_shapes(embedder_dim: int, num_tags: int,
@@ -151,8 +170,15 @@ def predict(model: NerModel, corpus: TaggedCorpus) -> list[list[str]]:
     the stack and the tagger, and each sentence is decoded from its own
     rows.  A row's values do not depend on the job it runs in, so the tags
     do not depend on the number of CPUs.  A stack whose memos hold the
-    sentences already (dev scoring in training) extracts nothing."""
+    sentences already (dev scoring in training) extracts nothing.
+
+    Tagging runs in float32, the precision model files store: every group
+    runs on ``model.cast(np.float32)``, made once here, before the jobs
+    fork, and ``model`` is left as it is.  Its emissions are within
+    FLOAT32_TAGGING_ATOL (tests/oracles.py) of the float64 ones; the CRF
+    stays float64, so Viterbi decodes them upcast."""
     sentences = corpus.sentences
+    model = model.cast(np.float32)
 
     def tag_tier(tier) -> list[tuple[int, list[str]]]:
         extraction, groups = tier

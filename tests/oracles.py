@@ -307,6 +307,15 @@ def train_lm_by_strand(corpus, config, seed):
 # Trained LMs at H = 64, with states up to 0.92, differ by up to 4.2e-7.
 FLOAT32_STATE_ATOL = 1e-7
 FLOAT32_EMISSION_ATOL = 1e-8
+# ``tagger.predict`` also runs the char features, the Bi-LSTM and the
+# projection in float32.  On TestTwoTierPredict's corpus and model (its
+# projection scaled by 40), its emissions differed from
+# ``emissions_reference`` by at most 9.6e-7 on values up to 4.8 (24 models:
+# eight tagger seeds on each of three embedder seeds), and every model's
+# tags equalled the reference's.  On the trained H = 128 tagger of the
+# benchmark's ``ner_tag`` workload (seeds 3 and 7) they differ from float64
+# by up to 1.5e-5 on values up to 22.6.
+FLOAT32_TAGGING_ATOL = 2e-6
 
 
 def lm_reference(model, chars, state=None):

@@ -42,6 +42,7 @@ from histtag.tagger import (
 from conftest import make_corpus
 from oracles import (
     FLOAT32_EMISSION_ATOL,
+    FLOAT32_TAGGING_ATOL,
     emissions_reference,
     gradient_relative_error,
     numeric_gradient,
@@ -523,6 +524,34 @@ class TestTwoTierPredict:
             assert any(all(s in extraction for s in group) for extraction in extractions)
         assert sum(map(len, extractions)) == sum(map(len, groups)) == len(corpus)
 
+    def test_decodes_float32_emissions_within_the_bound(self, tmp_path, monkeypatch):
+        """The groups run on a float32 copy of the model: the emissions
+        Viterbi decodes are float32, within FLOAT32_TAGGING_ATOL of the
+        float64 reference, and give the reference's tags."""
+        model, corpus = self.model_and_corpus(tmp_path, monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        grouped, decoded = [], []
+        emissions, decode = NerModel._emissions, tagger.viterbi_decode
+
+        def recording_emissions(self, sentences):
+            grouped.extend(sentences)
+            return emissions(self, sentences)
+
+        def recording_decode(scores, crf):
+            decoded.append(scores)
+            return decode(scores, crf)
+        monkeypatch.setattr(NerModel, "_emissions", recording_emissions)
+        monkeypatch.setattr(tagger, "viterbi_decode", recording_decode)
+        tags = predict(model, corpus)
+        lms = saved_lms(tmp_path)
+        # each group's sentences are decoded in the order they ran
+        for sentence, scores in zip(grouped, decoded, strict=True):
+            assert scores.dtype == np.float32
+            np.testing.assert_allclose(scores, emissions_reference(model, sentence, lms),
+                                       rtol=0, atol=FLOAT32_TAGGING_ATOL)
+        assert len(decoded) == len(corpus)
+        assert tags == self.reference_tags(tmp_path, model, corpus)
+
     def test_tags_do_not_depend_on_the_cpus(self, tmp_path, monkeypatch):
         """Each tier is a ``parallel.map_jobs`` job: on two CPUs a forked
         worker tags the second."""
@@ -624,6 +653,62 @@ class TestFrozenMemo:
         assert predict(loaded, corpus) == predict(loaded, corpus)
         assert loaded.embedder.memos == {}
         assert len(calls) == 2 * len(corpus)
+
+
+class TestPredictLeavesItsModel:
+    """``predict`` tags with a float32 copy: the model it is given keeps its
+    float64 parameters bit for bit, its gradient slots and its memos."""
+
+    @staticmethod
+    def predict_checking_the_model(model, corpus):
+        layers = model.layers
+        params = [(layer.params, name, value, value.copy())
+                  for layer in layers for name, value in layer.params.items()]
+        grads = [(layer.grads, name, value, value.copy())
+                 for layer in layers for name, value in layer.grads.items()]
+        slots = [(set(layer.params), set(layer.grads)) for layer in layers]
+        memos = model.embedder.memos
+        held = dict(memos)
+        emissions = model._emissions(corpus.sentences)[0]
+        tags = predict(model, corpus)
+        assert model.layers == layers
+        after = model._emissions(corpus.sentences)[0]
+        assert after.dtype == np.float64
+        np.testing.assert_array_equal(after, emissions)
+        assert [(set(layer.params), set(layer.grads)) for layer in layers] == slots
+        for tensors, name, value, bits in params + grads:
+            assert tensors[name] is value and value.dtype == np.float64
+            np.testing.assert_array_equal(value.view(np.uint64), bits.view(np.uint64))
+        assert model.embedder.memos is memos and memos == held
+        return tags
+
+    def test_after_a_dev_scored_epoch(self, tmp_path):
+        corpus = toy_corpus()
+        full_embedder(tmp_path, corpus)  # writes the files the entries name
+        entries = [{"kind": "word_table", "path": str(tmp_path / "vectors.txt")},
+                   {"kind": "char_features", "embed_dim": 6, "hidden": 5},
+                   {"kind": "contextual", "forward": str(tmp_path / "fwd.lm"),
+                    "backward": str(tmp_path / "bwd.lm")}]
+        stack = embedder_factory(entries, extract_char_vocab(corpus), corpus)(
+            np.random.default_rng(4))
+        scored = []
+
+        def scorer(model):
+            # mid-training: the last step's gradients are still in their slots
+            assert any(np.any(g) for layer in model.layers for g in layer.grads.values())
+            scored.append(self.predict_checking_the_model(model, corpus))
+            return evaluate(corpus, scored[-1]).f1
+        model, _ = train_ner(corpus, corpus, small_config(max_epochs=2), stack,
+                             dev_scorer=scorer)
+        assert len(scored) == 2 and set(stack.memos) == {0, 2}
+        self.predict_checking_the_model(model, corpus)
+
+    def test_after_load_ner(self, tmp_path):
+        _, path = saved_full_model(tmp_path)
+        loaded = load_ner(path)
+        corpus = toy_corpus()
+        assert (self.predict_checking_the_model(loaded, corpus)
+                == self.predict_checking_the_model(loaded, corpus))
 
 
 class TestSaveLoad:
