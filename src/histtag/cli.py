@@ -21,9 +21,9 @@ Every file is written whole or not at all (see
 train``'s runs are ``parallel.map_jobs`` jobs, spread over the CPUs the
 process may use; each job writes its own files, and this module prints
 and writes the manifest from their results, so neither depends on how
-many CPUs there are.  ``ner predict`` spreads its extraction tiers the
+many CPUs there are.  ``ner predict`` spreads its length groups the
 same way, through ``tagger.predict``; the ``predict`` calls inside a ``ner
-train`` run are nested in its job and run their tiers inline.
+train`` run are nested in its job and run their groups inline.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 The only environment variable is HISTTAG_LOG, which sets the logging

@@ -75,20 +75,10 @@ class CrfLayer(Layer):
         self.grads["transitions"][~self.allowed] = 0.0
 
 
-def _check_emissions(emissions: np.ndarray, crf: CrfLayer) -> np.ndarray:
-    emissions = np.asarray(emissions, dtype=np.float64)
-    if emissions.ndim != 2 or emissions.shape[0] < 1:
-        raise ValueError("emissions must be a non-empty T × K matrix")
-    if emissions.shape[1] != crf.num_tags:
-        raise ValueError(
-            f"emissions have {emissions.shape[1]} columns, CRF has {crf.num_tags} tags")
-    return emissions
-
-
-def _check_batch(emissions, crf: CrfLayer, golds, lengths):
-    """The emissions as float64, the gold paths padded with tag 0 into one
-    (B, T) array, and the lengths; raises ValueError unless every row has
-    a length in [1, T] and a gold path of exactly that many real tags."""
+def _check_rows(emissions, crf: CrfLayer, lengths):
+    """The emissions as float64 and the lengths; raises ValueError unless
+    they are a non-empty (B, T, K) block over the CRF's K tags and B
+    integer lengths in [1, T]."""
     emissions = np.asarray(emissions, dtype=np.float64)
     if emissions.ndim != 3 or emissions.shape[0] < 1 or emissions.shape[1] < 1:
         raise ValueError("emissions must be a non-empty B × T × K array")
@@ -99,6 +89,15 @@ def _check_batch(emissions, crf: CrfLayer, golds, lengths):
     if (lengths.shape != (B,) or not np.issubdtype(lengths.dtype, np.integer)
             or lengths.min() < 1 or lengths.max() > T):
         raise ValueError(f"lengths must be {B} integers in [1, {T}]")
+    return emissions, lengths
+
+
+def _check_batch(emissions, crf: CrfLayer, golds, lengths):
+    """As ``_check_rows``, plus the gold paths padded with tag 0 into one
+    (B, T) array; raises ValueError unless every row has a gold path of
+    exactly its length in real tags."""
+    emissions, lengths = _check_rows(emissions, crf, lengths)
+    B, T, K = emissions.shape
     if len(golds) != B:
         raise ValueError(f"{len(golds)} gold paths for {B} rows")
     paths = np.zeros((B, T), dtype=np.int64)
@@ -186,30 +185,39 @@ def crf_nll_with_grads(emissions: np.ndarray, crf: CrfLayer, golds, lengths,
     return log_z - gold_scores, d_emissions
 
 
-def viterbi_decode(emissions: np.ndarray, crf: CrfLayer):
-    """Maximum-scoring path and its score.
+def viterbi_decode(emissions: np.ndarray, crf: CrfLayer, lengths):
+    """Each row's maximum-scoring path and its score, for a padded batch.
 
-    Ties break toward the lowest tag index at every backtracking step
-    (argmax returns the first maximum).
+    ``emissions`` is (B, T, K) with row b's first ``lengths[b]`` positions
+    real and the rest padding, whatever it holds.  Returns (paths (B, T)
+    int64, scores (B,)): row b's path fills its first ``lengths[b]``
+    positions and is zero after them.  Every row runs the max and add of
+    the one-sentence recursion in the same order, so its path and score
+    are those of the row decoded alone.  Ties break toward the lowest tag
+    index at every backtracking step (argmax returns the first maximum).
     """
-    emissions = _check_emissions(emissions, crf)
+    emissions, lengths = _check_rows(emissions, crf, lengths)
     trans = crf.params["transitions"]
-    K = crf.num_tags
-    T = emissions.shape[0]
+    B, T, K = emissions.shape
     inner = trans[:K, :K]
+    rows = np.arange(B)
 
-    delta = emissions[0] + trans[crf.start, :K]
-    pointers = np.empty((T, K), dtype=np.int64)
+    delta = emissions[:, 0] + trans[crf.start, :K]
+    pointers = np.empty((B, T, K), dtype=np.int64)
     for t in range(1, T):
-        candidates = delta[:, None] + inner
-        pointers[t] = np.argmax(candidates, axis=0)
-        delta = emissions[t] + candidates[pointers[t], np.arange(K)]
+        candidates = delta[:, :, None] + inner
+        pointers[:, t] = np.argmax(candidates, axis=1)
+        step = emissions[:, t] + np.take_along_axis(
+            candidates, pointers[:, t, None], axis=1)[:, 0]
+        # a row past its end keeps its last real position's scores
+        delta = np.where((t < lengths)[:, None], step, delta)
     final = delta + trans[:K, crf.stop]
-    last = int(np.argmax(final))
-    score = float(final[last])
+    last = np.argmax(final, axis=1)
+    scores = final[rows, last]
 
-    path = np.empty(T, dtype=np.int64)
-    path[-1] = last
+    paths = np.zeros((B, T), dtype=np.int64)
+    paths[rows, lengths - 1] = last
     for t in range(T - 1, 0, -1):
-        path[t - 1] = pointers[t, path[t]]
-    return path, score
+        inside = t < lengths
+        paths[inside, t - 1] = pointers[inside, t, paths[inside, t]]
+    return paths, scores

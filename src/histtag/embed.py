@@ -16,14 +16,13 @@ component i's layer names with ``component{i}.``.
 Sentences run in groups: ``corpus.length_groups``, given the lengths of
 their texts, sorts them and cuts groups whose size times their longest
 text stays within a character budget, so each LM and each recurrence runs
-once per group on rows padded at their end.  Frozen components extract
-over groups of EXTRACT_CHARS (4,096) characters; the trainable components
-and the tagger run groups of GROUP_CHARS (1,024), which bound the caches
-backward keeps.  ``extraction_groups`` gathers the latter whole into the
-former.  An LM's working set is transient and grows with its group:
-gates, cells and outputs are 6 · H float32 values per character, about
-6.6 MB per direction at H = 64 and about 200 MB at paper scale
-(H = 2048), against about 100 MB for float64 over 1,024 characters.  A
+once per group on rows padded at their end.  The memo fill and
+``tagger.predict`` cut groups of EXTRACT_CHARS (4,096) characters; in
+``predict`` every component of the stack and the tagger run each group
+once.  Inference layers keep no backward cache (see ``nn``), so a
+recurrence's gates and cells live only while it runs: about 6.6 MB per
+LM direction over one group at H = 64 and about 200 MB at paper scale
+(H = 2048).  Training's mini-batches keep their caches for backward.  A
 row's values do not depend on the rows beside it beyond the rounding of
 the batched products.
 
@@ -44,8 +43,7 @@ and 8 per value of a word-table block (float64), so 16 KB per distinct
 token at paper scale (H = 2048 per LM direction).  Each memo stores blocks
 up to MEMO_BYTES (1 GiB); past that a miss is computed and not stored.  A
 stack built without memos, as ``load_ner`` builds it for ``ner predict``,
-reads transient memos (``StackedEmbedder.extracting``) for one extraction
-group at a time and keeps no block beyond it.
+runs its frozen components on every group and keeps no block beyond it.
 
 This module is the one place that knows each component kind: its
 ``kind`` name, the run-config keys naming the files it reads (``files``)
@@ -60,7 +58,6 @@ without building the component.
 import copy
 import logging
 import os
-from contextlib import contextmanager
 from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -84,9 +81,7 @@ CHAR_EMBED_DIM = 25
 CHAR_HIDDEN = 25
 MEMO_BYTES = 1 << 30
 # sentences per group times the group's longest text, in characters: the
-# groups trainable components and the tagger run, and the larger ones
-# frozen components extract over
-GROUP_CHARS = 1024
+# groups the memo fill extracts and ``tagger.predict`` tags
 EXTRACT_CHARS = 4096
 
 
@@ -96,23 +91,6 @@ class SentenceGroup(tuple):
     def texts(self) -> list[str]:
         """The token texts of every sentence, one per row of a block."""
         return [text for sentence in self for text in sentence.texts()]
-
-
-def extraction_groups(sentences: Sequence[Sentence]) -> list[tuple[list[int], list[list[int]]]]:
-    """The GROUP_CHARS ``length_groups`` of ``sentences``, gathered in order
-    into extraction groups whose size times their longest text stays
-    within EXTRACT_CHARS characters; returns (extraction group, its
-    groups) pairs, all as indices of ``sentences``."""
-    sizes = [len(sentence_text(s)) for s in sentences]
-    tiers: list[tuple[list[int], list[list[int]]]] = []
-    for group in length_groups(sizes, GROUP_CHARS):
-        longest = sizes[group[-1]]
-        if tiers and (len(tiers[-1][0]) + len(group)) * longest <= EXTRACT_CHARS:
-            tiers[-1][0].extend(group)
-            tiers[-1][1].append(group)
-        else:
-            tiers.append((list(group), [group]))
-    return tiers
 
 
 class WordTableEmbedder(Module):
@@ -454,23 +432,6 @@ class StackedEmbedder(Module):
                                 for c in self.components], self.memos)
         twin.dtype = dtype
         return twin
-
-    @contextmanager
-    def extracting(self, sentences: Sequence[Sentence]):
-        """Within the ``with`` block, each frozen component without a memo
-        reads from a transient one, filled with the blocks of
-        ``sentences`` in one extraction; ``memos`` is restored on leaving
-        it, also on error."""
-        own = self.memos
-        transient = {i: BlockMemo() for i, c in enumerate(self.components)
-                     if not c.named_layers and i not in own}
-        for i, memo in transient.items():
-            memo.lookup(self.components[i], sentences)
-        self.memos = {**own, **transient}
-        try:
-            yield
-        finally:
-            self.memos = own
 
     def forward(self, sentences: Sequence[Sentence]):
         """The (sentences × T × dim) block of ``sentences``, T their most

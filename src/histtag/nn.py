@@ -11,7 +11,10 @@ checked against central finite differences to tight tolerances.  Any
 layer can be copied in float32 (``Layer.cast``) for inference: the frozen
 LMs extract with such copies, and ``tagger.predict`` tags with a model whose
 trainable layers are.  ``Lstm.forward`` computes in the dtype of its
-weights, and its float64 path is the one training runs.
+weights, and its float64 path is the one training runs.  Inference layers
+keep no backward cache: a layer without gradient slots, as ``cast`` makes
+it, cannot run backward, so its ``Lstm.forward`` returns None for the
+cache and frees its gates and cells when it returns.
 """
 
 import copy
@@ -171,7 +174,9 @@ class Lstm(Layer):
         x: (B, T, input_dim); state: optional (h0, c0) each (B, H);
         lengths: optional (B,) ints in [0, T], all T when omitted.
         Returns hs (B, T, H), final state (hT, cT) each (B, H), and the
-        backward cache.
+        backward cache, or None for a layer without gradient slots (a
+        ``Layer.cast`` copy), which never runs backward: its gates and
+        cells are freed on return.
         """
         B, T, D = x.shape
         H = self.hidden_size
@@ -210,7 +215,7 @@ class Lstm(Layer):
                 np.copyto(ct, c, where=pad[t][:, None])
                 np.copyto(ht, h, where=pad[t][:, None])
             h, c = ht, ct
-        cache = (x_tm, pad, h0, c0, gates, cells, hs)
+        cache = (x_tm, pad, h0, c0, gates, cells, hs) if self.grads else None
         # copies, so a carried state does not keep the whole cache alive
         return hs.transpose(1, 0, 2), (h.copy(), c.copy()), cache
 

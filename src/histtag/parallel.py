@@ -1,5 +1,5 @@
 """Independent jobs run on the CPUs this process may use: ``lm train``'s
-directions, ``ner train``'s runs and the extraction tiers of
+directions, ``ner train``'s runs and the length groups of
 ``tagger.predict``, which ``ner predict`` calls.
 
 ``map_jobs(fn, items)`` returns ``[fn(item) for item in items]``.  It runs

@@ -6,10 +6,12 @@ emission scores, and a linear-chain CRF scores complete tag sequences.
 The model works in IOBES; this module alone converts corpora to it and
 predictions back to the scheme of the corpus they were made for.
 ``_emissions`` runs a list of sentences as one padded call per direction;
-``predict`` runs the length-sorted groups of ``embed.extraction_groups``,
-one ``parallel.map_jobs`` job per extraction group, on a float32 copy of
-the model (``NerModel.cast``): model files store float32, so tagging
-computes in it, and only the CRF and Viterbi stay float64.
+``predict`` runs the length-sorted groups of ``embed.EXTRACT_CHARS``
+characters, one ``parallel.map_jobs`` job per group, each one
+``_emissions`` call and one batched Viterbi, on a float32 copy of the
+model (``NerModel.cast``): model files store float32, so tagging computes
+in it, and only the CRF and Viterbi stay float64.  The copy's layers keep
+no backward cache.
 Training is SGD over shuffled mini-batches minimizing the mean sentence
 NLL.  Each mini-batch runs as one padded group: one ``_emissions`` call,
 one length-masked CRF forward-backward over its rows and one
@@ -32,9 +34,18 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Sentence, TaggedCorpus, TagScheme, convert_scheme, convert_tags
+from . import embed
+from .corpus import (
+    Sentence,
+    TaggedCorpus,
+    TagScheme,
+    convert_scheme,
+    convert_tags,
+    length_groups,
+    sentence_text,
+)
 from .crf import CrfLayer, crf_nll_with_grads, viterbi_decode
-from .embed import StackedEmbedder, component_class, extraction_groups
+from .embed import StackedEmbedder, component_class
 from .errors import (
     ConfigError,
     EmptyCorpusError,
@@ -163,39 +174,35 @@ def _row_reversal(lengths: np.ndarray, T: int):
 
 def predict(model: NerModel, corpus: TaggedCorpus) -> list[list[str]]:
     """Viterbi-decode every sentence in IOBES; returns one tag list per
-    sentence, in the scheme of ``corpus``.  Sentences run in the two tiers
-    of ``embed.extraction_groups``, each tier a ``parallel.map_jobs`` job:
-    the frozen components without a memo extract its EXTRACT_CHARS group
-    at once into transient memos, then its GROUP_CHARS groups run through
-    the stack and the tagger, and each sentence is decoded from its own
-    rows.  A row's values do not depend on the job it runs in, so the tags
-    do not depend on the number of CPUs.  A stack whose memos hold the
-    sentences already (dev scoring in training) extracts nothing.
+    sentence, in the scheme of ``corpus``.  Sentences run in the
+    ``corpus.length_groups`` of ``embed.EXTRACT_CHARS`` characters, each
+    group a ``parallel.map_jobs`` job that makes one ``_emissions`` call,
+    in which the frozen components without a memo extract the group, and
+    one batched ``viterbi_decode`` call.  A row's values do not depend on
+    the job it runs in, so the tags do not depend on the number of CPUs.
+    A stack whose memos hold the sentences already (dev scoring in
+    training) extracts nothing.
 
     Tagging runs in float32, the precision model files store: every group
     runs on ``model.cast(np.float32)``, made once here, before the jobs
-    fork, and ``model`` is left as it is.  Its emissions are within
-    FLOAT32_TAGGING_ATOL (tests/oracles.py) of the float64 ones; the CRF
-    stays float64, so Viterbi decodes them upcast."""
+    fork, and ``model`` is left as it is.  Its layers keep no backward
+    cache, so a group holds only its blocks, states and emissions.  Its
+    emissions are within FLOAT32_TAGGING_ATOL (tests/oracles.py) of the
+    float64 ones; the CRF stays float64, so Viterbi decodes them upcast."""
     sentences = corpus.sentences
     model = model.cast(np.float32)
 
-    def tag_tier(tier) -> list[tuple[int, list[str]]]:
-        extraction, groups = tier
-        tagged = []
-        with model.embedder.extracting([sentences[i] for i in extraction]):
-            for group in groups:
-                # the cache is dropped here, before the next group runs
-                emissions, lengths = model._emissions([sentences[i] for i in group])[:2]
-                for i, scores, length in zip(group, emissions, lengths):
-                    path, _ = viterbi_decode(scores[:length], model.crf)
-                    tagged.append((i, convert_tags([model.tags[k] for k in path],
-                                                   TagScheme.IOBES, corpus.scheme)))
-        return tagged
+    def tag_group(group: list[int]) -> list[list[str]]:
+        emissions, lengths = model._emissions([sentences[i] for i in group])[:2]
+        paths, _ = viterbi_decode(emissions, model.crf, lengths)
+        return [convert_tags([model.tags[k] for k in path[:length]],
+                             TagScheme.IOBES, corpus.scheme)
+                for path, length in zip(paths, lengths)]
 
+    groups = length_groups([len(sentence_text(s)) for s in sentences], embed.EXTRACT_CHARS)
     predicted: list = [None] * len(sentences)
-    for tagged in map_jobs(tag_tier, extraction_groups(sentences)):
-        for i, tags in tagged:
+    for group, tagged in zip(groups, map_jobs(tag_group, groups)):
+        for i, tags in zip(group, tagged):
             predicted[i] = tags
     return predicted
 

@@ -6,7 +6,7 @@ import pytest
 
 from histtag import nn
 from histtag.corpus import Sentence, TaggedCorpus, TagScheme, Token
-from histtag.crf import crf_nll_with_grads
+from histtag.crf import crf_nll_with_grads, viterbi_decode
 from histtag.serialization import _HEAD, FORMAT_VERSION, MAGIC
 
 from oracles import brute_path_score
@@ -30,6 +30,13 @@ def nll_of(emissions, crf, gold) -> float:
                                  [len(emissions)])
     crf.grads["transitions"][...] = grads
     return float(nlls[0])
+
+
+def decode_of(emissions, crf):
+    """The path and score ``viterbi_decode`` returns for (T × K)
+    ``emissions`` run as a batch of one."""
+    paths, scores = viterbi_decode(np.asarray(emissions)[None], crf, [len(emissions)])
+    return paths[0], float(scores[0])
 
 
 def score_of(emissions, crf, path) -> float:

@@ -5,9 +5,9 @@ code under test: span extraction scans with explicit two-pointer lookahead,
 CRF quantities are brute-force sums over every tag path, gradients come
 from central finite differences, the LSTM runs one sequence one step at
 a time where the library runs a padded batch, and contextual vectors,
-perplexities, tagger emissions, CRF likelihoods and training gradients
-come from each sentence run alone where the library runs padded groups of
-sentences.
+perplexities, tagger emissions, CRF likelihoods, Viterbi paths and
+training gradients come from each sentence run alone where the library
+runs padded groups of sentences.
 """
 
 import itertools
@@ -160,6 +160,39 @@ def sentence_step_reference(model, sentence, gold, scale):
     nll, d_emissions = crf_nll_reference(emissions[0], model.crf, gold, scale)
     model._backward(cache, d_emissions[None])
     return nll
+
+
+def viterbi_reference(emissions, crf):
+    """One sentence's maximum-scoring path and its score from the
+    unbatched recursion, the decoder the batched ``viterbi_decode``
+    replaced.  Ties break toward the lowest tag index at every
+    backtracking step (argmax returns the first maximum)."""
+    emissions = np.asarray(emissions, dtype=np.float64)
+    if emissions.ndim != 2 or emissions.shape[0] < 1:
+        raise ValueError("emissions must be a non-empty T × K matrix")
+    if emissions.shape[1] != crf.num_tags:
+        raise ValueError(
+            f"emissions have {emissions.shape[1]} columns, CRF has {crf.num_tags} tags")
+    trans = crf.params["transitions"]
+    K = crf.num_tags
+    T = emissions.shape[0]
+    inner = trans[:K, :K]
+
+    delta = emissions[0] + trans[crf.start, :K]
+    pointers = np.empty((T, K), dtype=np.int64)
+    for t in range(1, T):
+        candidates = delta[:, None] + inner
+        pointers[t] = np.argmax(candidates, axis=0)
+        delta = emissions[t] + candidates[pointers[t], np.arange(K)]
+    final = delta + trans[:K, crf.stop]
+    last = int(np.argmax(final))
+    score = float(final[last])
+
+    path = np.empty(T, dtype=np.int64)
+    path[-1] = last
+    for t in range(T - 1, 0, -1):
+        path[t - 1] = pointers[t, path[t]]
+    return path, score
 
 
 def brute_viterbi(emissions, transitions, start, stop):

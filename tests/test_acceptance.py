@@ -41,7 +41,7 @@ from histtag.corpus import (
     render_tags,
     EntitySpan,
 )
-from histtag.crf import CrfLayer, crf_nll_with_grads, viterbi_decode
+from histtag.crf import CrfLayer, crf_nll_with_grads
 from histtag.embed import CharFeatureEncoder, SentenceGroup, StackedEmbedder
 from histtag.evaluation import evaluate
 from histtag.nn import cross_entropy
@@ -50,7 +50,7 @@ from histtag.smlm import SmlmConfig, smlm_transform
 from histtag.tagger import NerModel, TaggerConfig, predict, train_ner
 from histtag.toydata import build_tagged_splits, write_toy_dataset
 
-from conftest import log_partition_of, make_corpus, nll_of
+from conftest import decode_of, log_partition_of, make_corpus, nll_of
 from oracles import (
     brute_log_partition,
     brute_nll,
@@ -95,7 +95,7 @@ def test_criterion_1_crf_oracle_equivalence():
         worst = max(worst, abs(nll_of(emissions, crf, gold) - brute_nll(
             emissions, trans, crf.start, crf.stop, gold)))
 
-        path, score = viterbi_decode(emissions, crf)
+        path, score = decode_of(emissions, crf)
         brute_path, brute_score = brute_viterbi(
             emissions, trans, crf.start, crf.stop)
         worst = max(worst, abs(score - brute_score))

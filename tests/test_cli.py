@@ -18,7 +18,14 @@ import yaml
 from histtag import cli, embed
 from histtag.charlm import CharLmConfig
 from histtag.cli import load_run_config, main, validate_config
-from histtag.corpus import TagScheme, extract_char_vocab, read_conll, read_plain
+from histtag.corpus import (
+    TagScheme,
+    extract_char_vocab,
+    length_groups,
+    read_conll,
+    read_plain,
+    sentence_text,
+)
 from histtag.errors import ConfigError
 from histtag.serialization import file_sha256
 from histtag.smlm import SmlmConfig
@@ -776,12 +783,13 @@ class TestParallelJobs:
 
     def test_runs_tag_several_tiers_as_in_the_serial_run(self, toy, lm_dir, tmp_path,
                                                          monkeypatch):
-        """A run's ``predict`` calls run their tiers inline in the run's
-        process, which for run 1 is a worker that may not fork."""
+        """A run's ``predict`` calls run their jobs, one per length group,
+        inline in the run's process, which for run 1 is a worker that may
+        not fork."""
         monkeypatch.setattr(embed, "EXTRACT_CHARS", 80)
-        monkeypatch.setattr(embed, "GROUP_CHARS", 40)
         test = read_conll(toy["test"], 0, 1, TagScheme.IOB2)
-        assert len(embed.extraction_groups(test.sentences)) >= 2
+        assert len(length_groups([len(sentence_text(s)) for s in test],
+                                 embed.EXTRACT_CHARS)) >= 2
         cfg = stacked_config(tmp_path / "ner.yaml", toy["train"].parent, lm_dir,
                              Path("ner"), runs=2)
         outputs = {}

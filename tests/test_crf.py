@@ -12,7 +12,7 @@ from histtag.crf import (
     viterbi_decode,
 )
 
-from conftest import log_partition_of, nll_of, score_of
+from conftest import decode_of, log_partition_of, nll_of, score_of
 from oracles import (
     brute_log_partition,
     brute_nll,
@@ -21,6 +21,7 @@ from oracles import (
     crf_nll_reference,
     gradient_relative_error,
     numeric_gradient,
+    viterbi_reference,
 )
 
 IOBES_TAGS = ("O", "B-PER", "I-PER", "E-PER", "S-PER", "B-LOC", "I-LOC",
@@ -268,10 +269,12 @@ class TestBatch:
 
 
 class TestViterbi:
+    """The one-sentence properties, each sentence decoded as a batch of one."""
+
     def test_single_position(self):
         rng = np.random.default_rng(13)
         emissions, crf = random_instance(rng, 1, 4)
-        path, score = viterbi_decode(emissions, crf)
+        path, score = decode_of(emissions, crf)
         trans = crf.params["transitions"]
         totals = trans[crf.start, :4] + emissions[0] + trans[:4, crf.stop]
         assert path[0] == np.argmax(totals)
@@ -282,7 +285,7 @@ class TestViterbi:
         for _ in range(25):
             T, K = int(rng.integers(1, 6)), int(rng.integers(1, 5))
             emissions, crf = random_instance(rng, T, K)
-            path, score = viterbi_decode(emissions, crf)
+            path, score = decode_of(emissions, crf)
             b_path, b_score = brute_viterbi(
                 emissions, crf.params["transitions"], crf.start, crf.stop)
             assert abs(score - b_score) < 1e-9
@@ -291,13 +294,13 @@ class TestViterbi:
     def test_returned_score_is_path_score(self):
         rng = np.random.default_rng(15)
         emissions, crf = random_instance(rng, 5, 3)
-        path, score = viterbi_decode(emissions, crf)
+        path, score = decode_of(emissions, crf)
         assert abs(score - score_of(emissions, crf, path)) < 1e-12
 
     def test_all_zero_ties_break_low(self):
         crf = free_crf(3)
         crf.params["transitions"][...] = 0.0
-        path, score = viterbi_decode(np.zeros((4, 3)), crf)
+        path, score = decode_of(np.zeros((4, 3)), crf)
         assert path.tolist() == [0, 0, 0, 0]
         assert score == 0.0
 
@@ -307,9 +310,87 @@ class TestViterbi:
         for _ in range(50):
             T = int(rng.integers(1, 9))
             emissions = rng.standard_normal((T, len(IOBES_TAGS))) * 3
-            path, _ = viterbi_decode(emissions, crf)
+            path, _ = decode_of(emissions, crf)
             tags = [IOBES_TAGS[i] for i in path]
             extract_spans(tags, TagScheme.IOBES)  # raises if ill-formed
+
+
+def padded_block(rng, lengths, K, scale=1.0):
+    """A (B, T, K) block of random emissions, T the longest length, with
+    random values in the padding too, which no row may read."""
+    return rng.standard_normal((len(lengths), max(lengths), K)) * scale
+
+
+class TestBatchedViterbi:
+    """``viterbi_decode`` over a padded block gives every row the path and
+    score of ``oracles.viterbi_reference`` on its unpadded emissions.  Both
+    run the same max and add in the same order, so they are equal, not
+    close."""
+
+    @staticmethod
+    def assert_rows_equal_the_reference(emissions, crf, lengths):
+        paths, scores = viterbi_decode(emissions, crf, lengths)
+        assert paths.shape == emissions.shape[:2] and paths.dtype == np.int64
+        assert scores.shape == (len(lengths),) and scores.dtype == np.float64
+        for path, score, row, length in zip(paths, scores, emissions, lengths):
+            ref_path, ref_score = viterbi_reference(row[:length], crf)
+            assert path[:length].tolist() == ref_path.tolist()
+            assert not path[length:].any()
+            assert score == ref_score
+
+    def test_random_padded_blocks_with_one_token_rows(self):
+        rng = np.random.default_rng(20)
+        for _ in range(30):
+            K = int(rng.integers(1, 6))
+            _, crf = random_instance(rng, 1, K)
+            lengths = rng.integers(1, 9, size=int(rng.integers(1, 7)))
+            lengths[rng.integers(len(lengths))] = 1
+            self.assert_rows_equal_the_reference(padded_block(rng, lengths, K), crf, lengths)
+
+    def test_float32_emissions_decode_upcast(self):
+        rng = np.random.default_rng(21)
+        _, crf = random_instance(rng, 1, 4)
+        lengths = np.array([5, 1, 3])
+        emissions = padded_block(rng, lengths, 4).astype(np.float32)
+        self.assert_rows_equal_the_reference(emissions, crf, lengths)
+
+    def test_all_zero_ties_break_low_in_every_row(self):
+        crf = free_crf(3)
+        crf.params["transitions"][...] = 0.0
+        lengths = np.array([4, 1, 2])
+        paths, scores = viterbi_decode(np.zeros((3, 4, 3)), crf, lengths)
+        assert paths.tolist() == [[0] * 4] * 3
+        assert scores.tolist() == [0.0] * 3
+        self.assert_rows_equal_the_reference(np.zeros((3, 4, 3)), crf, lengths)
+
+    def test_constrained_crf(self):
+        rng = np.random.default_rng(22)
+        crf = CrfLayer(IOBES_TAGS, rng)
+        for _ in range(10):
+            lengths = rng.integers(1, 9, size=6)
+            lengths[0] = 1
+            emissions = padded_block(rng, lengths, len(IOBES_TAGS), scale=3.0)
+            self.assert_rows_equal_the_reference(emissions, crf, lengths)
+            paths, _ = viterbi_decode(emissions, crf, lengths)
+            for path, length in zip(paths, lengths):
+                extract_spans([IOBES_TAGS[i] for i in path[:length]], TagScheme.IOBES)
+
+    @pytest.mark.parametrize("lengths,message", [
+        ([3, 0], r"lengths must be 2 integers in \[1, 3\]"),
+        ([3, 4], r"lengths must be 2 integers in \[1, 3\]"),
+        ([3.0, 2.0], "lengths must be 2 integers"),
+        ([3], "lengths must be 2 integers"),
+    ], ids=["length_zero", "length_above_T", "float_lengths", "lengths_shape"])
+    def test_lengths_checked(self, lengths, message):
+        emissions, crf = random_instance(np.random.default_rng(23), 3, 3)
+        with pytest.raises(ValueError, match=message):
+            viterbi_decode(np.stack([emissions, emissions]), crf, lengths)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (0, 3, 3), (2, 0, 3), (2, 3, 4)])
+    def test_shape_checked(self, shape):
+        _, crf = random_instance(np.random.default_rng(23), 3, 3)
+        with pytest.raises(ValueError, match="emissions"):
+            viterbi_decode(np.zeros(shape), crf, [1, 1])
 
 
 class TestValidation:

@@ -14,7 +14,6 @@ from histtag.embed import (
     StackedEmbedder,
     WordTableEmbedder,
     embedder_factory,
-    extraction_groups,
     load_vectors,
 )
 from histtag.errors import ConfigError, ParseError
@@ -262,14 +261,6 @@ class TestGroups:
         np.testing.assert_array_equal(vecs[3, :, 0], [0, 2, 0, 0, 0, 0])
         np.testing.assert_array_equal(vecs[1, :, 0], [1, 0, 0, 0, 0, 0])
 
-    def test_extraction_groups_gather_whole_groups_within_their_budget(self, monkeypatch):
-        monkeypatch.setattr(embed, "GROUP_CHARS", 24)
-        monkeypatch.setattr(embed, "EXTRACT_CHARS", 40)
-        # groups [1, 4, 3], [0], [5], [2] of longest text 8, 12, 19, 26: two
-        # rows of 19 fit in 40 characters, four of 12 and three of 26 do not
-        assert extraction_groups(GROUP_SENTENCES) == [
-            ([1, 4, 3], [[1, 4, 3]]), ([0, 5], [[0], [5]]), ([2], [[2]])]
-
 
 def table_embedder(words, dim, fill):
     entries = {w: np.full(dim, v) for w, v in zip(words, fill)}
@@ -422,7 +413,6 @@ class TestBlockMemo:
         np.testing.assert_allclose(memo_vecs, plain_vecs, rtol=0, atol=1e-12)
 
     def test_fill_extracts_in_groups_of_extract_chars(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(embed, "GROUP_CHARS", 24)
         monkeypatch.setattr(embed, "EXTRACT_CHARS", 40)
         groups = []
         forward = ContextualEmbedder.forward
@@ -433,8 +423,8 @@ class TestBlockMemo:
         monkeypatch.setattr(ContextualEmbedder, "forward", recording)
         embedder_factory(frozen_entries(tmp_path), CharVocabulary("adeltsTor"), MEMO_SENTENCES)
         # text lengths 4, 7, 12, 12, 20: three rows of 12 fit in 40
-        # characters (a fill in groups of 24 would make three calls), and
-        # the second "das alte Tor" is stored already
+        # characters and four do not, and the second "das alte Tor", which
+        # starts the second group, is stored already
         assert groups == [["alte", "Tor das", "das alte Tor"], ["Tor das alte Tor das"]]
 
     def test_misses_extracted_together_and_stored_per_sentence(self):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,26 @@ class TestLstm:
         for name, p in self.lstm.params.items():
             assert p.dtype == np.float64 and lstm32.params[name].dtype == np.float32
             np.testing.assert_array_equal(p, before[name])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cast_forward_keeps_no_cache(self, dtype):
+        """A ``Layer.cast`` copy has no gradient slots, so it never runs
+        backward: its forward returns no cache, and the output and
+        final-state bits of a layer that has the same weights and keeps
+        its cache."""
+        cast = self.lstm.cast(dtype)
+        keeping = copy.copy(cast)
+        keeping.grads = {name: np.zeros_like(p) for name, p in cast.params.items()}
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((3, 7, 3)).astype(dtype)
+            state = tuple(rng.standard_normal((3, 5)).astype(dtype) * 0.1 for _ in range(2))
+            hs, (hT, cT), cache = cast.forward(x, state, self.LENGTHS)
+            k_hs, (k_hT, k_cT), k_cache = keeping.forward(x, state, self.LENGTHS)
+            assert cache is None and k_cache is not None
+            for got, want in ((hs, k_hs), (hT, k_hT), (cT, k_cT)):
+                assert got.dtype == want.dtype == dtype
+                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("lengths", [[8, 3], [4], [4, -1], [4, 0, 1]])
     def test_rejects_bad_lengths(self, lengths):

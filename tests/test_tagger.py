@@ -14,8 +14,8 @@ from histtag.corpus import (
     convert_tags,
     extract_char_vocab,
     extract_spans,
+    length_groups,
 )
-from histtag.crf import viterbi_decode
 from histtag.embed import (
     CharFeatureEncoder,
     ContextualEmbedder,
@@ -47,6 +47,7 @@ from oracles import (
     gradient_relative_error,
     numeric_gradient,
     sentence_step_reference,
+    viterbi_reference,
 )
 
 TRAIN_SENTENCES = [
@@ -460,7 +461,9 @@ class TestGroupedPath:
                          np.random.default_rng(9))
         tags = predict(model, corpus)
         longest = max(corpus, key=lambda s: len(" ".join(s.texts())))
-        monkeypatch.setattr(embed, "GROUP_CHARS", len(" ".join(longest.texts())) - 1)
+        monkeypatch.setattr(embed, "EXTRACT_CHARS", len(" ".join(longest.texts())) - 1)
+        # on one CPU every group runs in this process, where the recorder sees it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         groups = []
         emissions = NerModel._emissions
 
@@ -474,17 +477,18 @@ class TestGroupedPath:
 
 
 class TestTwoTierPredict:
-    """``predict`` extracts frozen blocks over EXTRACT_CHARS groups and runs
-    GROUP_CHARS groups through the stack and the tagger.  Budgets of 80 and
-    40 characters cut the corpus below into several of each."""
+    """``predict`` runs each ``corpus.length_groups`` group of EXTRACT_CHARS
+    characters as one job: one ``_emissions`` call, in which the frozen
+    components extract the group, and one batched ``viterbi_decode``.  A
+    budget of 80 characters cuts the corpus below into several groups."""
 
     SENTENCES = TRAIN_SENTENCES + [
         ONE_TOKEN, [("Anna", "S-PER"), ("und", "O"), ("Karl", "S-PER"), ("wohnen", "O"),
                     ("in", "O"), ("Wien", "S-LOC"), ("und", "O"), ("Graz", "S-LOC")]]
+    BUDGET = 80
 
     def model_and_corpus(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(embed, "EXTRACT_CHARS", 80)
-        monkeypatch.setattr(embed, "GROUP_CHARS", 40)
+        monkeypatch.setattr(embed, "EXTRACT_CHARS", self.BUDGET)
         corpus = toy_corpus(self.SENTENCES)
         model = NerModel(full_embedder(tmp_path, corpus), ("O", "S-LOC", "S-PER"), 7,
                          np.random.default_rng(9))
@@ -495,68 +499,68 @@ class TestTwoTierPredict:
     def reference_tags(self, tmp_path, model, corpus):
         lms = saved_lms(tmp_path)
         return [[model.tags[k] for k in
-                 viterbi_decode(emissions_reference(model, sentence, lms), model.crf)[0]]
+                 viterbi_reference(emissions_reference(model, sentence, lms), model.crf)[0]]
                 for sentence in corpus]
+
+    def record_groups(self, monkeypatch):
+        """The sentences of each ``_emissions`` call, on one CPU, where
+        every job runs in this process."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        groups = []
+        emissions = NerModel._emissions
+
+        def recording(self, sentences):
+            groups.append(list(sentences))
+            return emissions(self, sentences)
+        monkeypatch.setattr(NerModel, "_emissions", recording)
+        return groups
 
     def test_tags_equal_the_reference_per_sentence(self, tmp_path, monkeypatch):
         model, corpus = self.model_and_corpus(tmp_path, monkeypatch)
-        # on one CPU every tier runs in this process, where the recorders see it
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        extractions, groups = [], []
-        extracting, emissions = StackedEmbedder.extracting, NerModel._emissions
-
-        def recording_extracting(self, sentences):
-            extractions.append(list(sentences))
-            return extracting(self, sentences)
-
-        def recording_emissions(self, sentences):
-            groups.append(list(sentences))
-            return emissions(self, sentences)
-        monkeypatch.setattr(StackedEmbedder, "extracting", recording_extracting)
-        monkeypatch.setattr(NerModel, "_emissions", recording_emissions)
+        groups = self.record_groups(monkeypatch)
         tags = predict(model, corpus)
         assert tags == self.reference_tags(tmp_path, model, corpus)
         assert len({t for sentence_tags in tags for t in sentence_tags}) > 1
-        # several extraction groups, one of them run as several stack groups,
-        # each stack group inside the extraction group it runs in
-        assert len(extractions) > 1 and len(groups) > len(extractions)
+        # several groups, some of several sentences, each within the budget
+        # unless it holds one sentence, and every sentence in one of them
+        assert len(groups) > 1 and max(map(len, groups)) > 1
         for group in groups:
-            assert any(all(s in extraction for s in group) for extraction in extractions)
-        assert sum(map(len, extractions)) == sum(map(len, groups)) == len(corpus)
+            longest = max(len(" ".join(s.texts())) for s in group)
+            assert len(group) == 1 or len(group) * longest <= self.BUDGET
+        assert sorted(map(id, (s for group in groups for s in group))) == sorted(
+            map(id, corpus))
 
     def test_decodes_float32_emissions_within_the_bound(self, tmp_path, monkeypatch):
-        """The groups run on a float32 copy of the model: the emissions
-        Viterbi decodes are float32, within FLOAT32_TAGGING_ATOL of the
-        float64 reference, and give the reference's tags."""
+        """The groups run on a float32 copy of the model: each group's
+        emissions go to one ``viterbi_decode`` call as float32, each row
+        within FLOAT32_TAGGING_ATOL of the float64 reference, and give the
+        reference's tags."""
         model, corpus = self.model_and_corpus(tmp_path, monkeypatch)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        grouped, decoded = [], []
-        emissions, decode = NerModel._emissions, tagger.viterbi_decode
+        groups = self.record_groups(monkeypatch)
+        decoded = []
+        decode = tagger.viterbi_decode
 
-        def recording_emissions(self, sentences):
-            grouped.extend(sentences)
-            return emissions(self, sentences)
-
-        def recording_decode(scores, crf):
-            decoded.append(scores)
-            return decode(scores, crf)
-        monkeypatch.setattr(NerModel, "_emissions", recording_emissions)
+        def recording_decode(scores, crf, lengths):
+            decoded.append((scores, lengths))
+            return decode(scores, crf, lengths)
         monkeypatch.setattr(tagger, "viterbi_decode", recording_decode)
         tags = predict(model, corpus)
         lms = saved_lms(tmp_path)
-        # each group's sentences are decoded in the order they ran
-        for sentence, scores in zip(grouped, decoded, strict=True):
+        assert len(decoded) == len(groups) > 1
+        for group, (scores, lengths) in zip(groups, decoded, strict=True):
             assert scores.dtype == np.float32
-            np.testing.assert_allclose(scores, emissions_reference(model, sentence, lms),
-                                       rtol=0, atol=FLOAT32_TAGGING_ATOL)
-        assert len(decoded) == len(corpus)
+            for sentence, row, length in zip(group, scores, lengths, strict=True):
+                assert length == len(sentence)
+                np.testing.assert_allclose(row[:length], emissions_reference(model, sentence, lms),
+                                           rtol=0, atol=FLOAT32_TAGGING_ATOL)
         assert tags == self.reference_tags(tmp_path, model, corpus)
 
     def test_tags_do_not_depend_on_the_cpus(self, tmp_path, monkeypatch):
-        """Each tier is a ``parallel.map_jobs`` job: on two CPUs a forked
-        worker tags the second."""
+        """Each group is a ``parallel.map_jobs`` job: on two CPUs a forked
+        worker tags every second one."""
         model, corpus = self.model_and_corpus(tmp_path, monkeypatch)
-        assert len(embed.extraction_groups(corpus.sentences)) >= 3
+        assert len(length_groups([len(" ".join(s.texts())) for s in corpus],
+                                 embed.EXTRACT_CHARS)) >= 3
         tags = {}
         for cpus in (1, 2):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -565,6 +569,9 @@ class TestTwoTierPredict:
         assert tags[2] == tags[1] == self.reference_tags(tmp_path, model, corpus)
 
     def test_stack_memos_restored_also_on_error(self, tmp_path, monkeypatch):
+        """``predict`` gives a stack without memos none, not even for one
+        group: its frozen components run inside ``_emissions``, and the
+        model's memo mapping is the same empty one after a failing group."""
         model, corpus = self.model_and_corpus(tmp_path, monkeypatch)
         memos = model.embedder.memos
         predict(model, corpus)
@@ -574,13 +581,15 @@ class TestTwoTierPredict:
 
         def failing(self, sentences):
             calls.append(sentences)
+            assert self.embedder.memos == {}
             if len(calls) == 2:
-                assert set(self.embedder.memos) == {0, 2}
                 raise RuntimeError("stop")
             return emissions(self, sentences)
         monkeypatch.setattr(NerModel, "_emissions", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         with pytest.raises(RuntimeError, match="stop"):
             predict(model, corpus)
+        assert len(calls) == 2
         assert model.embedder.memos is memos and memos == {}
 
 
@@ -653,6 +662,28 @@ class TestFrozenMemo:
         assert predict(loaded, corpus) == predict(loaded, corpus)
         assert loaded.embedder.memos == {}
         assert len(calls) == 2 * len(corpus)
+
+
+class TestInferenceCaches:
+    """The float32 copy ``predict`` tags with keeps no LSTM cache, so a
+    group holds no gates and cells once each recurrence has run; the
+    float64 model keeps every cache ``_backward`` reads."""
+
+    def test_cast_model_emissions_hold_no_lstm_cache(self, tmp_path):
+        corpus = toy_corpus()
+        model = NerModel(full_embedder(tmp_path, corpus), ("O", "S-LOC", "S-PER"), 7,
+                         np.random.default_rng(9))
+        cast = model.cast(np.float32)
+        emissions, lengths, (emb_cache, _, f_cache, b_cache, _) = cast._emissions(
+            corpus.sentences)
+        _, char_caches = emb_cache
+        (_, _, char_f, char_b), = char_caches
+        assert f_cache is b_cache is char_f is char_b is None
+        assert emissions.dtype == np.float32
+        _, _, (emb_cache, _, f_cache, b_cache, _) = model._emissions(corpus.sentences)
+        (_, _, char_f, char_b), = emb_cache[1]
+        for cache in (f_cache, b_cache, char_f, char_b):
+            assert len(cache) == 7
 
 
 class TestPredictLeavesItsModel:
