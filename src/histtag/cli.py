@@ -27,7 +27,8 @@ train`` run are nested in its job and run their groups inline.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 The only environment variable is HISTTAG_LOG, which sets the logging
-level (default WARNING).
+level by name, in any case (default WARNING); a value that names no level
+is a config error.
 """
 
 import argparse
@@ -381,6 +382,8 @@ def cmd_lm_train(args) -> int:
     out_dir = Path(_require(_pick(args.output_dir, section, "output_dir"),
                             "--output-dir"))
     seed = _pick(args.seed, section, "seed", 0)
+    if seed < 0:
+        raise ConfigError(f"lm.seed must be non-negative, got {seed}")
     directions = (("forward", "backward") if args.direction == "both"
                   else (args.direction,))
 
@@ -717,19 +720,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _log_level() -> int:
+    """The logging level HISTTAG_LOG names, in any case; WARNING when it
+    is unset or empty."""
+    name = os.environ.get("HISTTAG_LOG") or "WARNING"
+    level = logging.getLevelName(name.upper())
+    if not isinstance(level, int):
+        raise ConfigError(f"HISTTAG_LOG must name a logging level such as debug, "
+                          f"info or warning, got {name!r}")
+    return level
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("HISTTAG_LOG", "WARNING"))
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        logging.basicConfig(level=_log_level())
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except HisttagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (HisttagError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,17 +1,19 @@
 """Per-token embeddings: static word vectors, trainable character
 features, and contextual extractions from pre-trained character LMs.
 
-Every component has ``dim``, ``forward(sentences)`` and ``named_layers``
-naming its trainable layers.  ``forward`` takes a SentenceGroup, a tuple
-of sentences whose ``texts()`` lists all their token texts in order, and
+Every component has ``dim``, ``forward`` and ``named_layers`` naming its
+trainable layers.  ``forward`` takes a SentenceGroup, a tuple of
+sentences whose ``texts()`` lists all their token texts in order, and
 returns one row per token in that order.  A frozen component (word table,
-contextual) has no layers: its ``forward`` returns the (tokens × dim)
-block alone, a function of each sentence's token texts.  A trainable
-component (char features) returns the block plus a cache for its
-``backward(cache, grad)``.  A StackedEmbedder concatenates component
-blocks in a fixed order into one padded (sentences × tokens × dim) block,
-routes each trainable component its gradient columns, and prefixes
-component i's layer names with ``component{i}.``.
+contextual) has no layers: its ``forward(sentences)`` returns the (tokens
+× dim) block alone, a function of each sentence's token texts.  A
+trainable component (char features) has ``forward(sentences, dtype)``,
+which computes in ``dtype`` and returns the block plus a cache for its
+``backward(cache, grad)``, which runs after a float64 forward only.  A
+StackedEmbedder concatenates component blocks in a fixed order into one
+padded (sentences × tokens × dim) block, routes each trainable component
+its gradient columns, and prefixes component i's layer names with
+``component{i}.``.
 
 Sentences run in groups: ``corpus.length_groups``, given the lengths of
 their texts, sorts them and cuts groups whose size times their longest
@@ -19,8 +21,8 @@ text stays within a character budget, so each LM and each recurrence runs
 once per group on rows padded at their end.  The memo fill and
 ``tagger.predict`` cut groups of EXTRACT_CHARS (4,096) characters; in
 ``predict`` every component of the stack and the tagger run each group
-once.  Inference layers keep no backward cache (see ``nn``), so a
-recurrence's gates and cells live only while it runs: about 6.6 MB per
+once.  A float32 recurrence keeps no backward cache (see ``nn``), so in
+inference its gates and cells live only while it runs: about 6.6 MB per
 LM direction over one group at H = 64 and about 200 MB at paper scale
 (H = 2048).  Training's mini-batches keep their caches for backward.  A
 row's values do not depend on the rows beside it beyond the rounding of
@@ -31,8 +33,9 @@ their weights in: ``ContextualEmbedder`` keeps only float32 copies of its
 LMs' embedding and LSTM weights and leaves the LMs it is given as they
 are.  Its blocks are within 1e-6 of the float64 LMs' states (at most 4.2e-7
 measured at H = 64, on values up to 0.92).  Training computes everything
-else in float64; a ``StackedEmbedder.cast`` copy, which ``tagger.predict``
-tags with, runs the char features in float32 and builds float32 blocks.
+else in float64; ``StackedEmbedder.forward`` builds its block in the dtype
+it is given, float32 when ``tagger.predict`` tags, and runs the char
+features in it.
 
 Frozen blocks are memoized.  ``embedder_factory`` gives each frozen
 component one BlockMemo, shared by every stack it builds, so one ``ner
@@ -55,7 +58,6 @@ referenced files relative to the model file's directory, and
 without building the component.
 """
 
-import copy
 import logging
 import os
 from itertools import accumulate
@@ -225,14 +227,6 @@ class CharFeatureEncoder(Module):
     def named_layers(self) -> tuple:
         return (("embedding", self.embedding), ("fwd", self.fwd), ("bwd", self.bwd))
 
-    def cast(self, dtype) -> "CharFeatureEncoder":
-        """A copy for inference whose layers are ``Layer.cast`` copies in
-        ``dtype``; this encoder is left as it is."""
-        twin = copy.copy(self)
-        twin.embedding, twin.fwd, twin.bwd = (
-            layer.cast(dtype) for layer in (self.embedding, self.fwd, self.bwd))
-        return twin
-
     @staticmethod
     def _check_dims(embed_dim: int, hidden: int) -> None:
         for name, value in (("embed_dim", embed_dim), ("hidden", hidden)):
@@ -266,7 +260,7 @@ class CharFeatureEncoder(Module):
         return {"kind": self.kind, "vocab": self.vocab.codepoints(),
                 "embed_dim": self.embed_dim, "hidden": self.hidden}
 
-    def forward(self, sentences: SentenceGroup):
+    def forward(self, sentences: SentenceGroup, dtype=np.float64):
         # a token's features depend on its text alone: each distinct text
         # runs once, and ``rows`` maps every token to its text's row
         texts, rows = np.unique(sentences.texts(), return_inverse=True)
@@ -279,6 +273,7 @@ class CharFeatureEncoder(Module):
             indices[0, j, :len(c)] = c
             indices[1, j, :len(c)] = c[::-1]
         emb, emb_cache = self.embedding.forward(indices)
+        emb = emb.astype(dtype, copy=False)
         _, (hf, _), f_cache = self.fwd.forward(emb[0], lengths=lengths)
         _, (hb, _), b_cache = self.bwd.forward(emb[1], lengths=lengths)
         return np.concatenate([hf, hb], axis=1)[rows], (rows, emb_cache, f_cache, b_cache)
@@ -402,11 +397,7 @@ class StackedEmbedder(Module):
 
     ``memos`` maps the index of a frozen component to the BlockMemo its
     blocks come from; a frozen component without one runs on every call.
-    Blocks are built in ``dtype``: float64, or the dtype of a ``cast``
-    copy.
     """
-
-    dtype = np.float64
 
     def __init__(self, components: Sequence,
                  memos: Optional[Mapping[int, BlockMemo]] = None):
@@ -424,23 +415,15 @@ class StackedEmbedder(Module):
         self._trainable = tuple((c, columns) for c, columns in zip(self.components, self._columns)
                                 if c.named_layers)
 
-    def cast(self, dtype) -> "StackedEmbedder":
-        """A copy for inference that builds its blocks in ``dtype``, with
-        ``cast`` copies of the trainable components; it shares the frozen
-        components and their memos, and this stack is left as it is."""
-        twin = StackedEmbedder([c.cast(dtype) if c.named_layers else c
-                                for c in self.components], self.memos)
-        twin.dtype = dtype
-        return twin
-
-    def forward(self, sentences: Sequence[Sentence]):
-        """The (sentences × T × dim) block of ``sentences``, T their most
-        tokens, with row b's ``lengths[b]`` tokens first and zeros after;
-        returns it, ``lengths`` and the cache for ``backward``."""
+    def forward(self, sentences: Sequence[Sentence], dtype=np.float64):
+        """The (sentences × T × dim) block of ``sentences`` in ``dtype``, T
+        their most tokens, with row b's ``lengths[b]`` tokens first and
+        zeros after; returns it, ``lengths`` and the cache for
+        ``backward``, which needs a float64 block."""
         group = SentenceGroup(sentences)
         lengths = np.array([len(s) for s in group])
         real = np.arange(lengths.max()) < lengths[:, None]
-        vecs = np.zeros(real.shape + (self.dim,), self.dtype)
+        vecs = np.zeros(real.shape + (self.dim,), dtype)
         # frozen blocks first, so no extraction runs while caches are held
         for i, (c, columns) in enumerate(zip(self.components, self._columns)):
             if i in self.memos:
@@ -449,7 +432,7 @@ class StackedEmbedder(Module):
                 vecs[real, columns] = c.forward(group)
         caches = []
         for c, columns in self._trainable:
-            block, cache = c.forward(group)
+            block, cache = c.forward(group, dtype)
             vecs[real, columns] = block
             caches.append(cache)
         return vecs, lengths, (real, caches)

@@ -7,14 +7,14 @@ returns the gradient with respect to the layer input.  ``Lstm`` is the one
 recurrence: it runs a (B, T, D) batch of left-aligned sequences with an
 optional ``lengths`` mask, and callers with a single sequence pass B = 1.
 Parameters and training math are float64, so analytic gradients can be
-checked against central finite differences to tight tolerances.  Any
-layer can be copied in float32 (``Layer.cast``) for inference: the frozen
-LMs extract with such copies, and ``tagger.predict`` tags with a model whose
-trainable layers are.  ``Lstm.forward`` computes in the dtype of its
-weights, and its float64 path is the one training runs.  Inference layers
-keep no backward cache: a layer without gradient slots, as ``cast`` makes
-it, cannot run backward, so its ``Lstm.forward`` returns None for the
-cache and frees its gates and cells when it returns.
+checked against central finite differences to tight tolerances.
+``Linear.forward`` and ``Lstm.forward`` compute in the dtype of their
+input, casting the parameters to it (no copy in float64, the training
+path): ``tagger.predict`` tags in float32 by passing float32 blocks.
+Backward runs in float64 only, so a float32 ``Lstm.forward`` returns None
+for the cache and frees its gates and cells when it returns.  A layer can
+also be copied in float32 (``Layer.cast``); the frozen LMs extract with
+such copies.
 """
 
 import copy
@@ -125,7 +125,9 @@ class Linear(Layer):
         return {"weight": (in_dim, out_dim), "bias": (out_dim,)}
 
     def forward(self, x: np.ndarray):
-        return x @ self.params["weight"] + self.params["bias"], x
+        weight = self.params["weight"].astype(x.dtype, copy=False)
+        bias = self.params["bias"].astype(x.dtype, copy=False)
+        return x @ weight + bias, x
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
         x = cache
@@ -145,8 +147,8 @@ class Lstm(Layer):
     Gate pre-activations sit in one 4H block ordered input, forget, cell,
     output.  The input projection for all steps is one matrix product; the
     recurrence is the only per-step loop, over time-major (T, B, ·) arrays.
-    ``forward`` computes in the dtype of the weights (float32 for a layer
-    made by ``cast``); ``backward`` is float64 only.
+    ``forward`` computes in the dtype of ``x``; ``backward`` is float64
+    only.
     """
 
     def __init__(self, input_dim: int, hidden_size: int, rng: np.random.Generator):
@@ -174,28 +176,29 @@ class Lstm(Layer):
         x: (B, T, input_dim); state: optional (h0, c0) each (B, H);
         lengths: optional (B,) ints in [0, T], all T when omitted.
         Returns hs (B, T, H), final state (hT, cT) each (B, H), and the
-        backward cache, or None for a layer without gradient slots (a
-        ``Layer.cast`` copy), which never runs backward: its gates and
-        cells are freed on return.
+        backward cache, or None for a forward not in float64, which never
+        runs backward: its gates and cells are freed on return.
         """
         B, T, D = x.shape
         H = self.hidden_size
-        dtype = self.params["Wh"].dtype
+        dtype = x.dtype
         if state is None:
             h0 = c0 = np.zeros((B, H), dtype)
         else:
             h0, c0 = state
         pad = _padding_mask(lengths, B, T)
         # no copies in float64, the training path
+        Wx, Wh, bias = (self.params[name].astype(dtype, copy=False)
+                        for name in ("Wx", "Wh", "bias"))
         slope = self._slope.astype(dtype, copy=False)
         offset = self._offset.astype(dtype, copy=False)
-        Wh = self.params["Wh"] * slope
+        Wh = Wh * slope
         # time-major, so each step reads and writes contiguous (B, 4H)
         # blocks; gates first hold the scaled input projection, then the
         # activated gates
         x_tm = x.transpose(1, 0, 2).reshape(T * B, D)
-        gates = (x_tm @ self.params["Wx"]).reshape(T, B, 4 * H)
-        gates += self.params["bias"]
+        gates = (x_tm @ Wx).reshape(T, B, 4 * H)
+        gates += bias
         gates *= slope
         cells = np.empty((T, B, H), dtype)
         hs = np.empty((T, B, H), dtype)
@@ -215,7 +218,7 @@ class Lstm(Layer):
                 np.copyto(ct, c, where=pad[t][:, None])
                 np.copyto(ht, h, where=pad[t][:, None])
             h, c = ht, ct
-        cache = (x_tm, pad, h0, c0, gates, cells, hs) if self.grads else None
+        cache = (x_tm, pad, h0, c0, gates, cells, hs) if dtype == np.float64 else None
         # copies, so a carried state does not keep the whole cache alive
         return hs.transpose(1, 0, 2), (h.copy(), c.copy()), cache
 

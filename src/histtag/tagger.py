@@ -7,11 +7,10 @@ The model works in IOBES; this module alone converts corpora to it and
 predictions back to the scheme of the corpus they were made for.
 ``_emissions`` runs a list of sentences as one padded call per direction;
 ``predict`` runs the length-sorted groups of ``embed.EXTRACT_CHARS``
-characters, one ``parallel.map_jobs`` job per group, each one
-``_emissions`` call and one batched Viterbi, on a float32 copy of the
-model (``NerModel.cast``): model files store float32, so tagging computes
-in it, and only the CRF and Viterbi stay float64.  The copy's layers keep
-no backward cache.
+characters, one ``parallel.map_jobs`` job per group, each one float32
+``_emissions`` call and one batched Viterbi: model files store float32,
+so tagging computes in it, and only the CRF and Viterbi stay float64.  A
+float32 forward keeps no backward cache.
 Training is SGD over shuffled mini-batches minimizing the mean sentence
 NLL.  Each mini-batch runs as one padded group: one ``_emissions`` call,
 one length-masked CRF forward-backward over its rows and one
@@ -25,7 +24,6 @@ dev scoring, the test predictions of ``ner train`` and ``ner predict`` all
 run ``predict``.
 """
 
-import copy
 import logging
 import math
 import os
@@ -88,6 +86,8 @@ class TaggerConfig:
             raise ConfigError("lstm_hidden, mini_batch and max_epochs must be positive")
         if self.patience < 0:
             raise ConfigError(f"patience must be non-negative, got {self.patience}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not math.isfinite(self.learning_rate):
             raise ConfigError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.learning_rate <= 0:
@@ -113,17 +113,6 @@ class NerModel(Module):
             ("encoder.fwd", self.fwd), ("encoder.bwd", self.bwd),
             ("projection", self.projection), ("crf", self.crf))
 
-    def cast(self, dtype) -> "NerModel":
-        """A copy for inference that runs the embedder's trainable
-        components, the Bi-LSTM and the projection on ``Layer.cast`` copies
-        in ``dtype``; it shares the CRF and the frozen components, and this
-        model is left as it is."""
-        twin = copy.copy(self)
-        twin.embedder = self.embedder.cast(dtype)
-        twin.fwd, twin.bwd, twin.projection = (
-            layer.cast(dtype) for layer in (self.fwd, self.bwd, self.projection))
-        return twin
-
     @staticmethod
     def tensor_shapes(embedder_dim: int, num_tags: int,
                       lstm_hidden: int) -> dict[str, tuple]:
@@ -134,11 +123,11 @@ class NerModel(Module):
                              ("projection", Linear.shapes(2 * lstm_hidden, num_tags)),
                              ("crf", CrfLayer.shapes(num_tags))))
 
-    def _emissions(self, sentences: Sequence[Sentence]):
-        """Emission scores (sentences × T × tags), row b's first
-        ``lengths[b]`` positions those of sentence b; returns them,
-        ``lengths`` and the cache for ``_backward``."""
-        vecs, lengths, emb_cache = self.embedder.forward(sentences)
+    def _emissions(self, sentences: Sequence[Sentence], dtype=np.float64):
+        """Emission scores (sentences × T × tags) in ``dtype``, row b's
+        first ``lengths[b]`` positions those of sentence b; returns them,
+        ``lengths`` and the cache for ``_backward``, which needs float64."""
+        vecs, lengths, emb_cache = self.embedder.forward(sentences, dtype)
         rows, rev = _row_reversal(lengths, vecs.shape[1])
         hs_f, _, f_cache = self.fwd.forward(vecs, lengths=lengths)
         hs_b, _, b_cache = self.bwd.forward(vecs[rows, rev], lengths=lengths)
@@ -183,17 +172,18 @@ def predict(model: NerModel, corpus: TaggedCorpus) -> list[list[str]]:
     A stack whose memos hold the sentences already (dev scoring in
     training) extracts nothing.
 
-    Tagging runs in float32, the precision model files store: every group
-    runs on ``model.cast(np.float32)``, made once here, before the jobs
-    fork, and ``model`` is left as it is.  Its layers keep no backward
-    cache, so a group holds only its blocks, states and emissions.  Its
-    emissions are within FLOAT32_TAGGING_ATOL (tests/oracles.py) of the
-    float64 ones; the CRF stays float64, so Viterbi decodes them upcast."""
+    Tagging runs in float32, the precision model files store: each group's
+    ``_emissions`` call computes in it, with the model's parameters cast
+    as each layer runs, and ``model`` is left as it is.  A float32 forward
+    keeps no backward cache, so a group holds only its blocks, states and
+    emissions.  Its emissions are within FLOAT32_TAGGING_ATOL
+    (tests/oracles.py) of the float64 ones; the CRF stays float64, so
+    Viterbi decodes them upcast."""
     sentences = corpus.sentences
-    model = model.cast(np.float32)
 
     def tag_group(group: list[int]) -> list[list[str]]:
-        emissions, lengths = model._emissions([sentences[i] for i in group])[:2]
+        emissions, lengths = model._emissions([sentences[i] for i in group],
+                                              np.float32)[:2]
         paths, _ = viterbi_decode(emissions, model.crf, lengths)
         return [convert_tags([model.tags[k] for k in path[:length]],
                              TagScheme.IOBES, corpus.scheme)

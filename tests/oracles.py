@@ -7,9 +7,12 @@ from central finite differences, the LSTM runs one sequence one step at
 a time where the library runs a padded batch, and contextual vectors,
 perplexities, tagger emissions, CRF likelihoods, Viterbi paths and
 training gradients come from each sentence run alone where the library
-runs padded groups of sentences.
+runs padded groups of sentences.  Float32 tagging is checked against a
+float32 copy of the model whose layers hold float32 parameters, where the
+library casts the float64 ones as each layer runs.
 """
 
+import copy
 import itertools
 
 import numpy as np
@@ -420,3 +423,27 @@ def emissions_reference(model, sentence, lms):
     emissions, _ = model.projection.forward(
         np.concatenate([hs_f[0], hs_b[0, ::-1]], axis=1))
     return emissions
+
+
+def float32_copy(model):
+    """A copy of a NerModel for float32 tagging, built as ``tagger.predict``
+    built it before layers computed in their input's dtype: the trainable
+    components' layers, the Bi-LSTM and the projection are ``Layer.cast``
+    copies in float32, and the copy shares the CRF, the frozen components
+    and their memos.  Its ``_emissions(sentences, np.float32)`` finds
+    every parameter in float32 already, so no layer casts one as it runs;
+    ``model`` is left as it is."""
+    from histtag.embed import StackedEmbedder
+
+    components = []
+    for c in model.embedder.components:
+        if c.named_layers:
+            c = copy.copy(c)
+            c.embedding, c.fwd, c.bwd = (
+                layer.cast(np.float32) for layer in (c.embedding, c.fwd, c.bwd))
+        components.append(c)
+    twin = copy.copy(model)
+    twin.embedder = StackedEmbedder(components, model.embedder.memos)
+    twin.fwd, twin.bwd, twin.projection = (
+        layer.cast(np.float32) for layer in (model.fwd, model.bwd, model.projection))
+    return twin

@@ -544,6 +544,37 @@ class TestNerTrain:
         assert main(["ner", "train", "--config", cfg]) == 2
 
 
+class TestLogLevel:
+    """HISTTAG_LOG names a logging level in any case, as the README's
+    ``HISTTAG_LOG=debug`` does; anything else is a config error that names
+    the variable, with no traceback."""
+
+    @staticmethod
+    def run_version(value):
+        return subprocess.run(
+            [sys.executable, "-m", "histtag.cli", "--version"],
+            capture_output=True, text=True,
+            env={**os.environ, "HISTTAG_LOG": value,
+                 "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+
+    @pytest.mark.parametrize("value", ["debug", "Info", "WARNING", ""])
+    def test_level_names_in_any_case(self, value):
+        done = self.run_version(value)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("histtag ") and done.stderr == ""
+
+    @pytest.mark.parametrize("value", ["verbose", "10"])
+    def test_unknown_value_is_config_error(self, value):
+        done = self.run_version(value)
+        assert done.returncode == 2
+        assert done.stderr == (f"error: HISTTAG_LOG must name a logging level such as "
+                               f"debug, info or warning, got {value!r}\n")
+
+    def test_lowercase_debug_is_the_debug_level(self, monkeypatch):
+        monkeypatch.setenv("HISTTAG_LOG", "debug")
+        assert cli._log_level() == logging.DEBUG
+
+
 def every_section_doc(toy, tmp_path) -> dict:
     """A run config that ``smlm``, ``lm train`` and ``ner train`` all
     accept, at toy size, writing only under ``tmp_path / "out"``."""
@@ -566,10 +597,12 @@ def every_section_doc(toy, tmp_path) -> dict:
 WRONG_VALUES = [
     (["ner", "train"], ("tagger", "lstm_hidden"), 8.5, "tagger.lstm_hidden"),
     (["ner", "train"], ("tagger", "seed"), 1.7, "tagger.seed"),
+    (["ner", "train"], ("tagger", "seed"), -1, "tagger: seed must be non-negative"),
     (["ner", "train"], ("tagger", "mini_batch"), True, "tagger.mini_batch"),
     (["lm", "train"], ("lm", "forward", "hidden_size"), 8.5, "lm.forward.hidden_size"),
     (["lm", "train"], ("lm", "forward", "mini_batch"), True, "lm.forward.mini_batch"),
     (["lm", "train"], ("lm", "seed"), "x", "lm.seed"),
+    (["lm", "train"], ("lm", "seed"), -1, "lm.seed must be non-negative"),
     (["ner", "train"], ("data", "token_column"), "x", "data.token_column"),
     (["ner", "train"], ("eval", "runs"), "x", "eval.runs"),
     (["smlm"], ("smlm", "p_keep"), "0.9", "smlm.p_keep"),
@@ -593,6 +626,17 @@ class TestWrongValues:
         section[path[-1]] = value
         cfg = write_config(tmp_path / "c.yaml", doc)
         assert main([*command, "--config", cfg]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,named", [
+        (["ner", "train"], "tagger: seed must be non-negative, got -1"),
+        (["lm", "train"], "lm.seed must be non-negative, got -1")])
+    def test_negative_seed_flag_writes_nothing(self, toy, tmp_path, capsys, command, named):
+        """numpy rejects a negative seed only once training starts; the
+        command rejects it before it reads a corpus or makes a directory."""
+        cfg = write_config(tmp_path / "c.yaml", every_section_doc(toy, tmp_path))
+        assert main([*command, "--config", cfg, "--seed", "-1"]) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

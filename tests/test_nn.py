@@ -1,5 +1,3 @@
-import copy
-
 import numpy as np
 import pytest
 
@@ -76,6 +74,23 @@ class TestLinear:
         check_param(lin, "bias", loss)
         dx_num = numeric_gradient(loss, x)
         assert gradient_relative_error(dx, dx_num) < TOL
+
+    def test_float32_input_computes_in_float32(self):
+        """Weight and bias are cast to the input's dtype: a float32 input
+        gives the bits of a ``Layer.cast`` copy, and the float64
+        parameters are left as they are."""
+        rng = np.random.default_rng(3)
+        lin = Linear(4, 3, rng)
+        lin.params["bias"][...] = rng.standard_normal(3)
+        before = {name: p.copy() for name, p in lin.params.items()}
+        x = rng.standard_normal((5, 4)).astype(np.float32)
+        out, _ = lin.forward(x)
+        want, _ = lin.cast(np.float32).forward(x)
+        assert out.dtype == want.dtype == np.float32
+        np.testing.assert_array_equal(out, want)
+        for name, p in lin.params.items():
+            assert p.dtype == np.float64
+            np.testing.assert_array_equal(p, before[name])
 
 
 class TestLstm:
@@ -192,22 +207,23 @@ class TestLstm:
             np.testing.assert_array_equal(p, before[name])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_cast_forward_keeps_no_cache(self, dtype):
-        """A ``Layer.cast`` copy has no gradient slots, so it never runs
-        backward: its forward returns no cache, and the output and
-        final-state bits of a layer that has the same weights and keeps
-        its cache."""
-        cast = self.lstm.cast(dtype)
-        keeping = copy.copy(cast)
-        keeping.grads = {name: np.zeros_like(p) for name, p in cast.params.items()}
+    def test_only_a_float64_forward_keeps_a_cache(self, dtype):
+        """The layer computes in its input's dtype, and backward runs in
+        float64 only, so a forward keeps its cache exactly when it is
+        float64, whatever the layer's gradient slots: this layer and a
+        ``Layer.cast`` copy in ``dtype``, which has none, give the same
+        output and final-state bits in ``dtype``."""
+        slotless = self.lstm.cast(dtype)
+        assert self.lstm.grads and not slotless.grads
         for seed in range(3):
             rng = np.random.default_rng(seed)
             x = rng.standard_normal((3, 7, 3)).astype(dtype)
             state = tuple(rng.standard_normal((3, 5)).astype(dtype) * 0.1 for _ in range(2))
-            hs, (hT, cT), cache = cast.forward(x, state, self.LENGTHS)
-            k_hs, (k_hT, k_cT), k_cache = keeping.forward(x, state, self.LENGTHS)
-            assert cache is None and k_cache is not None
-            for got, want in ((hs, k_hs), (hT, k_hT), (cT, k_cT)):
+            hs, (hT, cT), cache = self.lstm.forward(x, state, self.LENGTHS)
+            s_hs, (s_hT, s_cT), s_cache = slotless.forward(x, state, self.LENGTHS)
+            keeps = dtype == np.float64
+            assert (cache is not None) == (s_cache is not None) == keeps
+            for got, want in ((hs, s_hs), (hT, s_hT), (cT, s_cT)):
                 assert got.dtype == want.dtype == dtype
                 np.testing.assert_array_equal(got, want)
 

@@ -44,6 +44,7 @@ from oracles import (
     FLOAT32_EMISSION_ATOL,
     FLOAT32_TAGGING_ATOL,
     emissions_reference,
+    float32_copy,
     gradient_relative_error,
     numeric_gradient,
     sentence_step_reference,
@@ -89,6 +90,7 @@ class TestConfig:
         {"mini_batch": 0},
         {"max_epochs": 0},
         {"patience": -1},
+        {"seed": -1},
         {"learning_rate": 0.0},
         {"learning_rate": -0.1},
     ])
@@ -467,9 +469,10 @@ class TestGroupedPath:
         groups = []
         emissions = NerModel._emissions
 
-        def recording(self, sentences):
+        def recording(self, sentences, *args):
+            assert args == (np.float32,)
             groups.append(list(sentences))
-            return emissions(self, sentences)
+            return emissions(self, sentences, *args)
         monkeypatch.setattr(NerModel, "_emissions", recording)
         assert predict(model, corpus) == tags
         assert [longest] in groups
@@ -504,14 +507,15 @@ class TestTwoTierPredict:
 
     def record_groups(self, monkeypatch):
         """The sentences of each ``_emissions`` call, on one CPU, where
-        every job runs in this process."""
+        every job runs in this process; each call is in float32."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         groups = []
         emissions = NerModel._emissions
 
-        def recording(self, sentences):
+        def recording(self, sentences, *args):
+            assert args == (np.float32,)
             groups.append(list(sentences))
-            return emissions(self, sentences)
+            return emissions(self, sentences, *args)
         monkeypatch.setattr(NerModel, "_emissions", recording)
         return groups
 
@@ -531,8 +535,8 @@ class TestTwoTierPredict:
             map(id, corpus))
 
     def test_decodes_float32_emissions_within_the_bound(self, tmp_path, monkeypatch):
-        """The groups run on a float32 copy of the model: each group's
-        emissions go to one ``viterbi_decode`` call as float32, each row
+        """The groups run in float32: each group's emissions go to one
+        ``viterbi_decode`` call as float32, each row
         within FLOAT32_TAGGING_ATOL of the float64 reference, and give the
         reference's tags."""
         model, corpus = self.model_and_corpus(tmp_path, monkeypatch)
@@ -579,12 +583,12 @@ class TestTwoTierPredict:
         emissions = NerModel._emissions
         calls = []
 
-        def failing(self, sentences):
+        def failing(self, sentences, *args):
             calls.append(sentences)
             assert self.embedder.memos == {}
             if len(calls) == 2:
                 raise RuntimeError("stop")
-            return emissions(self, sentences)
+            return emissions(self, sentences, *args)
         monkeypatch.setattr(NerModel, "_emissions", failing)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         with pytest.raises(RuntimeError, match="stop"):
@@ -665,17 +669,16 @@ class TestFrozenMemo:
 
 
 class TestInferenceCaches:
-    """The float32 copy ``predict`` tags with keeps no LSTM cache, so a
-    group holds no gates and cells once each recurrence has run; the
-    float64 model keeps every cache ``_backward`` reads."""
+    """The float32 ``_emissions`` that ``predict`` makes keeps no LSTM
+    cache, so a group holds no gates and cells once each recurrence has
+    run; a float64 one keeps every cache ``_backward`` reads."""
 
-    def test_cast_model_emissions_hold_no_lstm_cache(self, tmp_path):
+    def test_float32_emissions_hold_no_lstm_cache(self, tmp_path):
         corpus = toy_corpus()
         model = NerModel(full_embedder(tmp_path, corpus), ("O", "S-LOC", "S-PER"), 7,
                          np.random.default_rng(9))
-        cast = model.cast(np.float32)
-        emissions, lengths, (emb_cache, _, f_cache, b_cache, _) = cast._emissions(
-            corpus.sentences)
+        emissions, lengths, (emb_cache, _, f_cache, b_cache, _) = model._emissions(
+            corpus.sentences, np.float32)
         _, char_caches = emb_cache
         (_, _, char_f, char_b), = char_caches
         assert f_cache is b_cache is char_f is char_b is None
@@ -686,9 +689,36 @@ class TestInferenceCaches:
             assert len(cache) == 7
 
 
+class TestFloat32Tagging:
+    """Layers cast their float64 parameters to float32 as they run: the
+    emissions and tags have the bits of ``oracles.float32_copy``, whose
+    parameters are float32 already, on a stack of all three component
+    kinds.  Every bias is drawn non-zero, so one left in float64 shows."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_equal_the_float32_copy_bit_for_bit(self, tmp_path, seed):
+        corpus = toy_corpus()
+        rng = np.random.default_rng(seed)
+        model = NerModel(full_embedder(tmp_path, corpus), ("O", "S-LOC", "S-PER"), 7, rng)
+        for layer in model.layers:
+            if "bias" in layer.params:
+                layer.params["bias"][...] = rng.uniform(-0.5, 0.5, layer.params["bias"].shape)
+        # emissions large enough that the tags vary along a sentence
+        model.projection.params["weight"] *= 40.0
+        reference = float32_copy(model)
+        got, lengths, _ = model._emissions(corpus.sentences, np.float32)
+        want, want_lengths, _ = reference._emissions(corpus.sentences, np.float32)
+        assert got.dtype == want.dtype == np.float32
+        np.testing.assert_array_equal(lengths, want_lengths)
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+        tags = predict(model, corpus)
+        assert tags == predict(reference, corpus)
+        assert len({t for sentence_tags in tags for t in sentence_tags}) > 1
+
+
 class TestPredictLeavesItsModel:
-    """``predict`` tags with a float32 copy: the model it is given keeps its
-    float64 parameters bit for bit, its gradient slots and its memos."""
+    """``predict`` tags in float32: the model it is given keeps its float64
+    parameters bit for bit, its gradient slots and its memos."""
 
     @staticmethod
     def predict_checking_the_model(model, corpus):
