@@ -187,6 +187,7 @@ class Lstm(Layer):
         else:
             h0, c0 = state
         pad = _padding_mask(lengths, B, T)
+        padded = [False] * T if pad is None else pad.any(axis=1).tolist()
         # no copies in float64, the training path
         Wx, Wh, bias = (self.params[name].astype(dtype, copy=False)
                         for name in ("Wx", "Wh", "bias"))
@@ -214,7 +215,7 @@ class Lstm(Layer):
             ct += gt[:, :H] * gt[:, 2 * H:3 * H]
             np.tanh(ct, out=ht)
             ht *= gt[:, 3 * H:]
-            if pad is not None and pad[t].any():
+            if padded[t]:
                 np.copyto(ct, c, where=pad[t][:, None])
                 np.copyto(ht, h, where=pad[t][:, None])
             h, c = ht, ct
@@ -258,6 +259,7 @@ class Lstm(Layer):
         np.subtract(1.0, dc_from_dh, out=dc_from_dh)
         dc_from_dh *= o
         carry_c = f
+        padded = [False] * T if pad is None else pad.any(axis=1).tolist()
         if pad is not None:
             da[pad] = 0.0
             dc_from_dh[pad] = 0.0
@@ -277,7 +279,7 @@ class Lstm(Layer):
             dat *= np.concatenate((dc, dc, dc, dh), axis=1)
             dc_next = dc * carry_c[t]
             dh_next = dat @ Wh_T
-            if pad is not None and pad[t].any():
+            if padded[t]:
                 dh_next += dh * pad[t][:, None]
         da = da.reshape(T * B, 4 * H)
         self.grads["Wx"] += x_tm.T @ da

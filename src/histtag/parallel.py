@@ -47,6 +47,11 @@ _OPENBLAS_SYMBOLS = (("scipy_openblas", "64_"), ("scipy_openblas", ""),
                      ("openblas", "64_"), ("openblas", ""))
 
 
+# glibc's M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, both set to its own
+# ceiling for its dynamic mmap threshold on 64-bit
+_MALLOPT_PARAMS = (-1, -3)
+_RETAINED_BYTES = 32 * 1024 * 1024
+
 # whether jobs run in this process: a job's own map_jobs call runs inline
 _running = False
 
@@ -186,3 +191,19 @@ def _one_blas_thread():
     finally:
         for (_, put), count in zip(controls, saved):
             put(count)
+
+
+def retain_freed_heap() -> None:
+    """Have glibc keep up to 32 MiB of freed heap in this process and serve
+    blocks under 32 MiB from the heap, a setting forked workers inherit.
+    By default glibc returns the heap's top to the system once a little of
+    it is free, and each TBPTT window of ``lm train`` faults its temporaries
+    in again.  Overrides ``MALLOC_TRIM_THRESHOLD_``/``MALLOC_MMAP_THRESHOLD_``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):  # no mallopt; CDLL(None) fails on Windows
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    for param in _MALLOPT_PARAMS:
+        mallopt(param, _RETAINED_BYTES)

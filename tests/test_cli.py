@@ -1,9 +1,11 @@
 import copy
+import ctypes
 import json
 import logging
 import multiprocessing
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -573,6 +575,67 @@ class TestLogLevel:
     def test_lowercase_debug_is_the_debug_level(self, monkeypatch):
         monkeypatch.setenv("HISTTAG_LOG", "debug")
         assert cli._log_level() == logging.DEBUG
+
+
+# a TBPTT window's temporaries: eight 1 MiB blocks, written and freed
+# together, 100 times, after a command has set the process up
+CHURN = """
+import resource
+import numpy as np
+from histtag import cli
+try:
+    cli.main(["--version"])
+except SystemExit:
+    pass
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(100):
+    blocks = [np.ones(1 << 17) for _ in range(8)]
+    del blocks
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def run_python(code: str, *args, cwd=None) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports this checkout's histtag."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+
+
+class TestFreedHeap:
+    """``main`` has glibc keep freed heap in the process
+    (``parallel.retain_freed_heap``), which changes where blocks live but
+    no result.  Each check runs in a fresh process, so no earlier ``main``
+    call in this one decides it."""
+
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                        reason="the C library has no mallopt")
+    def test_freed_blocks_are_reused_without_page_faults(self):
+        """The first pass faults its 8 MiB in once.  Under glibc's defaults
+        freeing them trims the top of the heap, and every pass faults the
+        same 2,048 pages (of 4 KiB) in again: about 200k faults."""
+        done = run_python(CHURN)
+        assert done.returncode == 0, done.stderr
+        faults = int(done.stdout.split()[-1])
+        assert faults < 5 * (8 << 20) // resource.getpagesize()
+
+    def test_lm_files_equal_those_of_glibc_defaults(self, toy, tmp_path):
+        """Dimensions at which a window's gates (30 x 4 x 256 floats) lie
+        above glibc's default 128 KiB mmap threshold."""
+        direction = {"char_embed_dim": 8, "hidden_size": 64, "sequence_length": 30,
+                     "mini_batch": 4, "epochs": 1, "dropout": 0.0, "learning_rate": 5.0}
+        cfg = write_config(tmp_path / "lm.yaml", {"lm": {
+            "corpus": str(toy["lm_corpus"]), "seed": 5,
+            "forward": direction, "backward": direction}})
+        runner = "import sys; from histtag import cli; {}; sys.exit(cli.main(sys.argv[1:]))"
+        for out, patch in (("retained", "pass"),
+                           ("defaults", "cli.retain_freed_heap = lambda: None")):
+            done = run_python(runner.format(patch), "lm", "train", "--config", cfg,
+                              "--output-dir", out, cwd=tmp_path)
+            assert done.returncode == 0, done.stderr
+        for name in ("forward.bin", "backward.bin", "forward_log.json", "backward_log.json"):
+            assert ((tmp_path / "retained" / name).read_bytes()
+                    == (tmp_path / "defaults" / name).read_bytes()), name
 
 
 def every_section_doc(toy, tmp_path) -> dict:
