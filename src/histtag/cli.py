@@ -9,8 +9,9 @@ those of ``histtag.embed``; this module only orchestrates.  _SCHEMA types
 every key, and a value of the wrong type is a config error.
 
 Every command that produces file artifacts also writes a run manifest
-beside them: the fully resolved config, its hash, the seeds used, library
-versions, and a sha256 per input and output file.  Manifests carry no
+beside them: the fully resolved config, its hash, the seeds used, the
+versions of histtag, Python, numpy and PyYAML (the libraries it runs on),
+and a sha256 per input and output file.  Manifests carry no
 timestamps, so a repeated run over identical inputs reproduces them byte
 for byte.  The configs embedded by ``smlm``, ``lm train`` and ``ner train``
 re-execute the run when passed back as ``--config``; ``lm ppl``, ``ner
@@ -47,7 +48,6 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 import yaml
 
 from . import __version__
@@ -223,7 +223,6 @@ def _versions() -> dict:
         "histtag": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "pyyaml": yaml.__version__,
     }
 

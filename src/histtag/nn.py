@@ -20,7 +20,6 @@ such copies.
 import copy
 
 import numpy as np
-from scipy.special import log_softmax
 
 __all__ = [
     "logsumexp",
@@ -30,14 +29,23 @@ __all__ = [
 ]
 
 
+def _shifted(a: np.ndarray, axis):
+    """``a`` less its maximum along ``axis`` (a non-finite maximum counts as
+    0, as in scipy.special), that maximum, and log(sum(exp(a - maximum)))
+    with the axis kept."""
+    shift = np.max(a, axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    tmp = a - shift
+    return tmp, shift, np.log(np.sum(np.exp(tmp), axis=axis, keepdims=True))
+
+
 def logsumexp(a: np.ndarray, axis=None):
     """log(sum(exp(a))) along ``axis`` (all axes when None), shifted by the
     maximum so large entries do not overflow.  A plain numpy helper: the
     CRF calls it once per position on tiny blocks, where scipy's generic
     version spends most of its time dispatching."""
-    shift = np.max(a, axis=axis, keepdims=True)
-    shift[~np.isfinite(shift)] = 0.0
-    out = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)) + shift
+    _, shift, log_sum = _shifted(a, axis)
+    out = log_sum + shift
     return out.reshape(()) if axis is None else np.squeeze(out, axis=axis)
 
 
@@ -326,10 +334,14 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray):
 
     logits: (T, V); targets: (T,) int indices.  Returns (nll (T,), dlogits
     (T, V)) where dlogits is the gradient of nll.sum(); callers scale it
-    when they average.
+    when they average.  The log-softmax takes scipy.special.log_softmax's
+    steps in its order, so it gives the same bits; like scipy, it does not
+    warn when a row of all -inf logs a zero sum.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    logp = log_softmax(logits, axis=-1)
+    with np.errstate(divide="ignore"):
+        shifted, _, log_sum = _shifted(logits, -1)
+    logp = shifted - log_sum
     rows = np.arange(logits.shape[0])
     nll = -logp[rows, targets]
     dlogits = np.exp(logp)

@@ -9,7 +9,8 @@ perplexities, tagger emissions, CRF likelihoods, Viterbi paths and
 training gradients come from each sentence run alone where the library
 runs padded groups of sentences.  Float32 tagging is checked against a
 float32 copy of the model whose layers hold float32 parameters, where the
-library casts the float64 ones as each layer runs.
+library casts the float64 ones as each layer runs.  Cross entropy's
+log-softmax comes from scipy.special, which the library does not import.
 """
 
 import copy
@@ -232,6 +233,18 @@ def gradient_relative_error(analytic, numeric, floor=1e-3):
     b = np.asarray(numeric, dtype=float)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+
+
+def cross_entropy_reference(logits, targets):
+    """``nn.cross_entropy`` through scipy.special.log_softmax: per-row NLL
+    and the gradient of its sum."""
+    from scipy.special import log_softmax
+
+    rows = np.arange(logits.shape[0])
+    logp = log_softmax(logits, axis=-1)
+    dlogits = np.exp(logp)
+    dlogits[rows, targets] -= 1.0
+    return -logp[rows, targets], dlogits
 
 
 def _sigmoid(z):

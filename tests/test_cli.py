@@ -638,6 +638,39 @@ class TestFreedHeap:
                     == (tmp_path / "defaults" / name).read_bytes()), name
 
 
+FOOTPRINT = """
+import json, os, sys
+from histtag import cli
+status = cli.main(sys.argv[1:])
+maps = set()
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        maps = {line.split()[-1] for line in fh if "openblas" in line}
+print(json.dumps({"status": status,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "openblas": sorted(os.path.basename(p) for p in maps)}))
+"""
+
+
+class TestFootprint:
+    """histtag runs on numpy and PyYAML alone.  A fresh process that trains
+    both LMs (and so runs ``nn.cross_entropy``) imports no scipy module,
+    maps only numpy's OpenBLAS build, and records no scipy version."""
+
+    def test_lm_train_imports_no_scipy(self, toy, tmp_path):
+        cfg = write_config(tmp_path / "lm.yaml", {"lm": {
+            **LM_SECTION, "corpus": str(toy["lm_corpus"]), "output_dir": "lm"}})
+        done = run_python(FOOTPRINT, "lm", "train", "--config", cfg, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout.splitlines()[-1])
+        assert seen["status"] == 0
+        assert seen["scipy"] == []
+        if os.path.exists("/proc/self/maps"):
+            assert len(seen["openblas"]) == 1, seen["openblas"]
+        manifest = json.loads((tmp_path / "lm" / "manifest.json").read_text(encoding="utf-8"))
+        assert set(manifest["versions"]) == {"histtag", "python", "numpy", "pyyaml"}
+
+
 def every_section_doc(toy, tmp_path) -> dict:
     """A run config that ``smlm``, ``lm train`` and ``ner train`` all
     accept, at toy size, writing only under ``tmp_path / "out"``."""

@@ -15,6 +15,7 @@ from histtag.nn import (
 )
 
 from oracles import (
+    cross_entropy_reference,
     gradient_relative_error,
     lstm_reference_backward,
     lstm_reference_forward,
@@ -296,6 +297,29 @@ class TestCrossEntropy:
 
         _, dlogits = cross_entropy(logits, targets)
         assert gradient_relative_error(dlogits, numeric_gradient(loss, logits)) < TOL
+
+    # LM training's (B * T, V) block, and perplexity scoring's blocks of
+    # one to EVAL_CHUNK positions
+    @pytest.mark.parametrize("rows", [400, 1, 37, 4096])
+    @pytest.mark.parametrize("case", ["plain", "large", "some_inf", "all_inf_rows"])
+    def test_same_bits_as_scipy(self, rows, case):
+        """All -inf rows log a zero sum and subtract -inf from -inf: numpy
+        is told to ignore the invalid value (NaN), not the divide, so the
+        test also sees cross_entropy keep quiet about log(0) as scipy does."""
+        rng = np.random.default_rng(rows)
+        logits = rng.standard_normal((rows, 60)) * (1e150 if case == "large" else 3.0)
+        if case in ("some_inf", "all_inf_rows"):
+            logits[rng.random(logits.shape) < 0.3] = -np.inf
+            logits[:, 0] = 0.0
+        if case == "all_inf_rows":
+            logits[::3] = -np.inf
+        targets = rng.integers(0, 60, size=rows)
+        with np.errstate(invalid="ignore" if case == "all_inf_rows" else "warn"):
+            nll, dlogits = cross_entropy(logits, targets)
+            want_nll, want_dlogits = cross_entropy_reference(logits, targets)
+        assert nll.dtype == want_nll.dtype and dlogits.dtype == want_dlogits.dtype
+        assert np.array_equal(nll, want_nll, equal_nan=True)
+        assert np.array_equal(dlogits, want_dlogits, equal_nan=True)
 
 
 class TestOptimizerUtils:
