@@ -183,7 +183,7 @@ def _train_window(model: CharLm, x: np.ndarray, y: np.ndarray, state,
     B, T = x.shape
     H = model.lstm.hidden_size
     emb, emb_cache = model.embedding.forward(x)
-    hs, new_state, lstm_cache = model.lstm.forward(emb, state)
+    hs, new_state, lstm_cache = model.lstm.forward(emb, state, keep_cache=True)
     # one (B, T, H) draw consumes the generator exactly like B successive
     # (T, H) draws, one per strand
     dropped, drop_cache = dropout.forward(hs, rng)
@@ -208,7 +208,8 @@ def train_lm(corpus: PlainCorpus, config: CharLmConfig, seed: int,
     gradient norm clipped at 5.0; when mini_batch exceeds 1, the stream is
     split into that many contiguous strands walked in parallel with averaged
     gradients.  The learning rate halves after any epoch whose dev loss
-    fails to improve.
+    fails to improve.  Training computes in float32, the dtype of the
+    model's parameters and of the file ``save_lm`` writes.
     """
     stream = " ".join(corpus)
     if config.direction == "backward":

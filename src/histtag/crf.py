@@ -4,7 +4,9 @@ The transition matrix is (K+2)×(K+2): K real tags plus START (index K) and
 STOP (index K+1).  ``transitions[i][j]`` scores moving from tag i to tag j.
 Structurally impossible moves (for IOBES well-formedness) are pinned to a
 large negative constant rather than true −∞ so arithmetic stays finite;
-pinned entries are excluded from gradient updates.
+pinned entries are excluded from gradient updates.  The transitions are
+float32, as every parameter; the likelihood, its gradients and Viterbi
+compute in float64 over them and the emissions upcast.
 """
 
 from typing import Sequence
@@ -127,10 +129,12 @@ def crf_nll_with_grads(emissions: np.ndarray, crf: CrfLayer, golds, lengths,
     ``crf.grads["transitions"]`` with pinned entries masked out.  Gradients
     are marginal probabilities minus gold indicator counts, summed over the
     rows and multiplied by ``scale`` (callers averaging over a batch pass
-    1/batch size).
+    1/batch size); d_emissions is in the dtype of ``emissions``, for the
+    backward pass of the layers that made them.
     """
+    dtype = np.asarray(emissions).dtype
     emissions, golds, lengths = _check_batch(emissions, crf, golds, lengths)
-    trans = crf.params["transitions"]
+    trans = crf.params["transitions"].astype(np.float64)
     B, T, K = emissions.shape
     inner = trans[:K, :K]
     rows = np.arange(B)
@@ -182,7 +186,7 @@ def crf_nll_with_grads(emissions: np.ndarray, crf: CrfLayer, golds, lengths,
                    + np.where(real, np.take_along_axis(
                        emissions, golds[..., None], axis=2)[..., 0], 0.0).sum(axis=1)
                    + np.where(pair, trans[golds[:, :-1], golds[:, 1:]], 0.0).sum(axis=1))
-    return log_z - gold_scores, d_emissions
+    return log_z - gold_scores, d_emissions.astype(dtype, copy=False)
 
 
 def viterbi_decode(emissions: np.ndarray, crf: CrfLayer, lengths):
@@ -197,7 +201,7 @@ def viterbi_decode(emissions: np.ndarray, crf: CrfLayer, lengths):
     index at every backtracking step (argmax returns the first maximum).
     """
     emissions, lengths = _check_rows(emissions, crf, lengths)
-    trans = crf.params["transitions"]
+    trans = crf.params["transitions"].astype(np.float64)
     B, T, K = emissions.shape
     inner = trans[:K, :K]
     rows = np.arange(B)

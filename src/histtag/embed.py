@@ -7,13 +7,13 @@ sentences whose ``texts()`` lists all their token texts in order, and
 returns one row per token in that order.  A frozen component (word table,
 contextual) has no layers: its ``forward(sentences)`` returns the (tokens
 × dim) block alone, a function of each sentence's token texts.  A
-trainable component (char features) has ``forward(sentences, dtype)``,
-which computes in ``dtype`` and returns the block plus a cache for its
-``backward(cache, grad)``, which runs after a float64 forward only.  A
-StackedEmbedder concatenates component blocks in a fixed order into one
-padded (sentences × tokens × dim) block, routes each trainable component
-its gradient columns, and prefixes component i's layer names with
-``component{i}.``.
+trainable component (char features) has ``forward(sentences,
+keep_cache)``, which computes in its parameters' dtype and returns the
+block plus a cache; ``backward(cache, grad)`` needs a forward that kept
+its recurrences' caches (``keep_cache``).  A StackedEmbedder concatenates
+component blocks in a fixed order into one padded (sentences × tokens ×
+dim) block, routes each trainable component its gradient columns, and
+prefixes component i's layer names with ``component{i}.``.
 
 Sentences run in groups: ``corpus.length_groups``, given the lengths of
 their texts, sorts them and cuts groups whose size times their longest
@@ -21,21 +21,20 @@ text stays within a character budget, so each LM and each recurrence runs
 once per group on rows padded at their end.  The memo fill and
 ``tagger.predict`` cut groups of EXTRACT_CHARS (4,096) characters; in
 ``predict`` every component of the stack and the tagger run each group
-once.  A float32 recurrence keeps no backward cache (see ``nn``), so in
-inference its gates and cells live only while it runs: about 6.6 MB per
-LM direction over one group at H = 64 and about 200 MB at paper scale
-(H = 2048).  Training's mini-batches keep their caches for backward.  A
-row's values do not depend on the rows beside it beyond the rounding of
-the batched products.
+once.  Only a forward asked to keep its cache keeps one (see ``nn``), so
+in inference a recurrence's gates and cells live only while it runs:
+about 6.6 MB per LM direction over one group at H = 64 and about 200 MB
+at paper scale (H = 2048).  Training's mini-batches keep their caches for
+backward.  A row's values do not depend on the rows beside it beyond the
+rounding of the batched products.
 
-Contextual extraction computes in float32, the precision LM files store
-their weights in: ``ContextualEmbedder`` keeps only float32 copies of its
-LMs' embedding and LSTM weights and leaves the LMs it is given as they
-are.  Its blocks are within 1e-6 of the float64 LMs' states (at most 4.2e-7
-measured at H = 64, on values up to 0.92).  Training computes everything
-else in float64; ``StackedEmbedder.forward`` builds its block in the dtype
-it is given, float32 when ``tagger.predict`` tags, and runs the char
-features in it.
+Everything computes in float32, the precision of every parameter and of
+the files that store them: contextual extraction, the char features and
+the block ``StackedEmbedder.forward`` builds, in training and in
+``tagger.predict`` alike.  ``ContextualEmbedder`` extracts with its LMs'
+embedding and LSTM parameters as they are, without gradient slots.  Its
+blocks are within 1e-6 of float64 copies of the LMs' states (at most
+4.2e-7 measured at H = 64, on values up to 0.92).
 
 Frozen blocks are memoized.  ``embedder_factory`` gives each frozen
 component one BlockMemo, shared by every stack it builds, so one ``ner
@@ -260,7 +259,7 @@ class CharFeatureEncoder(Module):
         return {"kind": self.kind, "vocab": self.vocab.codepoints(),
                 "embed_dim": self.embed_dim, "hidden": self.hidden}
 
-    def forward(self, sentences: SentenceGroup, dtype=np.float64):
+    def forward(self, sentences: SentenceGroup, keep_cache=False):
         # a token's features depend on its text alone: each distinct text
         # runs once, and ``rows`` maps every token to its text's row
         texts, rows = np.unique(sentences.texts(), return_inverse=True)
@@ -273,9 +272,8 @@ class CharFeatureEncoder(Module):
             indices[0, j, :len(c)] = c
             indices[1, j, :len(c)] = c[::-1]
         emb, emb_cache = self.embedding.forward(indices)
-        emb = emb.astype(dtype, copy=False)
-        _, (hf, _), f_cache = self.fwd.forward(emb[0], lengths=lengths)
-        _, (hb, _), b_cache = self.bwd.forward(emb[1], lengths=lengths)
+        _, (hf, _), f_cache = self.fwd.forward(emb[0], lengths=lengths, keep_cache=keep_cache)
+        _, (hb, _), b_cache = self.bwd.forward(emb[1], lengths=lengths, keep_cache=keep_cache)
         return np.concatenate([hf, hb], axis=1)[rows], (rows, emb_cache, f_cache, b_cache)
 
     def backward(self, cache, grad: np.ndarray) -> None:
@@ -283,10 +281,10 @@ class CharFeatureEncoder(Module):
         rows, emb_cache, f_cache, b_cache = cache
         N, T = emb_cache.shape[1:]
         H = self.hidden
-        per_text = np.zeros((N, 2 * H))
+        per_text = np.zeros((N, 2 * H), grad.dtype)
         np.add.at(per_text, rows, grad)
-        zeros = np.zeros((N, T, H))
-        zero_h = np.zeros((N, H))
+        zeros = np.zeros((N, T, H), grad.dtype)
+        zero_h = np.zeros((N, H), grad.dtype)
         demb_f, _ = self.fwd.backward(f_cache, zeros, (per_text[:, :H], zero_h))
         demb_b, _ = self.bwd.backward(b_cache, zeros, (per_text[:, H:], zero_h))
         self.embedding.backward(emb_cache, np.stack([demb_f, demb_b]))
@@ -299,10 +297,11 @@ class ContextualEmbedder(Module):
     part is the forward LM's hidden state at the token's last character;
     its backward part is the backward LM's state (computed over the
     reversed text) at the token's first character.  Each LM reads all
-    texts of a group in one ``charlm.lm_forward`` run, in float32, and its
-    vocabulary projection is never computed.  It keeps only float32 copies
-    of the given LMs' embedding and LSTM weights, so the LMs themselves can
-    be freed.
+    texts of a group in one ``charlm.lm_forward`` run, in the dtype of its
+    weights, and its vocabulary projection is never computed.  It keeps
+    only ``Layer.frozen`` copies of the given LMs' embedding and LSTM
+    layers, which share their parameters, so the rest of each LM (its
+    projection and gradient slots) can be freed.
     """
 
     kind = "contextual"
@@ -315,8 +314,8 @@ class ContextualEmbedder(Module):
             raise ConfigError(
                 f"need one forward and one backward model, got "
                 f"{fwd.direction!r} and {bwd.direction!r}")
-        self._float32 = tuple((lm.vocab, lm.embedding.cast(np.float32),
-                               lm.lstm.cast(np.float32)) for lm in (fwd, bwd))
+        self._lms = tuple((lm.vocab, lm.embedding.frozen(), lm.lstm.frozen())
+                          for lm in (fwd, bwd))
         self.dim = fwd.lstm.hidden_size + bwd.lstm.hidden_size
         self.forward_path = forward_path
         self.backward_path = backward_path
@@ -352,7 +351,7 @@ class ContextualEmbedder(Module):
     def forward(self, sentences: SentenceGroup) -> np.ndarray:
         """Per-token contextual vectors, (forward part, backward part)."""
         texts = [sentence_text(s) for s in sentences]
-        fwd, bwd = self._float32
+        fwd, bwd = self._lms
         hs_f, _, lengths = lm_forward(*fwd, texts)
         hs_b, _, _ = lm_forward(*bwd, [text[::-1] for text in texts])
         rows, lasts, firsts = [], [], []
@@ -415,11 +414,12 @@ class StackedEmbedder(Module):
         self._trainable = tuple((c, columns) for c, columns in zip(self.components, self._columns)
                                 if c.named_layers)
 
-    def forward(self, sentences: Sequence[Sentence], dtype=np.float64):
+    def forward(self, sentences: Sequence[Sentence], dtype=np.float32, keep_cache=False):
         """The (sentences × T × dim) block of ``sentences`` in ``dtype``, T
         their most tokens, with row b's ``lengths[b]`` tokens first and
         zeros after; returns it, ``lengths`` and the cache for
-        ``backward``, which needs a float64 block."""
+        ``backward``, which needs a forward that kept its caches
+        (``keep_cache``)."""
         group = SentenceGroup(sentences)
         lengths = np.array([len(s) for s in group])
         real = np.arange(lengths.max()) < lengths[:, None]
@@ -432,7 +432,7 @@ class StackedEmbedder(Module):
                 vecs[real, columns] = c.forward(group)
         caches = []
         for c, columns in self._trainable:
-            block, cache = c.forward(group, dtype)
+            block, cache = c.forward(group, keep_cache)
             vecs[real, columns] = block
             caches.append(cache)
         return vecs, lengths, (real, caches)

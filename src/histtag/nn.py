@@ -6,15 +6,15 @@ opaque cache; ``backward`` consumes the cache and the upstream gradient and
 returns the gradient with respect to the layer input.  ``Lstm`` is the one
 recurrence: it runs a (B, T, D) batch of left-aligned sequences with an
 optional ``lengths`` mask, and callers with a single sequence pass B = 1.
-Parameters and training math are float64, so analytic gradients can be
-checked against central finite differences to tight tolerances.
-``Linear.forward`` and ``Lstm.forward`` compute in the dtype of their
-input, casting the parameters to it (no copy in float64, the training
-path): ``tagger.predict`` tags in float32 by passing float32 blocks.
-Backward runs in float64 only, so a float32 ``Lstm.forward`` returns None
-for the cache and frees its gates and cells when it returns.  A layer can
-also be copied in float32 (``Layer.cast``); the frozen LMs extract with
-such copies.
+Parameters and gradients are float32, the precision model files store, so
+training and inference compute in it.  ``Linear.forward``,
+``Lstm.forward`` and ``Lstm.backward`` compute in the dtype of their input
+or cache, casting the parameters to it (no copy when they already match),
+so a float64 copy of a layer (``float64_copy`` in tests/oracles.py) runs in
+float64, where analytic gradients can be checked against central finite
+differences to tight tolerances.  ``Lstm.forward`` keeps its gates and
+cells for ``backward`` only when its caller asks (``keep_cache``), as the
+training loops do; every other forward frees them when it returns.
 """
 
 import copy
@@ -65,19 +65,19 @@ class Layer:
         self.grads: dict[str, np.ndarray] = {}
 
     def _register(self, name: str, value: np.ndarray) -> None:
-        self.params[name] = value
-        self.grads[name] = np.zeros_like(value)
+        self.params[name] = value.astype(np.float32)
+        # untouched pages of a fresh zero array take no memory, so a frozen
+        # layer's slots cost none
+        self.grads[name] = np.zeros(value.shape, np.float32)
 
     def zero_grads(self) -> None:
         for g in self.grads.values():
             g[...] = 0.0
 
-    def cast(self, dtype) -> "Layer":
-        """A copy of this layer, for inference only, whose parameters are
-        ``dtype`` copies of these; it holds no gradients, and this layer is
-        left as it is."""
+    def frozen(self) -> "Layer":
+        """A copy of this layer for inference only: it shares these
+        parameters and holds no gradient slots."""
         twin = copy.copy(self)
-        twin.params = {name: value.astype(dtype) for name, value in self.params.items()}
         twin.grads = {}
         return twin
 
@@ -155,8 +155,8 @@ class Lstm(Layer):
     Gate pre-activations sit in one 4H block ordered input, forget, cell,
     output.  The input projection for all steps is one matrix product; the
     recurrence is the only per-step loop, over time-major (T, B, ·) arrays.
-    ``forward`` computes in the dtype of ``x``; ``backward`` is float64
-    only.
+    ``forward`` computes in the dtype of ``x`` and ``backward`` in the dtype
+    of its cache.
     """
 
     def __init__(self, input_dim: int, hidden_size: int, rng: np.random.Generator):
@@ -170,22 +170,24 @@ class Lstm(Layer):
         # block activates all gates: halve the sigmoid gates' pre-activations
         # (exact, a power of two), then map their tanh back by slope, offset
         H = hidden_size
-        self._slope = np.concatenate([np.full(2 * H, 0.5), np.ones(H), np.full(H, 0.5)])
-        self._offset = np.concatenate([np.full(2 * H, 0.5), np.zeros(H), np.full(H, 0.5)])
+        self._slope = np.concatenate([np.full(2 * H, 0.5), np.ones(H),
+                                      np.full(H, 0.5)]).astype(np.float32)
+        self._offset = np.concatenate([np.full(2 * H, 0.5), np.zeros(H),
+                                       np.full(H, 0.5)]).astype(np.float32)
 
     @staticmethod
     def shapes(input_dim: int, hidden_size: int) -> dict:
         return {"Wx": (input_dim, 4 * hidden_size), "Wh": (hidden_size, 4 * hidden_size),
                 "bias": (4 * hidden_size,)}
 
-    def forward(self, x: np.ndarray, state=None, lengths=None):
+    def forward(self, x: np.ndarray, state=None, lengths=None, keep_cache=False):
         """Run the recurrence.
 
         x: (B, T, input_dim); state: optional (h0, c0) each (B, H);
         lengths: optional (B,) ints in [0, T], all T when omitted.
         Returns hs (B, T, H), final state (hT, cT) each (B, H), and the
-        backward cache, or None for a forward not in float64, which never
-        runs backward: its gates and cells are freed on return.
+        backward cache when ``keep_cache``, else None: a forward that will
+        not run backward frees its gates and cells on return.
         """
         B, T, D = x.shape
         H = self.hidden_size
@@ -196,7 +198,7 @@ class Lstm(Layer):
             h0, c0 = state
         pad = _padding_mask(lengths, B, T)
         padded = [False] * T if pad is None else pad.any(axis=1).tolist()
-        # no copies in float64, the training path
+        # no copies when the parameters are in ``dtype`` already
         Wx, Wh, bias = (self.params[name].astype(dtype, copy=False)
                         for name in ("Wx", "Wh", "bias"))
         slope = self._slope.astype(dtype, copy=False)
@@ -227,7 +229,7 @@ class Lstm(Layer):
                 np.copyto(ct, c, where=pad[t][:, None])
                 np.copyto(ht, h, where=pad[t][:, None])
             h, c = ht, ct
-        cache = (x_tm, pad, h0, c0, gates, cells, hs) if dtype == np.float64 else None
+        cache = (x_tm, pad, h0, c0, gates, cells, hs) if keep_cache else None
         # copies, so a carried state does not keep the whole cache alive
         return hs.transpose(1, 0, 2), (h.copy(), c.copy()), cache
 
@@ -240,12 +242,13 @@ class Lstm(Layer):
         """
         x_tm, pad, h0, c0, gates, cells, hs = cache
         T, B, H = cells.shape
+        dtype = cells.dtype
         grad_hs = grad_hs.transpose(1, 0, 2)
         i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
         # every factor of the gate gradients that does not depend on the
         # recurrence, for all steps at once and in place; the loop then only
         # scales the blocks by dc (input, forget, cell) or dh (output)
-        da = np.empty((T, B, 4 * H))
+        da = np.empty((T, B, 4 * H), dtype)
         di, df, dg, do = (da[..., k * H:(k + 1) * H] for k in range(4))
         np.subtract(1.0, i, out=di)
         di *= i
@@ -272,11 +275,12 @@ class Lstm(Layer):
             da[pad] = 0.0
             dc_from_dh[pad] = 0.0
             carry_c = np.where(pad[..., None], 1.0, f)
-        Wh_T = self.params["Wh"].T
+        Wx, Wh = (self.params[name].astype(dtype, copy=False) for name in ("Wx", "Wh"))
+        Wh_T = Wh.T
 
         if grad_state is None:
-            dh_next = np.zeros((B, H))
-            dc_next = np.zeros((B, H))
+            dh_next = np.zeros((B, H), dtype)
+            dc_next = np.zeros((B, H), dtype)
         else:
             dh_next, dc_next = grad_state
         for t in range(T - 1, -1, -1):
@@ -294,7 +298,7 @@ class Lstm(Layer):
         self.grads["Wh"] += hs[:-1].reshape(-1, H).T @ da[B:]
         self.grads["Wh"] += h0.T @ da[:B]
         self.grads["bias"] += da.sum(axis=0)
-        dx = (da @ self.params["Wx"].T).reshape(T, B, -1)
+        dx = (da @ Wx.T).reshape(T, B, -1)
         return dx.transpose(1, 0, 2), (dh_next, dc_next)
 
 
@@ -310,7 +314,8 @@ def _padding_mask(lengths, B: int, T: int):
 
 
 class Dropout:
-    """Inverted dropout, for training only; identity when rate is 0."""
+    """Inverted dropout, for training only; identity when rate is 0.  The
+    mask is in the dtype of ``x``, so it keeps the activations' dtype."""
 
     def __init__(self, rate: float):
         if not 0.0 <= rate < 1.0:
@@ -320,7 +325,7 @@ class Dropout:
     def forward(self, x: np.ndarray, rng: np.random.Generator):
         if self.rate == 0.0:
             return x, None
-        mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
+        mask = np.divide(rng.random(x.shape) >= self.rate, 1.0 - self.rate, dtype=x.dtype)
         return x * mask, mask
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:

@@ -24,8 +24,8 @@ worker outlives the call.
 While the jobs run, inline or not, every OpenBLAS build loaded in the
 caller runs on one thread, a count the workers inherit; the caller's
 counts are restored afterwards.  Two processes each starting a BLAS thread
-per CPU made ``lm train`` slower than the serial loop, and a job's float64
-sums can differ in the last bit between BLAS thread counts, so a job
+per CPU made ``lm train`` slower than the serial loop, and a job's floating
+point sums can differ in the last bit between BLAS thread counts, so a job
 computes the same bits however many CPUs or jobs there are.
 
 Forking is safe here because the package starts no threads of its own,

@@ -18,9 +18,8 @@ a loader compares the file's tensors with the names and shapes its meta
 dims imply (``check_layout``), so no layer is allocated at dims the
 payload does not hold.
 
-Tensors live in float64 in memory but are stored as float32.  Because every
-float32 converts to float64 and back without loss, save → load → save is
-byte-identical.
+Tensors are float32 in memory, as models hold their parameters, and in
+the file, so save → load → save is byte-identical.
 """
 
 import hashlib
@@ -87,7 +86,8 @@ def save_tensors(path, meta: Mapping, tensors: Sequence[tuple[str, np.ndarray]])
 
 
 def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a container file; returns (meta, name → float64 array)."""
+    """Read a container file; returns (meta, name → float32 array).  The
+    arrays are read-only views of the file's bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < len(MAGIC) + _HEAD.size:
@@ -127,7 +127,7 @@ def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
             raise ModelFormatError(
                 f"{path}: truncated payload for tensor {name!r}")
         flat = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-        tensors[name] = flat.reshape(shape).astype(np.float64)
+        tensors[name] = flat.reshape(shape).astype(np.float32, copy=False)
         offset += nbytes
     if offset != len(data):
         raise ModelFormatError(

@@ -7,21 +7,21 @@ The model works in IOBES; this module alone converts corpora to it and
 predictions back to the scheme of the corpus they were made for.
 ``_emissions`` runs a list of sentences as one padded call per direction;
 ``predict`` runs the length-sorted groups of ``embed.EXTRACT_CHARS``
-characters, one ``parallel.map_jobs`` job per group, each one float32
-``_emissions`` call and one batched Viterbi: model files store float32,
-so tagging computes in it, and only the CRF and Viterbi stay float64.  A
-float32 forward keeps no backward cache.
+characters, one ``parallel.map_jobs`` job per group, each one
+``_emissions`` call and one batched Viterbi.  Every parameter is float32,
+as model files store it, so training and tagging compute in float32, and
+only the CRF and Viterbi compute in float64.  Only training's
+``_emissions`` calls keep the recurrences' backward caches.
 Training is SGD over shuffled mini-batches minimizing the mean sentence
 NLL.  Each mini-batch runs as one padded group: one ``_emissions`` call,
 one length-masked CRF forward-backward over its rows and one
 ``_backward``.  The gradient norm is clipped at 5.0, dev F1 selects the
 model, and the learning rate is multiplied by ANNEAL_FACTOR (0.5) after
 `patience` consecutive epochs without a dev improvement; training stops
-once it falls below MIN_LEARNING_RATE (1e-4).  Training computes in
-float64.  The selected parameters are rounded to float32, the values a
-model file stores, so a saved model predicts what the trained one did:
-dev scoring, the test predictions of ``ner train`` and ``ner predict`` all
-run ``predict``.
+once it falls below MIN_LEARNING_RATE (1e-4).  The selected parameters
+are the values a model file stores, so a saved model predicts what the
+trained one did: dev scoring, the test predictions of ``ner train`` and
+``ner predict`` all run ``predict``.
 """
 
 import logging
@@ -123,14 +123,18 @@ class NerModel(Module):
                              ("projection", Linear.shapes(2 * lstm_hidden, num_tags)),
                              ("crf", CrfLayer.shapes(num_tags))))
 
-    def _emissions(self, sentences: Sequence[Sentence], dtype=np.float64):
-        """Emission scores (sentences × T × tags) in ``dtype``, row b's
-        first ``lengths[b]`` positions those of sentence b; returns them,
-        ``lengths`` and the cache for ``_backward``, which needs float64."""
-        vecs, lengths, emb_cache = self.embedder.forward(sentences, dtype)
+    def _emissions(self, sentences: Sequence[Sentence], keep_cache=False):
+        """Emission scores (sentences × T × tags), row b's first
+        ``lengths[b]`` positions those of sentence b, computed in the
+        dtype of the model's parameters; returns them, ``lengths`` and the
+        cache for ``_backward``, which needs a call that kept its caches
+        (``keep_cache``)."""
+        dtype = self.projection.params["weight"].dtype
+        vecs, lengths, emb_cache = self.embedder.forward(sentences, dtype, keep_cache)
         rows, rev = _row_reversal(lengths, vecs.shape[1])
-        hs_f, _, f_cache = self.fwd.forward(vecs, lengths=lengths)
-        hs_b, _, b_cache = self.bwd.forward(vecs[rows, rev], lengths=lengths)
+        hs_f, _, f_cache = self.fwd.forward(vecs, lengths=lengths, keep_cache=keep_cache)
+        hs_b, _, b_cache = self.bwd.forward(vecs[rows, rev], lengths=lengths,
+                                            keep_cache=keep_cache)
         concat = np.concatenate([hs_f, hs_b[rows, rev]], axis=2)
         B, T, _ = concat.shape
         emissions, lin_cache = self.projection.forward(concat.reshape(B * T, -1))
@@ -172,18 +176,16 @@ def predict(model: NerModel, corpus: TaggedCorpus) -> list[list[str]]:
     A stack whose memos hold the sentences already (dev scoring in
     training) extracts nothing.
 
-    Tagging runs in float32, the precision model files store: each group's
-    ``_emissions`` call computes in it, with the model's parameters cast
-    as each layer runs, and ``model`` is left as it is.  A float32 forward
-    keeps no backward cache, so a group holds only its blocks, states and
-    emissions.  Its emissions are within FLOAT32_TAGGING_ATOL
-    (tests/oracles.py) of the float64 ones; the CRF stays float64, so
-    Viterbi decodes them upcast."""
+    Tagging computes in float32, the dtype of the model's parameters and
+    of model files, and leaves ``model`` as it is.  Its ``_emissions``
+    calls keep no backward cache, so a group holds only its blocks, states
+    and emissions.  Those are within FLOAT32_TAGGING_ATOL
+    (tests/oracles.py) of a float64 copy's; the CRF computes in float64,
+    so Viterbi decodes them upcast."""
     sentences = corpus.sentences
 
     def tag_group(group: list[int]) -> list[list[str]]:
-        emissions, lengths = model._emissions([sentences[i] for i in group],
-                                              np.float32)[:2]
+        emissions, lengths = model._emissions([sentences[i] for i in group])[:2]
         paths, _ = viterbi_decode(emissions, model.crf, lengths)
         return [convert_tags([model.tags[k] for k in path[:length]],
                              TagScheme.IOBES, corpus.scheme)
@@ -226,11 +228,9 @@ def _snapshot(model: NerModel):
             for layer in model.layers for name in layer.params]
 
 
-def _restore_as_float32(snapshot) -> None:
-    """Put the snapshot back, each value rounded to the float32 that
-    ``save_ner`` writes for it."""
+def _restore(snapshot) -> None:
     for layer, name, saved in snapshot:
-        layer.params[name][...] = saved.astype(np.float32)
+        layer.params[name][...] = saved
 
 
 def _batch_step(model: NerModel, sentences: Sequence[Sentence], golds,
@@ -238,7 +238,7 @@ def _batch_step(model: NerModel, sentences: Sequence[Sentence], golds,
     """Add a mini-batch's NLL gradient, times ``scale``, to the model's
     gradients, the batch run as one padded group; returns each sentence's
     NLL.  Its caches die here, before dev scoring runs."""
-    emissions, lengths, cache = model._emissions(sentences)
+    emissions, lengths, cache = model._emissions(sentences, keep_cache=True)
     nlls, d_emissions = crf_nll_with_grads(emissions, model.crf, golds, lengths,
                                            scale=scale)
     model._backward(cache, d_emissions)
@@ -249,8 +249,7 @@ def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
               embedder: StackedEmbedder,
               dev_scorer: Optional[Callable[[NerModel], float]] = None
               ) -> tuple[NerModel, NerTrainLog]:
-    """Train a tagger; returns the parameters from the best-dev epoch,
-    rounded to float32 as ``save_ner`` stores them.
+    """Train a tagger; returns the parameters from the best-dev epoch.
 
     Both corpora may use either tag scheme; they are converted to IOBES,
     the scheme of the model's tag set.  ``dev_scorer`` defaults to micro
@@ -332,7 +331,7 @@ def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
     if log.best_epoch == 0:
         log.status = "no_improvement"
     log.best_dev_f1 = best_f1
-    _restore_as_float32(best_params)
+    _restore(best_params)
     return model, log
 
 

@@ -7,10 +7,11 @@ from central finite differences, the LSTM runs one sequence one step at
 a time where the library runs a padded batch, and contextual vectors,
 perplexities, tagger emissions, CRF likelihoods, Viterbi paths and
 training gradients come from each sentence run alone where the library
-runs padded groups of sentences.  Float32 tagging is checked against a
-float32 copy of the model whose layers hold float32 parameters, where the
-library casts the float64 ones as each layer runs.  Cross entropy's
-log-softmax comes from scipy.special, which the library does not import.
+runs padded groups of sentences.  The library computes in float32;
+finite-difference checks and the references that pin float64 bits run on
+``float64_copy`` copies, whose layers hold float64 parameters, and layers
+compute in their input's dtype.  Cross entropy's log-softmax comes from
+scipy.special, which the library does not import.
 """
 
 import copy
@@ -19,7 +20,7 @@ import itertools
 import numpy as np
 
 from histtag.corpus import TagScheme
-from histtag.nn import logsumexp
+from histtag.nn import Layer, logsumexp
 
 
 def scan_spans(tags, scheme):
@@ -120,7 +121,7 @@ def crf_nll_reference(emissions, crf, gold, scale=1.0):
     out; the returned emission gradient is multiplied by ``scale`` too."""
     emissions = np.asarray(emissions, dtype=np.float64)
     gold = np.asarray(gold, dtype=np.int64)
-    trans = crf.params["transitions"]
+    trans = crf.params["transitions"].astype(np.float64)
     T, K = emissions.shape
     inner = trans[:K, :K]
 
@@ -160,9 +161,9 @@ def sentence_step_reference(model, sentence, gold, scale):
     gradients, the sentence run alone through ``crf_nll_reference``, as
     training ran before its mini-batches ran as one group; returns the
     NLL."""
-    emissions, _, cache = model._emissions([sentence])
+    emissions, _, cache = model._emissions([sentence], keep_cache=True)
     nll, d_emissions = crf_nll_reference(emissions[0], model.crf, gold, scale)
-    model._backward(cache, d_emissions[None])
+    model._backward(cache, d_emissions[None].astype(emissions.dtype))
     return nll
 
 
@@ -177,7 +178,7 @@ def viterbi_reference(emissions, crf):
     if emissions.shape[1] != crf.num_tags:
         raise ValueError(
             f"emissions have {emissions.shape[1]} columns, CRF has {crf.num_tags} tags")
-    trans = crf.params["transitions"]
+    trans = crf.params["transitions"].astype(np.float64)
     K = crf.num_tags
     T = emissions.shape[0]
     inner = trans[:K, :K]
@@ -301,9 +302,11 @@ def lstm_reference_backward(params, cache, grad_hs, grad_state=None):
 
 
 def train_lm_by_strand(corpus, config, seed):
-    """Reference for one epoch of ``charlm.train_lm``: each strand of a
-    TBPTT window runs on its own through ``lstm_reference_forward`` and the
-    strands' gradients add up before the step.  Returns the trained model."""
+    """Reference for one epoch of ``charlm.train_lm``, in float64: each
+    strand of a TBPTT window runs on its own through
+    ``lstm_reference_forward`` and the strands' gradients add up before the
+    step.  Returns the trained model, a ``float64_copy`` of the one
+    ``train_lm`` builds."""
     from histtag.charlm import GRAD_CLIP, HOLDOUT_FRACTION, CharLm
     from histtag.corpus import PlainCorpus, extract_char_vocab
     from histtag.nn import Dropout, clip_grad_norm, cross_entropy, sgd_step
@@ -318,8 +321,8 @@ def train_lm_by_strand(corpus, config, seed):
     train_text = stream[:n - 2 * holdout]
     vocab = extract_char_vocab(PlainCorpus.from_lines([train_text]))
     rng = np.random.default_rng(seed)
-    model = CharLm(vocab, config.direction, config.char_embed_dim,
-                   config.hidden_size, rng)
+    model = float64_copy(CharLm(vocab, config.direction, config.char_embed_dim,
+                                config.hidden_size, rng))
     encoded = vocab.encode(train_text)
     strands = [encoded[b * strand_len:(b + 1) * strand_len] for b in range(B)]
     dropout = Dropout(config.dropout)
@@ -361,7 +364,10 @@ FLOAT32_EMISSION_ATOL = 1e-8
 # projection scaled by 40), its emissions differed from
 # ``emissions_reference`` by at most 9.6e-7 on values up to 4.8 (24 models:
 # eight tagger seeds on each of three embedder seeds), and every model's
-# tags equalled the reference's.  On the trained H = 128 tagger of the
+# tags equalled the reference's.  With the parameters themselves float32,
+# the same corpus and stack at eight tagger seeds differ from the
+# reference, a float64 copy of those values, by at most 4.8e-7 on values up
+# to 4.1.  On the trained H = 128 tagger of the
 # benchmark's ``ner_tag`` workload (seeds 3 and 7) they differ from float64
 # by up to 1.5e-5 on values up to 22.6.
 FLOAT32_TAGGING_ATOL = 2e-6
@@ -400,12 +406,13 @@ def perplexity_reference(model, text):
 
 def contextual_reference(fwd, bwd, sentence):
     """The block a ContextualEmbedder built from the CharLms ``fwd`` and
-    ``bwd`` gives one sentence, extracted alone and in float64: each LM
-    reads the sentence's text through ``lm_reference`` (the backward one
-    the text reversed), and a token takes the forward state at its last
-    character and the backward state at its first."""
+    ``bwd`` gives one sentence, extracted alone and in float64: each LM's
+    ``float64_copy`` reads the sentence's text through ``lm_reference``
+    (the backward one the text reversed), and a token takes the forward
+    state at its last character and the backward state at its first."""
     from histtag.corpus import sentence_text, token_char_ranges
 
+    fwd, bwd = float64_copy(fwd), float64_copy(bwd)
     text = sentence_text(sentence)
     L = len(text)
     _, _, hs_f = lm_reference(fwd, fwd.vocab.encode(text))
@@ -416,12 +423,14 @@ def contextual_reference(fwd, bwd, sentence):
 
 def emissions_reference(model, sentence, lms):
     """A NerModel's (tokens × tags) emissions for one sentence, computed
-    alone: each component's block on its own (a contextual one by
-    ``contextual_reference`` from ``lms``, the (forward, backward) CharLms
-    it was built from), then one single-row recurrence per direction over
-    the block and over its reverse."""
+    alone and in float64 by the model's ``float64_copy``: each component's
+    block on its own (a contextual one by ``contextual_reference`` from
+    ``lms``, the (forward, backward) CharLms it was built from), then one
+    single-row recurrence per direction over the block and over its
+    reverse."""
     from histtag.embed import ContextualEmbedder, SentenceGroup
 
+    model = float64_copy(model)
     blocks = []
     for c in model.embedder.components:
         if isinstance(c, ContextualEmbedder):
@@ -438,25 +447,28 @@ def emissions_reference(model, sentence, lms):
     return emissions
 
 
-def float32_copy(model):
-    """A copy of a NerModel for float32 tagging, built as ``tagger.predict``
-    built it before layers computed in their input's dtype: the trainable
-    components' layers, the Bi-LSTM and the projection are ``Layer.cast``
-    copies in float32, and the copy shares the CRF, the frozen components
-    and their memos.  Its ``_emissions(sentences, np.float32)`` finds
-    every parameter in float32 already, so no layer casts one as it runs;
-    ``model`` is left as it is."""
-    from histtag.embed import StackedEmbedder
-
-    components = []
-    for c in model.embedder.components:
-        if c.named_layers:
-            c = copy.copy(c)
-            c.embedding, c.fwd, c.bwd = (
-                layer.cast(np.float32) for layer in (c.embedding, c.fwd, c.bwd))
-        components.append(c)
-    twin = copy.copy(model)
-    twin.embedder = StackedEmbedder(components, model.embedder.memos)
-    twin.fwd, twin.bwd, twin.projection = (
-        layer.cast(np.float32) for layer in (model.fwd, model.bwd, model.projection))
+def _copy_in(dtype, obj):
+    """A deep copy of a layer, or of a module and all it holds, whose
+    trainable layers hold ``dtype`` copies of its parameters and gradients;
+    ``obj`` is left as it is."""
+    twin = copy.deepcopy(obj)
+    for layer in [twin] if isinstance(twin, Layer) else twin.layers:
+        layer.params = {name: value.astype(dtype) for name, value in layer.params.items()}
+        layer.grads = {name: value.astype(dtype) for name, value in layer.grads.items()}
     return twin
+
+
+def float64_copy(obj):
+    """``obj`` (a layer, CharLm, char-feature encoder, stack or NerModel)
+    in float64.  Layers compute in their input's dtype, and a model's first
+    activations take its parameters' dtype (an embedding's rows, a tagger's
+    block), so the copy computes in float64 throughout, except for frozen
+    contextual blocks; every float32 value converts to float64 exactly, so
+    it starts from the same values."""
+    return _copy_in(np.float64, obj)
+
+
+def float32_copy(obj):
+    """``obj`` with every parameter rounded to float32: the inverse of
+    ``float64_copy``."""
+    return _copy_in(np.float32, obj)

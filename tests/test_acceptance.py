@@ -55,6 +55,7 @@ from oracles import (
     brute_log_partition,
     brute_nll,
     brute_viterbi,
+    float64_copy,
     gradient_relative_error,
     numeric_gradient,
 )
@@ -70,8 +71,8 @@ def _report(number: int, ok: bool, detail: str) -> None:
 
 
 def _random_crf_instance(rng, T, K):
-    crf = CrfLayer([f"S-T{i}" for i in range(K)],
-                   np.random.default_rng(int(rng.integers(2 ** 31))))
+    crf = float64_copy(CrfLayer([f"S-T{i}" for i in range(K)],
+                                np.random.default_rng(int(rng.integers(2 ** 31)))))
     crf.params["transitions"][crf.allowed] = rng.standard_normal(
         int(crf.allowed.sum()))
     return rng.standard_normal((T, K)), crf
@@ -107,7 +108,7 @@ def test_criterion_1_crf_oracle_equivalence():
 
 
 # ---------------------------------------------------------------------------
-# 2. gradient suite
+# 2. gradient suite, on float64 copies of the float32 models
 
 
 def _check_layers(layers, loss, errors):
@@ -121,7 +122,7 @@ def _charlm_gradient_error(errors):
     from histtag.charlm import lm_forward
 
     vocab = CharVocabulary("abcde")
-    model = CharLm(vocab, "forward", 4, 8, np.random.default_rng(0))
+    model = float64_copy(CharLm(vocab, "forward", 4, 8, np.random.default_rng(0)))
     x = model.vocab.encode("abdec")
     y = model.vocab.encode("bdeca")
 
@@ -133,7 +134,7 @@ def _charlm_gradient_error(errors):
 
     model.zero_grads()
     emb, emb_cache = model.embedding.forward(x[None])
-    hs, _, lstm_cache = model.lstm.forward(emb)
+    hs, _, lstm_cache = model.lstm.forward(emb, keep_cache=True)
     logits, lin_cache = model.projection.forward(hs[0])
     _, dlogits = cross_entropy(logits, y)
     dh = model.projection.backward(lin_cache, dlogits)
@@ -143,9 +144,9 @@ def _charlm_gradient_error(errors):
 
 
 def _char_encoder_gradient_error(errors):
-    encoder = CharFeatureEncoder(CharVocabulary("abcdwien "),
-                                 np.random.default_rng(1),
-                                 embed_dim=5, hidden=6)
+    encoder = float64_copy(CharFeatureEncoder(CharVocabulary("abcdwien "),
+                                              np.random.default_rng(1),
+                                              embed_dim=5, hidden=6))
     # unequal token lengths, down to one character, exercise the padding
     sentence = Sentence(tuple(Token(text, gold_tag="O")
                               for text in ("wiendab", "a", "den")))
@@ -157,7 +158,7 @@ def _char_encoder_gradient_error(errors):
 
     for layer in encoder.layers:
         layer.zero_grads()
-    _, cache = encoder.forward(SentenceGroup([sentence]))
+    _, cache = encoder.forward(SentenceGroup([sentence]), keep_cache=True)
     encoder.backward(cache, R)
     _check_layers(encoder.layers, loss, errors)
 
@@ -169,8 +170,8 @@ def _emission_gradient_error(errors):
     encoder = CharFeatureEncoder(extract_char_vocab(corpus),
                                  np.random.default_rng(3),
                                  embed_dim=5, hidden=4)
-    model = NerModel(StackedEmbedder([encoder]), ("O", "S-LOC", "S-PER"), 6,
-                     np.random.default_rng(4))
+    model = float64_copy(NerModel(StackedEmbedder([encoder]), ("O", "S-LOC", "S-PER"), 6,
+                                  np.random.default_rng(4)))
     sentence = corpus.sentences[0]
     R = np.random.default_rng(5).standard_normal((1, 3, 3))
 
@@ -179,7 +180,7 @@ def _emission_gradient_error(errors):
         return float(np.sum(emissions * R))
 
     model.zero_grads()
-    _, _, cache = model._emissions([sentence])
+    _, _, cache = model._emissions([sentence], keep_cache=True)
     model._backward(cache, R)
     _check_layers(model.layers, loss, errors)
 
@@ -255,7 +256,8 @@ def test_criterion_3_smlm_statistics():
 
 def _pinned_lm(vocab_chars: str, probs) -> CharLm:
     vocab = CharVocabulary(vocab_chars)
-    model = CharLm(vocab, "forward", 4, 8, np.random.default_rng(0))
+    # in float64, so the hand-computed perplexities hold within 1e-9
+    model = float64_copy(CharLm(vocab, "forward", 4, 8, np.random.default_rng(0)))
     for layer in model.layers:
         for p in layer.params.values():
             p[...] = 0.0

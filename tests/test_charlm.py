@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import softmax
 
-from histtag import charlm
+from histtag import charlm, nn
 from histtag.charlm import (
     DIRECTIONS,
     CharLm,
@@ -26,9 +26,11 @@ from histtag.corpus import CharVocabulary, PlainCorpus
 from histtag.errors import ConfigError, EmptyCorpusError, ModelFormatError, NonFiniteGradientError
 from histtag.nn import cross_entropy
 from histtag.serialization import layer_tensors, load_tensors, save_tensors
+from histtag.toydata import build_plain_corpus
 
 from conftest import make_corpus, raw_container
 from oracles import (
+    float64_copy,
     gradient_relative_error,
     lm_reference,
     numeric_gradient,
@@ -55,8 +57,10 @@ def run(model, text, state=None):
 
 
 def pinned_model(vocab_chars, probs, direction="forward"):
-    """Zero recurrence, projection bias = log probs: constant distribution."""
-    model = small_model(vocab_chars, direction=direction)
+    """Zero recurrence, projection bias = log probs: constant distribution.
+    A float64 copy, so its perplexities hold to the hand-computed values
+    within 1e-9."""
+    model = float64_copy(small_model(vocab_chars, direction=direction))
     for layer in model.layers:
         for p in layer.params.values():
             p[...] = 0.0
@@ -144,8 +148,8 @@ class TestForward:
         """Each row of a padded batch, from a zero or a carried state, holds
         the states of its text run alone by ``oracles.lm_reference``, and
         its final state is the state after its last character; an empty
-        text keeps its state."""
-        model = small_model(seed=6)
+        text keeps its state.  In float64, where the two agree to 1e-14."""
+        model = float64_copy(small_model(seed=6))
         texts = ["abc", "a", "edcbaZ", ""]
         rng = np.random.default_rng(2)
         start = (rng.uniform(-0.5, 0.5, (4, 8)), rng.uniform(-0.5, 0.5, (4, 8)))
@@ -164,8 +168,9 @@ class TestForward:
         np.testing.assert_array_equal(c[3], start[1][3])
 
     def test_nll_gradient_all_parameters(self):
-        # hidden 8, |V|=5: the full model chain against finite differences
-        model = small_model()
+        # hidden 8, |V|=5: the full model chain against finite differences,
+        # in float64
+        model = float64_copy(small_model())
         x = model.vocab.encode("abdec")
         y = model.vocab.encode("bdeca")
 
@@ -179,7 +184,7 @@ class TestForward:
         model.zero_grads()
         # manual backward through projection → lstm → embedding
         emb, emb_cache = model.embedding.forward(x[None])
-        hs, _, lstm_cache = model.lstm.forward(emb)
+        hs, _, lstm_cache = model.lstm.forward(emb, keep_cache=True)
         _, lin_cache = model.projection.forward(hs[0])
         dh = model.projection.backward(lin_cache, dlogits)
         dx, _ = model.lstm.backward(lstm_cache, dh[None])
@@ -284,16 +289,17 @@ def scoring_texts(chunk):
 @pytest.mark.parametrize("direction", DIRECTIONS)
 class TestScoringOracle:
     """Grouped and sliced scoring against ``oracles.perplexity_reference``,
-    each text scored alone in one B = 1 chunk."""
+    each text scored alone in one B = 1 chunk, both on a float64 copy of
+    the LM, where they agree to 1e-12."""
 
     def test_sentence_perplexity(self, eval_chunk, direction):
-        model = small_model("abcde ", seed=21, direction=direction)
+        model = float64_copy(small_model("abcde ", seed=21, direction=direction))
         for text in scoring_texts(eval_chunk):
             assert sentence_perplexity(model, text) == pytest.approx(
                 perplexity_reference(model, text), rel=1e-12, abs=0)
 
     def test_corpus_perplexity_over_several_windows(self, eval_chunk, direction):
-        model = small_model("abcde ", seed=22, direction=direction)
+        model = float64_copy(small_model("abcde ", seed=22, direction=direction))
         texts = scoring_texts(eval_chunk)
         reference = {text: perplexity_reference(model, text) for text in texts}
         # more lines than one window of EVAL_CHUNK lines; the long text once
@@ -310,14 +316,21 @@ def tiny_config(**kwargs):
     return CharLmConfig(**base)
 
 
+@pytest.fixture
+def float64_training(monkeypatch):
+    """``train_lm`` builds its model as a float64 copy of the one it would
+    build (the same draws), so it trains in float64."""
+    monkeypatch.setattr(charlm, "CharLm", lambda *args: float64_copy(CharLm(*args)))
+
+
 class TestTraining:
     def test_periodic_corpus_improves(self):
         corpus = PlainCorpus.from_lines(["ab" * 2500])
         model, log = train_lm(corpus, tiny_config(), seed=0)
         assert log.epochs[0].test_perplexity < log.initial_test_perplexity
 
-    def test_non_finite_gradient_stops_training(self):
-        # a rate near the largest float overflows the parameters in the
+    def test_non_finite_gradient_stops_training(self, float64_training):
+        # a rate near the largest float64 overflows the parameters in the
         # first updates, so the third window's gradient is NaN
         corpus = PlainCorpus.from_lines(["abcd" * 500])
         with (np.errstate(over="ignore", invalid="ignore"),
@@ -371,7 +384,7 @@ class TestTraining:
         model, log = train_lm(corpus, tiny_config(mini_batch=4, epochs=1), seed=0)
         assert log.epochs[0].test_perplexity < log.initial_test_perplexity
 
-    def test_mini_batch_matches_strand_by_strand_reference(self):
+    def test_mini_batch_matches_strand_by_strand_reference(self, float64_training):
         """All strands of a window in one batched recurrence train the same
         model as walking them one by one through the per-sequence reference
         loop, dropout draws included.  The two sum gradients in different
@@ -382,6 +395,59 @@ class TestTraining:
         reference = train_lm_by_strand(corpus, cfg, seed=3)
         for (name, a), (_, b) in zip(tensors(model), tensors(reference)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-10, err_msg=name)
+
+    def test_dropout_training_stays_float32(self, monkeypatch):
+        """One epoch at dropout 0.1, the default: every activation that
+        reaches the projection and every gradient that reaches a layer's
+        backward is float32, and so is every parameter and gradient after
+        it.  A float64 dropout mask would widen the dropped states and run
+        the projection and its backward in float64."""
+        seen = []
+        for name in ("forward", "backward"):
+            method = getattr(nn.Linear, name)
+
+            def recording(self, cache_or_x, *args, _method=method):
+                seen.append(cache_or_x.dtype)
+                seen.extend(a.dtype for a in args)
+                return _method(self, cache_or_x, *args)
+            monkeypatch.setattr(nn.Linear, name, recording)
+        lstm_backward = nn.Lstm.backward
+
+        def recording_lstm(self, cache, grad_hs, grad_state=None):
+            seen.extend((cache[4].dtype, grad_hs.dtype))
+            return lstm_backward(self, cache, grad_hs, grad_state)
+        monkeypatch.setattr(nn.Lstm, "backward", recording_lstm)
+        corpus = PlainCorpus.from_lines(["the cat sat on the mat " * 40])
+        model, _ = train_lm(corpus, tiny_config(dropout=0.1), seed=4)
+        assert seen and set(seen) == {np.dtype(np.float32)}
+        for layer in model.layers:
+            for tensors in (layer.params, layer.grads):
+                assert all(t.dtype == np.float32 for t in tensors.values())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_float32_training_tracks_float64(self, monkeypatch, seed):
+        """One epoch at the benchmark's LM settings (emb 16, H = 64, L = 50,
+        B = 8, lr 5, clip 5, no dropout) on 10.8k characters of toy text,
+        trained in float32 and on float64 copies (the same draws).  Over
+        seeds 0-19 the final parameters differed by at most 6.5e-5, and the
+        epoch's train loss by 2.0e-7, dev loss by 1.0e-5 and test perplexity
+        by 3.6e-5 relative, except seed 6, whose runs parted further
+        (parameters 7.3e-3, perplexity 7.4e-4): at lr 5 a rounding
+        difference can grow."""
+        corpus = build_plain_corpus(0, 300)
+        config = CharLmConfig(direction="forward", char_embed_dim=16, hidden_size=64,
+                              sequence_length=50, mini_batch=8, learning_rate=5.0,
+                              dropout=0.0)
+        model, log = train_lm(corpus, config, seed)
+        monkeypatch.setattr(charlm, "CharLm", lambda *args: float64_copy(CharLm(*args)))
+        wide, wide_log = train_lm(corpus, config, seed)
+        for (name, a), (_, b) in zip(tensors(model), tensors(wide), strict=True):
+            assert a.dtype == np.float32 and b.dtype == np.float64
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-4, err_msg=name)
+        (got,), (want,) = log.epochs, wide_log.epochs
+        assert got.train_loss == pytest.approx(want.train_loss, rel=1e-6)
+        assert got.dev_loss == pytest.approx(want.dev_loss, rel=1e-4)
+        assert got.test_perplexity == pytest.approx(want.test_perplexity, rel=1e-4)
 
     def test_explicit_vocab_respected(self):
         corpus = PlainCorpus.from_lines(["ababab" * 200])
@@ -404,8 +470,8 @@ class TestSaveLoad:
         assert loaded.vocab == model.vocab
         assert loaded.direction == model.direction
         for (n1, a), (n2, b) in zip(tensors(model), tensors(loaded)):
-            np.testing.assert_array_equal(
-                a.astype(np.float32).astype(np.float64), b)
+            assert a.dtype == b.dtype == np.float32
+            np.testing.assert_array_equal(a, b)
 
     def test_save_load_save_identical(self, tmp_path):
         _, path = self._trained(tmp_path)

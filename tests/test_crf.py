@@ -19,6 +19,7 @@ from oracles import (
     brute_nll_gradients,
     brute_viterbi,
     crf_nll_reference,
+    float64_copy,
     gradient_relative_error,
     numeric_gradient,
     viterbi_reference,
@@ -31,9 +32,10 @@ IOBES_TAGS = ("O", "B-PER", "I-PER", "E-PER", "S-PER", "B-LOC", "I-LOC",
 def free_crf(num_tags, seed=0):
     """CRF over single-token tags, whose IOBES mask pins only moves into
     START, moves out of STOP and START→STOP: every path of length ≥ 1 is
-    allowed."""
+    allowed.  A float64 copy: the CRF computes in float64, and its
+    gradients, held in float64, match the oracles to their tolerances."""
     tags = [f"S-T{i}" for i in range(num_tags)]
-    return CrfLayer(tags, np.random.default_rng(seed))
+    return float64_copy(CrfLayer(tags, np.random.default_rng(seed)))
 
 
 def random_instance(rng, T, K):
@@ -151,7 +153,7 @@ class TestGradients:
         rng = np.random.default_rng(11)
         for iobes in (False, True):
             if iobes:
-                crf = CrfLayer(IOBES_TAGS[:5], rng)
+                crf = float64_copy(CrfLayer(IOBES_TAGS[:5], rng))
                 K = 5
             else:
                 emissions, crf = random_instance(rng, 4, 3)
@@ -231,6 +233,31 @@ class TestBatch:
             assert np.all(d_emissions[b, length:] == 0.0)
         np.testing.assert_allclose(batched, crf.grads["transitions"], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float32_transitions_compute_as_their_float64_copy(self, dtype):
+        """A CrfLayer holds float32 transitions and computes over them
+        upcast: the NLLs and emission gradients are its float64 copy's bit
+        for bit, the emission gradients in the emissions' dtype, and the
+        transition gradient is the float64 one rounded to float32."""
+        rng = np.random.default_rng(23)
+        crf = CrfLayer(IOBES_TAGS[:5], rng)
+        assert crf.params["transitions"].dtype == crf.grads["transitions"].dtype == np.float32
+        crf64 = float64_copy(crf)
+        lengths = [4, 1, 3]
+        emissions = rng.standard_normal((3, 4, 5)).astype(dtype)
+        golds = [[1, 2, 2, 3], [4], [0, 1, 3]]
+        nlls, d_emissions = crf_nll_with_grads(emissions, crf, golds, lengths, 0.5)
+        want_nlls, want_d = crf_nll_with_grads(emissions.astype(np.float64), crf64, golds,
+                                               lengths, 0.5)
+        assert d_emissions.dtype == dtype
+        np.testing.assert_array_equal(nlls, want_nlls)
+        np.testing.assert_array_equal(d_emissions, want_d.astype(dtype))
+        np.testing.assert_array_equal(crf.grads["transitions"],
+                                      crf64.grads["transitions"].astype(np.float32))
+        for got, want in zip(viterbi_decode(emissions, crf, lengths),
+                             viterbi_decode(emissions, crf64, lengths)):
+            np.testing.assert_array_equal(got, want)
+
     def test_padding_values_do_not_matter(self):
         lengths = [1, 5, 3]
         out = []
@@ -247,7 +274,7 @@ class TestBatch:
 
     def test_finite_differences_on_a_padded_batch(self):
         rng = np.random.default_rng(22)
-        crf = CrfLayer(IOBES_TAGS[:5], rng)
+        crf = float64_copy(CrfLayer(IOBES_TAGS[:5], rng))
         lengths = [4, 1, 3]
         emissions = rng.standard_normal((3, 4, 5))
         golds = [[1, 2, 2, 3], [4], [0, 1, 3]]

@@ -23,6 +23,7 @@ from conftest import make_sentence
 from oracles import (
     FLOAT32_STATE_ATOL,
     contextual_reference,
+    float64_copy,
     gradient_relative_error,
     lm_reference,
     numeric_gradient,
@@ -116,7 +117,7 @@ class TestCharFeatures:
     def test_rows_match_one_token_sentences(self):
         """A token's row from a padded sentence batch equals the token run
         alone; the batched input product may round the last bit
-        differently, so float64 agreement to 1e-14."""
+        differently, so agreement to 1e-14."""
         enc = CharFeatureEncoder(CharVocabulary("abc"), np.random.default_rng(6),
                                  embed_dim=5, hidden=4)
         words = ["bca", "a", "cabbac", "ab"]
@@ -131,8 +132,8 @@ class TestCharFeatures:
         assert enc.embedding.num_embeddings == 3
 
     def test_gradient_through_token(self):
-        enc = CharFeatureEncoder(CharVocabulary("abc"), np.random.default_rng(3),
-                                 embed_dim=5, hidden=4)
+        enc = float64_copy(CharFeatureEncoder(CharVocabulary("abc"), np.random.default_rng(3),
+                                              embed_dim=5, hidden=4))
         # "a" twice: its text runs once and takes both rows' gradients
         group = SentenceGroup([make_sentence([("bca", "O"), ("a", "O")]),
                                make_sentence([("cabbac", "O"), ("a", "O")])])
@@ -141,7 +142,7 @@ class TestCharFeatures:
         def loss():
             return float(np.sum(enc.forward(group)[0] * R))
 
-        _, cache = enc.forward(group)
+        _, cache = enc.forward(group, keep_cache=True)
         for layer in enc.layers:
             layer.zero_grads()
         enc.backward(cache, R)
@@ -179,13 +180,13 @@ class TestContextual:
 
     def test_extraction_offsets(self):
         """Forward part comes from the token's last char, backward from its
-        first char, verified against the LMs' float64 states from
-        ``lm_reference``, so within FLOAT32_STATE_ATOL."""
+        first char, verified against the states of the LMs' float64 copies
+        from ``lm_reference``, so within FLOAT32_STATE_ATOL."""
         fwd, bwd = make_lm("forward"), make_lm("backward", seed=3)
         sentence = make_sentence([("ab", "O"), ("c", "O")])
         text = "ab c"
-        _, _, hs_f = lm_reference(fwd, fwd.vocab.encode(text))
-        _, _, hs_b = lm_reference(bwd, bwd.vocab.encode(text[::-1]))
+        _, _, hs_f = lm_reference(float64_copy(fwd), fwd.vocab.encode(text))
+        _, _, hs_b = lm_reference(float64_copy(bwd), bwd.vocab.encode(text[::-1]))
         out = ContextualEmbedder(fwd, bwd).forward(SentenceGroup([sentence]))
         # token "ab": chars 0..1; token "c": char 3
         for got, want in ((out[0][:6], hs_f[1]), (out[0][6:], hs_b[len(text) - 1 - 0]),
@@ -203,19 +204,24 @@ class TestContextual:
         assert out.dtype == np.float32
         for lm, name, value in before:
             now = dict(layer_tensors(lm.named_layers))[name]
-            assert now.dtype == np.float64
+            assert now.dtype == np.float32
             np.testing.assert_array_equal(now, value)
 
     def test_lms_given_can_be_freed(self):
-        """The embedder keeps its float32 copies only: the float64 LMs,
-        with their projections and gradient buffers, go once the caller
-        drops them."""
+        """The embedder keeps gradient-free copies of its LMs' embedding
+        and LSTM layers, sharing their parameters: the LMs, with their
+        projections and gradient slots, go once the caller drops them."""
         fwd, bwd = make_lm("forward"), make_lm("backward", seed=3)
         refs = [weakref.ref(lm) for lm in (fwd, bwd)]
+        grads = [weakref.ref(g) for lm in (fwd, bwd) for g in lm.lstm.grads.values()]
         ctx = ContextualEmbedder(fwd, bwd)
+        assert all(embedding.params is lm.embedding.params and lstm.params is lm.lstm.params
+                   and embedding.grads == lstm.grads == {}
+                   for lm, (_, embedding, lstm) in zip((fwd, bwd), ctx._lms))
         del fwd, bwd
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
+        assert all(ref() is None for ref in grads)
         out = ctx.forward(SentenceGroup([make_sentence([("ab", "O"), ("c", "O")])]))
         assert out.shape == (2, 12)
 
@@ -305,8 +311,8 @@ class TestStacked:
     def test_gradient_reaches_only_trainable_parts(self):
         rng = np.random.default_rng(5)
         word = table_embedder(["ab", "c"], 3, [1.0, 2.0])
-        chars = CharFeatureEncoder(CharVocabulary("abc"), rng,
-                                   embed_dim=4, hidden=3)
+        chars = float64_copy(CharFeatureEncoder(CharVocabulary("abc"), rng,
+                                                embed_dim=4, hidden=3))
         fwd, bwd = make_lm("forward", hidden=4), make_lm("backward", hidden=4)
         ctx = ContextualEmbedder(fwd, bwd)
         stacked = StackedEmbedder([word, chars, ctx])
@@ -315,14 +321,14 @@ class TestStacked:
         # two rows of unequal length: the gradient on the padded position
         # must reach nothing
         sentences = [make_sentence([("ab", "O"), ("c", "O")]), make_sentence([("ca", "O")])]
-        out, _, cache = stacked.forward(sentences)
+        out, _, cache = stacked.forward(sentences, np.float64, keep_cache=True)
         grad = rng.standard_normal(out.shape)
         for layer in stacked.layers:
             layer.zero_grads()
         stacked.backward(cache, grad)
 
         def loss():
-            vecs, _, _ = stacked.forward(sentences)
+            vecs, _, _ = stacked.forward(sentences, np.float64)
             return float(np.sum(vecs * grad))
 
         for layer in chars.layers:

@@ -16,12 +16,15 @@ from histtag.nn import (
 
 from oracles import (
     cross_entropy_reference,
+    float32_copy,
+    float64_copy,
     gradient_relative_error,
     lstm_reference_backward,
     lstm_reference_forward,
     numeric_gradient,
 )
 
+# finite-difference checks run on float64 copies of the layers
 TOL = 1e-4
 
 
@@ -43,7 +46,7 @@ class TestEmbedding:
 
     def test_gradient(self):
         rng = np.random.default_rng(1)
-        emb = Embedding(6, 4, rng)
+        emb = float64_copy(Embedding(6, 4, rng))
         idx = np.array([2, 0, 2, 5])
         R = rng.standard_normal((4, 4))
 
@@ -60,7 +63,7 @@ class TestEmbedding:
 class TestLinear:
     def test_gradients(self):
         rng = np.random.default_rng(2)
-        lin = Linear(4, 3, rng)
+        lin = float64_copy(Linear(4, 3, rng))
         x = rng.standard_normal((5, 4))
         R = rng.standard_normal((5, 3))
 
@@ -77,32 +80,35 @@ class TestLinear:
         assert gradient_relative_error(dx, dx_num) < TOL
 
     def test_float32_input_computes_in_float32(self):
-        """Weight and bias are cast to the input's dtype: a float32 input
-        gives the bits of a ``Layer.cast`` copy, and the float64
-        parameters are left as they are."""
+        """Weight and bias are cast to the input's dtype: a float64 copy
+        given a float32 input gives the bits of the float32 layer, and its
+        float64 parameters are left as they are."""
         rng = np.random.default_rng(3)
         lin = Linear(4, 3, rng)
         lin.params["bias"][...] = rng.standard_normal(3)
-        before = {name: p.copy() for name, p in lin.params.items()}
+        assert all(p.dtype == np.float32 for p in lin.params.values())
+        lin64 = float64_copy(lin)
+        before = {name: p.copy() for name, p in lin64.params.items()}
         x = rng.standard_normal((5, 4)).astype(np.float32)
-        out, _ = lin.forward(x)
-        want, _ = lin.cast(np.float32).forward(x)
+        out, _ = lin64.forward(x)
+        want, _ = lin.forward(x)
         assert out.dtype == want.dtype == np.float32
         np.testing.assert_array_equal(out, want)
-        for name, p in lin.params.items():
+        for name, p in lin64.params.items():
             assert p.dtype == np.float64
             np.testing.assert_array_equal(p, before[name])
 
 
 class TestLstm:
     """A padded batch of three rows with lengths 7, 4 and 1, a carried
-    state and a gradient on the final state."""
+    state and a gradient on the final state, through a float64 copy of the
+    layer."""
 
     LENGTHS = np.array([7, 4, 1])
 
     def setup_method(self):
         self.rng = np.random.default_rng(4)
-        self.lstm = Lstm(3, 5, self.rng)
+        self.lstm = float64_copy(Lstm(3, 5, self.rng))
         self.x = self.rng.standard_normal((3, 7, 3))
         self.h0 = self.rng.standard_normal((3, 5)) * 0.1
         self.c0 = self.rng.standard_normal((3, 5)) * 0.1
@@ -115,7 +121,8 @@ class TestLstm:
         return float(np.sum(hs * self.R) + np.sum(hT * self.Rh) + np.sum(cT * self.Rc))
 
     def run_backward(self):
-        hs, (hT, cT), cache = self.lstm.forward(self.x, (self.h0, self.c0), self.LENGTHS)
+        hs, (hT, cT), cache = self.lstm.forward(self.x, (self.h0, self.c0), self.LENGTHS,
+                                                keep_cache=True)
         self.lstm.zero_grads()
         return self.lstm.backward(cache, self.R, (self.Rh, self.Rc))
 
@@ -162,7 +169,7 @@ class TestLstm:
         so float64 agreement to 1e-12 is required, not equality."""
         state = (self.h0, self.c0) if carried else None
         grad_state = (self.Rh, self.Rc) if carried else None
-        hs, (hT, cT), cache = self.lstm.forward(self.x, state, self.LENGTHS)
+        hs, (hT, cT), cache = self.lstm.forward(self.x, state, self.LENGTHS, keep_cache=True)
         self.lstm.zero_grads()
         dx, (dh0, dc0) = self.lstm.backward(cache, self.R, grad_state)
         grads = {name: np.zeros_like(p) for name, p in self.lstm.params.items()}
@@ -189,17 +196,16 @@ class TestLstm:
             np.testing.assert_allclose(self.lstm.grads[name], grad, rtol=0, atol=1e-12)
 
     def test_float32_cast_agrees_with_float64(self):
-        """A float32 cast of the layer runs the same kernel in float32.
+        """A float32 copy of the layer runs the same kernel in float32.
         Against the float64 run on the same inputs it agrees within 3e-7:
         over 20 seeds of this set-up, outputs and cells (up to 0.62)
-        differed by at most 8.9e-8.  The layer cast from is left as it is."""
+        differed by at most 8.9e-8.  The layer copied is left as it is."""
         before = {name: p.copy() for name, p in self.lstm.params.items()}
-        lstm32 = self.lstm.cast(np.float32)
+        lstm32 = float32_copy(self.lstm)
         hs, (hT, cT), _ = self.lstm.forward(self.x, (self.h0, self.c0), self.LENGTHS)
         hs32, (hT32, cT32), _ = lstm32.forward(
             self.x.astype(np.float32),
             (self.h0.astype(np.float32), self.c0.astype(np.float32)), self.LENGTHS)
-        assert lstm32.grads == {}
         for got, want in ((hs32, hs), (hT32, hT), (cT32, cT)):
             assert got.dtype == np.float32
             np.testing.assert_allclose(got, want, rtol=0, atol=3e-7)
@@ -208,25 +214,32 @@ class TestLstm:
             np.testing.assert_array_equal(p, before[name])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_only_a_float64_forward_keeps_a_cache(self, dtype):
-        """The layer computes in its input's dtype, and backward runs in
-        float64 only, so a forward keeps its cache exactly when it is
-        float64, whatever the layer's gradient slots: this layer and a
-        ``Layer.cast`` copy in ``dtype``, which has none, give the same
-        output and final-state bits in ``dtype``."""
-        slotless = self.lstm.cast(dtype)
-        assert self.lstm.grads and not slotless.grads
+    def test_only_a_forward_asked_keeps_a_cache(self, dtype):
+        """A forward keeps its cache exactly when its caller asks, in
+        either dtype, and asking changes no output bit.  Backward runs in
+        the dtype of the cache: its input and state gradients come out in
+        it, and a float32 backward of the float32 layer agrees with the
+        float64 copy's within 1e-6 (about 1.2e-7 measured here)."""
+        lstm = self.lstm if dtype == np.float64 else float32_copy(self.lstm)
         for seed in range(3):
             rng = np.random.default_rng(seed)
             x = rng.standard_normal((3, 7, 3)).astype(dtype)
             state = tuple(rng.standard_normal((3, 5)).astype(dtype) * 0.1 for _ in range(2))
-            hs, (hT, cT), cache = self.lstm.forward(x, state, self.LENGTHS)
-            s_hs, (s_hT, s_cT), s_cache = slotless.forward(x, state, self.LENGTHS)
-            keeps = dtype == np.float64
-            assert (cache is not None) == (s_cache is not None) == keeps
-            for got, want in ((hs, s_hs), (hT, s_hT), (cT, s_cT)):
+            hs, (hT, cT), cache = lstm.forward(x, state, self.LENGTHS)
+            k_hs, (k_hT, k_cT), kept = lstm.forward(x, state, self.LENGTHS, keep_cache=True)
+            assert cache is None and kept is not None
+            for got, want in ((hs, k_hs), (hT, k_hT), (cT, k_cT)):
                 assert got.dtype == want.dtype == dtype
                 np.testing.assert_array_equal(got, want)
+            R = self.R.astype(dtype)
+            dx, (dh0, dc0) = lstm.backward(kept, R, (R[:, 0], R[:, 1]))
+            assert dx.dtype == dh0.dtype == dc0.dtype == dtype
+            assert all(g.dtype == dtype for g in lstm.grads.values())
+            _, _, cache64 = self.lstm.forward(x.astype(np.float64),
+                                              tuple(s.astype(np.float64) for s in state),
+                                              self.LENGTHS, keep_cache=True)
+            want_dx, _ = self.lstm.backward(cache64, self.R, (self.R[:, 0], self.R[:, 1]))
+            np.testing.assert_allclose(dx, want_dx, rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("lengths", [[8, 3], [4], [4, -1], [4, 0, 1]])
     def test_rejects_bad_lengths(self, lengths):
@@ -260,6 +273,19 @@ class TestDropout:
         rng = np.random.default_rng(9)
         rows = [drop.forward(x[b], rng)[1] for b in range(4)]
         np.testing.assert_array_equal(batched, np.stack(rows))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mask_keeps_the_activations_dtype(self, dtype):
+        """A float32 input gets a float32 mask, so dropout does not widen
+        float32 activations; the float64 mask holds the bits of
+        ``keep / (1 - rate)`` in float64, and both consume the same draws."""
+        drop = Dropout(0.1)
+        x = np.ones((5, 7), dtype)
+        out, mask = drop.forward(x, np.random.default_rng(2))
+        assert out.dtype == mask.dtype == dtype
+        assert drop.backward(mask, np.ones_like(x)).dtype == dtype
+        keep = np.random.default_rng(2).random(x.shape) >= 0.1
+        np.testing.assert_array_equal(mask, (keep / 0.9).astype(dtype))
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):

@@ -36,9 +36,8 @@ class TestRoundTrip:
         assert meta2 == meta
         assert list(loaded) == [n for n, _ in tensors]
         for name, original in tensors:
-            assert loaded[name].dtype == np.float64
-            np.testing.assert_array_equal(
-                loaded[name], original.astype(np.float32).astype(np.float64))
+            assert loaded[name].dtype == np.float32
+            np.testing.assert_array_equal(loaded[name], original.astype(np.float32))
 
     def test_save_load_save_identical_bytes(self, tmp_path):
         rng = np.random.default_rng(1)

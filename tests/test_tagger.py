@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from histtag import embed, tagger
-from histtag.charlm import CharLm, load_lm, save_lm
+from histtag.charlm import CharLm, corpus_perplexity, load_lm, save_lm
 from histtag.corpus import (
     CharVocabulary,
     TaggedCorpus,
@@ -26,6 +26,7 @@ from histtag.embed import (
 )
 from histtag.errors import ConfigError, EmptyCorpusError, ModelFormatError, NonFiniteGradientError
 from histtag.evaluation import evaluate, read_conll_predictions, write_conll_predictions
+from histtag.nn import Linear, Lstm
 from histtag.serialization import layer_tensors, load_tensors, save_tensors
 from histtag.toydata import build_tagged_splits
 from histtag.tagger import (
@@ -45,6 +46,7 @@ from oracles import (
     FLOAT32_TAGGING_ATOL,
     emissions_reference,
     float32_copy,
+    float64_copy,
     gradient_relative_error,
     numeric_gradient,
     sentence_step_reference,
@@ -156,7 +158,8 @@ class TestEmissions:
 
 
 def check_emission_gradients(sentences):
-    model = fresh_model(toy_corpus())
+    """Finite differences on a float64 copy of the model."""
+    model = float64_copy(fresh_model(toy_corpus()))
     rng = np.random.default_rng(3)
     _, lengths, _ = model._emissions(sentences)
     R = rng.standard_normal((len(sentences), lengths.max(), len(model.tags)))
@@ -166,7 +169,7 @@ def check_emission_gradients(sentences):
         return float(np.sum(model._emissions(sentences)[0] * R))
 
     model.zero_grads()
-    _, _, cache = model._emissions(sentences)
+    _, _, cache = model._emissions(sentences, keep_cache=True)
     model._backward(cache, R)
     for layer in (model.fwd, model.bwd, model.projection, *model.embedder.layers):
         for name, param in layer.params.items():
@@ -294,6 +297,61 @@ class TestTraining:
         assert [r.dev_f1 for r in log.records] == [0.0] * 30
         assert (log.status, log.best_epoch) == ("no_improvement", 0)
 
+    def test_trains_in_float32(self, tmp_path, monkeypatch):
+        """Every activation and gradient that reaches a layer's backward is
+        float32, the CRF's emission gradient included, and so is every
+        parameter and gradient of the trained model; only the CRF computes
+        in float64, over its float32 transitions upcast."""
+        seen = []
+        linear_backward, lstm_backward = Linear.backward, Lstm.backward
+
+        def recording_linear(self, cache, grad_out):
+            seen.extend((cache.dtype, grad_out.dtype))
+            return linear_backward(self, cache, grad_out)
+
+        def recording_lstm(self, cache, grad_hs, grad_state=None):
+            seen.extend((cache[4].dtype, grad_hs.dtype))
+            return lstm_backward(self, cache, grad_hs, grad_state)
+        monkeypatch.setattr(Linear, "backward", recording_linear)
+        monkeypatch.setattr(Lstm, "backward", recording_lstm)
+        corpus = toy_corpus()
+        model, _ = train_ner(corpus, corpus, small_config(max_epochs=2),
+                             full_embedder(tmp_path, corpus))
+        assert seen and set(seen) == {np.dtype(np.float32)}
+        for layer in model.layers:
+            for tensors in (layer.params, layer.grads):
+                assert all(t.dtype == np.float32 for t in tensors.values())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_float32_training_tracks_float64(self, monkeypatch, seed):
+        """Three mini-batches at the benchmark's tagger settings (H = 128,
+        lr 0.5, mini_batch 4, char features 16/16 and contextual states of
+        two H = 16 LMs), trained in float32 and on float64 copies (the same
+        draws).  Over seeds 0-19 the parameters differed by at most 3.1e-7
+        and the epoch's train loss by 2.2e-8 relative."""
+        splits = build_tagged_splits(0, train_size=12)
+        train, dev = splits["train"], splits["dev"]
+        vocab = extract_char_vocab(train, dev)
+        lms = (CharLm(vocab, "forward", 8, 16, np.random.default_rng(1)),
+               CharLm(vocab, "backward", 8, 16, np.random.default_rng(2)))
+        config = TaggerConfig(lstm_hidden=128, learning_rate=0.5, mini_batch=4,
+                              max_epochs=1, seed=seed)
+
+        def trained():
+            stack = StackedEmbedder([
+                CharFeatureEncoder(vocab, np.random.default_rng(seed), embed_dim=16, hidden=16),
+                ContextualEmbedder(*lms)])
+            return train_ner(train, dev, config, stack, dev_scorer=lambda m: 1.0)
+        model, log = trained()
+        monkeypatch.setattr(tagger, "NerModel", lambda *args: float64_copy(NerModel(*args)))
+        wide, wide_log = trained()
+        for (name, a), (_, b) in zip(layer_tensors(model.named_layers),
+                                     layer_tensors(wide.named_layers), strict=True):
+            assert a.dtype == np.float32 and b.dtype == np.float64
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-6, err_msg=name)
+        assert log.records[0].train_loss == pytest.approx(wide_log.records[0].train_loss,
+                                                          rel=1e-7)
+
     def test_best_epoch_parameters_returned(self):
         corpus = toy_corpus()
         embedder = char_only_embedder(corpus)
@@ -311,9 +369,10 @@ class TestTraining:
         assert log.best_epoch == 2
         assert log.best_dev_f1 == 0.9
         final = [p for layer in model.layers for p in layer.params.values()]
-        # the best epoch's values, rounded to the float32 a model file stores
-        for param, saved in zip(final, seen[1]):
-            np.testing.assert_array_equal(param, saved.astype(np.float32))
+        # the best epoch's values, in the float32 a model file stores
+        for param, saved in zip(final, seen[1], strict=True):
+            assert param.dtype == np.float32
+            np.testing.assert_array_equal(param, saved)
 
     def test_deterministic_given_seed(self):
         corpus = toy_corpus()
@@ -348,18 +407,26 @@ class TestTraining:
             np.testing.assert_array_equal(a, b, err_msg=name)
 
 
+@pytest.fixture
+def float64_training(monkeypatch):
+    """``train_ner`` builds its model as a float64 copy of the one it would
+    build (the same draws, and a copy of the stack it is given), so it
+    trains in float64."""
+    monkeypatch.setattr(tagger, "NerModel", lambda *args: float64_copy(NerModel(*args)))
+
+
 class TestBatchedStep:
     """A mini-batch runs as one padded group; ``oracles``'s
     ``sentence_step_reference`` runs each of its sentences alone through the
     unbatched CRF, as training did before.  Sums run in another order, so
-    the two agree within 1e-12."""
+    on float64 copies the two agree within 1e-12."""
 
     @pytest.mark.parametrize("rows", [(8, 1, 3, 6), (3, 8), (1,), (8,)],
                              ids=["one_token_among_longer", "one_token_last",
                                   "batch_of_one", "batch_of_one_token"])
     def test_gradients_are_the_scaled_sum_of_sentences(self, rows):
         corpus = toy_corpus(TRAIN_SENTENCES + [ONE_TOKEN])
-        model = fresh_model(corpus)
+        model = float64_copy(fresh_model(corpus))
         sentences = [corpus.sentences[i] for i in rows]
         golds = [np.array([model.tag_index[t] for t in s.gold_tags()]) for s in sentences]
         scale = 1.0 / len(rows)
@@ -382,7 +449,7 @@ class TestBatchedStep:
             np.testing.assert_allclose(batched[name], want, rtol=0, atol=1e-12,
                                        err_msg=name)
 
-    def test_training_matches_steps_per_sentence(self, monkeypatch):
+    def test_training_matches_steps_per_sentence(self, monkeypatch, float64_training):
         """Nine sentences in mini-batches of 4: the last batch holds one."""
         corpus = toy_corpus(TRAIN_SENTENCES + [ONE_TOKEN])
         config = small_config(max_epochs=3, seed=7)
@@ -399,9 +466,8 @@ class TestBatchedStep:
                                    [r.train_loss for r in log2.records], rtol=1e-12)
         for (name, a), (_, b) in zip(layer_tensors(m1.named_layers),
                                      layer_tensors(m2.named_layers), strict=True):
-            # float32 after training: equal, or one float32 rounding step
-            # apart where a 1e-16 difference crossed a boundary
-            np.testing.assert_allclose(a, b, rtol=2 ** -23, atol=1e-12, err_msg=name)
+            assert a.dtype == b.dtype == np.float64
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
 
 
 def full_embedder(tmp_path, corpus):
@@ -428,20 +494,20 @@ def full_embedder(tmp_path, corpus):
 
 
 def saved_lms(tmp_path):
-    """The float64 LMs ``full_embedder`` saved, as their files hold them."""
+    """The LMs ``full_embedder`` saved, as their files hold them."""
     return [load_lm(tmp_path / name) for name in ("fwd.lm", "bwd.lm")]
 
 
 class TestGroupedPath:
     """``predict`` runs length-sorted groups; ``oracles.emissions_reference``
-    runs each sentence alone, with float64 contextual states, so emissions
-    agree within FLOAT32_EMISSION_ATOL."""
+    runs each sentence alone, with float64 contextual states, so a float64
+    copy's emissions agree within FLOAT32_EMISSION_ATOL."""
 
     def test_group_emissions_equal_sentences_alone(self, tmp_path):
         corpus = toy_corpus()
         embedder = full_embedder(tmp_path, corpus)
         model = NerModel(embedder, ("O", "S-LOC", "S-PER"), 7, np.random.default_rng(9))
-        emissions, lengths, _ = model._emissions(corpus.sentences)
+        emissions, lengths, _ = float64_copy(model)._emissions(corpus.sentences)
         lms = saved_lms(tmp_path)
         for row, length, sentence in zip(emissions, lengths, corpus):
             np.testing.assert_allclose(row[:length], emissions_reference(model, sentence, lms),
@@ -469,10 +535,10 @@ class TestGroupedPath:
         groups = []
         emissions = NerModel._emissions
 
-        def recording(self, sentences, *args):
-            assert args == (np.float32,)
+        def recording(self, sentences, *args, **kwargs):
+            assert not args and not kwargs  # no backward cache
             groups.append(list(sentences))
-            return emissions(self, sentences, *args)
+            return emissions(self, sentences)
         monkeypatch.setattr(NerModel, "_emissions", recording)
         assert predict(model, corpus) == tags
         assert [longest] in groups
@@ -507,15 +573,16 @@ class TestTwoTierPredict:
 
     def record_groups(self, monkeypatch):
         """The sentences of each ``_emissions`` call, on one CPU, where
-        every job runs in this process; each call is in float32."""
+        every job runs in this process; no call asks for a backward
+        cache."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         groups = []
         emissions = NerModel._emissions
 
-        def recording(self, sentences, *args):
-            assert args == (np.float32,)
+        def recording(self, sentences, *args, **kwargs):
+            assert not args and not kwargs
             groups.append(list(sentences))
-            return emissions(self, sentences, *args)
+            return emissions(self, sentences)
         monkeypatch.setattr(NerModel, "_emissions", recording)
         return groups
 
@@ -669,31 +736,68 @@ class TestFrozenMemo:
 
 
 class TestInferenceCaches:
-    """The float32 ``_emissions`` that ``predict`` makes keeps no LSTM
-    cache, so a group holds no gates and cells once each recurrence has
-    run; a float64 one keeps every cache ``_backward`` reads."""
+    """Only a forward asked to keep its backward cache keeps one, and only
+    training asks: the float32 ``_emissions`` that ``predict`` makes holds
+    no gates and cells once each recurrence has run, and training's keeps
+    every cache ``_backward`` reads, in float32."""
 
     def test_float32_emissions_hold_no_lstm_cache(self, tmp_path):
         corpus = toy_corpus()
         model = NerModel(full_embedder(tmp_path, corpus), ("O", "S-LOC", "S-PER"), 7,
                          np.random.default_rng(9))
         emissions, lengths, (emb_cache, _, f_cache, b_cache, _) = model._emissions(
-            corpus.sentences, np.float32)
+            corpus.sentences)
         _, char_caches = emb_cache
         (_, _, char_f, char_b), = char_caches
         assert f_cache is b_cache is char_f is char_b is None
         assert emissions.dtype == np.float32
-        _, _, (emb_cache, _, f_cache, b_cache, _) = model._emissions(corpus.sentences)
+        _, _, (emb_cache, _, f_cache, b_cache, _) = model._emissions(corpus.sentences,
+                                                                   keep_cache=True)
         (_, _, char_f, char_b), = emb_cache[1]
         for cache in (f_cache, b_cache, char_f, char_b):
             assert len(cache) == 7
+            assert all(part.dtype == np.float32 for part in cache[4:])
+
+    def test_only_training_keeps_lstm_caches(self, tmp_path, monkeypatch):
+        """Every ``Lstm.forward`` of ``predict`` (dev scoring runs it too),
+        of LM scoring (``charlm._mean_nll``) and of contextual extraction
+        returns no cache; a training step's trainable layers keep theirs.
+        One CPU, so every job runs where the recorder sees it."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        corpus = toy_corpus()
+        model = NerModel(full_embedder(tmp_path, corpus), ("O", "S-LOC", "S-PER"), 7,
+                         np.random.default_rng(9))
+        entries = [{"kind": "contextual", "forward": str(tmp_path / "fwd.lm"),
+                    "backward": str(tmp_path / "bwd.lm")}]
+        forward = Lstm.forward
+        kept = []
+
+        def recording(self, *args, **kwargs):
+            out = forward(self, *args, **kwargs)
+            kept.append(out[2] is not None)
+            return out
+        monkeypatch.setattr(Lstm, "forward", recording)
+        predict(model, corpus)
+        corpus_perplexity(saved_lms(tmp_path)[0], corpus)
+        embedder_factory(entries, extract_char_vocab(corpus), corpus)
+        # char features and Bi-LSTM, both directions; two LMs for the
+        # perplexity and the fill
+        assert len(kept) >= 8 and not any(kept)
+        kept.clear()
+        golds = [np.zeros(len(s), dtype=np.int64) for s in corpus]
+        _batch_step(model, corpus.sentences, golds, 1.0)
+        # the stack has no memos: its frozen LMs extract first, keeping
+        # nothing, then the char features and the Bi-LSTM keep theirs
+        assert kept == [False, False] + [True] * 4
 
 
 class TestFloat32Tagging:
-    """Layers cast their float64 parameters to float32 as they run: the
-    emissions and tags have the bits of ``oracles.float32_copy``, whose
-    parameters are float32 already, on a stack of all three component
-    kinds.  Every bias is drawn non-zero, so one left in float64 shows."""
+    """The tagger computes in float32, the dtype of its parameters: its
+    emissions and tags have the bits of ``oracles.float32_copy`` of its
+    float64 copy, a model rebuilt from its values, and the float64 copy's
+    emissions lie within FLOAT32_TAGGING_ATOL, on a stack of all three
+    component kinds.  Every bias is drawn non-zero, so one a copy missed
+    shows."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_equal_the_float32_copy_bit_for_bit(self, tmp_path, seed):
@@ -705,19 +809,24 @@ class TestFloat32Tagging:
                 layer.params["bias"][...] = rng.uniform(-0.5, 0.5, layer.params["bias"].shape)
         # emissions large enough that the tags vary along a sentence
         model.projection.params["weight"] *= 40.0
-        reference = float32_copy(model)
-        got, lengths, _ = model._emissions(corpus.sentences, np.float32)
-        want, want_lengths, _ = reference._emissions(corpus.sentences, np.float32)
-        assert got.dtype == want.dtype == np.float32
+        wide = float64_copy(model)
+        reference = float32_copy(wide)
+        got, lengths, _ = model._emissions(corpus.sentences)
+        want, want_lengths, _ = reference._emissions(corpus.sentences)
+        wide_emissions, _, _ = wide._emissions(corpus.sentences)
+        assert got.dtype == want.dtype == np.float32 and wide_emissions.dtype == np.float64
         np.testing.assert_array_equal(lengths, want_lengths)
         np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+        for row, length in enumerate(lengths):
+            np.testing.assert_allclose(got[row, :length], wide_emissions[row, :length],
+                                       rtol=0, atol=FLOAT32_TAGGING_ATOL)
         tags = predict(model, corpus)
         assert tags == predict(reference, corpus)
         assert len({t for sentence_tags in tags for t in sentence_tags}) > 1
 
 
 class TestPredictLeavesItsModel:
-    """``predict`` tags in float32: the model it is given keeps its float64
+    """``predict`` leaves the model it is given as it was: its float32
     parameters bit for bit, its gradient slots and its memos."""
 
     @staticmethod
@@ -734,12 +843,12 @@ class TestPredictLeavesItsModel:
         tags = predict(model, corpus)
         assert model.layers == layers
         after = model._emissions(corpus.sentences)[0]
-        assert after.dtype == np.float64
+        assert after.dtype == np.float32
         np.testing.assert_array_equal(after, emissions)
         assert [(set(layer.params), set(layer.grads)) for layer in layers] == slots
         for tensors, name, value, bits in params + grads:
-            assert tensors[name] is value and value.dtype == np.float64
-            np.testing.assert_array_equal(value.view(np.uint64), bits.view(np.uint64))
+            assert tensors[name] is value and value.dtype == np.float32
+            np.testing.assert_array_equal(value.view(np.uint32), bits.view(np.uint32))
         assert model.embedder.memos is memos and memos == held
         return tags
 
@@ -789,7 +898,7 @@ class TestSaveLoad:
         model, _ = train_ner(corpus, corpus, small_config(max_epochs=2),
                              full_embedder(tmp_path, corpus))
         for name, value in layer_tensors(model.named_layers):
-            np.testing.assert_array_equal(value, value.astype(np.float32), err_msg=name)
+            assert value.dtype == np.float32, name
         save_ner(model, tmp_path / "ner.bin")
         loaded = layer_tensors(load_ner(tmp_path / "ner.bin").named_layers)
         for (name, a), (_, b) in zip(layer_tensors(model.named_layers), loaded):
@@ -883,8 +992,7 @@ class TestFileLayout:
         loaded = load_ner(path)
         for l1, l2 in zip(model.layers, loaded.layers, strict=True):
             for name in l1.params:
-                np.testing.assert_array_equal(
-                    l1.params[name].astype(np.float32), l2.params[name])
+                np.testing.assert_array_equal(l1.params[name], l2.params[name])
 
     def test_unexpected_tensor(self, tmp_path):
         _, path = saved_full_model(tmp_path)
@@ -928,9 +1036,6 @@ class TestFileLayout:
         if not flag:
             transitions = model.crf.params["transitions"]
             transitions[...] = np.random.default_rng(4).standard_normal(transitions.shape)
-        for layer in model.layers:
-            for value in layer.params.values():
-                value[...] = value.astype(np.float32)
         path = tmp_path / "ner.bin"
         save_ner(model, path)
         meta, tensors = load_tensors(path)
