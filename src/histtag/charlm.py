@@ -38,10 +38,10 @@ from .errors import (
     ConfigError,
     EmptyCorpusError,
     ModelFormatError,
-    NonFiniteGradientError,
     check_field_types,
 )
-from .nn import Dropout, Embedding, Linear, Lstm, Module, clip_grad_norm, cross_entropy, sgd_step
+from .nn import (AnnealOnPlateau, Dropout, Embedding, Linear, Lstm, Module, clipped_sgd_step,
+                 cross_entropy)
 from .serialization import (
     assign_tensors,
     check_layout,
@@ -207,9 +207,9 @@ def train_lm(corpus: PlainCorpus, config: CharLmConfig, seed: int,
     Optimization is plain SGD over truncated-backprop windows with the
     gradient norm clipped at 5.0; when mini_batch exceeds 1, the stream is
     split into that many contiguous strands walked in parallel with averaged
-    gradients.  The learning rate halves after any epoch whose dev loss
-    fails to improve.  Training computes in float32, the dtype of the
-    model's parameters and of the file ``save_lm`` writes.
+    gradients.  The rate follows ``nn.AnnealOnPlateau`` on the dev loss at
+    patience 1.  Training computes in float32, the dtype of the model's
+    parameters and of the file ``save_lm`` writes.
     """
     stream = " ".join(corpus)
     if config.direction == "backward":
@@ -235,10 +235,10 @@ def train_lm(corpus: PlainCorpus, config: CharLmConfig, seed: int,
 
     log = LmTrainLog(initial_test_perplexity=float(np.exp(_mean_nll(model, [test_text])[0])))
     dropout = Dropout(config.dropout)
-    lr = config.learning_rate
-    best_dev = np.inf
+    schedule = AnnealOnPlateau(config.learning_rate, patience=1, best=-math.inf)
     L = config.sequence_length
     for epoch in range(1, config.epochs + 1):
+        lr = schedule.lr
         state = None
         loss_sum, position_count = 0.0, 0
         for step, pos in enumerate(range(0, strand_len - 1, L), start=1):
@@ -250,20 +250,14 @@ def train_lm(corpus: PlainCorpus, config: CharLmConfig, seed: int,
                 state, dropout, rng, 1.0 / (window * B))
             loss_sum += nll_sum
             position_count += window * B
-            if not math.isfinite(clip_grad_norm(model.layers, GRAD_CLIP)):
-                raise NonFiniteGradientError("lm training", epoch, step)
-            sgd_step(model.layers, lr)
+            clipped_sgd_step(model.layers, lr, GRAD_CLIP, "lm training", epoch, step)
         dev_loss = float(_mean_nll(model, [dev_text])[0])
         test_ppl = float(np.exp(_mean_nll(model, [test_text])[0]))
-        log.epochs.append(LmEpochRecord(
-            epoch=epoch, train_loss=loss_sum / position_count,
-            dev_loss=dev_loss, test_perplexity=test_ppl, learning_rate=lr))
-        if dev_loss < best_dev:
-            best_dev = dev_loss
-        else:
-            lr *= 0.5
-        logger.info("%s lm epoch %d: train %.4f dev %.4f test ppl %.4f lr %g",
-                    config.direction, epoch, loss_sum / position_count, dev_loss, test_ppl, lr)
+        train_loss = loss_sum / position_count
+        log.epochs.append(LmEpochRecord(epoch, train_loss, dev_loss, test_ppl, lr))
+        _, annealed = schedule.step(-dev_loss)
+        logger.info("%s lm epoch %d: train %.4f dev %.4f test ppl %.4f lr %g%s", config.direction,
+                    epoch, train_loss, dev_loss, test_ppl, lr, " (annealed)" if annealed else "")
     return model, log
 
 

@@ -40,10 +40,10 @@ Frozen blocks are memoized.  ``embedder_factory`` gives each frozen
 component one BlockMemo, shared by every stack it builds, so one ``ner
 train`` command computes a sentence's block once for all its epochs, dev
 evaluations and runs.  A memo is keyed by ``tuple(sentence.texts())`` and
-holds read-only blocks: 4 bytes per value of a contextual block (float32)
-and 8 per value of a word-table block (float64), so 16 KB per distinct
-token at paper scale (H = 2048 per LM direction).  Each memo stores blocks
-up to MEMO_BYTES (1 GiB); past that a miss is computed and not stored.  A
+holds read-only float32 blocks, word-table and contextual alike: 4 bytes
+per value, so 16 KB per distinct token of a contextual block at paper
+scale (H = 2048 per LM direction).  Each memo stores blocks up to
+MEMO_BYTES (1 GiB); past that a miss is computed and not stored.  A
 stack built without memos, as ``load_ner`` builds it for ``ner predict``,
 runs its frozen components on every group and keeps no block beyond it.
 
@@ -117,7 +117,7 @@ class WordTableEmbedder(Module):
         self.dim = dim
         self.entries = entries
         self.source_path = source_path
-        self._zero = np.zeros(dim)
+        self._zero = np.zeros(dim, np.float32)
 
     @classmethod
     def build(cls, entry: dict, vocab, rng) -> "WordTableEmbedder":
@@ -155,8 +155,9 @@ class WordTableEmbedder(Module):
 def load_vectors(path) -> WordTableEmbedder:
     """Parse a text vector file: optional "count dim" header, then one
     ``word v1 … vdim`` line per entry.  Duplicate words keep the last
-    occurrence (warned); dimension mismatches are parse errors.  Returns
-    the word-table component, recording ``path`` as its source.
+    occurrence (warned); dimension mismatches are parse errors.  Each value
+    is read as a Python float and stored as float32, the stack's dtype.
+    Returns the word-table component, recording ``path`` as its source.
     """
     entries: dict[str, np.ndarray] = {}
     dim: Optional[int] = None
@@ -184,7 +185,7 @@ def load_vectors(path) -> WordTableEmbedder:
                     f"expected {dim} vector values, found {len(values)}",
                     path=str(path), line=lineno)
             try:
-                vec = np.array([float(v) for v in values])
+                vec = np.array([float(v) for v in values], np.float32)
             except ValueError as exc:
                 raise ParseError(f"bad vector value: {exc}",
                                  path=str(path), line=lineno) from exc

@@ -21,11 +21,13 @@ import copy
 
 import numpy as np
 
+from .errors import NonFiniteGradientError
+
 __all__ = [
     "logsumexp",
     "Layer", "Module", "Embedding", "Linear", "Lstm", "Dropout",
-    "init_uniform", "cross_entropy", "global_grad_norm",
-    "clip_grad_norm", "sgd_step",
+    "init_uniform", "cross_entropy", "clip_grad_norm", "sgd_step",
+    "clipped_sgd_step", "AnnealOnPlateau",
 ]
 
 
@@ -354,17 +356,13 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray):
     return nll, dlogits
 
 
-def global_grad_norm(layers) -> float:
+def clip_grad_norm(layers, max_norm: float) -> float:
+    """Scale all gradients down to a joint L2 norm of at most max_norm; returns the norm before."""
     total = 0.0
     for layer in layers:
         for g in layer.grads.values():
             total += float(np.sum(g * g))
-    return float(np.sqrt(total))
-
-
-def clip_grad_norm(layers, max_norm: float) -> float:
-    """Scale all gradients down so their joint L2 norm is at most max_norm."""
-    norm = global_grad_norm(layers)
+    norm = float(np.sqrt(total))
     if norm > max_norm:
         scale = max_norm / norm
         for layer in layers:
@@ -377,3 +375,39 @@ def sgd_step(layers, lr: float) -> None:
     for layer in layers:
         for name, p in layer.params.items():
             p -= lr * layer.grads[name]
+
+
+def clipped_sgd_step(layers, lr: float, max_norm: float, what: str, epoch: int,
+                     step: int) -> tuple[float, bool]:
+    """Clip to ``max_norm``, then step at ``lr``; returns the pre-clip norm and
+    whether it clipped.  A non-finite norm raises for ``what`` at ``epoch``,
+    ``step`` instead of stepping.  Calls both by the names bench/tracing.py wraps."""
+    norm = clip_grad_norm(layers, max_norm)
+    if not np.isfinite(norm):
+        raise NonFiniteGradientError(what, epoch, step)
+    sgd_step(layers, lr)
+    return norm, norm > max_norm
+
+
+class AnnealOnPlateau:
+    """Both training loops' learning-rate schedule, in max mode (a loss
+    enters negated).  A score strictly above ``best`` becomes the best and
+    resets the stagnant count; a tie (at the initial ``best`` too), a worse
+    score or NaN is stagnant.  ``patience`` stagnant epochs in a row (0 acts
+    as 1) halve ``lr`` and restart the count.  Flair halves once
+    ``num_bad_epochs > patience``, a stagnant epoch later: p here is its p - 1."""
+
+    def __init__(self, lr: float, patience: int, best: float):
+        self.lr, self.patience, self.best, self.stagnant = lr, patience, best, 0
+
+    def step(self, score: float) -> tuple[bool, bool]:
+        """Count an epoch's score; returns (improved, rate was cut)."""
+        if score > self.best:
+            self.best, self.stagnant = score, 0
+            return True, False
+        self.stagnant += 1
+        annealed = self.stagnant >= self.patience
+        if annealed:
+            self.lr *= 0.5
+            self.stagnant = 0
+        return False, annealed

@@ -15,13 +15,12 @@ only the CRF and Viterbi compute in float64.  Only training's
 Training is SGD over shuffled mini-batches minimizing the mean sentence
 NLL.  Each mini-batch runs as one padded group: one ``_emissions`` call,
 one length-masked CRF forward-backward over its rows and one
-``_backward``.  The gradient norm is clipped at 5.0, dev F1 selects the
-model, and the learning rate is multiplied by ANNEAL_FACTOR (0.5) after
-`patience` consecutive epochs without a dev improvement; training stops
-once it falls below MIN_LEARNING_RATE (1e-4).  The selected parameters
-are the values a model file stores, so a saved model predicts what the
-trained one did: dev scoring, the test predictions of ``ner train`` and
-``ner predict`` all run ``predict``.
+``_backward``.  The gradient norm is clipped at 5.0, and dev F1 selects
+the model and drives the rate's ``nn.AnnealOnPlateau``; training stops
+once the rate falls below MIN_LEARNING_RATE (1e-4).  The selected
+parameters are the values a model file stores, so a saved model predicts
+what the trained one did: dev scoring, the test predictions of ``ner
+train`` and ``ner predict`` all run ``predict``.
 """
 
 import logging
@@ -48,12 +47,11 @@ from .errors import (
     ConfigError,
     EmptyCorpusError,
     ModelFormatError,
-    NonFiniteGradientError,
     SchemeError,
     check_field_types,
 )
 from .evaluation import evaluate
-from .nn import Linear, Lstm, Module, clip_grad_norm, sgd_step
+from .nn import AnnealOnPlateau, Linear, Lstm, Module, clipped_sgd_step
 from .parallel import map_jobs
 from .serialization import (
     assign_tensors,
@@ -67,7 +65,6 @@ from .serialization import (
 logger = logging.getLogger(__name__)
 
 GRAD_CLIP = 5.0
-ANNEAL_FACTOR = 0.5
 MIN_LEARNING_RATE = 1e-4
 
 
@@ -253,13 +250,11 @@ def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
 
     Both corpora may use either tag scheme; they are converted to IOBES,
     the scheme of the model's tag set.  ``dev_scorer`` defaults to micro
-    span F1 of the model's predictions on the dev corpus.  A non-improving
-    streak of `patience` epochs multiplies the learning rate by
-    ANNEAL_FACTOR (streak counter resets after each cut); training stops
-    at max_epochs, or earlier with status "converged" once the rate falls
-    below MIN_LEARNING_RATE.  A run whose dev score never rose above 0 kept
-    its initial parameters and ends with status "no_improvement" either
-    way.
+    span F1 of the model's predictions on the dev corpus, whose
+    ``nn.AnnealOnPlateau`` from 0.0 sets the rate; training stops at
+    max_epochs, or with status "converged" once the rate falls below
+    MIN_LEARNING_RATE.  A run whose dev score never rose above 0 kept its
+    initial parameters and ends with status "no_improvement" either way.
     """
     if len(train) == 0:
         raise EmptyCorpusError("training corpus is empty")
@@ -282,12 +277,11 @@ def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
 
     log = NerTrainLog()
     best_params = _snapshot(model)
-    best_f1 = 0.0
-    stagnant = 0
-    lr = config.learning_rate
+    schedule = AnnealOnPlateau(config.learning_rate, config.patience, best=0.0)
     n = len(train)
     sentences = list(train)
     for epoch in range(1, config.max_epochs + 1):
+        lr = schedule.lr
         if lr < MIN_LEARNING_RATE:
             log.status = "converged"
             logger.info("ner seed %d epoch %d: learning rate %g below %g, stopping",
@@ -302,35 +296,21 @@ def train_ner(train: TaggedCorpus, dev: TaggedCorpus, config: TaggerConfig,
                                [gold_paths[i] for i in batch], 1.0 / len(batch))
             for nll in nlls:
                 loss_sum += float(nll)
-            if not math.isfinite(clip_grad_norm(model.layers, GRAD_CLIP)):
-                raise NonFiniteGradientError("tagger training", epoch, step)
-            sgd_step(model.layers, lr)
+            clipped_sgd_step(model.layers, lr, GRAD_CLIP, "tagger training", epoch, step)
 
         dev_f1 = float(dev_scorer(model))
-        annealed = False
-        if dev_f1 > best_f1:
-            best_f1 = dev_f1
+        improved, annealed = schedule.step(dev_f1)
+        if improved:
             log.best_epoch = epoch
             best_params = _snapshot(model)
-            stagnant = 0
-        else:
-            stagnant += 1
-            if stagnant >= config.patience:
-                lr *= ANNEAL_FACTOR
-                stagnant = 0
-                annealed = True
-        log.records.append(NerEpochRecord(
-            epoch=epoch, train_loss=loss_sum / n, dev_f1=dev_f1,
-            learning_rate=lr if not annealed else lr / ANNEAL_FACTOR,
-            annealed=annealed))
-        logger.info("ner seed %d epoch %d: loss %.4f dev f1 %.4f lr %g%s",
-                    config.seed, epoch, loss_sum / n, dev_f1,
-                    log.records[-1].learning_rate,
-                    " (annealed)" if annealed else "")
+        log.records.append(NerEpochRecord(epoch=epoch, train_loss=loss_sum / n, dev_f1=dev_f1,
+                                          learning_rate=lr, annealed=annealed))
+        logger.info("ner seed %d epoch %d: loss %.4f dev f1 %.4f lr %g%s", config.seed, epoch,
+                    loss_sum / n, dev_f1, lr, " (annealed)" if annealed else "")
 
     if log.best_epoch == 0:
         log.status = "no_improvement"
-    log.best_dev_f1 = best_f1
+    log.best_dev_f1 = schedule.best
     _restore(best_params)
     return model, log
 

@@ -379,6 +379,35 @@ class TestTraining:
         rates = [r.learning_rate for r in log.epochs]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
+    @staticmethod
+    def _annealing_run():
+        """Five epochs at lr 20 on toy text: the dev loss rises at least once
+        and falls at least once after the first epoch.  Returns the log and
+        whether each epoch's dev loss failed to beat every one before it."""
+        _, log = train_lm(build_plain_corpus(0, 60),
+                          tiny_config(learning_rate=20.0, epochs=5), seed=0)
+        losses = [r.dev_loss for r in log.epochs]
+        cuts = [not loss < min(losses[:e], default=math.inf) for e, loss in enumerate(losses)]
+        assert any(cuts[1:-1]) and not all(cuts[1:-1])
+        return log, cuts
+
+    def test_rate_halves_after_each_epoch_without_a_dev_gain(self):
+        """Epoch e trains at the initial rate halved once for every earlier
+        epoch whose dev loss was not below all dev losses before it."""
+        log, cuts = self._annealing_run()
+        assert [r.learning_rate for r in log.epochs] == [
+            20.0 * 0.5 ** sum(cuts[:e]) for e in range(len(cuts))]
+
+    def test_epoch_log_line_gives_the_epoch_rate(self, caplog):
+        """Each epoch's INFO line gives the rate the epoch trained at, as its
+        record does, and marks the epochs after which the rate was cut."""
+        with caplog.at_level(logging.INFO, logger="histtag.charlm"):
+            log, cuts = self._annealing_run()
+        lines = [rec.getMessage() for rec in caplog.records if " lm epoch " in rec.getMessage()]
+        assert len(lines) == len(log.epochs) == 5
+        for line, record, cut in zip(lines, log.epochs, cuts):
+            assert line.endswith(f" lr {record.learning_rate:g}" + (" (annealed)" if cut else ""))
+
     def test_mini_batch_strands(self):
         corpus = PlainCorpus.from_lines(["abcd" * 600])
         model, log = train_lm(corpus, tiny_config(mini_batch=4, epochs=1), seed=0)

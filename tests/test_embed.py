@@ -42,6 +42,18 @@ class TestLoadVectors:
         assert len(table.entries) == 2 and table.dim == 3
         np.testing.assert_allclose(table.lookup("haus"), [-1, 0, 1])
 
+    def test_values_stored_as_float32_of_the_parsed_float(self, tmp_path):
+        """Each value is read as a Python float, then rounded once to
+        float32, the stack's dtype, so a stack block holds the bits that
+        casting a float64 table gave; unknown words get a float32 zero."""
+        values = ["0.1", "-2.718281828459045", "1e-3", "0.30000000000000004"]
+        p = tmp_path / "vec.txt"
+        p.write_text("der " + " ".join(values) + "\n", encoding="utf-8")
+        table = load_vectors(p)
+        vec = table.lookup("der")
+        assert vec.dtype == table.lookup("zzz").dtype == np.float32
+        np.testing.assert_array_equal(vec, np.array([float(v) for v in values]).astype(np.float32))
+
     def test_header_skipped(self, tmp_path):
         p = tmp_path / "vec.txt"
         p.write_text("2 3\na 1 2 3\nb 4 5 6\n", encoding="utf-8")
@@ -407,7 +419,7 @@ class TestBlockMemo:
             # extracted in float32: the float64 reference within the tolerance
             np.testing.assert_allclose(states, contextual_reference(*lms, sentence),
                                        rtol=0, atol=FLOAT32_STATE_ATOL)
-            assert words.dtype == np.float64 and states.dtype == np.float32
+            assert words.dtype == states.dtype == np.float32
             for block in (words, states):
                 assert not block.flags.writeable
                 with pytest.raises(ValueError):

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from histtag.errors import NonFiniteGradientError
 from histtag.nn import (
+    AnnealOnPlateau,
     Dropout,
     Embedding,
     Linear,
     Lstm,
     clip_grad_norm,
+    clipped_sgd_step,
     cross_entropy,
-    global_grad_norm,
     init_uniform,
     logsumexp,
     sgd_step,
@@ -359,7 +361,11 @@ class TestOptimizerUtils:
         lin = self._layer_with_grad(3.0)
         norm = clip_grad_norm([lin], 1.0)
         assert norm == pytest.approx(6.0)
-        assert global_grad_norm([lin]) == pytest.approx(1.0)
+        # the four weight entries of 3.0 scale to 0.5 each; the bias stays 0
+        np.testing.assert_allclose(lin.grads["weight"], 0.5)
+        np.testing.assert_array_equal(lin.grads["bias"], 0.0)
+        flat = np.concatenate([g.ravel() for g in lin.grads.values()])
+        assert np.linalg.norm(flat) == pytest.approx(1.0)
 
     def test_clip_leaves_small_grads(self):
         lin = self._layer_with_grad(0.1)
@@ -373,8 +379,96 @@ class TestOptimizerUtils:
         sgd_step([lin], lr=0.5)
         np.testing.assert_allclose(lin.params["weight"], before - 0.5)
 
+    @pytest.mark.parametrize("g, max_norm, norm, clipped, moved", [
+        (3.0, 1.0, 6.0, True, 0.5),    # clipped to 0.5 per entry
+        (0.1, 5.0, 0.2, False, 0.1),   # left as it is
+        (2.5, 5.0, 5.0, False, 2.5),   # a norm equal to the bound is not clipped
+    ])
+    def test_clipped_sgd_step(self, g, max_norm, norm, clipped, moved):
+        lin = self._layer_with_grad(g)
+        before = lin.params["weight"].copy()
+        got_norm, got_clipped = clipped_sgd_step([lin], 2.0, max_norm, "x", 1, 1)
+        assert got_norm == pytest.approx(norm) and got_clipped is clipped
+        np.testing.assert_allclose(lin.params["weight"], before - 2.0 * moved, rtol=1e-6)
+
+    def test_clipped_sgd_step_refuses_a_nan_gradient(self):
+        rng = np.random.default_rng(1)
+        layers = [Linear(2, 2, rng), Lstm(2, 3, rng)]
+        layers[0].grads["weight"][...] = 1.0
+        layers[1].grads["Wh"][1, 2] = np.nan
+        before = [{n: p.copy() for n, p in layer.params.items()} for layer in layers]
+        with pytest.raises(NonFiniteGradientError,
+                           match="tagger training: .* at epoch 4, step 7") as info:
+            clipped_sgd_step(layers, 0.5, 5.0, "tagger training", 4, 7)
+        assert (info.value.epoch, info.value.step) == (4, 7)
+        for layer, saved in zip(layers, before):
+            for name, p in layer.params.items():
+                np.testing.assert_array_equal(p, saved[name])
+
     def test_init_bounds(self):
         rng = np.random.default_rng(6)
         w = init_uniform(rng, (1000,), 16)
         assert np.all(np.abs(w) <= 0.25)
         assert w.std() > 0.05
+
+
+def schedule_run(schedule, scores):
+    """Each step's (improved, annealed, rate after it)."""
+    return [schedule.step(score) + (schedule.lr,) for score in scores]
+
+
+class TestAnnealOnPlateau:
+    def test_strict_improvement_keeps_the_rate(self):
+        schedule = AnnealOnPlateau(1.0, patience=1, best=0.0)
+        assert schedule_run(schedule, [0.1, 0.2, 0.5]) == [(True, False, 1.0)] * 3
+        assert schedule.best == 0.5 and schedule.stagnant == 0
+
+    def test_a_tie_is_stagnant(self):
+        schedule = AnnealOnPlateau(1.0, patience=2, best=0.0)
+        assert schedule_run(schedule, [0.5, 0.5, 0.5, 0.6]) == [
+            (True, False, 1.0), (False, False, 1.0), (False, True, 0.5), (True, False, 0.5)]
+
+    def test_a_tie_at_the_initial_best_is_stagnant(self):
+        # a tagger whose dev F1 stays 0 anneals as if it got worse
+        schedule = AnnealOnPlateau(0.1, patience=3, best=0.0)
+        assert schedule_run(schedule, [0.0] * 3) == [
+            (False, False, 0.1), (False, False, 0.1), (False, True, 0.05)]
+        assert schedule.best == 0.0
+
+    def test_patience_zero_anneals_as_patience_one(self):
+        scores = [0.2, 0.1, 0.3, 0.3, 0.3, 0.4, 0.0]
+        runs = [schedule_run(AnnealOnPlateau(2.0, patience, 0.0), scores)
+                for patience in (0, 1)]
+        assert runs[0] == runs[1]
+        assert [lr for _, _, lr in runs[0]] == [2.0, 1.0, 1.0, 0.5, 0.25, 0.25, 0.125]
+
+    def test_count_restarts_after_a_cut(self):
+        schedule = AnnealOnPlateau(1.0, patience=2, best=0.0)
+        annealed = [cut for _, cut, _ in schedule_run(schedule, [0.0] * 7)]
+        assert annealed == [False, True, False, True, False, True, False]
+        assert schedule.lr == 0.125 and schedule.stagnant == 1
+
+    def test_an_improvement_resets_the_count(self):
+        # the stagnant epoch before the gain does not count towards the cut
+        schedule = AnnealOnPlateau(1.0, patience=2, best=0.0)
+        annealed = [cut for _, cut, _ in schedule_run(schedule, [0.0, 0.1, 0.1, 0.1])]
+        assert annealed == [False, False, False, True]
+
+    def test_min_mode_through_the_negated_loss(self):
+        """A loss enters negated from -inf.  An infinite or NaN loss is no
+        improvement, as it is for ``loss < best`` starting at inf."""
+        losses = [np.inf, 3.0, 2.0, 2.0, np.nan, 2.5, 1.0, np.inf, 0.5]
+        schedule = AnnealOnPlateau(20.0, patience=1, best=-np.inf)
+        got = schedule_run(schedule, [-loss for loss in losses])
+        lr, best, want = 20.0, np.inf, []
+        for loss in losses:
+            improved = loss < best
+            if improved:
+                best = loss
+            else:
+                lr *= 0.5
+            want.append((improved, not improved, lr))
+        assert got == want
+        assert [improved for improved, _, _ in got] == [
+            False, True, True, False, False, False, True, False, True]
+        assert schedule.best == -0.5
