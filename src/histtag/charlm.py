@@ -42,14 +42,7 @@ from .errors import (
 )
 from .nn import (AnnealOnPlateau, Dropout, Embedding, Linear, Lstm, Module, clipped_sgd_step,
                  cross_entropy)
-from .serialization import (
-    assign_tensors,
-    check_layout,
-    layer_tensors,
-    load_tensors,
-    named_shapes,
-    save_tensors,
-)
+from .serialization import assign_tensors, layer_tensors, load_tensors, save_tensors
 
 logger = logging.getLogger(__name__)
 
@@ -91,11 +84,12 @@ class CharLm(Module):
     """Character LM: embedding → LSTM → vocabulary projection.
 
     The output layer covers every vocabulary character plus one reserved
-    UNK index at position ``len(vocab)``.
+    UNK index at position ``len(vocab)``.  Built with no rng it allocates
+    nothing, for ``load_lm`` to fill.
     """
 
     def __init__(self, vocab: CharVocabulary, direction: str, char_embed_dim: int,
-                 hidden_size: int, rng: np.random.Generator):
+                 hidden_size: int, rng: Optional[np.random.Generator]):
         self.vocab = vocab
         self.direction = direction
         n_out = len(vocab) + 1
@@ -104,16 +98,6 @@ class CharLm(Module):
         self.projection = Linear(hidden_size, n_out, rng)
         self.named_layers = (("embedding", self.embedding), ("lstm", self.lstm),
                              ("projection", self.projection))
-
-    @staticmethod
-    def tensor_shapes(vocab: CharVocabulary, char_embed_dim: int,
-                      hidden_size: int) -> dict[str, tuple]:
-        """The shape of each tensor an LM of these dims holds, by name,
-        without building it."""
-        n_out = len(vocab) + 1
-        return named_shapes((("embedding", Embedding.shapes(n_out, char_embed_dim)),
-                             ("lstm", Lstm.shapes(char_embed_dim, hidden_size)),
-                             ("projection", Linear.shapes(hidden_size, n_out))))
 
 
 def lm_forward(vocab: CharVocabulary, embedding: Embedding, lstm: Lstm,
@@ -309,8 +293,9 @@ def save_lm(model: CharLm, path) -> None:
 
 
 def load_lm(path) -> CharLm:
-    """Rebuild a saved LM.  Older files also record the training dropout;
-    that key is ignored."""
+    """Rebuild a saved LM: an LM of the file's dims, built with no rng, filled
+    from the file.  Older files also record the training dropout; that key
+    is ignored."""
     meta, tensors = load_tensors(path)
     if meta.get("kind") != "charlm":
         raise ModelFormatError(f"{path}: not a character LM file")
@@ -325,7 +310,6 @@ def load_lm(path) -> CharLm:
                 raise ValueError(f"{name} must be positive, got {value}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: invalid model metadata: {exc}") from exc
-    check_layout(path, CharLm.tensor_shapes(vocab, **dims), tensors)
-    model = CharLm(vocab, direction, rng=np.random.default_rng(0), **dims)
+    model = CharLm(vocab, direction, rng=None, **dims)
     assign_tensors(path, model.named_layers, tensors)
     return model

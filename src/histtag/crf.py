@@ -9,7 +9,8 @@ float32, as every parameter; the likelihood, its gradients and Viterbi
 compute in float64 over them and the emissions upcast.
 """
 
-from typing import Sequence
+import functools
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -56,21 +57,24 @@ class CrfLayer(Layer):
     """Transition scores for a fixed tagset, with ill-formed IOBES moves
     pinned (see ``iobes_constraint_mask``)."""
 
-    def __init__(self, tags: Sequence[str], rng: np.random.Generator):
+    def __init__(self, tags: Sequence[str], rng: Optional[np.random.Generator]):
         super().__init__()
         self.tags = tuple(tags)
         self.num_tags = len(self.tags)
         self.start = self.num_tags
         self.stop = self.num_tags + 1
         n = self.num_tags + 2
-        transitions = rng.uniform(-1.0 / np.sqrt(n), 1.0 / np.sqrt(n), size=(n, n))
-        self.allowed = iobes_constraint_mask(self.tags)
-        transitions[~self.allowed] = FORBIDDEN_SCORE
-        self._register("transitions", transitions)
+        self._register("transitions", (n, n), rng, n)
+        if rng is not None:
+            # -1e4 is exact in float32
+            self.params["transitions"][~self.allowed] = FORBIDDEN_SCORE
 
-    @staticmethod
-    def shapes(num_tags: int) -> dict:
-        return {"transitions": (num_tags + 2, num_tags + 2)}
+    @functools.cached_property
+    def allowed(self) -> np.ndarray:
+        """``iobes_constraint_mask`` of the tags, computed on first use, so
+        a layer built with no rng runs no (K+2)² loop before a loader has
+        checked its file's shapes."""
+        return iobes_constraint_mask(self.tags)
 
     def mask_grads(self) -> None:
         """Zero gradient at pinned entries so they never move."""

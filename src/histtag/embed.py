@@ -52,9 +52,9 @@ This module is the one place that knows each component kind: its
 and its other run-config keys with their types (``options``), how
 ``build`` constructs it from a run-config entry, and the model-file meta
 entry that ``spec`` writes and ``from_spec`` reads back, with the paths of
-referenced files relative to the model file's directory, and
-``tensor_shapes`` gives the shapes of the tensors stored for that entry
-without building the component.
+referenced files relative to the model file's directory.  ``from_spec``
+builds a trainable component with no rng, so it allocates nothing until
+``tagger.load_ner`` fills it from the model file.
 """
 
 import logging
@@ -74,7 +74,7 @@ from .corpus import (
 )
 from .errors import ConfigError, ModelFormatError, ParseError
 from .nn import Embedding, Lstm, Module
-from .serialization import file_sha256, named_shapes
+from .serialization import file_sha256
 
 logger = logging.getLogger(__name__)
 
@@ -124,15 +124,10 @@ class WordTableEmbedder(Module):
         return load_vectors(entry["path"])
 
     @classmethod
-    def from_spec(cls, spec: dict, rng, model_dir) -> "WordTableEmbedder":
+    def from_spec(cls, spec: dict, model_dir) -> "WordTableEmbedder":
         path = _resolve(spec["path"], model_dir)
         _verify_hash(path, spec["sha256"], "word-vector file")
         return load_vectors(path)
-
-    @classmethod
-    def tensor_shapes(cls, spec: dict) -> dict:
-        """Frozen: the model file stores none of its values."""
-        return {}
 
     def spec(self, model_dir) -> dict:
         if self.source_path is None:
@@ -212,9 +207,11 @@ class CharFeatureEncoder(Module):
     files = ()
     options = {"embed_dim": int, "hidden": int}
 
-    def __init__(self, vocab: CharVocabulary, rng: np.random.Generator,
+    def __init__(self, vocab: CharVocabulary, rng: Optional[np.random.Generator],
                  embed_dim: int = CHAR_EMBED_DIM, hidden: int = CHAR_HIDDEN):
-        self._check_dims(embed_dim, hidden)
+        for name, value in (("embed_dim", embed_dim), ("hidden", hidden)):
+            if value < 1:
+                raise ConfigError(f"char_features {name} must be positive, got {value}")
         self.vocab = vocab
         self.embed_dim = embed_dim
         self.hidden = hidden
@@ -227,34 +224,16 @@ class CharFeatureEncoder(Module):
     def named_layers(self) -> tuple:
         return (("embedding", self.embedding), ("fwd", self.fwd), ("bwd", self.bwd))
 
-    @staticmethod
-    def _check_dims(embed_dim: int, hidden: int) -> None:
-        for name, value in (("embed_dim", embed_dim), ("hidden", hidden)):
-            if value < 1:
-                raise ConfigError(f"char_features {name} must be positive, got {value}")
-
     @classmethod
     def build(cls, entry: dict, vocab: CharVocabulary,
-              rng: np.random.Generator) -> "CharFeatureEncoder":
+              rng: Optional[np.random.Generator]) -> "CharFeatureEncoder":
         """Dims the entry leaves out take the constructor's defaults."""
         return cls(vocab, rng, **{k: entry[k] for k in cls.options if k in entry})
 
     @classmethod
-    def from_spec(cls, spec: dict, rng: np.random.Generator,
-                  model_dir) -> "CharFeatureEncoder":
-        return cls.build(spec, CharVocabulary.from_codepoints(spec["vocab"]), rng)
-
-    @classmethod
-    def tensor_shapes(cls, spec: dict) -> dict[str, tuple]:
-        """The shape of each tensor of the encoder ``from_spec`` builds, by
-        name, without building it."""
-        embed_dim = spec.get("embed_dim", CHAR_EMBED_DIM)
-        hidden = spec.get("hidden", CHAR_HIDDEN)
-        cls._check_dims(embed_dim, hidden)
-        vocab = CharVocabulary.from_codepoints(spec["vocab"])
-        return named_shapes((("embedding", Embedding.shapes(len(vocab) + 1, embed_dim)),
-                             ("fwd", Lstm.shapes(embed_dim, hidden)),
-                             ("bwd", Lstm.shapes(embed_dim, hidden))))
+    def from_spec(cls, spec: dict, model_dir) -> "CharFeatureEncoder":
+        """An encoder built with no rng, for ``load_ner`` to fill."""
+        return cls.build(spec, CharVocabulary.from_codepoints(spec["vocab"]), None)
 
     def spec(self, model_dir) -> dict:
         return {"kind": self.kind, "vocab": self.vocab.codepoints(),
@@ -327,16 +306,11 @@ class ContextualEmbedder(Module):
                    forward_path=entry["forward"], backward_path=entry["backward"])
 
     @classmethod
-    def from_spec(cls, spec: dict, rng, model_dir) -> "ContextualEmbedder":
+    def from_spec(cls, spec: dict, model_dir) -> "ContextualEmbedder":
         paths = {d: _resolve(spec[f"{d}_path"], model_dir) for d in cls.files}
         for d, path in paths.items():
             _verify_hash(path, spec[f"{d}_sha256"], f"{d} LM file")
-        return cls.build(paths, None, rng)
-
-    @classmethod
-    def tensor_shapes(cls, spec: dict) -> dict:
-        """Frozen: the model file stores none of its values."""
-        return {}
+        return cls.build(paths, None, None)
 
     def spec(self, model_dir) -> dict:
         if self.forward_path is None or self.backward_path is None:

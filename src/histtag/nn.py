@@ -1,11 +1,15 @@
 """Small numpy building blocks with hand-written backward passes.
 
 Every layer keeps its parameters in ``params`` and accumulates gradients
-into the matching ``grads`` entries.  ``forward`` returns the output plus an
-opaque cache; ``backward`` consumes the cache and the upstream gradient and
-returns the gradient with respect to the layer input.  ``Lstm`` is the one
-recurrence: it runs a (B, T, D) batch of left-aligned sequences with an
-optional ``lengths`` mask, and callers with a single sequence pass B = 1.
+into the matching ``grads`` entries.  Its constructor declares each tensor
+once (``Layer._register``), recording its shape in ``shapes``: given an rng
+it draws the tensor, given None it allocates nothing, for
+``serialization.assign_tensors`` to fill from a model file.  ``forward``
+returns the output plus an opaque cache; ``backward`` consumes the cache and
+the upstream gradient and returns the gradient with respect to the layer
+input.  ``Lstm`` is the one recurrence: it runs a (B, T, D) batch of
+left-aligned sequences with an optional ``lengths`` mask, and callers with
+a single sequence pass B = 1.
 Parameters and gradients are float32, the precision model files store, so
 training and inference compute in it.  ``Linear.forward``,
 ``Lstm.forward`` and ``Lstm.backward`` compute in the dtype of their input
@@ -18,6 +22,9 @@ training loops do; every other forward frees them when it returns.
 """
 
 import copy
+import functools
+import math
+from typing import Optional
 
 import numpy as np
 
@@ -58,19 +65,30 @@ def init_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class Layer:
-    """Base for parameterized blocks: named tensors plus gradient slots.
-    A subclass's static ``shapes`` gives the shape of each tensor its
-    constructor registers for the same dims, without building it."""
+    """Base for parameterized blocks: named tensors plus gradient slots."""
 
     def __init__(self):
+        self.shapes: dict[str, tuple] = {}
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
 
-    def _register(self, name: str, value: np.ndarray) -> None:
-        self.params[name] = value.astype(np.float32)
+    def _register(self, name: str, shape: tuple, rng, fan_in=None) -> None:
+        """Declare tensor ``name`` of ``shape``.  With an ``rng`` it holds a
+        draw of ``init_uniform`` at ``fan_in``, or zeros without one; with
+        None it allocates nothing."""
+        self.shapes[name] = shape
+        if rng is not None:
+            self.hold(name, lambda: np.zeros(shape) if fan_in is None
+                      else init_uniform(rng, shape, fan_in))
+
+    def hold(self, name: str, make) -> None:
+        """The one place a layer allocates: parameter ``name`` becomes a
+        fresh float32 copy of the array ``make()`` returns, with a zero
+        gradient slot."""
+        self.params[name] = np.array(make(), np.float32)
         # untouched pages of a fresh zero array take no memory, so a frozen
         # layer's slots cost none
-        self.grads[name] = np.zeros(value.shape, np.float32)
+        self.grads[name] = np.zeros(self.shapes[name], np.float32)
 
     def zero_grads(self) -> None:
         for g in self.grads.values():
@@ -103,15 +121,11 @@ class Module:
 class Embedding(Layer):
     """Index lookup table; rows receive sparse gradient updates."""
 
-    def __init__(self, num_embeddings: int, dim: int, rng: np.random.Generator):
+    def __init__(self, num_embeddings: int, dim: int, rng: Optional[np.random.Generator]):
         super().__init__()
         self.num_embeddings = num_embeddings
         self.dim = dim
-        self._register("weight", init_uniform(rng, (num_embeddings, dim), dim))
-
-    @staticmethod
-    def shapes(num_embeddings: int, dim: int) -> dict:
-        return {"weight": (num_embeddings, dim)}
+        self._register("weight", (num_embeddings, dim), rng, dim)
 
     def forward(self, indices: np.ndarray):
         indices = np.asarray(indices, dtype=np.int64)
@@ -123,16 +137,12 @@ class Embedding(Layer):
 
 
 class Linear(Layer):
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
+    def __init__(self, in_dim: int, out_dim: int, rng: Optional[np.random.Generator]):
         super().__init__()
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self._register("weight", init_uniform(rng, (in_dim, out_dim), in_dim))
-        self._register("bias", np.zeros(out_dim))
-
-    @staticmethod
-    def shapes(in_dim: int, out_dim: int) -> dict:
-        return {"weight": (in_dim, out_dim), "bias": (out_dim,)}
+        self._register("weight", (in_dim, out_dim), rng, in_dim)
+        self._register("bias", (out_dim,), rng)
 
     def forward(self, x: np.ndarray):
         weight = self.params["weight"].astype(x.dtype, copy=False)
@@ -161,26 +171,24 @@ class Lstm(Layer):
     of its cache.
     """
 
-    def __init__(self, input_dim: int, hidden_size: int, rng: np.random.Generator):
+    def __init__(self, input_dim: int, hidden_size: int, rng: Optional[np.random.Generator]):
         super().__init__()
         self.input_dim = input_dim
         self.hidden_size = hidden_size
-        self._register("Wx", init_uniform(rng, (input_dim, 4 * hidden_size), input_dim))
-        self._register("Wh", init_uniform(rng, (hidden_size, 4 * hidden_size), hidden_size))
-        self._register("bias", np.zeros(4 * hidden_size))
-        # sigmoid(a) = (1 + tanh(a / 2)) / 2, so one tanh over the whole 4H
-        # block activates all gates: halve the sigmoid gates' pre-activations
-        # (exact, a power of two), then map their tanh back by slope, offset
-        H = hidden_size
-        self._slope = np.concatenate([np.full(2 * H, 0.5), np.ones(H),
-                                      np.full(H, 0.5)]).astype(np.float32)
-        self._offset = np.concatenate([np.full(2 * H, 0.5), np.zeros(H),
-                                       np.full(H, 0.5)]).astype(np.float32)
+        self._register("Wx", (input_dim, 4 * hidden_size), rng, input_dim)
+        self._register("Wh", (hidden_size, 4 * hidden_size), rng, hidden_size)
+        self._register("bias", (4 * hidden_size,), rng)
 
-    @staticmethod
-    def shapes(input_dim: int, hidden_size: int) -> dict:
-        return {"Wx": (input_dim, 4 * hidden_size), "Wh": (hidden_size, 4 * hidden_size),
-                "bias": (4 * hidden_size,)}
+    @functools.cached_property
+    def _gate_maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """sigmoid(a) = (1 + tanh(a / 2)) / 2, so one tanh over the whole 4H
+        block activates all gates: halve the sigmoid gates' pre-activations
+        (exact, a power of two), then map their tanh back by this slope and
+        offset.  Computed on first use, so a layer built with no rng holds
+        no array."""
+        cell = np.arange(4 * self.hidden_size) // self.hidden_size == 2
+        return (np.where(cell, 1.0, 0.5).astype(np.float32),
+                np.where(cell, 0.0, 0.5).astype(np.float32))
 
     def forward(self, x: np.ndarray, state=None, lengths=None, keep_cache=False):
         """Run the recurrence.
@@ -203,8 +211,7 @@ class Lstm(Layer):
         # no copies when the parameters are in ``dtype`` already
         Wx, Wh, bias = (self.params[name].astype(dtype, copy=False)
                         for name in ("Wx", "Wh", "bias"))
-        slope = self._slope.astype(dtype, copy=False)
-        offset = self._offset.astype(dtype, copy=False)
+        slope, offset = (a.astype(dtype, copy=False) for a in self._gate_maps)
         Wh = Wh * slope
         # time-major, so each step reads and writes contiguous (B, 4H)
         # blocks; gates first hold the scaled input projection, then the
@@ -363,7 +370,8 @@ def clip_grad_norm(layers, max_norm: float) -> float:
         for g in layer.grads.values():
             total += float(np.sum(g * g))
     norm = float(np.sqrt(total))
-    if norm > max_norm:
+    # an infinite norm would scale by 0 and turn inf entries into NaN
+    if max_norm < norm < math.inf:
         scale = max_norm / norm
         for layer in layers:
             for g in layer.grads.values():

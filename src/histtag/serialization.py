@@ -13,10 +13,11 @@ Byte layout, in order:
 
 Models name their tensors ``<layer name>.<param name>`` after their ordered
 ``named_layers``: ``layer_tensors`` walks them for saving, and
-``assign_tensors`` copies a loaded file back in.  Before building a model,
-a loader compares the file's tensors with the names and shapes its meta
-dims imply (``check_layout``), so no layer is allocated at dims the
-payload does not hold.
+``assign_tensors`` fills a loaded file back in.  A loader builds the model
+its meta dims describe with no rng, so its layers declare their tensors'
+shapes (``Layer.shapes``) and allocate nothing; ``assign_tensors`` compares
+those with the file's tensors (``check_layout``) before any layer holds a
+value, so no layer is allocated at dims the payload does not hold.
 
 Tensors are float32 in memory, as models hold their parameters, and in
 the file, so save → load → save is byte-identical.
@@ -142,20 +143,10 @@ def layer_tensors(named_layers: Iterable) -> list[tuple[str, np.ndarray]]:
             for param, value in layer.params.items()]
 
 
-def named_shapes(named) -> dict[str, tuple]:
-    """``<layer name>.<param name>`` → shape over ``(layer name, shapes)``
-    pairs, in the order ``layer_tensors`` names a built model's tensors."""
-    return {f"{name}.{param}": shape for name, shapes in named
-            for param, shape in shapes.items()}
-
-
 def check_layout(path, expected: Mapping[str, tuple],
                  tensors: Mapping[str, np.ndarray]) -> None:
     """Raise ModelFormatError unless ``tensors`` holds exactly the named
-    tensors of ``expected``, each of its expected shape.  Loaders check the
-    layout a file's meta dims imply before building a model of those dims,
-    so dims that would need more memory than the payload holds are refused
-    before anything is allocated."""
+    tensors of ``expected``, each of its expected shape."""
     unexpected = sorted(tensors.keys() - expected.keys())
     if unexpected:
         raise ModelFormatError(f"{path}: unexpected tensor {unexpected[0]!r}")
@@ -169,12 +160,17 @@ def check_layout(path, expected: Mapping[str, tuple],
 
 
 def assign_tensors(path, named_layers: Iterable, tensors: Mapping[str, np.ndarray]) -> None:
-    """Copy loaded tensors into the params of named layers.
+    """Fill named layers, built with no rng, from loaded tensors.
 
-    The file must hold exactly the layers' tensors: a missing, unexpected
-    or wrongly shaped one raises ``ModelFormatError``.
+    The file must hold exactly the tensors the layers declare
+    (``Layer.shapes``): a missing, unexpected or wrongly shaped one raises
+    ``ModelFormatError`` before any layer allocates.  Each layer then holds
+    a fresh float32 copy of its tensors, not a view of the file's bytes,
+    whose payload has no fixed alignment.
     """
-    targets = dict(layer_tensors(named_layers))
-    check_layout(path, {name: target.shape for name, target in targets.items()}, tensors)
-    for name, target in targets.items():
-        target[...] = tensors[name]
+    named_layers = tuple(named_layers)
+    check_layout(path, {f"{name}.{param}": shape for name, layer in named_layers
+                        for param, shape in layer.shapes.items()}, tensors)
+    for name, layer in named_layers:
+        for param in layer.shapes:
+            layer.hold(param, lambda: tensors[f"{name}.{param}"])

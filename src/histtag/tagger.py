@@ -53,14 +53,7 @@ from .errors import (
 from .evaluation import evaluate
 from .nn import AnnealOnPlateau, Linear, Lstm, Module, clipped_sgd_step
 from .parallel import map_jobs
-from .serialization import (
-    assign_tensors,
-    check_layout,
-    layer_tensors,
-    load_tensors,
-    named_shapes,
-    save_tensors,
-)
+from .serialization import assign_tensors, layer_tensors, load_tensors, save_tensors
 
 logger = logging.getLogger(__name__)
 
@@ -92,10 +85,11 @@ class TaggerConfig:
 
 
 class NerModel(Module):
-    """Embedder → Bi-LSTM → emission projection → CRF."""
+    """Embedder → Bi-LSTM → emission projection → CRF.  Built with no rng,
+    its layers allocate nothing, for ``load_ner`` to fill."""
 
     def __init__(self, embedder: StackedEmbedder, tags, lstm_hidden: int,
-                 rng: np.random.Generator):
+                 rng: Optional[np.random.Generator]):
         self.embedder = embedder
         self.tags = tuple(tags)
         self.tag_index = {t: i for i, t in enumerate(self.tags)}
@@ -109,16 +103,6 @@ class NerModel(Module):
         return self.embedder.named_layers + (
             ("encoder.fwd", self.fwd), ("encoder.bwd", self.bwd),
             ("projection", self.projection), ("crf", self.crf))
-
-    @staticmethod
-    def tensor_shapes(embedder_dim: int, num_tags: int,
-                      lstm_hidden: int) -> dict[str, tuple]:
-        """The shape of each tensor of the layers a model builds on its
-        embedder, by name, without building them."""
-        return named_shapes((("encoder.fwd", Lstm.shapes(embedder_dim, lstm_hidden)),
-                             ("encoder.bwd", Lstm.shapes(embedder_dim, lstm_hidden)),
-                             ("projection", Linear.shapes(2 * lstm_hidden, num_tags)),
-                             ("crf", CrfLayer.shapes(num_tags))))
 
     def _emissions(self, sentences: Sequence[Sentence], keep_cache=False):
         """Emission scores (sentences × T × tags), row b's first
@@ -332,8 +316,10 @@ def save_ner(model: NerModel, path) -> None:
 
 
 def load_ner(path) -> NerModel:
-    """Rebuild a saved model, reloading referenced files and checking their
-    recorded hashes.  The model's embedder keeps no memo of frozen blocks.
+    """Rebuild a saved model: a model of the file's dims, built with no rng,
+    filled from the file, with its referenced files reloaded and their
+    recorded hashes checked.  The model's embedder keeps no memo of frozen
+    blocks.
 
     Referenced paths resolve against the model file's directory; files
     written before they were recorded that way (no
@@ -346,30 +332,14 @@ def load_ner(path) -> NerModel:
     if meta.get("kind") != "ner":
         raise ModelFormatError(f"{path}: not a tagger model file")
     model_dir = os.path.dirname(path) if meta.get("paths_relative_to_model") else ""
-    rng = np.random.default_rng(0)
     try:
         tags = [str(t) for t in meta["tags"]]
         lstm_hidden = int(meta["lstm_hidden"])
         if lstm_hidden < 1:
             raise ValueError(f"lstm_hidden must be positive, got {lstm_hidden}")
-        # the layout the meta dims imply is checked against the payload
-        # before anything of those dims is built: each component's own
-        # tensors first, then the whole model's
-        layout = {}
-        components = []
-        for i, spec in enumerate(meta["components"]):
-            cls = component_class(spec["kind"])
-            prefix = f"component{i}."
-            own = {prefix + name: shape for name, shape in cls.tensor_shapes(spec).items()}
-            check_layout(path, own, {name: value for name, value in tensors.items()
-                                     if name.startswith(prefix)})
-            layout.update(own)
-            # a char-feature encoder gets its tensors below, with the rest
-            components.append(cls.from_spec(spec, rng, model_dir))
-        embedder = StackedEmbedder(components)
-        layout.update(NerModel.tensor_shapes(embedder.dim, len(tags), lstm_hidden))
-        check_layout(path, layout, tensors)
-        model = NerModel(embedder, tags, lstm_hidden, rng)
+        embedder = StackedEmbedder([component_class(spec["kind"]).from_spec(spec, model_dir)
+                                    for spec in meta["components"]])
+        model = NerModel(embedder, tags, lstm_hidden, None)
     except (KeyError, TypeError, ValueError, OverflowError, ConfigError,
             SchemeError) as exc:
         raise ModelFormatError(f"{path}: invalid model metadata: {exc}") from exc

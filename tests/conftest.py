@@ -59,15 +59,41 @@ def raw_container(header, payload=b""):
 
 @pytest.fixture
 def no_large_layers(monkeypatch):
-    """Layers built under this fixture fail, instead of allocating, when a
-    parameter tensor would hold more than a million entries."""
-    init_uniform = nn.init_uniform
+    """Layers fail, instead of allocating, when a tensor they would hold
+    has more than a million entries: ``Layer.hold`` is the one place a
+    layer allocates an initial draw, a zero bias, a gradient slot or a
+    loaded copy, and it is guarded before it makes anything."""
+    hold = nn.Layer.hold
 
-    def guarded(rng, shape, fan_in):
+    def guarded(layer, name, make):
+        shape = layer.shapes[name]
         if math.prod(shape) > 10 ** 6:
             raise AssertionError(f"a layer began to allocate a {shape} tensor")
-        return init_uniform(rng, shape, fan_in)
-    monkeypatch.setattr(nn, "init_uniform", guarded)
+        return hold(layer, name, make)
+    monkeypatch.setattr(nn.Layer, "hold", guarded)
+
+
+def forbid_draws(monkeypatch) -> None:
+    """From here on ``nn.init_uniform``, through which every layer draws
+    its initial values, fails: a loader must build its layers without
+    drawing."""
+    def refuse(rng, shape, fan_in):
+        raise AssertionError(f"a layer drew an initial {shape} tensor")
+    monkeypatch.setattr(nn, "init_uniform", refuse)
+
+
+def assert_fresh_float32(named_layers) -> None:
+    """Every parameter of the named layers is a C-contiguous, writable
+    float32 array that owns its data (no view of a file's bytes), beside
+    a zero gradient slot of its shape."""
+    for name, layer in named_layers:
+        for param, value in layer.params.items():
+            where = f"{name}.{param}"
+            assert value.dtype == np.float32, where
+            assert value.flags.c_contiguous and value.flags.writeable, where
+            assert value.base is None, where
+            assert layer.grads[param].shape == value.shape, where
+            assert not layer.grads[param].any(), where
 
 
 @pytest.fixture

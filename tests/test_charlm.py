@@ -28,7 +28,7 @@ from histtag.nn import cross_entropy
 from histtag.serialization import layer_tensors, load_tensors, save_tensors
 from histtag.toydata import build_plain_corpus
 
-from conftest import make_corpus, raw_container
+from conftest import assert_fresh_float32, forbid_draws, make_corpus, raw_container
 from oracles import (
     float64_copy,
     gradient_relative_error,
@@ -518,6 +518,11 @@ class TestSaveLoad:
         roundtrip = load_lm(path)
         assert sentence_perplexity(roundtrip, text) == sentence_perplexity(loaded, text)
 
+    def test_loads_fresh_float32_arrays_without_drawing(self, tmp_path, monkeypatch):
+        _, path = self._trained(tmp_path)
+        forbid_draws(monkeypatch)
+        assert_fresh_float32(load_lm(path).named_layers)
+
     def test_truncated_file(self, tmp_path):
         _, path = self._trained(tmp_path)
         path.write_bytes(path.read_bytes()[:-10])
@@ -537,12 +542,6 @@ class TestSaveLoad:
         save_tensors(path, {"kind": "something"}, [])
         with pytest.raises(ModelFormatError):
             load_lm(path)
-
-    def test_tensor_shapes_are_the_built_models(self, tmp_path):
-        model, _ = self._trained(tmp_path)
-        shapes = CharLm.tensor_shapes(model.vocab, model.embedding.dim,
-                                      model.lstm.hidden_size)
-        assert list(shapes.items()) == [(name, value.shape) for name, value in tensors(model)]
 
     @pytest.mark.parametrize("key,value,tensor", [
         ("hidden_size", 2 ** 20, "lstm.Wx"), ("hidden_size", 9, "lstm.Wx"),

@@ -75,6 +75,16 @@ class TestConstraintMask:
         assert np.all(trans[~crf.allowed] == FORBIDDEN_SCORE)
         assert np.all(np.abs(trans[crf.allowed]) < 10)
 
+    def test_transitions_are_one_uniform_draw_pinned_then_cast(self):
+        """Uniform in plus/minus 1/sqrt(K+2) as float64, the forbidden moves
+        pinned, then float32: -1e4 is exact there, so pinning after the cast
+        gives the same bits."""
+        n = len(IOBES_TAGS) + 2
+        draw = np.random.default_rng(5).uniform(-1 / np.sqrt(n), 1 / np.sqrt(n), (n, n))
+        draw[~iobes_constraint_mask(IOBES_TAGS)] = FORBIDDEN_SCORE
+        crf = CrfLayer(IOBES_TAGS, np.random.default_rng(5))
+        assert crf.params["transitions"].tobytes() == draw.astype(np.float32).tobytes()
+
 
 class TestLogPartition:
     def test_single_position_two_tags_all_zero(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from histtag.crf import CrfLayer
 from histtag.errors import NonFiniteGradientError
 from histtag.nn import (
     AnnealOnPlateau,
@@ -391,11 +392,14 @@ class TestOptimizerUtils:
         assert got_norm == pytest.approx(norm) and got_clipped is clipped
         np.testing.assert_allclose(lin.params["weight"], before - 2.0 * moved, rtol=1e-6)
 
-    def test_clipped_sgd_step_refuses_a_nan_gradient(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_clipped_sgd_step_refuses_a_non_finite_gradient(self, bad):
+        """An infinite entry raises too, without the RuntimeWarning that
+        scaling it by max_norm / inf = 0 would give."""
         rng = np.random.default_rng(1)
         layers = [Linear(2, 2, rng), Lstm(2, 3, rng)]
         layers[0].grads["weight"][...] = 1.0
-        layers[1].grads["Wh"][1, 2] = np.nan
+        layers[1].grads["Wh"][1, 2] = bad
         before = [{n: p.copy() for n, p in layer.params.items()} for layer in layers]
         with pytest.raises(NonFiniteGradientError,
                            match="tagger training: .* at epoch 4, step 7") as info:
@@ -410,6 +414,27 @@ class TestOptimizerUtils:
         w = init_uniform(rng, (1000,), 16)
         assert np.all(np.abs(w) <= 0.25)
         assert w.std() > 0.05
+
+
+LAYER_MAKERS = {
+    "Embedding": lambda rng: Embedding(5, 3, rng),
+    "Linear": lambda rng: Linear(4, 3, rng),
+    "Lstm": lambda rng: Lstm(4, 3, rng),
+    "CrfLayer": lambda rng: CrfLayer(("B-LOC", "E-LOC", "O", "S-PER"), rng),
+}
+
+
+@pytest.mark.parametrize("make", LAYER_MAKERS.values(), ids=LAYER_MAKERS.keys())
+def test_a_layer_built_with_no_rng_declares_its_tensors_and_holds_none(make):
+    """Nor any array sized by its dims (an Lstm's gate scales, a CRF's
+    move mask): those are computed on first use."""
+    empty, built = make(None), make(np.random.default_rng(0))
+    assert empty.params == {} and empty.grads == {}
+    assert not [key for key, value in vars(empty).items() if isinstance(value, np.ndarray)]
+    assert list(empty.shapes.items()) == [(name, p.shape) for name, p in built.params.items()]
+    for name, p in built.params.items():
+        assert p.dtype == built.grads[name].dtype == np.float32
+        assert built.grads[name].shape == p.shape and not built.grads[name].any()
 
 
 def schedule_run(schedule, scores):

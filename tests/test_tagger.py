@@ -40,7 +40,7 @@ from histtag.tagger import (
     train_ner,
 )
 
-from conftest import make_corpus
+from conftest import assert_fresh_float32, forbid_draws, make_corpus
 from oracles import (
     FLOAT32_EMISSION_ATOL,
     FLOAT32_TAGGING_ATOL,
@@ -987,6 +987,19 @@ class TestFileLayout:
             "encoder.bwd.Wx", "encoder.bwd.Wh", "encoder.bwd.bias",
             "projection.weight", "projection.bias", "crf.transitions"]
 
+    def test_loads_fresh_float32_arrays_without_drawing(self, tmp_path, monkeypatch):
+        """The char-feature encoder and the tagger's own layers, and the
+        LMs the contextual component loads, are all built with no rng."""
+        _, path = saved_full_model(tmp_path)
+        forbid_draws(monkeypatch)
+        assert_fresh_float32(load_ner(path).named_layers)
+
+    def test_save_load_save_identical(self, tmp_path):
+        """Saved beside the original, so its relative references match."""
+        _, path = saved_full_model(tmp_path)
+        save_ner(load_ner(path), tmp_path / "ner2.bin")
+        assert (tmp_path / "ner2.bin").read_bytes() == path.read_bytes()
+
     def test_round_trip_parameters(self, tmp_path):
         model, path = saved_full_model(tmp_path)
         loaded = load_ner(path)
@@ -1052,17 +1065,6 @@ class TestFileLayout:
         save_tensors(path, {**meta, "lstm_hidden": 0}, list(tensors.items()))
         with pytest.raises(ModelFormatError, match="lstm_hidden must be positive"):
             load_ner(path)
-
-    def test_tensor_shapes_are_the_built_models(self, tmp_path):
-        model, path = saved_full_model(tmp_path)
-        meta, _ = load_tensors(path)
-        shapes = [(f"component{i}.{name}", shape) for i, spec in enumerate(meta["components"])
-                  for name, shape in embed.component_class(spec["kind"])
-                  .tensor_shapes(spec).items()]
-        shapes += NerModel.tensor_shapes(model.embedder.dim, len(model.tags),
-                                         model.fwd.hidden_size).items()
-        assert shapes == [(name, value.shape)
-                          for name, value in layer_tensors(model.named_layers)]
 
     @pytest.mark.parametrize("edit,tensor", [
         (lambda meta: meta.__setitem__("lstm_hidden", 2 ** 20), "encoder.fwd.Wx"),
