@@ -21,12 +21,14 @@ text stays within a character budget, so each LM and each recurrence runs
 once per group on rows padded at their end.  The memo fill and
 ``tagger.predict`` cut groups of EXTRACT_CHARS (4,096) characters; in
 ``predict`` every component of the stack and the tagger run each group
-once.  Only a forward asked to keep its cache keeps one (see ``nn``), so
-in inference a recurrence's gates and cells live only while it runs:
-about 6.6 MB per LM direction over one group at H = 64 and about 200 MB
-at paper scale (H = 2048).  Training's mini-batches keep their caches for
-backward.  A row's values do not depend on the rows beside it beyond the
-rounding of the batched products.
+once.  Only a forward asked to keep its cache keeps one (see ``nn``); in
+inference a recurrence projects a block of steps at a time and keeps two
+cells, and ``ContextualEmbedder`` reads one LM's token rows before the
+other LM runs.  One group of 13 texts of 315 characters then peaks at
+about 2.8 MB at H = 64 and 109 MB at paper scale (H = 2048), mostly the
+one LM's hidden states and its gate-scaled ``Wh``.  Training's
+mini-batches keep their caches for backward.  A row's values do not
+depend on the rows beside it beyond the rounding of the batched products.
 
 Everything computes in float32, the precision of every parameter and of
 the files that store them: contextual extraction, the char features and
@@ -278,10 +280,12 @@ class ContextualEmbedder(Module):
     its backward part is the backward LM's state (computed over the
     reversed text) at the token's first character.  Each LM reads all
     texts of a group in one ``charlm.lm_forward`` run, in the dtype of its
-    weights, and its vocabulary projection is never computed.  It keeps
-    only ``Layer.frozen`` copies of the given LMs' embedding and LSTM
-    layers, which share their parameters, so the rest of each LM (its
-    projection and gradient slots) can be freed.
+    weights, and its vocabulary projection is never computed; the token
+    rows of the forward LM's states are read before the backward LM runs.
+    It keeps only ``Layer.frozen`` copies of the given LMs' embedding and
+    LSTM layers, which share their parameters, so the rest of each LM (its
+    projection, and the gradient slots of an LM trained in memory) can be
+    freed.
     """
 
     kind = "contextual"
@@ -326,16 +330,24 @@ class ContextualEmbedder(Module):
     def forward(self, sentences: SentenceGroup) -> np.ndarray:
         """Per-token contextual vectors, (forward part, backward part)."""
         texts = [sentence_text(s) for s in sentences]
-        fwd, bwd = self._lms
-        hs_f, _, lengths = lm_forward(*fwd, texts)
-        hs_b, _, _ = lm_forward(*bwd, [text[::-1] for text in texts])
         rows, lasts, firsts = [], [], []
-        for row, (sentence, L) in enumerate(zip(sentences, lengths)):
+        for row, (sentence, text) in enumerate(zip(sentences, texts)):
             for start, end in token_char_ranges(sentence):
                 rows.append(row)
                 lasts.append(end)
-                firsts.append(L - 1 - start)
-        return np.concatenate([hs_f[rows, lasts], hs_b[rows, firsts]], axis=1)
+                firsts.append(len(text) - 1 - start)
+        fwd, bwd = self._lms
+        return np.concatenate([_token_states(fwd, texts, rows, lasts),
+                               _token_states(bwd, [text[::-1] for text in texts], rows, firsts)],
+                              axis=1)
+
+
+def _token_states(lm, texts: list[str], rows: list[int], positions: list[int]) -> np.ndarray:
+    """The hidden states of ``lm`` (vocabulary, embedding, LSTM) over
+    ``texts`` at (row, position) pairs.  The (texts × longest × H) states
+    die on return, so only one LM's are alive at a time."""
+    hs, _, _ = lm_forward(*lm, texts)
+    return hs[rows, positions]
 
 
 class BlockMemo:

@@ -3,8 +3,9 @@
 Every layer keeps its parameters in ``params`` and accumulates gradients
 into the matching ``grads`` entries.  Its constructor declares each tensor
 once (``Layer._register``), recording its shape in ``shapes``: given an rng
-it draws the tensor, given None it allocates nothing, for
-``serialization.assign_tensors`` to fill from a model file.  ``forward``
+it draws the tensor beside a zero gradient slot, given None it allocates
+nothing, for ``serialization.assign_tensors`` to fill from a model file
+with parameters only, since nothing trains a loaded model.  ``forward``
 returns the output plus an opaque cache; ``backward`` consumes the cache and
 the upstream gradient and returns the gradient with respect to the layer
 input.  ``Lstm`` is the one recurrence: it runs a (B, T, D) batch of
@@ -18,7 +19,10 @@ so a float64 copy of a layer (``float64_copy`` in tests/oracles.py) runs in
 float64, where analytic gradients can be checked against central finite
 differences to tight tolerances.  ``Lstm.forward`` keeps its gates and
 cells for ``backward`` only when its caller asks (``keep_cache``), as the
-training loops do; every other forward frees them when it returns.
+training loops do.  Every other forward projects its input BLOCK_BYTES of
+gates at a time into one buffer and keeps only the current and previous
+cells, so beyond the hidden states it returns its working set is bounded
+whatever T is, with the bits of one projection over all T.
 """
 
 import copy
@@ -36,6 +40,10 @@ __all__ = [
     "init_uniform", "cross_entropy", "clip_grad_norm", "sgd_step",
     "clipped_sgd_step", "AnnealOnPlateau",
 ]
+
+# the gates an ``Lstm.forward`` that keeps no backward cache projects at a
+# time, in bytes: its working set beyond the states it returns
+BLOCK_BYTES = 1 << 20
 
 
 def _shifted(a: np.ndarray, axis):
@@ -65,7 +73,8 @@ def init_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class Layer:
-    """Base for parameterized blocks: named tensors plus gradient slots."""
+    """Base for parameterized blocks: named tensors plus, in a layer drawn
+    for training, gradient slots."""
 
     def __init__(self):
         self.shapes: dict[str, tuple] = {}
@@ -74,21 +83,22 @@ class Layer:
 
     def _register(self, name: str, shape: tuple, rng, fan_in=None) -> None:
         """Declare tensor ``name`` of ``shape``.  With an ``rng`` it holds a
-        draw of ``init_uniform`` at ``fan_in``, or zeros without one; with
-        None it allocates nothing."""
+        draw of ``init_uniform`` at ``fan_in``, or zeros without one, beside
+        a zero gradient slot; with None it allocates nothing."""
         self.shapes[name] = shape
         if rng is not None:
             self.hold(name, lambda: np.zeros(shape) if fan_in is None
                       else init_uniform(rng, shape, fan_in))
+            # untouched pages of a fresh zero array take no memory, so the
+            # slots of a layer that never trains cost none
+            self.grads[name] = np.zeros(shape, np.float32)
 
     def hold(self, name: str, make) -> None:
-        """The one place a layer allocates: parameter ``name`` becomes a
-        fresh float32 copy of the array ``make()`` returns, with a zero
-        gradient slot."""
+        """The one place a layer allocates a parameter: ``name`` becomes a
+        fresh float32 copy of the array ``make()`` returns.  A layer filled
+        from a model file gets no gradient slot: nothing trains a loaded
+        model."""
         self.params[name] = np.array(make(), np.float32)
-        # untouched pages of a fresh zero array take no memory, so a frozen
-        # layer's slots cost none
-        self.grads[name] = np.zeros(self.shapes[name], np.float32)
 
     def zero_grads(self) -> None:
         for g in self.grads.values():
@@ -165,8 +175,9 @@ class Lstm(Layer):
     state is its state after its last real step, and in backward it passes
     ``dh`` and ``dc`` through unchanged and gives zero input gradient.
     Gate pre-activations sit in one 4H block ordered input, forget, cell,
-    output.  The input projection for all steps is one matrix product; the
-    recurrence is the only per-step loop, over time-major (T, B, ·) arrays.
+    output.  The input projection for a block of steps is one matrix
+    product; the recurrence is the only per-step loop, over time-major
+    (T, B, ·) arrays.
     ``forward`` computes in the dtype of ``x`` and ``backward`` in the dtype
     of its cache.
     """
@@ -196,8 +207,12 @@ class Lstm(Layer):
         x: (B, T, input_dim); state: optional (h0, c0) each (B, H);
         lengths: optional (B,) ints in [0, T], all T when omitted.
         Returns hs (B, T, H), final state (hT, cT) each (B, H), and the
-        backward cache when ``keep_cache``, else None: a forward that will
-        not run backward frees its gates and cells on return.
+        backward cache when ``keep_cache``, else None.  The input
+        projection runs a block of steps at a time: all T when
+        ``keep_cache``, as backward reads every step's gates and cells;
+        otherwise blocks of about BLOCK_BYTES of gates, in one reused
+        buffer, and only the current and previous cells are kept, so the
+        working set beyond the returned states does not grow with T.
         """
         B, T, D = x.shape
         H = self.hidden_size
@@ -214,31 +229,48 @@ class Lstm(Layer):
         slope, offset = (a.astype(dtype, copy=False) for a in self._gate_maps)
         Wh = Wh * slope
         # time-major, so each step reads and writes contiguous (B, 4H)
-        # blocks; gates first hold the scaled input projection, then the
-        # activated gates
-        x_tm = x.transpose(1, 0, 2).reshape(T * B, D)
-        gates = (x_tm @ Wx).reshape(T, B, 4 * H)
-        gates += bias
-        gates *= slope
-        cells = np.empty((T, B, H), dtype)
+        # blocks; gates first hold a block's scaled input projection, then
+        # its activated gates
+        x_tm = x.transpose(1, 0, 2)
+        if keep_cache:
+            # backward reads all of x and every step's gates and cells
+            x_tm = np.ascontiguousarray(x_tm)
+            steps, cells = T, np.empty((T, B, H), dtype)
+        else:
+            # blocks of equal size and never of a single row: with
+            # OpenBLAS, a one-row product (numpy's gemv) or a short last
+            # block can round a gate's last bit unlike one product over T
+            step_bytes = max(B, 1) * 4 * H * np.dtype(dtype).itemsize
+            steps = min(T, max(BLOCK_BYTES // step_bytes, 2 // max(B, 1), 1))
+            cells = np.empty((2, B, H), dtype)
+        gates = np.empty((steps, B, 4 * H), dtype)
         hs = np.empty((T, B, H), dtype)
         h, c = h0, c0
-        for t in range(T):
-            gt = gates[t]
-            gt += h @ Wh
-            np.tanh(gt, out=gt)
-            gt *= slope
-            gt += offset
-            ct, ht = cells[t], hs[t]
-            np.multiply(gt[:, H:2 * H], c, out=ct)
-            ct += gt[:, :H] * gt[:, 2 * H:3 * H]
-            np.tanh(ct, out=ht)
-            ht *= gt[:, 3 * H:]
-            if padded[t]:
-                np.copyto(ct, c, where=pad[t][:, None])
-                np.copyto(ht, h, where=pad[t][:, None])
-            h, c = ht, ct
-        cache = (x_tm, pad, h0, c0, gates, cells, hs) if keep_cache else None
+        for t0 in range(0, T, max(steps, 1)):  # steps is 0 only when T is
+            # every block holds ``steps`` steps: the last ends at T and may
+            # overlap the one before
+            start = min(t0, T - steps)
+            np.matmul(x_tm[start:start + steps].reshape(steps * B, D), Wx,
+                      out=gates.reshape(steps * B, 4 * H))
+            gates += bias
+            gates *= slope
+            for t in range(t0, min(t0 + steps, T)):
+                gt = gates[t - start]
+                gt += h @ Wh
+                np.tanh(gt, out=gt)
+                gt *= slope
+                gt += offset
+                ct, ht = cells[t % len(cells)], hs[t]
+                np.multiply(gt[:, H:2 * H], c, out=ct)
+                ct += gt[:, :H] * gt[:, 2 * H:3 * H]
+                np.tanh(ct, out=ht)
+                ht *= gt[:, 3 * H:]
+                if padded[t]:
+                    np.copyto(ct, c, where=pad[t][:, None])
+                    np.copyto(ht, h, where=pad[t][:, None])
+                h, c = ht, ct
+        cache = ((x_tm.reshape(T * B, D), pad, h0, c0, gates, cells, hs)
+                 if keep_cache else None)
         # copies, so a carried state does not keep the whole cache alive
         return hs.transpose(1, 0, 2), (h.copy(), c.copy()), cache
 

@@ -61,8 +61,9 @@ def raw_container(header, payload=b""):
 def no_large_layers(monkeypatch):
     """Layers fail, instead of allocating, when a tensor they would hold
     has more than a million entries: ``Layer.hold`` is the one place a
-    layer allocates an initial draw, a zero bias, a gradient slot or a
-    loaded copy, and it is guarded before it makes anything."""
+    layer allocates a parameter (an initial draw, a zero bias or a loaded
+    copy), a drawn layer's gradient slot comes only after it, and it is
+    guarded before it makes anything."""
     hold = nn.Layer.hold
 
     def guarded(layer, name, make):
@@ -84,16 +85,16 @@ def forbid_draws(monkeypatch) -> None:
 
 def assert_fresh_float32(named_layers) -> None:
     """Every parameter of the named layers is a C-contiguous, writable
-    float32 array that owns its data (no view of a file's bytes), beside
-    a zero gradient slot of its shape."""
+    float32 array that owns its data (no view of a file's bytes), and no
+    layer holds a gradient slot: nothing trains a loaded model."""
     for name, layer in named_layers:
+        assert layer.params.keys() == layer.shapes.keys(), name
+        assert layer.grads == {}, name
         for param, value in layer.params.items():
             where = f"{name}.{param}"
             assert value.dtype == np.float32, where
             assert value.flags.c_contiguous and value.flags.writeable, where
             assert value.base is None, where
-            assert layer.grads[param].shape == value.shape, where
-            assert not layer.grads[param].any(), where
 
 
 @pytest.fixture

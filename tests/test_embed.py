@@ -245,9 +245,10 @@ class TestContextual:
     def test_building_from_lm_files_peaks_near_what_it_holds(self, tmp_path):
         """Traced allocations while the embedder is built from two H = 256
         LM files, against the bytes of the parameters it keeps.  Both LMs,
-        projections and gradient slots included, live until it is built,
-        and the second file's bytes while its copies are made: about 2.65x.
-        Drawing a model first and overwriting it with the file peaked at
+        projections included, live until it is built, and the second
+        file's bytes while its copies are made: about 1.59x.  Loaded layers
+        hold no gradient slots; with them the build peaked at about 2.65x,
+        and drawing a model first and overwriting it with the file at
         about 3.5x."""
         vocab = CharVocabulary("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456 .")
         paths = [tmp_path / f"{direction}.bin" for direction in ("forward", "backward")]
@@ -262,7 +263,7 @@ class TestContextual:
             tracemalloc.stop()
         held = sum(value.nbytes for _, embedding, lstm in ctx._lms
                    for value in [*embedding.params.values(), *lstm.params.values()])
-        assert peak < 2.8 * held
+        assert peak < 1.8 * held
 
 
 GROUP_SENTENCES = [make_sentence([(w, "O") for w in words]) for words in (

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from histtag import nn
 from histtag.crf import CrfLayer
 from histtag.errors import NonFiniteGradientError
 from histtag.nn import (
@@ -243,6 +246,52 @@ class TestLstm:
                                               self.LENGTHS, keep_cache=True)
             want_dx, _ = self.lstm.backward(cache64, self.R, (self.R[:, 0], self.R[:, 1]))
             np.testing.assert_allclose(dx, want_dx, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("lengths", [(7, 4, 1), (1,), (7,)])
+    @pytest.mark.parametrize("steps", [1, 3, 7, 10])
+    def test_blocks_give_the_bits_of_the_cache_keeping_forward(self, monkeypatch, steps,
+                                                               lengths):
+        """A forward that keeps no cache projects its input a block of
+        steps at a time and keeps only two cells; it returns the bits of
+        the forward that keeps its cache, which projects all T = 7 steps at
+        once.  The block budget is patched to blocks of one step, of three
+        (the last block, ending at T, overlaps the one before) and of at
+        least T; at B = 1 a block holds two steps, so no product is a
+        single row.  Rows of lengths 7 and 1 hold their state over padded
+        steps; from a zero and from a carried state, on the float32 layer
+        and on its float64 copy."""
+        layer = Lstm(3, 5, np.random.default_rng(4))
+        rng = np.random.default_rng(steps)
+        B = len(lengths)
+        for lstm in (layer, float64_copy(layer)):
+            dtype = lstm.params["Wx"].dtype
+            monkeypatch.setattr(nn, "BLOCK_BYTES", steps * B * 4 * 5 * dtype.itemsize)
+            x = rng.standard_normal((B, 7, 3)).astype(dtype)
+            carried = tuple(rng.standard_normal((B, 5)).astype(dtype) * 0.1 for _ in range(2))
+            for state in (None, carried):
+                hs, (hT, cT), cache = lstm.forward(x, state, lengths)
+                k_hs, (k_hT, k_cT), _ = lstm.forward(x, state, lengths, keep_cache=True)
+                assert cache is None
+                for got, want in ((hs, k_hs), (hT, k_hT), (cT, k_cT)):
+                    assert got.dtype == dtype
+                    np.testing.assert_array_equal(got, want)
+
+    def test_cache_free_forward_peak_is_bounded(self):
+        """Traced allocations of one forward that keeps no cache, at B = 8,
+        T = 512, H = 256, against the bytes of the hidden states it returns
+        and of Wh, whose gate-scaled copy it makes: about 1.22x.
+        Projecting all T at once and keeping every step's cell, as the
+        cache-keeping forward does, peaked at about 5.06x."""
+        rng = np.random.default_rng(0)
+        lstm = Lstm(16, 256, rng)
+        x = rng.standard_normal((8, 512, 16)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            hs, _, _ = lstm.forward(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (hs.nbytes + lstm.params["Wh"].nbytes)
 
     @pytest.mark.parametrize("lengths", [[8, 3], [4], [4, -1], [4, 0, 1]])
     def test_rejects_bad_lengths(self, lengths):

@@ -6,9 +6,11 @@ import pytest
 from histtag import toydata
 from histtag.corpus import write_conll
 from histtag.errors import ModelFormatError
+from histtag.nn import Linear
 from histtag.serialization import (
     FORMAT_VERSION,
     MAGIC,
+    assign_tensors,
     atomic_open,
     load_tensors,
     save_tensors,
@@ -116,6 +118,18 @@ class TestCorruption:
         path.write_bytes(raw_container(header, payload=bytes(4 * floats)))
         with pytest.raises(ModelFormatError, match=message):
             load_tensors(path)
+
+
+class TestAssignTensors:
+    def test_large_layer_guard_catches_a_loaded_copy(self, no_large_layers):
+        """The ``no_large_layers`` fixture fails a layer filled from a file
+        before it copies a tensor of over a million entries."""
+        layer = Linear(1000, 1001, None)
+        tensors = {"out.weight": np.zeros((1000, 1001), np.float32),
+                   "out.bias": np.zeros(1001, np.float32)}
+        with pytest.raises(AssertionError, match="began to allocate a"):
+            assign_tensors("model.bin", [("out", layer)], tensors)
+        assert layer.params == {}
 
 
 def _fail_in_atomic_open(path):
