@@ -13,9 +13,10 @@ outside the model vocabulary map to a reserved UNK index.
 ``lm_forward`` is the one eval-mode forward pass, for contextual
 extraction and scoring alike.  Scoring runs ``corpus.length_groups`` of
 EVAL_CHUNK (4,096) characters, each in slices of EVAL_CHUNK positions that
-carry the state, so a longer text runs alone, a slice at a time.  A slice
-holds at most EVAL_CHUNK characters, which bounds the recurrence's working
-set and the logits; ``corpus_perplexity`` reads EVAL_CHUNK lines at a time.
+carry the state, so a longer text runs alone, unpadded, a slice at a
+time, and only its slices carry a state.  A slice holds at most
+EVAL_CHUNK characters, which bounds the recurrence's working set and the
+logits; ``corpus_perplexity`` reads EVAL_CHUNK lines at a time.
 """
 
 import logging
@@ -103,15 +104,16 @@ class CharLm(Module):
 def lm_forward(vocab: CharVocabulary, embedding: Embedding, lstm: Lstm,
                texts: Sequence[str], state=None):
     """Run an LM's ``embedding`` and ``lstm``, in the dtype of their
-    weights, over ``texts`` as one batch padded at the end and length-masked,
-    from ``state`` ((h, c), each texts × H; zeros when None).  Returns the
-    (texts × longest × H) hidden states, the final state and the lengths."""
+    weights, over ``texts`` as one batch padded at the end, from ``state``
+    ((h, c), each texts × H; zeros when None).  Returns the (texts ×
+    longest × H) hidden states, row b's first ``lengths[b]`` those of text
+    b, the state after the last step and the lengths."""
     lengths = np.array([len(text) for text in texts])
     indices = np.zeros((len(texts), lengths.max()), dtype=np.int64)
     for row, text in zip(indices, texts):
         row[:len(text)] = vocab.encode(text)
     emb, _ = embedding.forward(indices)
-    hs, state, _ = lstm.forward(emb, state, lengths=lengths)
+    hs, state, _ = lstm.forward(emb, state)
     return hs, state, lengths
 
 

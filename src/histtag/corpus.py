@@ -14,6 +14,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Union
 
@@ -403,48 +404,45 @@ def read_conll(path, token_column: int, tag_column: int,
     ParseError names the sentence's first offending line. An input without
     any sentence raises EmptyCorpusError.
     """
+    sentences = conll_sentences(path, token_column, (tag_column,), scheme)
+    return TaggedCorpus(tuple(s for s, in sentences), scheme=scheme, split=split)
+
+
+def conll_sentences(path, token_column: int, tag_columns: Sequence[int],
+                    scheme: TagScheme) -> Iterator[tuple]:
+    """The line loop of ``read_conll`` over several tag columns, each
+    checked as ``read_conll`` checks its one: yields each sentence, with
+    the first tag column as its gold tags, then a tuple of its tags from
+    each further column."""
     path = Path(path)
-    sentences: list[Sentence] = []
-    tokens: list[Token] = []
-    token_lines: list[int] = []
-
-    def flush():
-        if not tokens:
-            return
-        tags = [t.gold_tag for t in tokens]
-        try:
-            extract_spans(tags, scheme)
-        except SchemeError as exc:
-            pos = exc.position if exc.position is not None else 0
-            raise ParseError(f"ill-formed tag sequence: {exc}",
-                             path=str(path), line=token_lines[pos]) from None
-        sentences.append(Sentence(tuple(tokens)))
-        tokens.clear()
-        token_lines.clear()
-
+    columns = (token_column, *tag_columns)
+    rows, lines, found = [], [], False
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                flush()
-                continue
+        # a blank line after the last ends its sentence too
+        for lineno, line in enumerate(chain(fh, [""]), 1):
             fields = line.split()
-            if fields[0] == DOCSTART:
-                continue
-            try:
-                text = fields[token_column]
-                tag = fields[tag_column]
-            except IndexError:
-                raise ParseError(
-                    f"line has {len(fields)} columns, need token column "
-                    f"{token_column} and tag column {tag_column}",
-                    path=str(path), line=lineno) from None
-            tokens.append(Token(text, gold_tag=tag))
-            token_lines.append(lineno)
-    flush()
-    if not sentences:
+            if fields and fields[0] != DOCSTART:
+                try:
+                    rows.append(tuple(fields[c] for c in columns))
+                except IndexError:
+                    raise ParseError(
+                        f"line has {len(fields)} columns, need token column {token_column} and "
+                        f"tag column {' and '.join(map(str, tag_columns))}",
+                        path=str(path), line=lineno) from None
+                lines.append(lineno)
+            elif not fields and rows:
+                texts, *tags = zip(*rows)
+                for column in tags:
+                    try:
+                        extract_spans(column, scheme)
+                    except SchemeError as exc:
+                        pos = exc.position if exc.position is not None else 0
+                        raise ParseError(f"ill-formed tag sequence: {exc}",
+                                         path=str(path), line=lines[pos]) from None
+                yield (Sentence(tuple(map(Token, texts, tags[0]))), *tags[1:])
+                rows, lines, found = [], [], True
+    if not found:
         raise EmptyCorpusError(f"{path}: no sentences found")
-    return TaggedCorpus(tuple(sentences), scheme=scheme, split=split)
 
 
 def write_conll(corpus: TaggedCorpus, path) -> None:

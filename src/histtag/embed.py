@@ -197,12 +197,13 @@ def load_vectors(path) -> WordTableEmbedder:
 
 class CharFeatureEncoder(Module):
     """Trainable character features: a small bidirectional recurrence over
-    each token's characters; output is the two final states concatenated.
+    each token's characters; output is the two states after its last
+    character concatenated.
 
-    The distinct token texts of a group run through one length-masked
-    recurrence per direction: the forward one reads each text's
-    characters, the backward one each text's characters reversed, both
-    padded at the end.
+    The distinct token texts of a group run through one recurrence per
+    direction, padded at the end: the forward one reads each text's
+    characters, the backward one the same reversed.  Both read, and
+    backward puts the gradient at, each text's step ``length - 1``.
     """
 
     kind = "char_features"
@@ -254,21 +255,24 @@ class CharFeatureEncoder(Module):
             indices[0, j, :len(c)] = c
             indices[1, j, :len(c)] = c[::-1]
         emb, emb_cache = self.embedding.forward(indices)
-        _, (hf, _), f_cache = self.fwd.forward(emb[0], lengths=lengths, keep_cache=keep_cache)
-        _, (hb, _), b_cache = self.bwd.forward(emb[1], lengths=lengths, keep_cache=keep_cache)
-        return np.concatenate([hf, hb], axis=1)[rows], (rows, emb_cache, f_cache, b_cache)
+        # each text's step at its last character, before any padding
+        last = (np.arange(len(codes)), lengths - 1)
+        hs_f, _, f_cache = self.fwd.forward(emb[0], keep_cache=keep_cache)
+        hs_b, _, b_cache = self.bwd.forward(emb[1], keep_cache=keep_cache)
+        return (np.concatenate([hs_f[last], hs_b[last]], axis=1)[rows],
+                (rows, last, emb_cache, f_cache, b_cache))
 
     def backward(self, cache, grad: np.ndarray) -> None:
         """Backprop ``grad``, one row per token of the forward group."""
-        rows, emb_cache, f_cache, b_cache = cache
+        rows, last, emb_cache, f_cache, b_cache = cache
         N, T = emb_cache.shape[1:]
         H = self.hidden
         per_text = np.zeros((N, 2 * H), grad.dtype)
         np.add.at(per_text, rows, grad)
-        zeros = np.zeros((N, T, H), grad.dtype)
-        zero_h = np.zeros((N, H), grad.dtype)
-        demb_f, _ = self.fwd.backward(f_cache, zeros, (per_text[:, :H], zero_h))
-        demb_b, _ = self.bwd.backward(b_cache, zeros, (per_text[:, H:], zero_h))
+        grad_hs = np.zeros((2, N, T, H), grad.dtype)
+        grad_hs[0][last], grad_hs[1][last] = per_text[:, :H], per_text[:, H:]
+        demb_f, _ = self.fwd.backward(f_cache, grad_hs[0])
+        demb_b, _ = self.bwd.backward(b_cache, grad_hs[1])
         self.embedding.backward(emb_cache, np.stack([demb_f, demb_b]))
 
 

@@ -13,7 +13,7 @@ import logging
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .corpus import TaggedCorpus, TagScheme, convert_tags, extract_spans, read_conll
+from .corpus import TaggedCorpus, TagScheme, conll_sentences, convert_tags, extract_spans
 from .errors import StructureMismatchError
 from .serialization import atomic_open
 
@@ -140,9 +140,10 @@ def write_conll_predictions(corpus: TaggedCorpus, predicted: Sequence[Sequence[s
 def read_conll_predictions(path, scheme: TagScheme = TagScheme.IOB2
                            ) -> tuple[TaggedCorpus, list[list[str]]]:
     """Read a "token gold pred" file back into the gold corpus and its
-    predicted tag lists."""
-    gold = read_conll(path, 0, 1, scheme)
-    return gold, [s.gold_tags() for s in read_conll(path, 0, 2, scheme)]
+    predicted tag lists, in one pass that checks both tag columns as
+    ``read_conll`` checks its one."""
+    rows = list(conll_sentences(path, 0, (1, 2), scheme))
+    return TaggedCorpus(tuple(s for s, _ in rows), scheme=scheme), [list(p) for _, p in rows]
 
 
 def format_report(report: EvalReport) -> str:

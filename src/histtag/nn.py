@@ -9,8 +9,8 @@ with parameters only, since nothing trains a loaded model.  ``forward``
 returns the output plus an opaque cache; ``backward`` consumes the cache and
 the upstream gradient and returns the gradient with respect to the layer
 input.  ``Lstm`` is the one recurrence: it runs a (B, T, D) batch of
-left-aligned sequences with an optional ``lengths`` mask, and callers with
-a single sequence pass B = 1.
+left-aligned sequences, unmasked (see ``Lstm``), and callers with a
+single sequence pass B = 1.
 Parameters and gradients are float32, the precision model files store, so
 training and inference compute in it.  ``Linear.forward``,
 ``Lstm.forward`` and ``Lstm.backward`` compute in the dtype of their input
@@ -169,11 +169,10 @@ class Linear(Layer):
 class Lstm(Layer):
     """Single-layer LSTM over a batch of padded sequences.
 
-    Inputs are (B, T, D) with each row's sequence left-aligned; the
-    optional ``lengths`` (B,) marks how many leading steps of each row are
-    real.  A padded step holds ``h`` and ``c`` unchanged, so a row's final
-    state is its state after its last real step, and in backward it passes
-    ``dh`` and ``dc`` through unchanged and gives zero input gradient.
+    Inputs are (B, T, D) with each row's sequence left-aligned, padded
+    after it.  Every row runs all T steps, so its real steps never see its
+    padding; callers read only those steps, and a gradient that is zero
+    past each row's end gives exactly zero input gradient there.
     Gate pre-activations sit in one 4H block ordered input, forget, cell,
     output.  The input projection for a block of steps is one matrix
     product; the recurrence is the only per-step loop, over time-major
@@ -201,14 +200,13 @@ class Lstm(Layer):
         return (np.where(cell, 1.0, 0.5).astype(np.float32),
                 np.where(cell, 0.0, 0.5).astype(np.float32))
 
-    def forward(self, x: np.ndarray, state=None, lengths=None, keep_cache=False):
+    def forward(self, x: np.ndarray, state=None, keep_cache=False):
         """Run the recurrence.
 
-        x: (B, T, input_dim); state: optional (h0, c0) each (B, H);
-        lengths: optional (B,) ints in [0, T], all T when omitted.
-        Returns hs (B, T, H), final state (hT, cT) each (B, H), and the
-        backward cache when ``keep_cache``, else None.  The input
-        projection runs a block of steps at a time: all T when
+        x: (B, T, input_dim); state: optional (h0, c0) each (B, H).
+        Returns hs (B, T, H), the state (hT, cT) after step T - 1, each
+        (B, H), and the backward cache when ``keep_cache``, else None.
+        The input projection runs a block of steps at a time: all T when
         ``keep_cache``, as backward reads every step's gates and cells;
         otherwise blocks of about BLOCK_BYTES of gates, in one reused
         buffer, and only the current and previous cells are kept, so the
@@ -221,8 +219,6 @@ class Lstm(Layer):
             h0 = c0 = np.zeros((B, H), dtype)
         else:
             h0, c0 = state
-        pad = _padding_mask(lengths, B, T)
-        padded = [False] * T if pad is None else pad.any(axis=1).tolist()
         # no copies when the parameters are in ``dtype`` already
         Wx, Wh, bias = (self.params[name].astype(dtype, copy=False)
                         for name in ("Wx", "Wh", "bias"))
@@ -265,23 +261,19 @@ class Lstm(Layer):
                 ct += gt[:, :H] * gt[:, 2 * H:3 * H]
                 np.tanh(ct, out=ht)
                 ht *= gt[:, 3 * H:]
-                if padded[t]:
-                    np.copyto(ct, c, where=pad[t][:, None])
-                    np.copyto(ht, h, where=pad[t][:, None])
                 h, c = ht, ct
-        cache = ((x_tm.reshape(T * B, D), pad, h0, c0, gates, cells, hs)
+        cache = ((x_tm.reshape(T * B, D), h0, c0, gates, cells, hs)
                  if keep_cache else None)
         # copies, so a carried state does not keep the whole cache alive
         return hs.transpose(1, 0, 2), (h.copy(), c.copy()), cache
 
-    def backward(self, cache, grad_hs: np.ndarray, grad_state=None):
+    def backward(self, cache, grad_hs: np.ndarray):
         """Backprop through the recurrence.
 
-        grad_hs: (B, T, H) gradient on every step's hidden output;
-        grad_state: optional (dhT, dcT) each (B, H), extra gradient on the
-        final state.  Returns (dx (B, T, D), (dh0, dc0) each (B, H)).
+        grad_hs: (B, T, H) gradient on every step's hidden output.
+        Returns (dx (B, T, D), (dh0, dc0) each (B, H)).
         """
-        x_tm, pad, h0, c0, gates, cells, hs = cache
+        x_tm, h0, c0, gates, cells, hs = cache
         T, B, H = cells.shape
         dtype = cells.dtype
         grad_hs = grad_hs.transpose(1, 0, 2)
@@ -310,30 +302,18 @@ class Lstm(Layer):
         np.square(tanh_c, out=dc_from_dh)
         np.subtract(1.0, dc_from_dh, out=dc_from_dh)
         dc_from_dh *= o
-        carry_c = f
-        padded = [False] * T if pad is None else pad.any(axis=1).tolist()
-        if pad is not None:
-            da[pad] = 0.0
-            dc_from_dh[pad] = 0.0
-            carry_c = np.where(pad[..., None], 1.0, f)
         Wx, Wh = (self.params[name].astype(dtype, copy=False) for name in ("Wx", "Wh"))
         Wh_T = Wh.T
 
-        if grad_state is None:
-            dh_next = np.zeros((B, H), dtype)
-            dc_next = np.zeros((B, H), dtype)
-        else:
-            dh_next, dc_next = grad_state
+        dh_next = dc_next = np.zeros((B, H), dtype)
         for t in range(T - 1, -1, -1):
             dh = grad_hs[t] + dh_next
             dc = dh * dc_from_dh[t]
             dc += dc_next
             dat = da[t]
             dat *= np.concatenate((dc, dc, dc, dh), axis=1)
-            dc_next = dc * carry_c[t]
+            dc_next = dc * f[t]
             dh_next = dat @ Wh_T
-            if padded[t]:
-                dh_next += dh * pad[t][:, None]
         da = da.reshape(T * B, 4 * H)
         self.grads["Wx"] += x_tm.T @ da
         self.grads["Wh"] += hs[:-1].reshape(-1, H).T @ da[B:]
@@ -341,17 +321,6 @@ class Lstm(Layer):
         self.grads["bias"] += da.sum(axis=0)
         dx = (da @ Wx.T).reshape(T, B, -1)
         return dx.transpose(1, 0, 2), (dh_next, dc_next)
-
-
-def _padding_mask(lengths, B: int, T: int):
-    """(T, B) bool mask of padded steps, or None when nothing is padded."""
-    if lengths is None:
-        return None
-    lengths = np.asarray(lengths)
-    if lengths.shape != (B,) or np.any(lengths < 0) or np.any(lengths > T):
-        raise ValueError(f"lengths must be {B} integers in [0, {T}]")
-    pad = np.arange(T)[:, None] >= lengths[None, :]
-    return pad if pad.any() else None
 
 
 class Dropout:

@@ -106,16 +106,15 @@ class NerModel(Module):
 
     def _emissions(self, sentences: Sequence[Sentence], keep_cache=False):
         """Emission scores (sentences × T × tags), row b's first
-        ``lengths[b]`` positions those of sentence b, computed in the
-        dtype of the model's parameters; returns them, ``lengths`` and the
-        cache for ``_backward``, which needs a call that kept its caches
-        (``keep_cache``)."""
+        ``lengths[b]`` positions those of sentence b (the CRF and Viterbi
+        mask the rest), computed in the dtype of the model's parameters;
+        returns them, ``lengths`` and the cache for ``_backward``, which
+        needs a call that kept its caches (``keep_cache``)."""
         dtype = self.projection.params["weight"].dtype
         vecs, lengths, emb_cache = self.embedder.forward(sentences, dtype, keep_cache)
         rows, rev = _row_reversal(lengths, vecs.shape[1])
-        hs_f, _, f_cache = self.fwd.forward(vecs, lengths=lengths, keep_cache=keep_cache)
-        hs_b, _, b_cache = self.bwd.forward(vecs[rows, rev], lengths=lengths,
-                                            keep_cache=keep_cache)
+        hs_f, _, f_cache = self.fwd.forward(vecs, keep_cache=keep_cache)
+        hs_b, _, b_cache = self.bwd.forward(vecs[rows, rev], keep_cache=keep_cache)
         concat = np.concatenate([hs_f, hs_b[rows, rev]], axis=2)
         B, T, _ = concat.shape
         emissions, lin_cache = self.projection.forward(concat.reshape(B * T, -1))
@@ -139,7 +138,8 @@ class NerModel(Module):
 def _row_reversal(lengths: np.ndarray, T: int):
     """Index pair (rows, rev) such that ``x[rows, rev]`` reverses the first
     ``lengths[b]`` positions of each row b of a (B, T, ·) array and keeps
-    its padding in place; applied twice it restores ``x``."""
+    its padding in place, after them, so the backward recurrence reads no
+    padding before a real position; applied twice it restores ``x``."""
     t = np.arange(T)
     real = t < lengths[:, None]
     rev = np.where(real, lengths[:, None] - 1 - t, t)

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import tracemalloc
 import weakref
 
@@ -27,6 +28,7 @@ from oracles import (
     float64_copy,
     gradient_relative_error,
     lm_reference,
+    lstm_reference_forward,
     numeric_gradient,
 )
 
@@ -105,7 +107,7 @@ class TestLoadVectors:
 
 class TestCharFeatures:
     """Sentences mix token lengths, down to one character, so every test
-    runs the padded, length-masked recurrence."""
+    runs the padded recurrence and reads each text's last step."""
 
     def test_shape_is_50_by_default(self):
         enc = CharFeatureEncoder(CharVocabulary("abc"), np.random.default_rng(0))
@@ -138,6 +140,21 @@ class TestCharFeatures:
         for row, word in zip(out, words):
             alone, _ = enc.forward(SentenceGroup([make_sentence([(word, "O")])]))
             np.testing.assert_allclose(row, alone[0], rtol=0, atol=1e-14)
+
+    def test_rows_are_last_step_states_run_alone(self):
+        """A token's features are each direction's state after its text's
+        last character, from the per-sequence loop over the text alone
+        (``lstm_reference_forward``): the padding after a shorter text in
+        the group changes nothing.  In float64, to 1e-12."""
+        enc = float64_copy(CharFeatureEncoder(CharVocabulary("abc"), np.random.default_rng(7),
+                                              embed_dim=5, hidden=4))
+        words = ["a", "cabbac", "bc", "abcab"]
+        out, _ = enc.forward(SentenceGroup([make_sentence([(w, "O") for w in words])]))
+        for row, word in zip(out, words):
+            emb, _ = enc.embedding.forward(enc.vocab.encode(word))
+            want = [lstm_reference_forward(lstm.params, e)[1][0]
+                    for lstm, e in ((enc.fwd, emb), (enc.bwd, emb[::-1]))]
+            np.testing.assert_allclose(row, np.concatenate(want), rtol=0, atol=1e-12)
 
     def test_unknown_chars_use_unk_row(self):
         enc = CharFeatureEncoder(CharVocabulary("ab"), np.random.default_rng(2))
@@ -506,6 +523,37 @@ class TestBlockMemo:
             np.testing.assert_allclose(stack.forward([sentence])[0],
                                        plain.forward([sentence])[0], rtol=0, atol=1e-12)
         assert stack.memos[2].nbytes <= bound
+
+    def test_fill_peak_stays_near_the_byte_bound(self, tmp_path, monkeypatch):
+        """The fill stores each group's blocks before it extracts the next
+        group, so blocks past MEMO_BYTES never pile up.  With the bound under
+        1/16 of the corpus's blocks, the fill's traced peak exceeds that of
+        a one-sentence fill by the bound and one group's working set: less
+        than 6 bounds (4.1 here; 25 for a fill that extracts every group
+        before storing)."""
+        words = ["das", "alte", "Tor", "tat", "lot", "Ast", "Rad", "Tal"]
+        sentences = [make_sentence([(w, "O") for w in three])
+                     for three in itertools.product(words, repeat=3)]
+        chars = "adeltsTorRA"
+        save_lm(make_lm("forward", vocab=chars + " ", hidden=48), tmp_path / "fwd.lm")
+        save_lm(make_lm("backward", vocab=chars + " ", hidden=48, seed=2), tmp_path / "bwd.lm")
+        entries = [{"kind": "contextual", "forward": str(tmp_path / "fwd.lm"),
+                    "backward": str(tmp_path / "bwd.lm")}]
+        monkeypatch.setattr(embed, "EXTRACT_CHARS", 64)
+        bound = 1 << 15
+        monkeypatch.setattr(embed, "MEMO_BYTES", bound)
+        # every block of the corpus: 4 bytes × (48 + 48) per token
+        assert 4 * 96 * sum(map(len, sentences)) >= 16 * bound
+        peaks = []
+        for corpus in (sentences[:1], sentences):
+            tracemalloc.start()
+            try:
+                build = embedder_factory(entries, CharVocabulary(chars), corpus)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert 0 < build(np.random.default_rng(0)).memos[0].nbytes <= bound
+        assert peaks[1] - peaks[0] < 6 * bound
 
 
 class TestWordTable:

@@ -11,7 +11,7 @@ from histtag.corpus import (
     convert_scheme,
     convert_tags,
 )
-from histtag.errors import StructureMismatchError
+from histtag.errors import ParseError, StructureMismatchError
 from histtag.evaluation import (
     EvalReport,
     average_runs,
@@ -233,6 +233,28 @@ class TestPredictionFiles:
                 write_conll_predictions(gold, predicted, path)
             assert exc.value.sentence_index == index
         assert not path.exists()
+
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_ill_formed_tag_column_names_its_line(self, tmp_path, column):
+        """Each tag column is checked as ``read_conll`` checks its one: an
+        I- tag that continues no span is a ParseError at its line, in the
+        gold column and in the predicted one alike."""
+        rows = [["Anna", "B-PER", "B-PER"], ["lebt", "O", "O"], ["", "", ""],
+                ["in", "O", "O"], ["Wien", "B-LOC", "B-LOC"], ["Graz", "O", "O"]]
+        rows[5][column] = "I-ORG"
+        path = tmp_path / "pred.conll"
+        path.write_text("".join(" ".join(row).strip() + "\n" for row in rows),
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match="ill-formed tag sequence") as exc:
+            read_conll_predictions(path)
+        assert exc.value.line == 6
+
+    def test_missing_predicted_column_names_its_line(self, tmp_path):
+        path = tmp_path / "pred.conll"
+        path.write_text("Anna B-PER B-PER\nlebt O\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="need token column 0 and tag column 1 and 2") as exc:
+            read_conll_predictions(path)
+        assert exc.value.line == 2
 
     def test_iobes_written_as_iob2(self, tmp_path, tiny_iobes_corpus):
         path = tmp_path / "pred.conll"

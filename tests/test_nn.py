@@ -106,9 +106,10 @@ class TestLinear:
 
 
 class TestLstm:
-    """A padded batch of three rows with lengths 7, 4 and 1, a carried
-    state and a gradient on the final state, through a float64 copy of the
-    layer."""
+    """A padded batch of three rows with lengths 7, 4 and 1 and a carried
+    state, through a float64 copy of the layer.  The layer runs every row
+    over all 7 steps; the steps past a row's end hold random padding,
+    which a row's real steps must not see."""
 
     LENGTHS = np.array([7, 4, 1])
 
@@ -119,28 +120,25 @@ class TestLstm:
         self.h0 = self.rng.standard_normal((3, 5)) * 0.1
         self.c0 = self.rng.standard_normal((3, 5)) * 0.1
         self.R = self.rng.standard_normal((3, 7, 5))
-        self.Rh = self.rng.standard_normal((3, 5))
-        self.Rc = self.rng.standard_normal((3, 5))
+        # the gradient a caller gives: zero past each row's end
+        self.R_real = np.where(np.arange(7)[:, None] < self.LENGTHS[:, None, None],
+                               self.R, 0.0)
 
     def loss(self):
-        hs, (hT, cT), _ = self.lstm.forward(self.x, (self.h0, self.c0), self.LENGTHS)
-        return float(np.sum(hs * self.R) + np.sum(hT * self.Rh) + np.sum(cT * self.Rc))
+        hs, _, _ = self.lstm.forward(self.x, (self.h0, self.c0))
+        return float(np.sum(hs * self.R))
 
     def run_backward(self):
-        hs, (hT, cT), cache = self.lstm.forward(self.x, (self.h0, self.c0), self.LENGTHS,
-                                                keep_cache=True)
+        _, _, cache = self.lstm.forward(self.x, (self.h0, self.c0), keep_cache=True)
         self.lstm.zero_grads()
-        return self.lstm.backward(cache, self.R, (self.Rh, self.Rc))
+        return self.lstm.backward(cache, self.R)
 
     def test_shapes_and_state_carry(self):
-        hs, (hT, cT), _ = self.lstm.forward(self.x, lengths=self.LENGTHS)
+        hs, (hT, cT), _ = self.lstm.forward(self.x)
         assert hs.shape == (3, 7, 5) and hT.shape == cT.shape == (3, 5)
         np.testing.assert_array_equal(hs[:, -1], hT)
-        for b, n in enumerate(self.LENGTHS):
-            # padded steps hold the state of the row's last real step
-            np.testing.assert_array_equal(hs[b, n - 1:], np.broadcast_to(hT[b], (7 - n + 1, 5)))
         # carrying state must differ from a cold start
-        hs2, _, _ = self.lstm.forward(self.x, (hT, cT), self.LENGTHS)
+        hs2, _, _ = self.lstm.forward(self.x, (hT, cT))
         assert not np.allclose(hs, hs2)
 
     def test_param_gradients(self):
@@ -155,7 +153,10 @@ class TestLstm:
         assert gradient_relative_error(dc0, numeric_gradient(self.loss, self.c0)) < TOL
 
     def test_padded_steps_zero_input_gradient(self):
-        dx, _ = self.run_backward()
+        """A gradient that is zero past each row's end carries exact zeros
+        back through the padded steps: their input gradient is 0."""
+        _, _, cache = self.lstm.forward(self.x, (self.h0, self.c0), keep_cache=True)
+        dx, _ = self.lstm.backward(cache, self.R_real)
         for b, n in enumerate(self.LENGTHS):
             assert np.all(dx[b, n:] == 0.0)
             assert np.all(dx[b, :n] != 0.0)
@@ -164,35 +165,32 @@ class TestLstm:
         lstm = Lstm(2, 3, np.random.default_rng(0))
         for p in lstm.params.values():
             p[...] = 0.0
-        hs, (hT, cT), _ = lstm.forward(np.ones((2, 4, 2)), lengths=[4, 2])
+        hs, (hT, cT), _ = lstm.forward(np.ones((2, 4, 2)))
         np.testing.assert_array_equal(hs, 0.0)
         np.testing.assert_array_equal(cT, 0.0)
 
     @pytest.mark.parametrize("carried", [False, True])
     def test_rows_match_reference(self, carried):
-        """Row b of the padded batch equals the per-sequence loop on
-        sequence b, forward and backward; the two sum in different orders,
-        so float64 agreement to 1e-12 is required, not equality."""
+        """Row b's first n steps of the padded batch equal the
+        per-sequence loop on its n real steps, forward and, with a gradient
+        that is zero past each row's end, backward; the full-length row's
+        final state is the loop's.  The two sum in different orders, so
+        float64 agreement to 1e-12 is required, not equality."""
         state = (self.h0, self.c0) if carried else None
-        grad_state = (self.Rh, self.Rc) if carried else None
-        hs, (hT, cT), cache = self.lstm.forward(self.x, state, self.LENGTHS, keep_cache=True)
+        hs, (hT, cT), cache = self.lstm.forward(self.x, state, keep_cache=True)
         self.lstm.zero_grads()
-        dx, (dh0, dc0) = self.lstm.backward(cache, self.R, grad_state)
+        dx, (dh0, dc0) = self.lstm.backward(cache, self.R_real)
         grads = {name: np.zeros_like(p) for name, p in self.lstm.params.items()}
         for b, n in enumerate(self.LENGTHS):
             row_state = None if state is None else (self.h0[b], self.c0[b])
             ref_hs, (ref_h, ref_c), ref_cache = lstm_reference_forward(
                 self.lstm.params, self.x[b, :n], row_state)
             np.testing.assert_allclose(hs[b, :n], ref_hs, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(hT[b], ref_h, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(cT[b], ref_c, rtol=0, atol=1e-12)
-            # a padded step passes the gradient on its held output back
-            # to the row's last real step
-            grad_hs = self.R[b, :n].copy()
-            grad_hs[-1] += self.R[b, n:].sum(axis=0)
-            row_grad_state = None if grad_state is None else (self.Rh[b], self.Rc[b])
+            if n == hs.shape[1]:
+                np.testing.assert_allclose(hT[b], ref_h, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(cT[b], ref_c, rtol=0, atol=1e-12)
             ref_dx, (ref_dh0, ref_dc0), ref_grads = lstm_reference_backward(
-                self.lstm.params, ref_cache, grad_hs, row_grad_state)
+                self.lstm.params, ref_cache, self.R[b, :n])
             np.testing.assert_allclose(dx[b, :n], ref_dx, rtol=0, atol=1e-12)
             np.testing.assert_allclose(dh0[b], ref_dh0, rtol=0, atol=1e-12)
             np.testing.assert_allclose(dc0[b], ref_dc0, rtol=0, atol=1e-12)
@@ -208,10 +206,10 @@ class TestLstm:
         differed by at most 8.9e-8.  The layer copied is left as it is."""
         before = {name: p.copy() for name, p in self.lstm.params.items()}
         lstm32 = float32_copy(self.lstm)
-        hs, (hT, cT), _ = self.lstm.forward(self.x, (self.h0, self.c0), self.LENGTHS)
+        hs, (hT, cT), _ = self.lstm.forward(self.x, (self.h0, self.c0))
         hs32, (hT32, cT32), _ = lstm32.forward(
             self.x.astype(np.float32),
-            (self.h0.astype(np.float32), self.c0.astype(np.float32)), self.LENGTHS)
+            (self.h0.astype(np.float32), self.c0.astype(np.float32)))
         for got, want in ((hs32, hs), (hT32, hT), (cT32, cT)):
             assert got.dtype == np.float32
             np.testing.assert_allclose(got, want, rtol=0, atol=3e-7)
@@ -231,20 +229,20 @@ class TestLstm:
             rng = np.random.default_rng(seed)
             x = rng.standard_normal((3, 7, 3)).astype(dtype)
             state = tuple(rng.standard_normal((3, 5)).astype(dtype) * 0.1 for _ in range(2))
-            hs, (hT, cT), cache = lstm.forward(x, state, self.LENGTHS)
-            k_hs, (k_hT, k_cT), kept = lstm.forward(x, state, self.LENGTHS, keep_cache=True)
+            hs, (hT, cT), cache = lstm.forward(x, state)
+            k_hs, (k_hT, k_cT), kept = lstm.forward(x, state, keep_cache=True)
             assert cache is None and kept is not None
             for got, want in ((hs, k_hs), (hT, k_hT), (cT, k_cT)):
                 assert got.dtype == want.dtype == dtype
                 np.testing.assert_array_equal(got, want)
             R = self.R.astype(dtype)
-            dx, (dh0, dc0) = lstm.backward(kept, R, (R[:, 0], R[:, 1]))
+            dx, (dh0, dc0) = lstm.backward(kept, R)
             assert dx.dtype == dh0.dtype == dc0.dtype == dtype
             assert all(g.dtype == dtype for g in lstm.grads.values())
             _, _, cache64 = self.lstm.forward(x.astype(np.float64),
                                               tuple(s.astype(np.float64) for s in state),
-                                              self.LENGTHS, keep_cache=True)
-            want_dx, _ = self.lstm.backward(cache64, self.R, (self.R[:, 0], self.R[:, 1]))
+                                              keep_cache=True)
+            want_dx, _ = self.lstm.backward(cache64, self.R)
             np.testing.assert_allclose(dx, want_dx, rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("lengths", [(7, 4, 1), (1,), (7,)])
@@ -257,20 +255,21 @@ class TestLstm:
         once.  The block budget is patched to blocks of one step, of three
         (the last block, ending at T, overlaps the one before) and of at
         least T; at B = 1 a block holds two steps, so no product is a
-        single row.  Rows of lengths 7 and 1 hold their state over padded
-        steps; from a zero and from a carried state, on the float32 layer
-        and on its float64 copy."""
+        single row.  Rows of ``lengths`` real steps padded with zeros to
+        T, as callers pass them; from a zero and from a carried state, on
+        the float32 layer and on its float64 copy."""
         layer = Lstm(3, 5, np.random.default_rng(4))
         rng = np.random.default_rng(steps)
         B = len(lengths)
+        real = np.arange(7) < np.array(lengths)[:, None]
         for lstm in (layer, float64_copy(layer)):
             dtype = lstm.params["Wx"].dtype
             monkeypatch.setattr(nn, "BLOCK_BYTES", steps * B * 4 * 5 * dtype.itemsize)
-            x = rng.standard_normal((B, 7, 3)).astype(dtype)
+            x = np.where(real[..., None], rng.standard_normal((B, 7, 3)), 0.0).astype(dtype)
             carried = tuple(rng.standard_normal((B, 5)).astype(dtype) * 0.1 for _ in range(2))
             for state in (None, carried):
-                hs, (hT, cT), cache = lstm.forward(x, state, lengths)
-                k_hs, (k_hT, k_cT), _ = lstm.forward(x, state, lengths, keep_cache=True)
+                hs, (hT, cT), cache = lstm.forward(x, state)
+                k_hs, (k_hT, k_cT), _ = lstm.forward(x, state, keep_cache=True)
                 assert cache is None
                 for got, want in ((hs, k_hs), (hT, k_hT), (cT, k_cT)):
                     assert got.dtype == dtype
@@ -292,11 +291,6 @@ class TestLstm:
         finally:
             tracemalloc.stop()
         assert peak < 2 * (hs.nbytes + lstm.params["Wh"].nbytes)
-
-    @pytest.mark.parametrize("lengths", [[8, 3], [4], [4, -1], [4, 0, 1]])
-    def test_rejects_bad_lengths(self, lengths):
-        with pytest.raises(ValueError):
-            self.lstm.forward(np.zeros((2, 7, 3)), lengths=lengths)
 
 
 class TestDropout:

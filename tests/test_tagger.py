@@ -309,9 +309,9 @@ class TestTraining:
             seen.extend((cache.dtype, grad_out.dtype))
             return linear_backward(self, cache, grad_out)
 
-        def recording_lstm(self, cache, grad_hs, grad_state=None):
-            seen.extend((cache[4].dtype, grad_hs.dtype))
-            return lstm_backward(self, cache, grad_hs, grad_state)
+        def recording_lstm(self, cache, grad_hs):
+            seen.extend((cache[3].dtype, grad_hs.dtype))
+            return lstm_backward(self, cache, grad_hs)
         monkeypatch.setattr(Linear, "backward", recording_linear)
         monkeypatch.setattr(Lstm, "backward", recording_lstm)
         corpus = toy_corpus()
@@ -748,15 +748,15 @@ class TestInferenceCaches:
         emissions, lengths, (emb_cache, _, f_cache, b_cache, _) = model._emissions(
             corpus.sentences)
         _, char_caches = emb_cache
-        (_, _, char_f, char_b), = char_caches
+        (_, _, _, char_f, char_b), = char_caches
         assert f_cache is b_cache is char_f is char_b is None
         assert emissions.dtype == np.float32
         _, _, (emb_cache, _, f_cache, b_cache, _) = model._emissions(corpus.sentences,
                                                                    keep_cache=True)
-        (_, _, char_f, char_b), = emb_cache[1]
+        (_, _, _, char_f, char_b), = emb_cache[1]
         for cache in (f_cache, b_cache, char_f, char_b):
-            assert len(cache) == 7
-            assert all(part.dtype == np.float32 for part in cache[4:])
+            assert len(cache) == 6
+            assert all(part.dtype == np.float32 for part in cache[3:])
 
     def test_only_training_keeps_lstm_caches(self, tmp_path, monkeypatch):
         """Every ``Lstm.forward`` of ``predict`` (dev scoring runs it too),
