@@ -40,6 +40,7 @@ from .errors import (
     EmptyCorpusError,
     ModelFormatError,
     check_field_types,
+    check_type,
 )
 from .nn import (AnnealOnPlateau, Dropout, Embedding, Linear, Lstm, Module, clipped_sgd_step,
                  cross_entropy)
@@ -306,11 +307,11 @@ def load_lm(path) -> CharLm:
         direction = meta["direction"]
         if direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-        dims = {name: int(meta[name]) for name in ("char_embed_dim", "hidden_size")}
+        dims = {k: check_type(meta[k], int, k) for k in ("char_embed_dim", "hidden_size")}
         for name, value in dims.items():
             if value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise ModelFormatError(f"{path}: invalid model metadata: {exc}") from exc
     model = CharLm(vocab, direction, rng=None, **dims)
     assign_tensors(path, model.named_layers, tensors)

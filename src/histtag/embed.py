@@ -74,7 +74,7 @@ from .corpus import (
     sentence_text,
     token_char_ranges,
 )
-from .errors import ConfigError, ModelFormatError, ParseError
+from .errors import ConfigError, ModelFormatError, ParseError, check_type
 from .nn import Embedding, Lstm, Module
 from .serialization import file_sha256
 
@@ -213,7 +213,7 @@ class CharFeatureEncoder(Module):
     def __init__(self, vocab: CharVocabulary, rng: Optional[np.random.Generator],
                  embed_dim: int = CHAR_EMBED_DIM, hidden: int = CHAR_HIDDEN):
         for name, value in (("embed_dim", embed_dim), ("hidden", hidden)):
-            if value < 1:
+            if check_type(value, int, f"char_features {name}") < 1:
                 raise ConfigError(f"char_features {name} must be positive, got {value}")
         self.vocab = vocab
         self.embed_dim = embed_dim

@@ -4,13 +4,13 @@ Every layer keeps its parameters in ``params`` and accumulates gradients
 into the matching ``grads`` entries.  Its constructor declares each tensor
 once (``Layer._register``), recording its shape in ``shapes``: given an rng
 it draws the tensor beside a zero gradient slot, given None it allocates
-nothing, for ``serialization.assign_tensors`` to fill from a model file
-with parameters only, since nothing trains a loaded model.  ``forward``
-returns the output plus an opaque cache; ``backward`` consumes the cache and
-the upstream gradient and returns the gradient with respect to the layer
-input.  ``Lstm`` is the one recurrence: it runs a (B, T, D) batch of
-left-aligned sequences, unmasked (see ``Lstm``), and callers with a
-single sequence pass B = 1.
+nothing: ``serialization.assign_tensors`` then gives it the arrays read
+from a model file, and no gradient slots, since nothing trains a loaded
+model.  ``forward`` returns the output plus an opaque cache; ``backward``
+consumes the cache and the upstream gradient and returns the gradient
+with respect to the layer input.  ``Lstm`` is the one recurrence: it runs
+a (B, T, D) batch of left-aligned sequences, unmasked (see ``Lstm``), and
+callers with a single sequence pass B = 1.
 Parameters and gradients are float32, the precision model files store, so
 training and inference compute in it.  ``Linear.forward``,
 ``Lstm.forward`` and ``Lstm.backward`` compute in the dtype of their input
@@ -74,7 +74,8 @@ def init_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 class Layer:
     """Base for parameterized blocks: named tensors plus, in a layer drawn
-    for training, gradient slots."""
+    for training, gradient slots.  Only a drawn layer allocates its
+    tensors; a loaded one keeps the arrays ``load_tensors`` read."""
 
     def __init__(self):
         self.shapes: dict[str, tuple] = {}
@@ -83,22 +84,15 @@ class Layer:
 
     def _register(self, name: str, shape: tuple, rng, fan_in=None) -> None:
         """Declare tensor ``name`` of ``shape``.  With an ``rng`` it holds a
-        draw of ``init_uniform`` at ``fan_in``, or zeros without one, beside
-        a zero gradient slot; with None it allocates nothing."""
+        float32 draw of ``init_uniform`` at ``fan_in``, or zeros without
+        one, beside a zero gradient slot; with None it allocates nothing."""
         self.shapes[name] = shape
         if rng is not None:
-            self.hold(name, lambda: np.zeros(shape) if fan_in is None
-                      else init_uniform(rng, shape, fan_in))
+            self.params[name] = (np.zeros(shape, np.float32) if fan_in is None
+                                 else init_uniform(rng, shape, fan_in).astype(np.float32))
             # untouched pages of a fresh zero array take no memory, so the
             # slots of a layer that never trains cost none
             self.grads[name] = np.zeros(shape, np.float32)
-
-    def hold(self, name: str, make) -> None:
-        """The one place a layer allocates a parameter: ``name`` becomes a
-        fresh float32 copy of the array ``make()`` returns.  A layer filled
-        from a model file gets no gradient slot: nothing trains a loaded
-        model."""
-        self.params[name] = np.array(make(), np.float32)
 
     def zero_grads(self) -> None:
         for g in self.grads.values():

@@ -17,7 +17,10 @@ Models name their tensors ``<layer name>.<param name>`` after their ordered
 its meta dims describe with no rng, so its layers declare their tensors'
 shapes (``Layer.shapes``) and allocate nothing; ``assign_tensors`` compares
 those with the file's tensors (``check_layout``) before any layer holds a
-value, so no layer is allocated at dims the payload does not hold.
+value.  ``load_tensors`` allocates only tensors the file's size holds,
+each read straight into the array a layer then keeps, and
+``save_tensors`` writes each layer's array from its own buffer, so a
+model moves between disk and its layers with no copy.
 
 Tensors are float32 in memory, as models hold their parameters, and in
 the file, so save → load → save is byte-identical.
@@ -73,9 +76,7 @@ def atomic_open(path, mode: str = "w", **kwargs):
 
 def save_tensors(path, meta: Mapping, tensors: Sequence[tuple[str, np.ndarray]]) -> None:
     """Write a container file with the given metadata and named tensors."""
-    manifest = []
-    for name, array in tensors:
-        manifest.append([name, list(array.shape)])
+    manifest = [[name, list(array.shape)] for name, array in tensors]
     header = json.dumps({"meta": dict(meta), "tensors": manifest},
                         ensure_ascii=False, sort_keys=True).encode("utf-8")
     with atomic_open(path, "wb") as fh:
@@ -83,56 +84,58 @@ def save_tensors(path, meta: Mapping, tensors: Sequence[tuple[str, np.ndarray]])
         fh.write(_HEAD.pack(FORMAT_VERSION, len(header)))
         fh.write(header)
         for _, array in tensors:
-            fh.write(np.ascontiguousarray(array, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(array, dtype="<f4"))
 
 
 def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container file; returns (meta, name → float32 array).  The
-    arrays are read-only views of the file's bytes."""
+    declared tensors must exactly fill the file, which is checked against
+    its size before any tensor is allocated; each is then read straight
+    into a fresh array of its own, for a layer to keep as it is."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < len(MAGIC) + _HEAD.size:
-        raise ModelFormatError(f"{path}: file too short for a model container")
-    if data[:len(MAGIC)] != MAGIC:
-        raise ModelFormatError(f"{path}: bad magic, not a model file")
-    version, header_len = _HEAD.unpack_from(data, len(MAGIC))
-    if version != FORMAT_VERSION:
-        raise ModelFormatError(
-            f"{path}: unsupported format version {version}, expected {FORMAT_VERSION}")
-    body_start = len(MAGIC) + _HEAD.size
-    header_end = body_start + header_len
-    if len(data) < header_end:
-        raise ModelFormatError(f"{path}: truncated header")
-    try:
-        header = json.loads(data[body_start:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ModelFormatError(f"{path}: unreadable header: {exc}") from exc
-    if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
-            and isinstance(header.get("tensors"), list)):
-        raise ModelFormatError(
-            f"{path}: header must hold a 'meta' mapping and a 'tensors' list")
-
-    tensors: dict[str, np.ndarray] = {}
-    offset = header_end
-    for entry in header["tensors"]:
-        try:
-            name, shape = entry
-            shape = tuple(int(d) for d in shape)
-        except (TypeError, ValueError) as exc:
-            raise ModelFormatError(f"{path}: malformed tensor entry {entry!r}") from exc
-        if not isinstance(name, str) or name in tensors or min(shape, default=0) < 0:
-            raise ModelFormatError(f"{path}: bad or repeated tensor entry {entry!r}")
-        count = math.prod(shape)
-        nbytes = count * 4
-        if offset + nbytes > len(data):
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(len(MAGIC) + _HEAD.size)
+        if len(head) < len(MAGIC) + _HEAD.size:
+            raise ModelFormatError(f"{path}: file too short for a model container")
+        if head[:len(MAGIC)] != MAGIC:
+            raise ModelFormatError(f"{path}: bad magic, not a model file")
+        version, header_len = _HEAD.unpack_from(head, len(MAGIC))
+        if version != FORMAT_VERSION:
             raise ModelFormatError(
-                f"{path}: truncated payload for tensor {name!r}")
-        flat = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-        tensors[name] = flat.reshape(shape).astype(np.float32, copy=False)
-        offset += nbytes
-    if offset != len(data):
-        raise ModelFormatError(
-            f"{path}: {len(data) - offset} trailing bytes after declared tensors")
+                f"{path}: unsupported format version {version}, expected {FORMAT_VERSION}")
+        offset = len(head) + header_len
+        if size < offset:
+            raise ModelFormatError(f"{path}: truncated header")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ModelFormatError(f"{path}: unreadable header: {exc}") from exc
+        if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
+                and isinstance(header.get("tensors"), list)):
+            raise ModelFormatError(
+                f"{path}: header must hold a 'meta' mapping and a 'tensors' list")
+
+        shapes: dict[str, tuple] = {}
+        for entry in header["tensors"]:
+            if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], list)
+                    and all(type(d) is int for d in entry[1])):
+                raise ModelFormatError(f"{path}: malformed tensor entry {entry!r}")
+            name, shape = entry[0], tuple(entry[1])
+            if not isinstance(name, str) or name in shapes or min(shape, default=0) < 0:
+                raise ModelFormatError(f"{path}: bad or repeated tensor entry {entry!r}")
+            offset += 4 * math.prod(shape)
+            if offset > size:
+                raise ModelFormatError(f"{path}: truncated payload for tensor {name!r}")
+            shapes[name] = shape
+        if offset != size:
+            raise ModelFormatError(
+                f"{path}: {size - offset} trailing bytes after declared tensors")
+        tensors: dict[str, np.ndarray] = {}
+        for name, shape in shapes.items():
+            array = np.empty(shape, "<f4")
+            if fh.readinto(array) != array.nbytes:
+                raise ModelFormatError(f"{path}: truncated payload for tensor {name!r}")
+            tensors[name] = array.astype(np.float32, copy=False)
     return header["meta"], tensors
 
 
@@ -164,13 +167,13 @@ def assign_tensors(path, named_layers: Iterable, tensors: Mapping[str, np.ndarra
 
     The file must hold exactly the tensors the layers declare
     (``Layer.shapes``): a missing, unexpected or wrongly shaped one raises
-    ``ModelFormatError`` before any layer allocates.  Each layer then holds
-    a fresh float32 copy of its tensors, not a view of the file's bytes,
-    whose payload has no fixed alignment.
+    ``ModelFormatError`` before any layer holds a value.  Each layer then
+    holds the arrays ``load_tensors`` read, as they are: fresh float32
+    arrays, not views of a file buffer, so no copy is made.
     """
     named_layers = tuple(named_layers)
     check_layout(path, {f"{name}.{param}": shape for name, layer in named_layers
                         for param, shape in layer.shapes.items()}, tensors)
     for name, layer in named_layers:
         for param in layer.shapes:
-            layer.hold(param, lambda: tensors[f"{name}.{param}"])
+            layer.params[param] = tensors[f"{name}.{param}"]

@@ -49,6 +49,7 @@ from .errors import (
     ModelFormatError,
     SchemeError,
     check_field_types,
+    check_type,
 )
 from .evaluation import evaluate
 from .nn import AnnealOnPlateau, Linear, Lstm, Module, clipped_sgd_step
@@ -334,7 +335,7 @@ def load_ner(path) -> NerModel:
     model_dir = os.path.dirname(path) if meta.get("paths_relative_to_model") else ""
     try:
         tags = [str(t) for t in meta["tags"]]
-        lstm_hidden = int(meta["lstm_hidden"])
+        lstm_hidden = check_type(meta["lstm_hidden"], int, "lstm_hidden")
         if lstm_hidden < 1:
             raise ValueError(f"lstm_hidden must be positive, got {lstm_hidden}")
         embedder = StackedEmbedder([component_class(spec["kind"]).from_spec(spec, model_dir)

@@ -60,18 +60,18 @@ def raw_container(header, payload=b""):
 @pytest.fixture
 def no_large_layers(monkeypatch):
     """Layers fail, instead of allocating, when a tensor they would hold
-    has more than a million entries: ``Layer.hold`` is the one place a
-    layer allocates a parameter (an initial draw, a zero bias or a loaded
-    copy), a drawn layer's gradient slot comes only after it, and it is
-    guarded before it makes anything."""
-    hold = nn.Layer.hold
+    has more than a million entries: ``Layer._register`` with an rng is
+    the one place a layer allocates (an initial draw or a zero bias, and
+    its gradient slot), and it is guarded before it makes anything.  A
+    loaded layer allocates nothing: it keeps the arrays ``load_tensors``
+    read, which allocates only tensors the file's size holds."""
+    register = nn.Layer._register
 
-    def guarded(layer, name, make):
-        shape = layer.shapes[name]
-        if math.prod(shape) > 10 ** 6:
+    def guarded(layer, name, shape, rng, fan_in=None):
+        if rng is not None and math.prod(shape) > 10 ** 6:
             raise AssertionError(f"a layer began to allocate a {shape} tensor")
-        return hold(layer, name, make)
-    monkeypatch.setattr(nn.Layer, "hold", guarded)
+        return register(layer, name, shape, rng, fan_in)
+    monkeypatch.setattr(nn.Layer, "_register", guarded)
 
 
 def forbid_draws(monkeypatch) -> None:

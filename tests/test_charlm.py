@@ -582,7 +582,8 @@ class TestSaveLoad:
         assert sentence_perplexity(legacy, text) == sentence_perplexity(current, text)
 
     @pytest.mark.parametrize("key,value", [
-        ("direction", "sideways"), ("hidden_size", 0), ("char_embed_dim", 0)])
+        ("direction", "sideways"), ("hidden_size", 0), ("char_embed_dim", 0),
+        ("hidden_size", 16.0), ("char_embed_dim", "8")])
     def test_invalid_meta_rejected(self, tmp_path, key, value):
         _, path = self._trained(tmp_path)
         meta, loaded = load_tensors(path)

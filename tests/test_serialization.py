@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +11,22 @@ from histtag.nn import Linear
 from histtag.serialization import (
     FORMAT_VERSION,
     MAGIC,
-    assign_tensors,
     atomic_open,
     load_tensors,
     save_tensors,
 )
 
 from conftest import make_corpus, raw_container
+
+
+def traced_peak(call):
+    """The traced allocation peak, in bytes, while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def sample_tensors(rng):
@@ -111,8 +121,13 @@ class TestCorruption:
         ({"meta": {}, "tensors": [["w", [1]], ["w", [1]]]}, 2, "bad or repeated"),
         ({"meta": {}, "tensors": [["w", [-1, 2]]]}, 2, "bad or repeated"),
         ({"meta": {}, "tensors": [[["w"], [1]]]}, 1, "bad or repeated"),
+        ({"meta": {}, "tensors": [["w", "12"]]}, 2, "malformed tensor entry"),
+        ({"meta": {}, "tensors": [["w", [2.9]]]}, 2, "malformed tensor entry"),
+        ({"meta": {}, "tensors": [["w", [True, 2]]]}, 2, "malformed tensor entry"),
+        ({"meta": {}, "tensors": [["w", [2], 0]]}, 2, "malformed tensor entry"),
     ], ids=["tensors_not_a_list", "meta_not_a_mapping", "no_meta",
-            "repeated_name", "negative_dim", "name_not_a_string"])
+            "repeated_name", "negative_dim", "name_not_a_string",
+            "shape_a_string", "float_dim", "bool_dim", "three_items"])
     def test_malformed_header(self, tmp_path, header, floats, message):
         path = tmp_path / "m.bin"
         path.write_bytes(raw_container(header, payload=bytes(4 * floats)))
@@ -120,16 +135,31 @@ class TestCorruption:
             load_tensors(path)
 
 
-class TestAssignTensors:
-    def test_large_layer_guard_catches_a_loaded_copy(self, no_large_layers):
-        """The ``no_large_layers`` fixture fails a layer filled from a file
-        before it copies a tensor of over a million entries."""
-        layer = Linear(1000, 1001, None)
-        tensors = {"out.weight": np.zeros((1000, 1001), np.float32),
-                   "out.bias": np.zeros(1001, np.float32)}
+class TestMemory:
+    """Tensors move between the file and their arrays with no copy."""
+
+    def test_save_writes_float32_arrays_without_a_copy(self, tmp_path):
+        """A 4 MB tensor; a bytes copy of it would peak at about 4 MB."""
+        tensor = np.ones(10 ** 6, np.float32)
+        peak = traced_peak(lambda: save_tensors(tmp_path / "m.bin", {}, [("w", tensor)]))
+        assert peak < 10 ** 6
+
+    def test_declared_sizes_checked_before_allocating(self, tmp_path):
+        """A (100000, 100000) tensor, 40 GB, declared over 16 bytes."""
+        path = tmp_path / "m.bin"
+        path.write_bytes(raw_container({"meta": {}, "tensors": [["w", [100000, 100000]]]},
+                                       payload=bytes(16)))
+
+        def load():
+            with pytest.raises(ModelFormatError, match="truncated payload for tensor 'w'"):
+                load_tensors(path)
+        assert traced_peak(load) < 10 ** 6
+
+    def test_large_layer_guard_catches_a_draw(self, no_large_layers):
+        """The ``no_large_layers`` fixture fails a drawn layer before it
+        allocates a tensor of over a million entries."""
         with pytest.raises(AssertionError, match="began to allocate a"):
-            assign_tensors("model.bin", [("out", layer)], tensors)
-        assert layer.params == {}
+            Linear(1000, 1001, np.random.default_rng(0))
 
 
 def _fail_in_atomic_open(path):

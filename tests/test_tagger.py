@@ -1027,8 +1027,12 @@ class TestFileLayout:
         lambda components: components.__setitem__(1, "char_features"),
         lambda components: components[1].__setitem__("embed_dim", "x"),
         lambda components: components[2].__setitem__("kind", "unknown"),
+        # the saved dims as floats: they would load and then fail to tag
+        lambda components: components[1].__setitem__("hidden", 5.0),
+        lambda components: components[1].__setitem__("embed_dim", 6.0),
     ], ids=["word_table_without_path", "component_not_a_mapping",
-            "embed_dim_not_a_number", "unknown_kind"])
+            "embed_dim_not_a_number", "unknown_kind", "hidden_a_float",
+            "embed_dim_a_float"])
     def test_malformed_component_meta(self, tmp_path, edit):
         _, path = saved_full_model(tmp_path)
         meta, tensors = load_tensors(path)
@@ -1064,6 +1068,15 @@ class TestFileLayout:
         meta, tensors = load_tensors(path)
         save_tensors(path, {**meta, "lstm_hidden": 0}, list(tensors.items()))
         with pytest.raises(ModelFormatError, match="lstm_hidden must be positive"):
+            load_ner(path)
+
+    @pytest.mark.parametrize("value", [8.0, "8", True])
+    def test_lstm_hidden_not_an_integer_rejected(self, tmp_path, value):
+        _, path = saved_full_model(tmp_path)
+        meta, tensors = load_tensors(path)
+        save_tensors(path, {**meta, "lstm_hidden": value}, list(tensors.items()))
+        with pytest.raises(ModelFormatError,
+                           match="invalid model metadata: lstm_hidden must be an integer"):
             load_ner(path)
 
     @pytest.mark.parametrize("edit,tensor", [
