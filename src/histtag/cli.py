@@ -60,7 +60,7 @@ from .corpus import (
     read_plain,
 )
 from .embed import component_class, embedder_factory
-from .errors import ConfigError, HisttagError, StructureMismatchError, check_type
+from .errors import ConfigError, DecodeError, HisttagError, StructureMismatchError, check_type
 from .evaluation import (
     average_runs,
     evaluate,
@@ -141,12 +141,15 @@ def validate_config(config: dict) -> dict:
 
 
 def load_run_config(path) -> dict:
+    """The validated YAML run config at ``path``, read by ``read_plain``;
+    a missing, non-UTF-8, non-YAML or invalid file is a ConfigError."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        with open(path, encoding="utf-8") as fh:
-            loaded = yaml.safe_load(fh)
+        loaded = yaml.safe_load("\n".join(read_plain(path)))
+    except DecodeError as exc:
+        raise ConfigError(str(exc)) from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
     if loaded is None:
@@ -267,12 +270,10 @@ def _load_vocab_source(path) -> CharVocabulary:
     """Accept either a vocab file, known by the header line that
     ``CharVocabulary.to_path`` writes, or a plain-text dataset to extract
     from."""
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-    if first.startswith("# histtag vocab"):
+    corpus = read_plain(path)
+    if next(iter(corpus), "").startswith("# histtag vocab"):
         return CharVocabulary.from_path(path)
-    return extract_char_vocab(read_plain(path))
+    return extract_char_vocab(corpus)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ sentence a tuple of tokens, and a token carries its text plus an optional gold
 tag. A tagger's predictions are not part of it: they are one tag list per
 sentence, in the corpus's scheme. All values are immutable after
 construction, so they can be shared freely between threads.
+
+Every text file the package reads (plain, CoNLL, prediction, vector,
+vocabulary or config) goes through ``read_plain``: UTF-8, lines ending at
+LF, CR LF or CR, and a non-UTF-8 byte is a DecodeError naming its offset.
 """
 
 from __future__ import annotations
 
-import codecs
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -26,8 +29,6 @@ from .serialization import atomic_open
 SPLITS = ("train", "dev", "test")
 
 DOCSTART = "-DOCSTART-"
-
-BUFFER_SIZE = 64 * 1024  # bytes read from a plain-text file at a time
 
 
 class TagScheme(Enum):
@@ -175,29 +176,30 @@ class CharVocabulary:
 
     @classmethod
     def from_path(cls, path) -> "CharVocabulary":
+        """Read a file that ``to_path`` wrote, through ``read_plain``;
+        blank lines and ``#`` comments are skipped."""
         codepoints = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if not line.startswith("U+"):
-                    raise ParseError(f"expected 'U+XXXX', got {line!r}",
-                                     path=str(path), line=lineno)
-                try:
-                    codepoints.append(int(line[2:], 16))
-                except ValueError:
-                    raise ParseError(f"bad code point {line!r}",
-                                     path=str(path), line=lineno) from None
+        for lineno, line in enumerate(read_plain(path), 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if not line.startswith("U+"):
+                raise ParseError(f"expected 'U+XXXX', got {line!r}",
+                                 path=str(path), line=lineno)
+            try:
+                codepoints.append(int(line[2:], 16))
+            except ValueError:
+                raise ParseError(f"bad code point {line!r}",
+                                 path=str(path), line=lineno) from None
         return cls.from_codepoints(codepoints)
 
 
 class PlainCorpus:
     """A stream of unicode text lines, one sentence or fragment per line.
 
-    Backed either by an in-memory list of lines or by a file that is re-read
-    on every iteration with a fixed-size buffer, so arbitrarily large files
-    can be consumed without loading them whole.
+    Backed either by an in-memory list of lines or by a file that
+    ``read_plain`` opened, re-read line by line on every iteration, so
+    arbitrarily large files can be consumed without loading them whole.
     """
 
     def __init__(self, lines: Optional[list[str]] = None, path=None):
@@ -210,10 +212,6 @@ class PlainCorpus:
     def from_lines(cls, lines: Iterable[str]) -> "PlainCorpus":
         return cls(lines=list(lines))
 
-    @classmethod
-    def from_path(cls, path) -> "PlainCorpus":
-        return cls(path=path)
-
     def __iter__(self) -> Iterator[str]:
         if self._lines is not None:
             return iter(self._lines)
@@ -221,42 +219,36 @@ class PlainCorpus:
 
 
 def _stream_lines(path) -> Iterator[str]:
-    """Yield lines from a UTF-8 file, decoding incrementally.
+    """Yield the lines of a UTF-8 file, ending at LF, CR LF or CR, without
+    their line ends.  On a decode failure the file's byte lines are decoded
+    again to find the bad byte's offset: no UTF-8 sequence holds an LF."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for line in fh:
+                yield line.removesuffix("\n")
+        except UnicodeDecodeError:
+            raise DecodeError("invalid UTF-8", path=str(path),
+                              byte_offset=_bad_byte_offset(path)) from None
 
-    Lines are separated by LF; a CR preceding the LF (or at end of file) is
-    dropped. Decode failures report the absolute byte offset of the bad byte.
-    """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    carry = ""
-    fed = 0  # bytes handed to the decoder in previous chunks
+
+def _bad_byte_offset(path) -> Optional[int]:
+    offset = 0
     with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(BUFFER_SIZE)
-            buffered = len(decoder.getstate()[0])
+        for line in fh:
             try:
-                text = decoder.decode(chunk, final=not chunk)
+                line.decode("utf-8")
             except UnicodeDecodeError as exc:
-                # exc.start indexes into (buffered bytes + this chunk)
-                raise DecodeError("invalid UTF-8", path=str(path),
-                                  byte_offset=fed - buffered + exc.start) from None
-            fed += len(chunk)
-            if text:
-                parts = (carry + text).split("\n")
-                carry = parts.pop()
-                for line in parts:
-                    yield line[:-1] if line.endswith("\r") else line
-            if not chunk:
-                break
-    if carry:
-        yield carry[:-1] if carry.endswith("\r") else carry
+                return offset + exc.start
+            offset += len(line)
 
 
 def read_plain(path) -> PlainCorpus:
-    """Open a plain-text corpus for streaming, one line at a time."""
+    """The one reader of text files, streaming them a line at a time.  A
+    missing file raises ``open``'s FileNotFoundError here; a non-UTF-8
+    byte raises DecodeError where the lines are read."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
-    return PlainCorpus.from_path(path)
+    path.open("rb").close()
+    return PlainCorpus(path=path)
 
 
 # ---------------------------------------------------------------------------
@@ -417,30 +409,29 @@ def conll_sentences(path, token_column: int, tag_columns: Sequence[int],
     path = Path(path)
     columns = (token_column, *tag_columns)
     rows, lines, found = [], [], False
-    with open(path, encoding="utf-8") as fh:
-        # a blank line after the last ends its sentence too
-        for lineno, line in enumerate(chain(fh, [""]), 1):
-            fields = line.split()
-            if fields and fields[0] != DOCSTART:
+    # a blank line after the last ends its sentence too
+    for lineno, line in enumerate(chain(read_plain(path), [""]), 1):
+        fields = line.split()
+        if fields and fields[0] != DOCSTART:
+            try:
+                rows.append(tuple(fields[c] for c in columns))
+            except IndexError:
+                raise ParseError(
+                    f"line has {len(fields)} columns, need token column {token_column} and "
+                    f"tag column {' and '.join(map(str, tag_columns))}",
+                    path=str(path), line=lineno) from None
+            lines.append(lineno)
+        elif not fields and rows:
+            texts, *tags = zip(*rows)
+            for column in tags:
                 try:
-                    rows.append(tuple(fields[c] for c in columns))
-                except IndexError:
-                    raise ParseError(
-                        f"line has {len(fields)} columns, need token column {token_column} and "
-                        f"tag column {' and '.join(map(str, tag_columns))}",
-                        path=str(path), line=lineno) from None
-                lines.append(lineno)
-            elif not fields and rows:
-                texts, *tags = zip(*rows)
-                for column in tags:
-                    try:
-                        extract_spans(column, scheme)
-                    except SchemeError as exc:
-                        pos = exc.position if exc.position is not None else 0
-                        raise ParseError(f"ill-formed tag sequence: {exc}",
-                                         path=str(path), line=lines[pos]) from None
-                yield (Sentence(tuple(map(Token, texts, tags[0]))), *tags[1:])
-                rows, lines, found = [], [], True
+                    extract_spans(column, scheme)
+                except SchemeError as exc:
+                    pos = exc.position if exc.position is not None else 0
+                    raise ParseError(f"ill-formed tag sequence: {exc}",
+                                     path=str(path), line=lines[pos]) from None
+            yield (Sentence(tuple(map(Token, texts, tags[0]))), *tags[1:])
+            rows, lines, found = [], [], True
     if not found:
         raise EmptyCorpusError(f"{path}: no sentences found")
 

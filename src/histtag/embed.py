@@ -71,6 +71,7 @@ from .corpus import (
     CharVocabulary,
     Sentence,
     length_groups,
+    read_plain,
     sentence_text,
     token_char_ranges,
 )
@@ -150,46 +151,46 @@ class WordTableEmbedder(Module):
 
 
 def load_vectors(path) -> WordTableEmbedder:
-    """Parse a text vector file: optional "count dim" header, then one
-    ``word v1 … vdim`` line per entry.  Duplicate words keep the last
-    occurrence (warned); dimension mismatches are parse errors.  Each value
-    is read as a Python float and stored as float32, the stack's dtype.
-    Returns the word-table component, recording ``path`` as its source.
+    """Parse a text vector file, read by ``read_plain``: optional "count
+    dim" header, then one ``word v1 … vdim`` line per entry.  Duplicate
+    words keep the last occurrence (warned); dimension mismatches are parse
+    errors.  Each value is read as a Python float and stored as float32,
+    the stack's dtype.  Returns the word-table component, recording
+    ``path`` as its source.
     """
     entries: dict[str, np.ndarray] = {}
     dim: Optional[int] = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            fields = raw.split()
-            if not fields:
-                continue
-            if lineno == 1 and len(fields) == 2:
-                try:
-                    int(fields[0]), int(fields[1])
-                except ValueError:
-                    pass
-                else:
-                    dim = int(fields[1])
-                    continue
-            word, values = fields[0], fields[1:]
-            if dim is None:
-                dim = len(values)
-                if dim == 0:
-                    raise ParseError("entry has no vector values",
-                                     path=str(path), line=lineno)
-            if len(values) != dim:
-                raise ParseError(
-                    f"expected {dim} vector values, found {len(values)}",
-                    path=str(path), line=lineno)
+    for lineno, raw in enumerate(read_plain(path), start=1):
+        fields = raw.split()
+        if not fields:
+            continue
+        if lineno == 1 and len(fields) == 2:
             try:
-                vec = np.array([float(v) for v in values], np.float32)
-            except ValueError as exc:
-                raise ParseError(f"bad vector value: {exc}",
-                                 path=str(path), line=lineno) from exc
-            if word in entries:
-                logger.warning("%s:%d: duplicate vector for %r, keeping the later one",
-                               path, lineno, word)
-            entries[word] = vec
+                int(fields[0]), int(fields[1])
+            except ValueError:
+                pass
+            else:
+                dim = int(fields[1])
+                continue
+        word, values = fields[0], fields[1:]
+        if dim is None:
+            dim = len(values)
+            if dim == 0:
+                raise ParseError("entry has no vector values",
+                                 path=str(path), line=lineno)
+        if len(values) != dim:
+            raise ParseError(
+                f"expected {dim} vector values, found {len(values)}",
+                path=str(path), line=lineno)
+        try:
+            vec = np.array([float(v) for v in values], np.float32)
+        except ValueError as exc:
+            raise ParseError(f"bad vector value: {exc}",
+                             path=str(path), line=lineno) from exc
+        if word in entries:
+            logger.warning("%s:%d: duplicate vector for %r, keeping the later one",
+                           path, lineno, word)
+        entries[word] = vec
     if dim is None:
         raise ParseError("vector file contains no entries", path=str(path))
     return WordTableEmbedder(dim, entries, source_path=path)

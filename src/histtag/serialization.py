@@ -132,7 +132,10 @@ def load_tensors(path) -> tuple[dict, dict[str, np.ndarray]]:
                 f"{path}: {size - offset} trailing bytes after declared tensors")
         tensors: dict[str, np.ndarray] = {}
         for name, shape in shapes.items():
-            array = np.empty(shape, "<f4")
+            try:
+                array = np.empty(shape, "<f4")
+            except ValueError as exc:  # a zero-size shape too large for numpy
+                raise ModelFormatError(f"{path}: bad shape for tensor {name!r}: {exc}") from None
             if fh.readinto(array) != array.nbytes:
                 raise ModelFormatError(f"{path}: truncated payload for tensor {name!r}")
             tensors[name] = array.astype(np.float32, copy=False)

@@ -156,6 +156,53 @@ class TestConfigValidation:
         assert load_run_config(empty) == {}
 
 
+def with_bad_byte(source, target) -> int:
+    """Copy ``source`` to ``target`` with a Latin-1 byte before its first
+    line end; returns that byte's offset."""
+    data = Path(source).read_bytes()
+    at = data.index(b"\n")
+    target.write_bytes(data[:at] + b"\xe4" + data[at:])
+    return at
+
+
+class TestInvalidUtf8:
+    """A non-UTF-8 byte in any text input ends the command with its file
+    and byte offset on stderr and no traceback."""
+
+    @pytest.mark.parametrize("source, argv", [
+        ("CORPUS", ["vocab", "--plain", "BAD", "--output", "OUT"]),
+        ("TRAIN", ["vocab", "--conll", "BAD", "--output", "OUT"]),
+        ("CORPUS", ["smlm", "--input", "CORPUS", "--vocab", "BAD",
+                    "--output", "OUT", "--seed", "1"]),
+        ("VOCAB", ["smlm", "--input", "CORPUS", "--vocab", "BAD",
+                   "--output", "OUT", "--seed", "1"]),
+        ("PREDICTIONS", ["eval", "--predictions", "BAD"]),
+        ("TEST", ["eval", "--gold", "BAD", "--pred", "TEST"]),
+    ], ids=["plain", "conll", "smlm_vocab_sniff", "smlm_vocab_file",
+            "eval_predictions", "eval_gold"])
+    def test_exit_1_with_the_offset(self, toy, tmp_path, capsys, source, argv):
+        files = {"CORPUS": toy["lm_corpus"], "TRAIN": toy["train"], "TEST": toy["test"],
+                 "VOCAB": tmp_path / "vocab.txt", "PREDICTIONS": tmp_path / "pred.conll",
+                 "BAD": tmp_path / "bad.txt", "OUT": tmp_path / "out.txt"}
+        extract_char_vocab(read_plain(toy["lm_corpus"])).to_path(files["VOCAB"])
+        files["PREDICTIONS"].write_text("Wien B-LOC B-LOC\nliegt O O\n\n", encoding="utf-8")
+        at = with_bad_byte(files[source], files["BAD"])
+        assert main([str(files.get(a, a)) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {files['BAD']}: invalid UTF-8 (byte offset {at})\n"
+        assert not files["OUT"].exists()
+
+    def test_run_config_exits_2(self, toy, tmp_path, capsys):
+        config = tmp_path / "run.yaml"
+        write_config(config, {"data": {"train": str(toy["train"])}})
+        bad = tmp_path / "bad.yaml"
+        at = with_bad_byte(config, bad)
+        with pytest.raises(ConfigError, match=rf"invalid UTF-8 \(byte offset {at}\)"):
+            load_run_config(bad)
+        assert main(["ner", "train", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: invalid UTF-8 (byte offset {at})\n"
+
+
 class TestVocabCommand:
     def test_union_of_two_datasets(self, toy, tmp_path, capsys):
         out = tmp_path / "vocab.txt"

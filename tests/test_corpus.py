@@ -1,10 +1,10 @@
+import errno
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histtag import corpus as corpus_module
 from histtag.corpus import (
     CharVocabulary,
     PlainCorpus,
@@ -344,18 +344,35 @@ class TestPlainCorpus:
             list(read_plain(path))
         assert exc.value.byte_offset == 3
 
-    def test_decode_error_across_chunks(self, write_text, monkeypatch):
-        # bad byte placed right after a small buffer boundary
-        monkeypatch.setattr(corpus_module, "BUFFER_SIZE", 8)
-        payload = b"a" * 10 + "ö".encode("utf-8") + b"\xc3\x28" + b"rest"
+    def test_decode_error_across_chunks(self, write_text):
+        # the text layer (io.TextIOWrapper) decodes 8 KiB at a time: a
+        # two-byte character straddles that boundary, the bad byte follows
+        chunk = 8 * 1024
+        payload = b"a" * (chunk - 1) + "ö".encode("utf-8") + b"\xc3\x28" + b"rest"
         path = write_text("v.txt", payload, binary=True)
         with pytest.raises(DecodeError) as exc:
             list(read_plain(path))
-        assert exc.value.byte_offset == 12
+        assert exc.value.byte_offset == chunk + 1
+
+    def test_decode_error_offset_counts_earlier_lines(self, write_text):
+        payload = b"eins\r\nzwei\n\ndr\xe4i\n"
+        path = write_text("w.txt", payload, binary=True)
+        with pytest.raises(DecodeError) as exc:
+            list(read_plain(path))
+        assert exc.value.byte_offset == payload.index(b"\xe4")
+        assert str(exc.value) == f"{path}: invalid UTF-8 (byte offset 14)"
+
+    def test_lone_cr_ends_a_line(self, write_text):
+        path = write_text("x.txt", "a\rb\r\nc\n\rd")
+        assert list(read_plain(path)) == ["a", "b", "c", "", "d"]
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(FileNotFoundError) as exc:
             read_plain(tmp_path / "absent.txt")
+        assert exc.value.errno == errno.ENOENT
+        assert str(exc.value) == (f"[Errno 2] No such file or directory: "
+                                  f"'{tmp_path / 'absent.txt'}'")
+
 
     @pytest.mark.slow
     def test_large_file_streams_within_buffer_bound(self, tmp_path):
@@ -374,6 +391,30 @@ class TestPlainCorpus:
         tracemalloc.stop()
         assert n == 100 * 1024
         assert peak < 8 * 1024 * 1024
+
+
+class TestEveryTextReader:
+    """CoNLL and vocabulary files are read as plain ones are: a bad byte
+    is a DecodeError with its offset, not a UnicodeDecodeError."""
+
+    def test_conll_file(self, write_text):
+        payload = b"Wien B-LOC\n. O\n\nGr\xe4z B-LOC\n"
+        path = write_text("a.conll", payload, binary=True)
+        with pytest.raises(DecodeError) as exc:
+            read_conll(path, 0, 1, TagScheme.IOB2)
+        assert exc.value.byte_offset == payload.index(b"\xe4")
+
+    def test_vocabulary_file(self, write_text):
+        payload = b"# histtag vocab v1: 2 characters\nU+0020\nU+00E4\xe4\n"
+        path = write_text("vocab.txt", payload, binary=True)
+        with pytest.raises(DecodeError) as exc:
+            CharVocabulary.from_path(path)
+        assert exc.value.byte_offset == payload.index(b"\xe4")
+
+    def test_lone_cr_ends_a_conll_line(self, write_text):
+        path = write_text("b.conll", "Wien B-LOC\r. O\r\rGraz B-LOC\r")
+        corpus = read_conll(path, 0, 1, TagScheme.IOB2)
+        assert [s.texts() for s in corpus] == [["Wien", "."], ["Graz"]]
 
 
 class TestRendering:

@@ -18,7 +18,7 @@ from histtag.embed import (
     embedder_factory,
     load_vectors,
 )
-from histtag.errors import ConfigError, ParseError
+from histtag.errors import ConfigError, DecodeError, ParseError
 from histtag.serialization import layer_tensors
 
 from conftest import make_sentence
@@ -103,6 +103,14 @@ class TestLoadVectors:
         with pytest.raises(ParseError) as exc:
             load_vectors(p)
         assert exc.value.line == 1
+
+    def test_non_utf8_byte_is_a_decode_error(self, tmp_path):
+        p = tmp_path / "vec.txt"
+        payload = b"wien 1 1\ngr\xe4z 2 2\n"
+        p.write_bytes(payload)
+        with pytest.raises(DecodeError) as exc:
+            load_vectors(p)
+        assert exc.value.byte_offset == payload.index(b"\xe4")
 
 
 class TestCharFeatures:

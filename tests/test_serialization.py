@@ -125,9 +125,12 @@ class TestCorruption:
         ({"meta": {}, "tensors": [["w", [2.9]]]}, 2, "malformed tensor entry"),
         ({"meta": {}, "tensors": [["w", [True, 2]]]}, 2, "malformed tensor entry"),
         ({"meta": {}, "tensors": [["w", [2], 0]]}, 2, "malformed tensor entry"),
+        ({"meta": {}, "tensors": [["w", [0, 10 ** 30]]]}, 0, "bad shape for tensor 'w'"),
+        ({"meta": {}, "tensors": [["w", [0, 2 ** 62, 2 ** 62]]]}, 0, "bad shape for tensor 'w'"),
     ], ids=["tensors_not_a_list", "meta_not_a_mapping", "no_meta",
             "repeated_name", "negative_dim", "name_not_a_string",
-            "shape_a_string", "float_dim", "bool_dim", "three_items"])
+            "shape_a_string", "float_dim", "bool_dim", "three_items",
+            "zero_size_dim_too_large", "zero_size_too_big"])
     def test_malformed_header(self, tmp_path, header, floats, message):
         path = tmp_path / "m.bin"
         path.write_bytes(raw_container(header, payload=bytes(4 * floats)))
